@@ -8,7 +8,6 @@ paper's 2 GB workload where a direct run is infeasible in pure Python.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -20,9 +19,7 @@ from repro.core.owner import DataOwner
 from repro.core.sem import SecurityMediator
 from repro.obs.bench import (
     append_run,
-    make_phase,
     make_run,
-    measure_ops_and_wall,
     trajectory_path,
     validate_run,
     write_run_file,
@@ -104,20 +101,6 @@ def count_ops(group, fn) -> dict[str, int]:
     finally:
         group.counter = previous
     return {k: v for k, v in counter.snapshot().items() if v}
-
-
-def write_bench_json(name: str, payload: dict) -> None:
-    """Write one benchmark's machine-readable results next to its .txt."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{name}.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def measure_phase(group, name: str, fn, repeats: int = 1, scalars: dict | None = None) -> dict:
-    """Measure ``fn`` into one schema-valid phase entry (wall + exact ops)."""
-    wall, ops = measure_ops_and_wall(group, fn, repeats)
-    return make_phase(name, wall, ops, repeats=repeats, scalars=scalars)
 
 
 def record_suite_run(suite: str, phases: list[dict], config: dict | None = None) -> dict:

@@ -7,122 +7,45 @@ verification, the health scoreboard trips its circuit breaker, and the
 round completes on the healthy majority.  The op-count delta between the
 two phases is deterministic, so the committed ``BENCH_chaos.json``
 trajectory pins the exact failover overhead next to the clean
-``BENCH_service.json`` throughput numbers.
+``BENCH_service.json`` throughput numbers.  The measurement is the
+registered ``chaos`` bench suite, which also checks every signature it
+timed against the cluster's master key.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from benchmarks.conftest import record_report
-from benchmarks.helpers import (
-    count_ops,
-    dense_data,
-    record_suite_run,
-    time_call,
-    write_bench_json,
-)
-from repro.core.blocks import aggregate_block, encode_data
-from repro.core.multi_sem import SEMCluster
-from repro.core.params import setup
-from repro.crypto.blind_bls import blind
-from repro.obs.bench import make_phase
-from repro.service.failover import FailoverConfig, FailoverMultiSEMClient
-
-K = 4
-N_BLOCKS = 8
-T = 2
-
-
-def _blinded(params, group):
-    rng = random.Random(31)
-    blocks = encode_data(dense_data(params, N_BLOCKS), params, b"bench")
-    return [blind(group, aggregate_block(params, b), rng).blinded for b in blocks]
-
-
-def _cluster(group):
-    return SEMCluster(group, t=T, rng=random.Random(37), require_membership=False)
-
-
-def _round_over(cluster, blinded):
-    """One full failover round with a fresh client (fresh scoreboard), so
-    every measured call pays an identical, deterministic op mix."""
-    client = FailoverMultiSEMClient.from_cluster(
-        cluster,
-        config=FailoverConfig(max_attempts=1, quarantine_rounds=4),
-        rng=random.Random(41),
-    )
-    return client.sign_blinded_batch(blinded)
+from benchmarks.helpers import record_suite_run
+from repro.obs.bench import run_suite
 
 
 @pytest.mark.benchmark(group="chaos")
-def test_chaos_failover_overhead(benchmark, fast_group):
-    params = setup(fast_group, K)
-    blinded = _blinded(params, fast_group)
-    clean = _cluster(fast_group)
-    faulty = _cluster(fast_group)
-    faulty.corrupt(0)
+def test_chaos_failover_overhead(benchmark):
+    run = {}
+    benchmark.pedantic(lambda: run.update(doc=run_suite("chaos", repeats=2)),
+                       rounds=1, iterations=1)
+    doc = run["doc"]
+    phases = {phase["name"]: phase for phase in doc["phases"]}
+    clean, byzantine = phases["round.clean"], phases["round.byzantine"]
 
-    timings = {}
-
-    def sweep():
-        timings["clean"] = time_call(lambda: _round_over(clean, blinded), repeats=2)
-        timings["byzantine"] = time_call(lambda: _round_over(faulty, blinded), repeats=2)
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    ops_clean = count_ops(fast_group, lambda: _round_over(clean, blinded))
-    ops_byz = count_ops(fast_group, lambda: _round_over(faulty, blinded))
-    n = len(blinded)
-    rate_clean = n / timings["clean"]
-    rate_byz = n / timings["byzantine"]
-    overhead = timings["byzantine"] / timings["clean"]
-
-    lines = [
-        f"{'round':>10}  {'sig/s':>10}  {'pairings':>8}  {'exp_g1':>8}",
-        f"{'clean':>10}  {rate_clean:>10.1f}  {ops_clean.get('pairings', 0):>8}"
-        f"  {ops_clean.get('exp_g1', 0):>8}",
-        f"{'byzantine':>10}  {rate_byz:>10.1f}  {ops_byz.get('pairings', 0):>8}"
-        f"  {ops_byz.get('exp_g1', 0):>8}",
-        f"failover overhead: {overhead:.2f}x wall; byzantine share batch "
-        "rejected via Eq. 14, round completed on the healthy majority",
-    ]
+    lines = [f"{'round':>10}  {'sig/s':>10}  {'pairings':>8}  {'exp_g1':>8}"]
+    for label, phase in (("clean", clean), ("byzantine", byzantine)):
+        lines.append(
+            f"{label:>10}  {phase['scalars']['sig_per_s']:>10.1f}"
+            f"  {phase['ops'].get('pairings', 0):>8}"
+            f"  {phase['ops'].get('exp_g1', 0):>8}"
+        )
+    lines.append(
+        f"failover overhead: {byzantine['scalars']['overhead_x']:.2f}x wall; "
+        "byzantine share batch rejected via Eq. 14, round completed on the "
+        "healthy majority"
+    )
     record_report("Chaos: failover overhead under a byzantine SEM", lines)
-    write_bench_json(
-        "chaos_failover",
-        {
-            "k": K, "t": T, "n_blinded": n,
-            "clean_sig_per_s": rate_clean,
-            "byzantine_sig_per_s": rate_byz,
-            "overhead_x": overhead,
-            "ops_clean": ops_clean,
-            "ops_byzantine": ops_byz,
-        },
-    )
+    record_suite_run("chaos", doc["phases"], doc["config"])
 
-    # Standardized run document, phase names matching the CLI `chaos`
-    # suite so the committed BENCH_chaos.json trajectory stays comparable.
-    record_suite_run(
-        "chaos",
-        [
-            make_phase("round.clean", timings["clean"], ops_clean,
-                       scalars={"sig_per_s": rate_clean}),
-            make_phase("round.byzantine", timings["byzantine"], ops_byz,
-                       scalars={"sig_per_s": rate_byz, "overhead_x": overhead}),
-        ],
-        config={"param_set": "toy-64", "k": K, "t": T,
-                "n_blinded": n, "byzantine": 1},
-    )
-
-    # Correctness of what we timed: both rounds yield signatures that
-    # verify under the cluster's master public key.
-    group = fast_group
-    for cluster in (clean, faulty):
-        for m, sig in zip(blinded, _round_over(cluster, blinded)):
-            assert group.pair(sig, group.g2()) == group.pair(m, cluster.master_pk)
     # The byzantine round's extra cost is the detection path: one more
     # contacted endpoint's share batch verified (pairings) and rejected.
-    assert ops_byz.get("pairings", 0) > ops_clean.get("pairings", 0)
-    assert ops_byz.get("exp_g1", 0) > ops_clean.get("exp_g1", 0)
+    assert byzantine["ops"].get("pairings", 0) > clean["ops"].get("pairings", 0)
+    assert byzantine["ops"].get("exp_g1", 0) > clean["ops"].get("exp_g1", 0)

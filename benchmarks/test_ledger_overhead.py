@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import record_report
-from benchmarks.helpers import record_suite_run, write_bench_json
+from benchmarks.helpers import record_suite_run
 from repro.obs import Ledger, Observability
 from repro.obs.bench import _SCENARIO_SUITE_DOCS, run_suite
 from repro.scenarios import ScenarioRunner, scenario_from_dict
@@ -64,9 +64,6 @@ def test_ledger_overhead(benchmark):
         f"  ledger entries {int(scalars['ledger_entries'])}"
     )
     record_report("Flight recorder: tracing + ledger overhead", lines)
-    write_bench_json(
-        "ledger_overhead", {"phases": phases, "config": doc["config"]}
-    )
     record_suite_run("ledger", phases, doc["config"])
 
     # The gates. Group operations must be bit-identical with the recorder

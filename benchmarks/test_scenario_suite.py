@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import record_report
-from benchmarks.helpers import record_suite_run, write_bench_json
+from benchmarks.helpers import record_suite_run
 from repro.obs.bench import _SCENARIO_SUITE_DOCS, run_suite
 from repro.scenarios import run_scenario, scenario_from_dict
 
@@ -41,10 +41,6 @@ def test_scenario_suite(benchmark):
             f"  {scalars['latency_p99_s'] * 1e3:>7.2f}"
         )
     record_report("Scenario engine: per-shape end-to-end cost", lines)
-    write_bench_json(
-        "scenario_suite",
-        {"phases": phases, "config": doc["config"]},
-    )
     record_suite_run("scenario", phases, doc["config"])
 
     # Correctness of what we timed: every shape completed its full

@@ -22,18 +22,12 @@ import random
 import pytest
 
 from benchmarks.conftest import record_report
-from benchmarks.helpers import (
-    count_ops,
-    dense_data,
-    record_suite_run,
-    time_call,
-    write_bench_json,
-)
-from repro.obs.bench import make_phase
+from benchmarks.helpers import count_ops, dense_data, record_suite_run, time_call
 from repro.core.blocks import encode_data
 from repro.core.params import setup
 from repro.core.sem import SecurityMediator
 from repro.obs import Observability
+from repro.obs.bench import run_suite
 from repro.service.api import SignRequest, next_request_id
 from repro.service.pipeline import SigningPipeline
 
@@ -120,49 +114,8 @@ def test_service_batched_vs_sequential_throughput(benchmark, fast_group):
     )
     lines.append("round trips + 2 pairings each (Eq. 4); fixed-base tables amortized")
     record_report("Service throughput: batched vs sequential signing", lines)
-    write_bench_json(
-        "service_throughput",
-        {
-            "k": K,
-            "batch_sizes": BATCH_SIZES,
-            "rows": {
-                str(n): {
-                    "batched_sig_per_s": batched_rate,
-                    "sequential_sig_per_s": seq_rate,
-                    "speedup": speedup,
-                }
-                for n, (batched_rate, seq_rate, speedup) in rows.items()
-            },
-            "ops_per_8_batched": ops_batched,
-            "ops_per_8_sequential": ops_sequential,
-            "tracing_overhead": overhead,
-        },
-    )
-
-    # Standardized run document, phase names matching the CLI `service`
-    # suite so the committed BENCH_service.json trajectory stays comparable.
-    t_batch64, batched_rate64 = 64 / rows[64][0], rows[64][0]
-    t_seq64, seq_rate64 = 64 / rows[64][1], rows[64][1]
-    requests_again = _requests(params, 64)
-    record_suite_run(
-        "service",
-        [
-            make_phase(
-                "batched.64", t_batch64,
-                count_ops(fast_group, lambda: batched_pipeline.sign_batch(requests_again)),
-                scalars={"sig_per_s": batched_rate64},
-            ),
-            make_phase(
-                "sequential.64", t_seq64,
-                count_ops(
-                    fast_group,
-                    lambda: [sequential_pipeline.sign_sequential(r) for r in requests_again],
-                ),
-                scalars={"sig_per_s": seq_rate64},
-            ),
-        ],
-        config={"param_set": "toy-64", "k": K, "batch": 64},
-    )
+    doc = run_suite("service", repeats=2)
+    record_suite_run("service", doc["phases"], doc["config"])
 
     # Acceptance: batching is >= 2x at batch size 64.
     assert rows[64][2] >= 2.0, f"batched speedup at 64 was only {rows[64][2]:.2f}x"

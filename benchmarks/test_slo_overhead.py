@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import record_report
-from benchmarks.helpers import record_suite_run, write_bench_json
+from benchmarks.helpers import record_suite_run
 from repro.obs.bench import run_suite
 from repro.scenarios import run_scenario, scenario_from_dict
 
@@ -57,9 +57,6 @@ def test_slo_overhead(benchmark):
         f"  metering records {int(scalars['metering_records'])}"
     )
     record_report("SLO engine: sampling + alerting + metering overhead", lines)
-    write_bench_json(
-        "slo_overhead", {"phases": phases, "config": doc["config"]}
-    )
     record_suite_run("slo", phases, doc["config"])
 
     # The gates. Group operations must be bit-identical with the harness

@@ -1,76 +1,49 @@
 """Supplement: cost of the dynamic-data extension (paper §IV-C).
 
 Two questions the paper leaves open when it says dynamics "can be easily
-supported": (1) what does one in-place update cost versus re-signing the
+supported": (1) what does an update batch cost versus re-signing the
 whole file, and (2) how much bigger are dynamic audit proofs (which add a
-Merkle path per challenged block plus one signed root)?
+rank path per challenged block plus one signed root)?  Both answers come
+from the registered ``dynamic`` bench suite.
 """
 
 from __future__ import annotations
 
-import random
-import time
-
 import pytest
 
 from benchmarks.conftest import record_report
-from repro.core.owner import DataOwner
-from repro.core.sem import SecurityMediator
-from repro.dynamics import DynamicCloudServer, DynamicFileClient, DynamicVerifier
-from repro.net.message import payload_size
-
-N_BLOCKS = 24
-K = 8
+from benchmarks.helpers import record_suite_run
+from repro.obs.bench import run_suite
 
 
 @pytest.mark.benchmark(group="supplement")
-def test_dynamics_update_vs_resign_all(benchmark, fast_group, paper_params_factory):
-    outcome: dict[str, float] = {}
+def test_dynamics_update_vs_resign_all(benchmark):
+    run = {}
+    benchmark.pedantic(lambda: run.update(doc=run_suite("dynamic", repeats=1)),
+                       rounds=1, iterations=1)
+    doc = run["doc"]
+    phases = {phase["name"]: phase for phase in doc["phases"]}
+    config = doc["config"]
 
-    def run():
-        outcome.clear()
-        from repro.core.params import setup
-
-        params = setup(fast_group, k=K)
-        rng = random.Random(10)
-        sem = SecurityMediator(fast_group, rng=rng, require_membership=False)
-        owner = DataOwner(params, sem.pk, rng=rng)
-        client = DynamicFileClient(params, owner, sem, b"dyn")
-        cloud = DynamicCloudServer(params)
-        verifier = DynamicVerifier(params, sem.pk)
-        chunks = [b"chunk-%03d" % i for i in range(N_BLOCKS)]
-        start = time.perf_counter()
-        blocks, sigs, mutation = client.create(chunks)
-        outcome["create (= re-sign all)"] = time.perf_counter() - start
-        cloud.create_file(b"dyn", blocks, sigs, mutation)
-        start = time.perf_counter()
-        cloud.apply(b"dyn", client.update(3, b"edited"))
-        outcome["one update"] = time.perf_counter() - start
-        # Proof-size comparison: dynamic proof vs bare static response.
-        ch = verifier.generate_challenge(N_BLOCKS, sample_size=8, rng=rng)
-        proof = cloud.generate_proof(b"dyn", ch)
-        assert verifier.verify(b"dyn", ch, proof)
-        outcome["static response bytes"] = payload_size(proof.response)
-        outcome["dynamic proof bytes"] = (
-            payload_size(proof.response)
-            + sum(p.wire_size_bytes() for p in proof.paths)
-            + sum(len(i) for i in proof.block_ids)
-            + len(proof.root)
-            + payload_size(proof.root_signature)
-            + 8
-        )
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    # One update is far cheaper than re-signing the file.
-    assert outcome["one update"] < outcome["create (= re-sign all)"] / 4
-    record_report(
-        f"Supplement: dynamic data costs (n={N_BLOCKS}, k={K}, c=8)",
-        [
-            f"initial signing (all blocks): {outcome['create (= re-sign all)']*1000:8.1f} ms",
-            f"one in-place update:          {outcome['one update']*1000:8.1f} ms "
-            "(1 block + 1 root re-signed)",
-            f"audit proof size: static {outcome['static response bytes']} B -> "
-            f"dynamic {outcome['dynamic proof bytes']} B "
-            "(Merkle paths + signed root)",
-        ],
+    lines = [f"{'batch':>6}  {'update Exp':>10}  {'re-sign Exp':>11}"
+             f"  {'update ms':>9}  {'re-sign ms':>10}"]
+    for k in config["batches"]:
+        update, naive = phases[f"update.k{k}"], phases[f"naive.k{k}"]
+        lines.append(f"{k:>6}  {update['exp']:>10}  {naive['exp']:>11}"
+                     f"  {update['wall_s'] * 1e3:>9.1f}  {naive['wall_s'] * 1e3:>10.1f}")
+    audit = phases["dyn.audit"]["scalars"]
+    lines.append(
+        f"audit proof size (c={int(audit['challenged'])}): static "
+        f"{int(audit['static_response_bytes'])} B -> dynamic "
+        f"{int(audit['proof_bytes'])} B (rank paths + signed root)"
     )
+    record_report(
+        f"Supplement: dynamic data costs (n={config['n_blocks']}, k={config['k']})",
+        lines,
+    )
+    record_suite_run("dynamic", doc["phases"], config)
+
+    # One single-block update is far cheaper than re-signing the file,
+    # and a dynamic proof carries strictly more than the Eq. 6 response.
+    assert phases["update.k1"]["exp"] < phases["naive.k1"]["exp"] / 4
+    assert audit["proof_bytes"] > audit["static_response_bytes"]

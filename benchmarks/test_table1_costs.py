@@ -2,9 +2,10 @@
 
 Reproduces the four cells of Table I two ways:
 
-1. *Operation counting*: runs the actual protocol under a CostTracker and
-   checks the measured Exp_G1/Pair tallies against the closed forms
-   (up to the zero-element skip optimization, which only lowers counts).
+1. *Operation counting*: runs the actual protocol through the ``table1``
+   bench suite and checks the measured Exp_G1/Pair tallies against the
+   closed forms (up to the zero-element skip optimization, which only
+   lowers counts).
 2. *Wall-clock benchmarking*: times per-block signing on the paper's
    160/512-bit parameters for the basic and optimized variants.
 """
@@ -16,80 +17,50 @@ import random
 import pytest
 
 from benchmarks.conftest import record_report
-from benchmarks.helpers import record_suite_run
+from benchmarks.helpers import dense_data, record_suite_run
 from repro.analysis.cost_model import table1_exp_pair_counts
-from repro.obs.bench import make_phase
-from repro.core.accounting import CostTracker
-from repro.core.multi_sem import MultiSEMClient, SEMCluster
 from repro.core.owner import DataOwner
-from repro.core.params import setup
 from repro.core.sem import SecurityMediator
-
-
-def _dense_data(params, n_blocks):
-    """Payload with no zero elements so op counts are maximal."""
-    return bytes((i % 255) + 1 for i in range(params.block_bytes() * n_blocks - 8))
-
+from repro.obs.bench import run_suite
 
 @pytest.mark.benchmark(group="table1")
 class TestOperationCounts:
-    """Fast functional validation on toy parameters."""
+    """Fast functional validation on toy parameters (the ``table1`` suite)."""
 
-    def test_all_four_table1_cells(self, fast_group, rng, benchmark):
-        params = setup(fast_group, k=6)
-        data = _dense_data(params, 8)
+    def test_all_four_table1_cells(self, benchmark):
+        run = {}
+        benchmark.pedantic(lambda: run.update(doc=run_suite("table1", repeats=1)),
+                           rounds=1, iterations=1)
+        doc = run["doc"]
+        phases = {phase["name"]: phase for phase in doc["phases"]}
+        k = doc["config"]["k"]
         results = []
-        phases = []
-        cells = [(None, False), (None, True), (2, False), (2, True)]
-
-        def run_cells():
-            results.clear()
-            phases.clear()
-            for t, optimized in cells:
-                _run_one(t, optimized)
-
-        def _run_one(t, optimized):
-            if t is None:
-                sem = SecurityMediator(fast_group, rng=rng, require_membership=False)
-                service, pk, pk1 = sem, sem.pk, sem.pk_g1
-            else:
-                cluster = SEMCluster(fast_group, t=t, rng=rng, require_membership=False)
-                service = MultiSEMClient(cluster, batch=optimized, rng=rng)
-                pk, pk1 = cluster.master_pk, cluster.master_pk_g1
-            owner = DataOwner(params, pk, rng=rng)
-            with CostTracker(fast_group) as tracker:
-                signed = owner.sign_file(data, b"f", service, batch=optimized, sem_pk_g1=pk1)
-            n = len(signed.blocks)
-            formula = table1_exp_pair_counts(n, params.k, t=t, optimized=optimized)
+        for t, optimized in [(None, False), (None, True), (2, False), (2, True)]:
             label = f"{'multi t=2' if t else 'single'} {'opt' if optimized else 'basic'}"
-            phase = f"sign.{'multi2' if t else 'single'}.{'opt' if optimized else 'basic'}"
-            phases.append(
-                make_phase(
-                    phase,
-                    tracker.elapsed_seconds,
-                    tracker.counter.snapshot(),
-                    scalars={"n_blocks": n},
-                )
-            )
+            phase = phases[
+                f"sign.{'multi2' if t else 'single'}.{'opt' if optimized else 'basic'}"
+            ]
+            n = int(phase["scalars"]["n_blocks"])
+            # Full-cost exponentiations, as CostTracker.exp_g1 counts them.
+            exp_g1 = phase["ops"].get("exp_g1", 0) + phase["ops"].get("exp_g1_msm", 0)
+            pairings = phase["pair"]
+            formula = table1_exp_pair_counts(n, k, t=t, optimized=optimized)
             results.append(
-                f"{label:>18}: measured {tracker.exp_g1:>4} Exp {tracker.pairings:>3} Pair"
+                f"{label:>18}: measured {exp_g1:>4} Exp {pairings:>3} Pair"
                 f" | Table I {formula.exp_g1:>4} Exp {formula.pair:>3} Pair"
             )
             # Measured counts track the paper's closed forms; our multi-SEM
             # client additionally runs the final Eq. 7 owner-side check
             # (+2n Exp) that the paper's accounting folds into share
             # verification, hence the +3n slack.
-            assert tracker.exp_g1 <= formula.exp_g1 + 3 * n
+            assert exp_g1 <= formula.exp_g1 + 3 * n
             if optimized:
-                assert tracker.pairings <= 2 * ((t or 0) + 1) + 2
+                assert pairings <= 2 * ((t or 0) + 1) + 2
             else:
-                assert tracker.pairings >= 2 * n
+                assert pairings >= 2 * n
 
-        benchmark.pedantic(run_cells, rounds=1, iterations=1)
-        record_report("Table I: operation counts (n=8 blocks, k=6)", results)
-        record_suite_run(
-            "table1", phases, config={"param_set": "toy-64", "k": 6, "n_blocks": 8}
-        )
+        record_report(f"Table I: operation counts (n={n} blocks, k={k})", results)
+        record_suite_run("table1", doc["phases"], doc["config"])
 
 
 @pytest.mark.benchmark(group="table1")
@@ -101,7 +72,7 @@ class TestWallClock:
         params = paper_params_factory(self.K)
         sem = SecurityMediator(paper_group, rng=random.Random(1), require_membership=False)
         owner = DataOwner(params, sem.pk, rng=random.Random(2))
-        data = _dense_data(params, self.N_BLOCKS)
+        data = dense_data(params, self.N_BLOCKS)
 
         def run():
             owner.sign_file(data, b"f", sem, batch=optimized)

@@ -1,8 +1,8 @@
 """Dynamic PDP tier: rank-authenticated updates with batched re-signing.
 
-This package is the production dynamic-data subsystem (ROADMAP "dynamic
-data" item; Gritti et al.'s rank-based construction from PAPERS.md).  It
-supersedes the :mod:`repro.dynamics` prototype in three ways:
+This package implements the paper's §IV-C remark that data dynamics "can
+be easily supported", following Gritti et al.'s rank-based construction
+(PAPERS.md):
 
 * the Merkle tree over block indices is **rank-annotated** — every
   interior node hash seals its children's leaf counts, so an inclusion

@@ -3,9 +3,9 @@
 The paper's ``H : {0,1}* -> G1`` is instantiated with the classic
 try-and-increment method (the construction PBC itself uses for type-A
 groups): hash the message with a counter to derive candidate x-coordinates,
-take the first x for which x³ + a·x + b is a quadratic residue, pick the
-canonical root, and clear the cofactor so the result lands in the order-r
-subgroup.
+take the first x for which x³ + a·x + b is a quadratic residue, and pick
+the canonical root.  The result is a point on the *curve*; the caller
+clears the cofactor to land in the order-r subgroup.
 """
 
 from __future__ import annotations
@@ -38,20 +38,18 @@ def hash_to_curve_try_increment(
     domain: bytes = b"repro-h2c-v1",
     max_attempts: int = 256,
 ) -> tuple[int, int]:
-    """Map a message to an affine point in the order-r subgroup.
+    """Map a message to an affine point on the curve (not yet in G1).
 
-    Returns raw affine coordinates ``(x, y)``; the caller wraps them in its
-    point type and applies the cofactor multiplication itself when
-    ``cofactor == 1`` is not guaranteed (this function already multiplies by
-    the cofactor via the caller-supplied group law only when asked — here we
-    return the *curve* point and leave cofactor clearing to the caller so the
-    function stays independent of point representation).
+    Returns raw affine coordinates ``(x, y)`` of the curve point.  This
+    function never multiplies by ``cofactor``: the caller wraps the point
+    in its own type and clears the cofactor with its own group law, which
+    keeps this function independent of point representation.
 
     Raises:
         RuntimeError: if no candidate x works within ``max_attempts``
             (probability ~2^-max_attempts for random oracles).
     """
-    del cofactor  # cofactor clearing is the caller's job; kept for API clarity
+    del cofactor  # documents the caller's cofactor; clearing is the caller's job
     bits = p.bit_length()
     for counter in range(max_attempts):
         x = _hash_to_int(message, counter, bits, domain) % p

@@ -371,6 +371,7 @@ def _suite_chaos(repeats: int, options: dict) -> tuple[list[dict], dict]:
         )
         signatures = client.sign_blinded_batch(blinded)
         assert len(signatures) == len(blinded)
+        return signatures
 
     wall_clean, ops_clean = measure_ops_and_wall(
         group, lambda: round_over(clean), repeats
@@ -378,6 +379,12 @@ def _suite_chaos(repeats: int, options: dict) -> tuple[list[dict], dict]:
     wall_byz, ops_byz = measure_ops_and_wall(
         group, lambda: round_over(faulty), repeats
     )
+    # Both rounds must yield signatures that verify under the cluster's
+    # master key (checked outside the measured region).
+    for cluster in (clean, faulty):
+        for m, sig in zip(blinded, round_over(cluster)):
+            assert group.pair(sig, group.g2()) == group.pair(m, cluster.master_pk), (
+                "chaos suite produced a signature that does not verify")
     n = len(blinded)
     phases = [
         make_phase("round.clean", wall_clean, ops_clean, repeats=repeats,
@@ -757,7 +764,8 @@ def _suite_dynamic(repeats: int, options: dict) -> tuple[list[dict], dict]:
     answer to the same edit: re-sign all n blocks.  The committed
     baseline pins the Exp/Pair gap the EXPERIMENTS.md table reports.
     ``dyn.audit`` measures one c=4 rank-path + root-signature + Eq. 6
-    verification.
+    verification and records the proof's wire size next to the bare
+    Eq. 6 response a static audit would send.
     """
     import random
 
@@ -828,7 +836,9 @@ def _suite_dynamic(repeats: int, options: dict) -> tuple[list[dict], dict]:
     )
     phases.append(make_phase(
         "dyn.audit", wall_aud, ops_aud, repeats=repeats,
-        scalars={"challenged": len(challenge), "n_blocks": n_blocks},
+        scalars={"challenged": len(challenge), "n_blocks": n_blocks,
+                 "proof_bytes": proof.wire_size_bytes(),
+                 "static_response_bytes": proof.response.wire_size_bytes()},
     ))
     return phases, {"param_set": "toy-64", "k": 4, "n_blocks": n_blocks,
                     "batches": [1, 4, 8], "challenged": 4}

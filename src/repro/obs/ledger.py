@@ -282,8 +282,15 @@ class _AuditRuntime:
         # G2 public key round-trips through deserialize_g1 plus a rewrap.
         self.pks[body["verifier"]] = GroupElement(group, element.point, "g2")
 
-    def recheck(self, body: dict) -> bool | None:
-        """Re-evaluate Eq. 6 for one audit entry; None when impossible."""
+    def recheck(self, kind: str, body: dict) -> bool | None:
+        """Re-evaluate Eq. 6 for one audit or dyn_audit entry; None when
+        impossible.
+
+        A static ``audit`` derives each block id from (file, index).  A
+        ``dyn_audit`` records the rank-authenticated identifiers
+        explicitly (they are not derivable from positions alone), so the
+        recheck replays the same identifiers the TPA verified.
+        """
         from repro.core.blocks import make_block_id
         from repro.core.challenge import Challenge, ProofResponse
         from repro.core.verifier import PublicVerifier
@@ -293,37 +300,15 @@ class _AuditRuntime:
         pk = self.pks.get(body.get("verifier"))
         if pk is None:
             return None
-        file_id = bytes.fromhex(body["file"])
         indices = tuple(int(i) for i in body["indices"])
+        if kind == "dyn_audit":
+            block_ids = tuple(bytes.fromhex(b) for b in body["block_ids"])
+        else:
+            file_id = bytes.fromhex(body["file"])
+            block_ids = tuple(make_block_id(file_id, i) for i in indices)
         challenge = Challenge(
             indices=indices,
-            block_ids=tuple(make_block_id(file_id, i) for i in indices),
-            betas=tuple(int(b) for b in body["betas"]),
-        )
-        sigma = self.params.group.deserialize_g1(bytes.fromhex(body["sigma"]))
-        response = ProofResponse(
-            sigma=sigma, alphas=tuple(int(a) for a in body["alphas"])
-        )
-        return PublicVerifier(self.params, pk).verify(challenge, response)
-
-    def recheck_dynamic(self, body: dict) -> bool | None:
-        """Re-evaluate Eq. 6 for one dyn_audit entry; None when impossible.
-
-        Dynamic audits record the rank-authenticated block identifiers
-        explicitly (they are not derivable from positions alone), so the
-        offline recheck replays the same identifiers the TPA verified.
-        """
-        from repro.core.challenge import Challenge, ProofResponse
-        from repro.core.verifier import PublicVerifier
-
-        if self.params is None:
-            return None
-        pk = self.pks.get(body.get("verifier"))
-        if pk is None:
-            return None
-        challenge = Challenge(
-            indices=tuple(int(i) for i in body["indices"]),
-            block_ids=tuple(bytes.fromhex(b) for b in body["block_ids"]),
+            block_ids=block_ids,
             betas=tuple(int(b) for b in body["betas"]),
         )
         sigma = self.params.group.deserialize_g1(bytes.fromhex(body["sigma"]))
@@ -637,10 +622,7 @@ def verify_ledger(path, expect_head: str | None = None,
                     report.errors.append(f"{label}: bad verifier key: {exc}")
             elif kind in ("audit", "dyn_audit"):
                 try:
-                    if kind == "audit":
-                        verdict = runtime.recheck(entry["body"])
-                    else:
-                        verdict = runtime.recheck_dynamic(entry["body"])
+                    verdict = runtime.recheck(kind, entry["body"])
                 except Exception as exc:
                     report.errors.append(f"{label}: audit recheck failed: {exc}")
                     report.audit_mismatches += 1

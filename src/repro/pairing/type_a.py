@@ -167,7 +167,11 @@ class TypeAPairingGroup(PairingGroup):
         return x.to_bytes(self._qbytes, "big") + bytes([sign])
 
     def deserialize_g1(self, data: bytes):
-        """Inverse of element serialization (compressed form)."""
+        """Inverse of element serialization (compressed form).
+
+        Only canonical encodings decode: x must be reduced mod q and the
+        tag must be exactly 0x02 or 0x03, so every point has one encoding.
+        """
         from repro.pairing.interface import GroupElement
 
         if len(data) != self._qbytes + 1:
@@ -176,8 +180,10 @@ class TypeAPairingGroup(PairingGroup):
             return GroupElement(self, None, "g1")
         x = int.from_bytes(data[:-1], "big")
         sign = data[-1]
-        if not sign & 2:
+        if sign not in (2, 3):
             raise ValueError("bad compression tag")
+        if x >= self.q:
+            raise ValueError("x coordinate is not reduced mod q")
         rhs = (x * x * x + x) % self.q
         y = sqrt_mod(rhs, self.q)
         if y is None:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.owner import DataOwner
 from repro.core.sem import SecurityMediator
-from repro.dynamic import DynamicStore, UpdateOp
+from repro.dynamic import DynamicAuditor, DynamicStore, UpdateOp
 from repro.dynamic.rank_tree import RankTree
 from repro.obs.ledger import Ledger, verify_ledger
 
@@ -88,6 +88,37 @@ class TestLifecycle:
         report = verify_ledger(path)
         assert not report.ok
         assert any("spliced update record" in e for e in report.errors)
+
+    @pytest.mark.parametrize("recorded_ok", [True, False])
+    def test_dyn_audit_verdict_rechecked_offline(self, params_k4, rng, tmp_path,
+                                                 recorded_ok):
+        """Eq. 6 replays over the recorded rank-authenticated ids: the
+        honest verdict rechecks clean, a flipped one is a forged verdict."""
+        store = make_tier(params_k4, rng, None)
+        auditor = DynamicAuditor(params_k4, store.owner.sem_pk, rng=rng)
+        auditor.pin_receipt(store.create(FID, [b"b%d" % i for i in range(4)]))
+        challenge = auditor.generate_challenge(FID, sample_size=2)
+        proof = store.generate_proof(FID, challenge)
+        assert auditor.verify(FID, challenge, proof)
+        path = tmp_path / "led.jsonl"
+        ledger = Ledger(path)
+        ledger.ensure_genesis({"param_set": "toy-64", "k": params_k4.k,
+                               "setup_seed": params_k4.seed.hex()})
+        ledger.append("verifier_key", {
+            "verifier": "tpa", "pk": store.owner.sem_pk.to_bytes().hex()})
+        ledger.append("dyn_audit", {
+            "verifier": "tpa", "file": FID.hex(),
+            "indices": list(challenge.indices),
+            "betas": list(challenge.betas),
+            "block_ids": [b.hex() for b in proof.block_ids],
+            "sigma": proof.response.sigma.to_bytes().hex(),
+            "alphas": list(proof.response.alphas),
+            "ok": recorded_ok,
+        })
+        report = verify_ledger(path)
+        assert report.audits_rechecked == 1
+        assert report.ok is recorded_ok
+        assert any("forged verdict" in e for e in report.errors) is not recorded_ok
 
 
 class _CrashySEM:

@@ -29,9 +29,18 @@ class TestStructure:
         swapped[1], swapped[2] = swapped[2], swapped[1]
         assert RankTree(swapped).root != RankTree(leaves(4)).root
 
+    def test_leaf_vs_node_domain_separation(self):
+        """A two-leaf tree's root is never reproducible as a single leaf."""
+        tree = RankTree([b"a", b"b"])
+        assert RankTree([tree.root]).root != tree.root
+
+    def test_prove_out_of_range(self):
+        with pytest.raises(IndexError):
+            RankTree(leaves(3)).prove(3)
+
 
 class TestRankDerivation:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 33])
     def test_every_position_proves_its_own_rank(self, n):
         tree = RankTree(leaves(n))
         for i in range(n):
@@ -102,6 +111,13 @@ class TestMutators:
         assert tree.root == RankTree(expected).root
         assert RankTree.verify_path(tree.root, 6, b"leaf-001",
                                     tree.prove(2)) == 2
+
+    def test_insert_bounds(self):
+        tree = RankTree(leaves(2))
+        with pytest.raises(IndexError):
+            tree.insert(3, b"x")
+        tree.insert(2, b"end")   # == len is allowed (append)
+        assert tree.leaf(2) == b"end"
 
     def test_append(self):
         tree = RankTree(leaves(4))

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.blocks import aggregate_block
 from repro.core.challenge import Challenge
 from repro.core.owner import DataOwner
 from repro.core.sem import SecurityMediator
@@ -12,6 +15,7 @@ from repro.dynamic import (
     DynamicFileError,
     DynamicStore,
     UpdateOp,
+    dyn_root_message,
 )
 from repro.dynamic.persist import decode_dynamic_file, encode_dynamic_file
 
@@ -76,6 +80,12 @@ class TestLifecycle:
         with pytest.raises(DynamicFileError):
             store.update(FID, [UpdateOp("delete", 99)])
 
+    def test_oversized_payload_rejected(self, tier, params_k4):
+        store, _ = tier
+        too_big = b"z" * (params_k4.block_bytes() + 1)
+        with pytest.raises(DynamicFileError):
+            store.update(FID, [UpdateOp("modify", 0, too_big)])
+
 
 class TestAdversarial:
     def test_stale_root_replay_fails(self, tier):
@@ -137,6 +147,46 @@ class TestAdversarial:
             paths=proof.paths, response=proof.response,
         )
         assert auditor.verify(FID, challenge, forged) is False
+
+    def test_stale_version_rollback_fails(self, tier):
+        """Serve a block's pre-update version with its once-valid
+        signature at the same position: Eq. 6 still holds over what was
+        sent, but the old identifier is not under the signed root."""
+        store, auditor = tier
+        state = store.file_state(FID)
+        serial, _ = state.slots[2]
+        stale = state.blocks[serial], state.signatures[serial]
+        auditor.pin_receipt(store.update(FID, [UpdateOp("modify", 2, b"new")]))
+        state.blocks[serial], state.signatures[serial] = stale
+        challenge = Challenge(indices=(2,), block_ids=(b"",), betas=(3,))
+        proof = store.generate_proof(FID, challenge)
+        assert auditor.verify(FID, challenge, proof) is False
+
+    def test_forged_root_signature_fails(self, tier, params_k4, rng):
+        store, auditor = tier
+        challenge = auditor.generate_challenge(FID, sample_size=2)
+        proof = store.generate_proof(FID, challenge)
+        forged = dataclasses.replace(
+            proof, root_signature=params_k4.group.random_g1(rng))
+        assert auditor.verify(FID, challenge, forged) is False
+
+    def test_sem_transcript_holds_no_unblinded_aggregate(self, tier):
+        """Updates route every signature (blocks and root) through the
+        blind protocol: nothing the SEM saw is a block aggregate or the
+        hashed root message."""
+        store, _ = tier
+        store.update(FID, [UpdateOp("modify", 0, b"secret new content")])
+        state = store.file_state(FID)
+        group = store.params.group
+        unblinded = {
+            aggregate_block(store.params, state.blocks[serial]).to_bytes()
+            for serial, _ in state.slots
+        }
+        unblinded.add(group.hash_to_g1(
+            dyn_root_message(FID, state.epoch, state.count, state.root)).to_bytes())
+        seen = {entry.blinded.to_bytes() for entry in store.sem.transcript}
+        assert seen
+        assert not unblinded & seen
 
 
 class TestPersist:

@@ -1,183 +1,205 @@
-"""End-to-end tests for the dynamic-data extension."""
+"""End-to-end dynamic PDP on DynamicStore / DynamicAuditor.
+
+Create, audit, mutate and attack one dynamic file: every honest state
+audits, and every divergence from the SEM-signed (epoch, root, count)
+fails.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import struct
 
 import pytest
 
+from repro.core.challenge import Challenge
 from repro.core.owner import DataOwner
 from repro.core.sem import SecurityMediator
-from repro.dynamics import DynamicCloudServer, DynamicFileClient, DynamicVerifier
-from repro.dynamics.dynamic_file import make_dynamic_block_id
+from repro.dynamic import DynamicAuditor, DynamicStore, RankTree, UpdateOp, dyn_block_id
+from repro.dynamic.persist import decode_dynamic_file, encode_dynamic_file
+
+FID = b"doc/beta"
+N = 8
 
 
 @pytest.fixture()
-def dyn(group, params_k4, rng):
-    sem = SecurityMediator(group, rng=rng, require_membership=False)
+def tier(params_k4, rng):
+    sem = SecurityMediator(params_k4.group, rng=rng, require_membership=False)
     owner = DataOwner(params_k4, sem.pk, rng=rng)
-    client = DynamicFileClient(params_k4, owner, sem, b"dyn")
-    cloud = DynamicCloudServer(params_k4)
-    verifier = DynamicVerifier(params_k4, sem.pk)
-    blocks, sigs, mutation = client.create([b"chunk-%d" % i for i in range(6)])
-    cloud.create_file(b"dyn", blocks, sigs, mutation)
-    return sem, owner, client, cloud, verifier
+    store = DynamicStore(params_k4, sem, owner)
+    auditor = DynamicAuditor(params_k4, sem.pk, rng=rng)
+    auditor.pin_receipt(store.create(FID, [b"page-%02d" % i for i in range(N)]))
+    return store, auditor
 
 
-def _audit(cloud, verifier, rng, sample=None, min_epoch=None):
-    ch = verifier.generate_challenge(cloud.n_blocks(b"dyn"), sample_size=sample, rng=rng)
-    proof = cloud.generate_proof(b"dyn", ch)
-    return verifier.verify(b"dyn", ch, proof, min_epoch=min_epoch)
+def audit(store, auditor, sample=None):
+    challenge = auditor.generate_challenge(FID, sample_size=sample)
+    return auditor.verify(FID, challenge, store.generate_proof(FID, challenge))
+
+
+def audit_positions(store, auditor, *positions):
+    challenge = Challenge(indices=positions, block_ids=tuple(b"" for _ in positions),
+                          betas=tuple(range(3, 3 + len(positions))))
+    return auditor.verify(FID, challenge, store.generate_proof(FID, challenge))
+
+
+def commit(store, auditor, *ops):
+    receipt = store.update(FID, list(ops))
+    auditor.pin_receipt(receipt)
+    return receipt
+
+
+def stored_elements(store, position):
+    state = store.file_state(FID)
+    serial, _ = state.slots[position]
+    return state.blocks[serial].elements
 
 
 class TestCreateAndAudit:
-    def test_initial_audit(self, dyn, rng):
-        _, _, _, cloud, verifier = dyn
-        assert _audit(cloud, verifier, rng)
+    def test_initial_audit(self, tier):
+        store, auditor = tier
+        assert audit(store, auditor)
 
-    def test_sampled_audit(self, dyn, rng):
-        _, _, _, cloud, verifier = dyn
-        assert _audit(cloud, verifier, rng, sample=2)
+    def test_sampled_audit(self, tier):
+        store, auditor = tier
+        for _ in range(3):
+            challenge = auditor.generate_challenge(FID, sample_size=4)
+            assert len(set(challenge.indices)) == 4
+            assert auditor.verify(FID, challenge, store.generate_proof(FID, challenge))
 
-    def test_block_ids_carry_serial_and_version(self, dyn):
-        _, _, _, cloud, _ = dyn
-        assert cloud.block(b"dyn", 0).block_id == make_dynamic_block_id(b"dyn", 0, 0)
-
-    def test_create_rejects_root_mismatch(self, group, params_k4, rng):
-        sem = SecurityMediator(group, rng=rng, require_membership=False)
-        owner = DataOwner(params_k4, sem.pk, rng=rng)
-        client = DynamicFileClient(params_k4, owner, sem, b"f")
-        cloud = DynamicCloudServer(params_k4)
-        blocks, sigs, mutation = client.create([b"a", b"b"])
-        with pytest.raises(ValueError):
-            cloud.create_file(b"f", blocks[:1], sigs[:1], mutation)
+    def test_block_ids_carry_serial_and_version(self, tier):
+        store, auditor = tier
+        state = store.file_state(FID)
+        assert state.slots == [(i, 0) for i in range(N)]
+        for serial, version in state.slots:
+            block_id = state.blocks[serial].block_id
+            assert block_id == dyn_block_id(FID, serial, version)
+            assert struct.unpack(">QQ", block_id[len(FID) + 1:]) == (serial, version)
+        commit(store, auditor, UpdateOp("modify", 3, b"v1"))
+        assert state.slots[3] == (3, 1)
+        assert state.blocks[3].block_id == dyn_block_id(FID, 3, 1)
 
 
 class TestMutations:
-    def test_update_then_audit(self, dyn, rng):
-        _, _, client, cloud, verifier = dyn
-        cloud.apply(b"dyn", client.update(2, b"edited content"))
-        assert _audit(cloud, verifier, rng)
-        # version bumped in the identifier
-        assert cloud.block(b"dyn", 2).block_id == make_dynamic_block_id(b"dyn", 2, 1)
+    def test_update_then_audit(self, tier):
+        store, auditor = tier
+        commit(store, auditor, UpdateOp("modify", 2, b"edited"))
+        assert stored_elements(store, 2) == store.elements_from_bytes(b"edited")
+        assert audit_positions(store, auditor, 2)
+        assert audit(store, auditor)
 
-    def test_insert_then_audit(self, dyn, rng):
-        _, _, client, cloud, verifier = dyn
-        cloud.apply(b"dyn", client.insert(3, b"inserted block"))
-        assert cloud.n_blocks(b"dyn") == 7
-        assert _audit(cloud, verifier, rng)
-        # fresh serial, version 0
-        assert cloud.block(b"dyn", 3).block_id == make_dynamic_block_id(b"dyn", 6, 0)
+    def test_insert_then_audit(self, tier):
+        store, auditor = tier
+        receipt = commit(store, auditor, UpdateOp("insert", 0, b"preface"))
+        assert receipt.count == N + 1
+        assert store.file_state(FID).slots[0] == (N, 0)   # a fresh serial
+        assert stored_elements(store, 0) == store.elements_from_bytes(b"preface")
+        assert audit(store, auditor)
 
-    def test_append(self, dyn, rng):
-        _, _, client, cloud, verifier = dyn
-        cloud.apply(b"dyn", client.append(b"appended"))
-        assert cloud.n_blocks(b"dyn") == 7
-        assert _audit(cloud, verifier, rng)
+    def test_append(self, tier):
+        store, auditor = tier
+        receipt = commit(store, auditor, UpdateOp("append", payload=b"tail"))
+        assert receipt.count == N + 1
+        assert stored_elements(store, N) == store.elements_from_bytes(b"tail")
+        assert audit_positions(store, auditor, N)
 
-    def test_delete_then_audit(self, dyn, rng):
-        _, _, client, cloud, verifier = dyn
-        cloud.apply(b"dyn", client.delete(0))
-        assert cloud.n_blocks(b"dyn") == 5
-        assert _audit(cloud, verifier, rng)
+    def test_delete_then_audit(self, tier):
+        store, auditor = tier
+        state = store.file_state(FID)
+        serial, _ = state.slots[3]
+        receipt = commit(store, auditor, UpdateOp("delete", 3))
+        assert receipt.count == N - 1
+        assert receipt.signed_blocks == 0
+        assert serial not in state.blocks and serial not in state.signatures
+        assert all(s != serial for s, _ in state.slots)
+        assert audit(store, auditor)
 
-    def test_interleaved_mutations(self, dyn, rng):
-        _, _, client, cloud, verifier = dyn
-        cloud.apply(b"dyn", client.update(0, b"v1 of block 0"))
-        cloud.apply(b"dyn", client.insert(1, b"wedge"))
-        cloud.apply(b"dyn", client.delete(4))
-        cloud.apply(b"dyn", client.update(1, b"wedge v2"))
-        assert _audit(cloud, verifier, rng)
+    def test_epoch_monotone(self, tier):
+        store, auditor = tier
+        epochs = [store.file_state(FID).epoch]
+        for i in range(4):
+            receipt = commit(store, auditor, UpdateOp("modify", i, b"round-%d" % i))
+            assert receipt.epoch_before == epochs[-1]
+            epochs.append(receipt.epoch_after)
+        assert epochs == [0, 1, 2, 3, 4]
+        assert audit(store, auditor)
 
-    def test_only_touched_block_resigned(self, dyn, rng):
-        """Dynamics must NOT re-sign untouched blocks (the efficiency
-        property the paper's revocation discussion celebrates)."""
-        sem, _, client, cloud, verifier = dyn
-        before = len(sem.transcript)
-        cloud.apply(b"dyn", client.update(2, b"edit"))
-        # One block signature + one root signature.
-        assert len(sem.transcript) == before + 2
+    def test_only_touched_block_resigned(self, tier):
+        store, auditor = tier
+        state = store.file_state(FID)
+        before = {s: sig.to_bytes() for s, sig in state.signatures.items()}
+        issued = len(store.sem.transcript)
+        receipt = commit(store, auditor, UpdateOp("modify", 5, b"touched"))
+        assert receipt.signed_blocks == 1
+        assert len(store.sem.transcript) - issued == 2   # the block + the root
+        after = {s: sig.to_bytes() for s, sig in state.signatures.items()}
+        assert [s for s in before if before[s] != after[s]] == [5]
 
-    def test_epoch_monotone(self, dyn):
-        _, _, client, cloud, _ = dyn
-        e0 = cloud.epoch(b"dyn")
-        cloud.apply(b"dyn", client.update(0, b"x"))
-        assert cloud.epoch(b"dyn") == e0 + 1
-
-    def test_payload_too_large_rejected(self, dyn, params_k4):
-        _, _, client, _, _ = dyn
-        with pytest.raises(ValueError):
-            client.update(0, b"z" * (params_k4.block_bytes() + 1))
+    def test_interleaved_mutations(self, tier):
+        store, auditor = tier
+        mirror = [b"page-%02d" % i for i in range(N)]
+        batches = [
+            [UpdateOp("modify", 1, b"a"), UpdateOp("insert", 4, b"b")],
+            [UpdateOp("delete", 0), UpdateOp("append", payload=b"c")],
+            [UpdateOp("insert", 0, b"d"), UpdateOp("delete", 6),
+             UpdateOp("modify", 3, b"e")],
+        ]
+        for batch in batches:
+            for op in batch:
+                if op.op == "modify":
+                    mirror[op.position] = op.payload
+                elif op.op == "insert":
+                    mirror.insert(op.position, op.payload)
+                elif op.op == "delete":
+                    del mirror[op.position]
+                else:
+                    mirror.append(op.payload)
+            commit(store, auditor, *batch)
+            assert store.file_state(FID).count == len(mirror)
+            for position, payload in enumerate(mirror):
+                assert stored_elements(store, position) == store.elements_from_bytes(payload)
+            assert audit(store, auditor)
 
 
 class TestAttacks:
-    def test_tampered_block_detected(self, dyn, rng):
-        _, _, _, cloud, verifier = dyn
-        cloud.tamper_block(b"dyn", 1)
-        assert not _audit(cloud, verifier, rng)
+    def test_tampered_block_detected(self, tier):
+        store, auditor = tier
+        store.tamper_block(FID, 6)
+        assert not audit_positions(store, auditor, 6)
+        assert not audit(store, auditor)
 
-    def test_replayed_stale_block_detected(self, dyn, rng):
-        """The rollback attack: serve the pre-update block with its
-        once-valid signature.  The Merkle root pins the current version."""
-        _, _, client, cloud, verifier = dyn
-        old_block = cloud.block(b"dyn", 2)
-        old_sig = cloud._files[b"dyn"].signatures[2]
-        cloud.apply(b"dyn", client.update(2, b"new version"))
-        cloud.rollback_block(b"dyn", 2, old_block, old_sig)
-        assert not _audit(cloud, verifier, rng)
+    def test_wrong_position_path_rejected(self, tier):
+        store, auditor = tier
+        challenge = Challenge(indices=(2, 5), block_ids=(b"", b""), betas=(3, 8))
+        proof = store.generate_proof(FID, challenge)
+        assert auditor.verify(FID, challenge, proof)
+        swapped = dataclasses.replace(proof, paths=(proof.paths[1], proof.paths[0]))
+        assert not auditor.verify(FID, challenge, swapped)
 
-    def test_whole_file_rollback_detected_by_epoch(self, dyn, rng):
-        """A cloud serving a fully consistent OLD state passes structural
-        checks but fails the verifier's epoch monotonicity requirement."""
-        import copy
+    def test_whole_file_rollback_detected_by_epoch(self, tier, params_k4):
+        """The whole pre-update state, with its own valid root signature,
+        is internally consistent: only the pinned epoch rejects it."""
+        store, auditor = tier
+        old_pin = auditor.pinned(FID)
+        snapshot = encode_dynamic_file(store.file_state(FID), params_k4)
+        commit(store, auditor, UpdateOp("modify", 0, b"new"))
+        commit(store, auditor, UpdateOp("modify", 1, b"newer"))
+        store.adopt(decode_dynamic_file(snapshot, params_k4))
+        challenge = auditor.generate_challenge(FID, sample_size=4)
+        proof = store.generate_proof(FID, challenge)
+        assert proof.epoch < auditor.pinned(FID)[0]
+        assert not auditor.verify(FID, challenge, proof)
+        auditor.pin(FID, *old_pin)
+        assert auditor.verify(FID, challenge, proof)
 
-        _, _, client, cloud, verifier = dyn
-        snapshot = copy.deepcopy(cloud._files[b"dyn"])
-        cloud.apply(b"dyn", client.update(1, b"newer data"))
-        new_epoch = cloud.epoch(b"dyn")
-        cloud._files[b"dyn"] = snapshot  # full rollback
-        assert _audit(cloud, verifier, rng)  # structurally consistent...
-        assert not _audit(cloud, verifier, rng, min_epoch=new_epoch)  # ...but stale
-
-    def test_wrong_position_path_rejected(self, dyn, rng):
-        _, _, _, cloud, verifier = dyn
-        ch = verifier.generate_challenge(cloud.n_blocks(b"dyn"), rng=rng)
-        proof = cloud.generate_proof(b"dyn", ch)
-        import dataclasses
-
-        # Swap two Merkle paths: identifiers no longer match positions.
-        paths = list(proof.paths)
-        paths[0], paths[1] = paths[1], paths[0]
-        bad = dataclasses.replace(proof, paths=tuple(paths))
-        assert not verifier.verify(b"dyn", ch, bad)
-
-    def test_forged_root_signature_rejected(self, dyn, rng, group):
-        _, _, _, cloud, verifier = dyn
-        ch = verifier.generate_challenge(cloud.n_blocks(b"dyn"), rng=rng)
-        proof = cloud.generate_proof(b"dyn", ch)
-        import dataclasses
-
-        bad = dataclasses.replace(proof, root_signature=group.random_g1(rng))
-        assert not verifier.verify(b"dyn", ch, bad)
-
-    def test_divergent_mutation_rejected_by_cloud(self, dyn):
-        """An honest cloud cross-checks the owner's root before accepting."""
-        _, _, client, cloud, _ = dyn
-        mutation = client.update(0, b"for a different state")
-        import dataclasses
-
-        diverged = dataclasses.replace(mutation, position=1)
-        with pytest.raises(ValueError):
-            cloud.apply(b"dyn", diverged)
-
-
-class TestAnonymityPreserved:
-    def test_sem_sees_only_blinded_requests(self, dyn):
-        """Dynamics route every signature (blocks AND roots) through the
-        blind protocol: the SEM transcript stays content-free."""
-        sem, _, client, cloud, _ = dyn
-        cloud.apply(b"dyn", client.update(0, b"secret new content"))
-        from repro.core.blocks import aggregate_block
-
-        aggregates = {
-            aggregate_block(client.params, cloud.block(b"dyn", i)).to_bytes()
-            for i in range(cloud.n_blocks(b"dyn"))
-        }
-        seen = {entry.blinded.to_bytes() for entry in sem.transcript}
-        assert not aggregates & seen
+    def test_divergent_mutation_rejected_by_cloud(self, tier):
+        """A mutation the cloud applies on its own has no SEM-signed root:
+        it fails against the auditor's pin, and also when the auditor is
+        pinned to the cloud's own claimed (epoch, root, count)."""
+        store, auditor = tier
+        state = store.file_state(FID)
+        del state.slots[3]
+        state.tree = RankTree([dyn_block_id(FID, s, v) for s, v in state.slots])
+        assert not audit_positions(store, auditor, 0, 3, 6)
+        auditor.pin(FID, state.epoch, state.root, state.count)
+        assert not audit(store, auditor)

@@ -128,6 +128,25 @@ class TestHashAndSerialization:
         with pytest.raises(ValueError):
             g.deserialize_g1(b"\x01")
 
+    def test_deserialize_rejects_non_canonical_encodings(self, g):
+        """Mutated real encodings: x + q (same point mod q) and tags with
+        bit 1 set but other bits too must not decode; honest ones do."""
+        width = g.g1_element_bytes() - 1
+        mutated = 0
+        for i in range(16):
+            p = g.hash_to_g1(b"canonical-%d" % i)
+            data = p.to_bytes()
+            assert g.deserialize_g1(data) == p
+            x, tag = int.from_bytes(data[:-1], "big"), data[-1]
+            for bad_tag in (0x06, 0xFE):
+                with pytest.raises(ValueError):
+                    g.deserialize_g1(data[:-1] + bytes([bad_tag]))
+            if x + g.q < 256**width:
+                with pytest.raises(ValueError):
+                    g.deserialize_g1((x + g.q).to_bytes(width, "big") + bytes([tag]))
+                mutated += 1
+        assert mutated > 0
+
     def test_element_hash_consistency(self, g):
         p = g.random_g1()
         q = p * g.g1_identity()
