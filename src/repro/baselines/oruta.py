@@ -81,9 +81,9 @@ class HARSRing:
         if len(signature) != self.d:
             return False
         group = self.group
-        lhs = group.pair(aggregate, group.g2())
-        rhs = group.multi_pair(list(zip(signature.components, self.pks)))
-        return lhs == rhs
+        return group.pairing_check(
+            [(aggregate.inverse(), group.g2()), *zip(signature.components, self.pks)]
+        )
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,9 @@ class OrutaVerifier:
         for u_l, alpha_l in zip(self.params.u, response.alphas):
             if alpha_l:
                 acc = acc * u_l**alpha_l
-        lhs = group.pair(acc, group.g2())
-        rhs = group.multi_pair(list(zip(response.phis, self.ring_pks)))
-        return lhs == rhs
+        return group.pairing_check(
+            [(acc.inverse(), group.g2()), *zip(response.phis, self.ring_pks)]
+        )
 
 
 def oruta_to_pdp_response(response: OrutaResponse) -> ProofResponse:

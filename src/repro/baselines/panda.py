@@ -185,8 +185,9 @@ class PandaVerifier:
         for u_l, alpha_l in zip(self.params.u, unit.response.alphas):
             if alpha_l:
                 chi = chi * u_l**alpha_l
-        lhs = group.pair(unit.response.sigma, group.g2())
-        return lhs == group.pair(chi, self.pks[unit.signer])
+        return group.pairing_check(
+            [(unit.response.sigma, group.g2()), (chi.inverse(), self.pks[unit.signer])]
+        )
 
     def verify_file(self, units: list[PandaAudit]) -> bool:
         """All per-member units must pass; costs 2 pairings per member

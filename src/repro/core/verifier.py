@@ -108,9 +108,9 @@ class PublicVerifier:
         if len(response.alphas) != self.params.k:
             return False
         chi = self._challenge_aggregate(challenge, response)
-        lhs = self.group.pair(response.sigma, self.group.g2())
-        rhs = self.group.pair(chi, self.org_pk)
-        return lhs == rhs
+        return self.group.pairing_check(
+            [(response.sigma, self.group.g2()), (chi.inverse(), self.org_pk)]
+        )
 
     def verify_batch(
         self, audits: list[tuple[Challenge, ProofResponse]], rng=None
@@ -145,8 +145,9 @@ class PublicVerifier:
             sigma = response.sigma**weight
             sigma_acc = sigma if sigma_acc is None else sigma_acc * sigma
             chi_acc = chi if chi_acc is None else chi_acc * chi
-        lhs = self.group.pair(sigma_acc, self.group.g2())
-        return lhs == self.group.pair(chi_acc, self.org_pk)
+        return self.group.pairing_check(
+            [(sigma_acc, self.group.g2()), (chi_acc.inverse(), self.org_pk)]
+        )
 
     def _challenge_aggregate(self, challenge: Challenge, response: ProofResponse) -> GroupElement:
         """χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l}  (the RHS element of Eq. 6).

@@ -150,8 +150,9 @@ class TokenVerifier:
         if token.serial in self._spent:
             return False
         element = _token_element(self.group, token.epoch, token.serial)
-        lhs = self.group.pair(token.signature, self.group.g2())
-        if lhs != self.group.pair(element, self.issuer_pk):
+        if not self.group.pairing_check(
+            [(token.signature, self.group.g2()), (element.inverse(), self.issuer_pk)]
+        ):
             return False
         self._spent.add(token.serial)
         return True

@@ -69,7 +69,7 @@ def verify_blinded(
     pk: GroupElement,
 ) -> bool:
     """Eq. 4: e(σ̃, g2) == e(m̃, pk)."""
-    return group.pair(blind_signature, group.g2()) == group.pair(blinded, pk)
+    return group.pairing_check([(blind_signature, group.g2()), (blinded.inverse(), pk)])
 
 
 def unblind(
@@ -137,4 +137,4 @@ def batch_unblind_verify(
     else:
         sig_acc = group.multi_exp(blind_signatures, gammas)
         msg_acc = group.multi_exp(blinded_messages, gammas)
-    return group.pair(sig_acc, group.g2()) == group.pair(msg_acc, pk)
+    return group.pairing_check([(sig_acc, group.g2()), (msg_acc.inverse(), pk)])

@@ -66,9 +66,7 @@ def bls_verify_element(
     group: PairingGroup, pk: GroupElement, element: GroupElement, signature: GroupElement
 ) -> bool:
     """Check e(sigma, g2) == e(element, pk) for a pre-aggregated element."""
-    lhs = group.pair(signature, group.g2())
-    rhs = group.pair(element, pk)
-    return lhs == rhs
+    return group.pairing_check([(signature, group.g2()), (element.inverse(), pk)])
 
 
 def bls_aggregate(signatures: list[GroupElement]) -> GroupElement:
@@ -105,4 +103,4 @@ def bls_batch_verify(
     gammas = [group.random_nonzero_scalar(rng) for _ in elements]
     sig_acc = group.multi_exp(signatures, gammas)
     elt_acc = group.multi_exp(elements, gammas)
-    return group.pair(sig_acc, group.g2()) == group.pair(elt_acc, pk)
+    return group.pairing_check([(sig_acc, group.g2()), (elt_acc.inverse(), pk)])

@@ -81,7 +81,9 @@ def verify_share(
     share_pk: GroupElement,
 ) -> bool:
     """Eq. 10: e(σ̃_{i,j}, g2) == e(m̃_i, pk_j)."""
-    return group.pair(signature_share, group.g2()) == group.pair(blinded, share_pk)
+    return group.pairing_check(
+        [(signature_share, group.g2()), (blinded.inverse(), share_pk)]
+    )
 
 
 def combine_shares(
@@ -140,6 +142,7 @@ def batch_verify_shares(
     msg_acc = randomized_messages[0]
     for m in randomized_messages[1:]:
         msg_acc = msg_acc * m
+    msg_inv = msg_acc.inverse()
     lhs_acc: GroupElement | None = None
     pairs = []
     for sem_index, sem_shares in shares_by_sem.items():
@@ -147,7 +150,5 @@ def batch_verify_shares(
         for share, gamma in zip(sem_shares[1:], gammas[1:]):
             sem_acc = sem_acc * share**gamma
         lhs_acc = sem_acc if lhs_acc is None else lhs_acc * sem_acc
-        pairs.append((msg_acc, share_pks[sem_index]))
-    lhs = group.pair(lhs_acc, group.g2())
-    rhs = group.multi_pair(pairs)
-    return lhs == rhs
+        pairs.append((msg_inv, share_pks[sem_index]))
+    return group.pairing_check([(lhs_acc, group.g2()), *pairs])

@@ -42,6 +42,7 @@ from repro.core.owner import DataOwner
 from repro.core.params import SystemParams
 from repro.core.verifier import PublicVerifier
 from repro.crypto.blind_bls import batch_unblind_verify, blind
+from repro.crypto.bls import bls_verify
 from repro.dynamic.rank_tree import RankPath, RankTree
 from repro.pairing.interface import GroupElement
 
@@ -523,9 +524,7 @@ class DynamicAuditor:
             return False
         # Root authenticity: the SEM signed this exact (epoch, count, root).
         root_msg = dyn_root_message(file_id, epoch, count, root)
-        lhs = self.group.pair(proof.root_signature, self.group.g2())
-        rhs = self.group.pair(self.group.hash_to_g1(root_msg), self.org_pk)
-        if lhs != rhs:
+        if not bls_verify(self.group, self.org_pk, root_msg, proof.root_signature):
             return False
         # Position: each rank path must derive exactly the challenged rank.
         for position, block_id, path in zip(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.analysis.calibrate import time_pairing
 from repro.obs.tracer import OP_KEYS, Span
 
 #: Operation-counter keys → the calibrated primitive that explains them.
@@ -94,9 +95,7 @@ def calibrate_primitive_costs(group, repeats: int = 8, rng=None) -> PrimitiveCos
         exp_g1 = _time_loop(lambda: g**scalar, repeats)
         table = FixedBaseTable(g, group.order.bit_length())
         exp_fixed = _time_loop(lambda: table.power(scalar), repeats)
-        pairing = _time_loop(
-            lambda: group._pair(g.point, g2e.point), max(repeats // 2, 2)
-        )
+        pairing = time_pairing(group, g, g2e, max(repeats // 2, 2))
         tick = [0]
 
         def _hash():

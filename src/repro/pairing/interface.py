@@ -260,6 +260,15 @@ class PairingGroup(ABC):
             result = result * self.pair(p, q)
         return result
 
+    def pairing_check(self, pairs: list[tuple[GroupElement, GroupElement]]) -> bool:
+        """True iff  prod e(p_i, q_i) = 1.
+
+        Every verification equation  e(X, g) == e(Y, pk)  is evaluated as
+        ``pairing_check([(X, g), (Y.inverse(), pk)])``: one product pairing
+        with one final exponentiation, counted as ``len(pairs)`` pairings.
+        """
+        return self.multi_pair(pairs).is_identity()
+
     def multi_exp(
         self, elements: list[GroupElement], exponents: list[int]
     ) -> GroupElement:

@@ -6,10 +6,13 @@ order-r subgroup; the embedding degree is 2, so GT lives in F_q².
 
 The pairing is the *modified Tate pairing*
 
-    e(P, Q) = f_{r,P}(φ(Q)) ^ ((q² − 1) / r),
+    e(P, Q) = f_{r,Q}(φ(P)) ^ ((q² − 1) / r),
 
-where φ(x, y) = (−x, i·y) is the distortion map (i² = −1 in F_q²).  Because
-φ(Q) has an F_q x-coordinate negation and a purely imaginary y-coordinate,
+where φ(x, y) = (−x, i·y) is the distortion map (i² = −1 in F_q²).  The
+pairing is symmetric, so Miller's algorithm runs on the G2 argument Q —
+in every verification equation the long-lived ``g`` or a public key —
+and its lines are computed once per Q and cached on the group.  Because
+φ(P) has an F_q x-coordinate negation and a purely imaginary y-coordinate,
 every Miller line evaluates to an element (a + b·i) with a, b computed by a
 handful of F_q operations — and all vertical-line (denominator)
 contributions lie in F_q, which the final exponentiation kills since
@@ -31,6 +34,10 @@ from repro.mathkit.ntheory import sqrt_mod
 from repro.pairing.interface import PairingGroup
 from repro.pairing.params import TypeAParams
 
+#: Most G2 points whose Miller lines a group keeps (~60 KB each at
+#: paper-160); a full cache is emptied and refills with the points in use.
+_LINE_CACHE_SIZE = 32
+
 
 class TypeAPairingGroup(PairingGroup):
     """Symmetric pairing group over PBC-style type-A parameters."""
@@ -47,6 +54,8 @@ class TypeAPairingGroup(PairingGroup):
         self._generator = (params.gx, params.gy)
         # Final exponentiation: (q² − 1)/r = (q − 1) · h.
         self._final_exp_h = params.h
+        # G2 point -> its Miller lines (see _miller_loop).
+        self._lines: dict = {}
 
     @classmethod
     def from_params(cls, params: TypeAParams) -> "TypeAPairingGroup":
@@ -202,49 +211,63 @@ class TypeAPairingGroup(PairingGroup):
         return self._final_exponentiation(f)
 
     def _miller_loop(self, p, q_point):
-        """f_{r,P}(φ(Q)) with denominator elimination.
+        """f_{r,Q}(φ(P)) from the cached lines of the G2 argument Q.
 
-        Line through T (slope lam) evaluated at φ(Q) = (−xQ, i·yQ):
-            i·yQ − yT − lam·(−xQ − xT)  =  (lam·(xQ + xT) − yT)  +  i·yQ.
+        The pairing is symmetric, so running Miller's algorithm on Q and
+        evaluating at φ(P) gives the same pairing value, after the final
+        exponentiation, as running it on P and evaluating at φ(Q).  The
+        line with slope lam through T, evaluated at φ(P) = (−xP, i·yP), is
+            i·yP − yT − lam·(−xP − xT)  =  (lam·xP + c)  +  i·yP,
+        with c = lam·xT − yT depending on Q alone.
         """
+        # Threads may share the group: each dict operation is atomic, and
+        # racing misses only rebuild identical lines or briefly overshoot
+        # the cap by one entry per thread.
+        lines = self._lines.get(q_point)
+        if lines is None:
+            lines = self._miller_lines(q_point)
+            if len(self._lines) >= _LINE_CACHE_SIZE:
+                self._lines.clear()
+            self._lines[q_point] = lines
         q = self.q
         xp, yp = p
-        xq, yq = q_point
         fa, fb = 1, 0  # f = fa + fb·i
-        tx, ty = xp, yp
+        for lam, c, double in lines:
+            if double:
+                fa, fb = (fa + fb) * (fa - fb) % q, 2 * fa * fb % q
+            la = (lam * xp + c) % q
+            fa, fb = (fa * la - fb * yp) % q, (fa * yp + fb * la) % q
+        return (fa, fb)
+
+    def _miller_lines(self, q_point):
+        """The (lam, c, doubling?) line of every Miller step for base point Q.
+
+        One field inversion per step, paid once per G2 point.  Vertical
+        lines are left out: they evaluate into F_q, which the final
+        exponentiation kills since (q² − 1)/r is a multiple of q − 1.
+        """
+        q = self.q
+        xq, yq = q_point
+        tx, ty = xq, yq
         r = self.order
+        lines = []
         for bit_index in range(r.bit_length() - 2, -1, -1):
-            # --- doubling step ---
             lam = (3 * tx * tx + 1) * pow(2 * ty, -1, q) % q
-            la = (lam * (xq + tx) - ty) % q
-            lb = yq
-            # f = f² · (la + lb·i)
-            sa = (fa + fb) * (fa - fb) % q
-            sb = 2 * fa * fb % q
-            fa = (sa * la - sb * lb) % q
-            fb = (sa * lb + sb * la) % q
+            lines.append((lam, (lam * tx - ty) % q, True))
             nx = (lam * lam - 2 * tx) % q
             ty = (lam * (tx - nx) - ty) % q
             tx = nx
             if (r >> bit_index) & 1:
-                # --- addition step: T + P ---
-                if tx == xp:
-                    if (ty + yp) % q == 0:
-                        # Vertical line: contributes an F_q factor, which the
-                        # final exponentiation kills; T becomes infinity.
-                        # This only happens at the very last iteration.
-                        tx, ty = None, None
-                        continue
-                    lam = (3 * tx * tx + 1) * pow(2 * ty, -1, q) % q
-                else:
-                    lam = (ty - yp) * pow(tx - xp, -1, q) % q
-                la = (lam * (xq + xp) - yp) % q
-                lb = yq
-                fa, fb = (fa * la - fb * lb) % q, (fa * lb + fb * la) % q
-                nx = (lam * lam - tx - xp) % q
+                if tx == xq:
+                    # T = −Q: only at the last step, where T + Q is infinity
+                    # and the line through them is vertical.
+                    break
+                lam = (ty - yq) * pow(tx - xq, -1, q) % q
+                lines.append((lam, (lam * tx - ty) % q, False))
+                nx = (lam * lam - tx - xq) % q
                 ty = (lam * (tx - nx) - ty) % q
                 tx = nx
-        return (fa, fb)
+        return tuple(lines)
 
     def _final_exponentiation(self, f):
         """f ^ ((q²−1)/r)  =  (f^(q−1)) ^ h,  with f^q = conj(f)."""
@@ -312,6 +335,11 @@ class TypeAPairingGroup(PairingGroup):
                 continue
             acc = self._gt_mul(acc, self._miller_loop(p.point, q_el.point))
         return GTElement(self, self._final_exponentiation(acc))
+
+    def __getstate__(self):
+        # The line cache is derived data: never pickled (spawn-context
+        # worker pools pickle the group).
+        return {**self.__dict__, "_lines": {}}
 
     def __eq__(self, other):
         return isinstance(other, TypeAPairingGroup) and other.params == self.params

@@ -76,6 +76,13 @@ class TestPairing:
         combined = g.multi_pair([(p1, q), (p2, q)])
         assert combined == g.pair(g.g1() ** 5, q)
 
+    def test_pairing_check(self, g):
+        sk = 0x1234567
+        message = g.hash_to_g1(b"bn-check")
+        sigma, pk = message**sk, g.g2() ** sk
+        assert g.pairing_check([(sigma, g.g2()), (message.inverse(), pk)])
+        assert not g.pairing_check([(sigma * g.g1(), g.g2()), (message.inverse(), pk)])
+
 
 class TestSchemeOnBN254:
     """The paper's scheme must run unchanged on the asymmetric backend."""

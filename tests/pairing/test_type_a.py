@@ -1,9 +1,15 @@
 """Tests for the type-A symmetric pairing backend."""
 
+import pickle
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
-from repro.pairing.interface import OperationCounter
+from repro.pairing import type_a
+from repro.pairing.interface import GroupElement, OperationCounter
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +210,155 @@ class TestAcrossParamSets:
         p, q = g.g1(), g.g2()
         a = 0xDEADBEEFCAFEBABE
         assert g.pair(p**a, q) == g.pair(p, q) ** a
+
+
+def _affine_miller_loop(g, p, q_point):
+    """Oracle: f_{r,P}(φ(Q)) by the textbook affine Miller loop on the G1
+    argument, one field inversion per step and no precomputation."""
+    q = g.q
+    xp, yp = p
+    xq, yq = q_point
+    fa, fb = 1, 0
+    tx, ty = xp, yp
+    r = g.order
+    for bit_index in range(r.bit_length() - 2, -1, -1):
+        lam = (3 * tx * tx + 1) * pow(2 * ty, -1, q) % q
+        la = (lam * (xq + tx) - ty) % q
+        lb = yq
+        sa = (fa + fb) * (fa - fb) % q
+        sb = 2 * fa * fb % q
+        fa = (sa * la - sb * lb) % q
+        fb = (sa * lb + sb * la) % q
+        nx = (lam * lam - 2 * tx) % q
+        ty = (lam * (tx - nx) - ty) % q
+        tx = nx
+        if (r >> bit_index) & 1:
+            if tx == xp:
+                if (ty + yp) % q == 0:
+                    tx, ty = None, None
+                    continue
+                lam = (3 * tx * tx + 1) * pow(2 * ty, -1, q) % q
+            else:
+                lam = (ty - yp) * pow(tx - xp, -1, q) % q
+            la = (lam * (xq + xp) - yp) % q
+            lb = yq
+            fa, fb = (fa * la - fb * lb) % q, (fa * lb + fb * la) % q
+            nx = (lam * lam - tx - xp) % q
+            ty = (lam * (tx - nx) - ty) % q
+            tx = nx
+    return (fa, fb)
+
+
+def _oracle_pair(g, p, q):
+    if p.point is None or q.point is None:
+        return (1, 0)
+    return g._final_exponentiation(_affine_miller_loop(g, p.point, q.point))
+
+
+class TestCachedLinePairing:
+    """The line-cached Miller loop on the G2 argument is bit-identical to the
+    affine loop on the G1 argument, in both argument orders."""
+
+    @pytest.mark.parametrize("name", [
+        "toy-64", "test-80", pytest.param("paper-160", marks=pytest.mark.slow),
+    ])
+    def test_matches_affine_oracle(self, name):
+        g = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[name])
+        rng = random.Random(name)
+        for _ in range(3):
+            p, q = g.random_g1(rng), g.random_g2(rng)
+            expected = _oracle_pair(g, p, q)
+            assert g.pair(p, q).value == expected
+            swapped = (GroupElement(g, q.point, "g1"), GroupElement(g, p.point, "g2"))
+            assert g.pair(*swapped).value == expected
+        assert g.pair(g.g1_identity(), g.g2()).value == (1, 0)
+        assert g.pair(g.g1(), g.g2_identity()).value == (1, 0)
+
+
+class TestPairingCheck:
+    @pytest.fixture()
+    def bls(self, g):
+        rng = random.Random(11)
+        sk = g.random_nonzero_scalar(rng)
+        message = g.hash_to_g1(b"pairing-check")
+        return g.g2() ** sk, message, message**sk
+
+    def test_accepts_true_bls_relation(self, g, bls):
+        pk, message, sigma = bls
+        assert g.pairing_check([(sigma, g.g2()), (message.inverse(), pk)])
+
+    def test_rejects_tampered_signature(self, g, bls):
+        pk, message, sigma = bls
+        assert not g.pairing_check([(sigma * g.g1(), g.g2()), (message.inverse(), pk)])
+
+    def test_rejects_swapped_roles(self, g, bls):
+        pk, message, sigma = bls
+        assert not g.pairing_check([(sigma, pk), (message.inverse(), g.g2())])
+
+    def test_counts_one_pairing_per_term(self, g, bls):
+        pk, message, sigma = bls
+        counter = OperationCounter()
+        g.attach_counter(counter)
+        try:
+            g.pairing_check([(sigma, g.g2()), (message.inverse(), pk)])
+            g.pairing_check([(sigma, g.g2()), (g.g1_identity(), pk), (message, pk)])
+        finally:
+            g.detach_counter()
+        assert counter.pairings == 5
+
+
+class TestLineCache:
+    def test_stays_within_cap_and_results_unchanged(self):
+        g = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
+        rng = random.Random(7)
+        p = g.random_g1(rng)
+        keys = [g.random_g2(rng) for _ in range(type_a._LINE_CACHE_SIZE + 5)]
+        for q in keys:
+            assert g.pair(p, q).value == _oracle_pair(g, p, q)
+            assert len(g._lines) <= type_a._LINE_CACHE_SIZE
+        for q in keys[:3]:
+            assert g.pair(p, q).value == _oracle_pair(g, p, q)
+
+    def test_concurrent_misses_stay_correct_and_bounded(self):
+        """Threads sharing one group race on cache misses and clears; lines
+        are a pure function of the point, so results never change and the
+        cache overshoots its cap by at most one entry per thread."""
+        g = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
+        rng = random.Random(9)
+        p = g.random_g1(rng)
+        keys = [g.random_g2(rng) for _ in range(type_a._LINE_CACHE_SIZE * 2)]
+        expected = [_oracle_pair(g, p, q) for q in keys]
+        threads_n = 6
+        results: dict = {}
+        sizes = []
+
+        def work(offset):
+            for i in range(len(keys)):
+                j = (i + offset) % len(keys)
+                results[(offset, j)] = g.pair(p, keys[j]).value
+                sizes.append(len(g._lines))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(7 * n,)) for n in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == threads_n * len(keys)
+        assert all(value == expected[j] for (_, j), value in results.items())
+        assert max(sizes) <= type_a._LINE_CACHE_SIZE + threads_n
+
+    def test_pickle_drops_cache_and_keeps_equality(self):
+        g = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
+        e = g.pair(g.g1(), g.g2())
+        assert g._lines
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone == g and hash(clone) == hash(g)
+        assert clone._lines == {}
+        assert g._lines
+        assert clone.pair(clone.g1(), clone.g2()) == e
