@@ -670,14 +670,12 @@ def cmd_serve_sim(args) -> int:
     """Run the batched signing service under the discrete-event simulator.
 
     Two front doors, one engine: ``--scenario FILE`` executes a declarative
-    scenario document, while the legacy flag set is synthesized into an
-    equivalent in-memory scenario and replayed through the same
-    :class:`~repro.scenarios.runner.ScenarioRunner` (byte-for-byte
-    compatible with the historical wiring).
+    scenario document, while the legacy flag set (``--chaos`` included) is
+    synthesized into an equivalent in-memory scenario and compiled and run
+    through the same :class:`~repro.scenarios.runner.ScenarioRunner`.
     """
     from repro.scenarios import (
         ScenarioError,
-        ScenarioRunner,
         load_scenario,
         scenario_from_legacy_args,
         warn_if_mixed,
@@ -690,85 +688,47 @@ def cmd_serve_sim(args) -> int:
         except (OSError, ScenarioError) as exc:
             raise CliError(str(exc)) from None
         return _run_scenario(args, scenario)
-    if args.param_set not in TYPE_A_PARAM_SETS:
-        raise CliError(f"unknown param set {args.param_set!r}; "
-                       f"choose from {sorted(TYPE_A_PARAM_SETS)}")
-    group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[args.param_set])
-    threshold = args.threshold if args.threshold and args.threshold > 1 else None
-    w = 1 if threshold is None else 2 * threshold - 1
-    if args.crash >= (threshold or 1):
-        raise CliError(f"crashing {args.crash} SEMs exceeds the t-1 = "
-                       f"{(threshold or 1) - 1} tolerance of a t={threshold or 1} deployment")
     try:
         scenario = scenario_from_legacy_args(args)
-    except ScenarioError as exc:
+    except (OSError, ValueError) as exc:  # --chaos file, or the schema
         raise CliError(str(exc)) from None
+    (sem_group,) = scenario.topology.sem_groups
     if getattr(args, "slo", False):
         import dataclasses
 
         from repro.scenarios.slo_wiring import default_slo_spec
 
         scenario = dataclasses.replace(scenario, slos=default_slo_spec())
-    obs = _make_obs()
     journal = None
     if args.journal:
         from repro.service import SigningJournal
 
+        group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[args.param_set])
         journal = SigningJournal(args.journal, group=group)
-    chaos_plan = None
-    if args.chaos:
-        from repro.net.faults import FaultPlan
-
-        chaos_plan = FaultPlan.from_file(args.chaos, seed=args.chaos_seed)
-    ledger = _make_ledger(args)
-    runner = ScenarioRunner(scenario, obs=obs, journal=journal,
-                            chaos_plan=chaos_plan, ledger=ledger)
-    compiled = runner.compile()
-    injector = compiled.injector
-    service = next(iter(compiled.services.values()))
-    dashboard = None
-    if args.watch:
-        from repro.obs import Dashboard
-
-        dashboard = Dashboard(
-            obs.registry, clock=lambda: compiled.sim.now,
-            interval_s=args.watch_interval,
-        )
-        dashboard.exemplar_source = lambda: [
-            pair for client in compiled.legacy_clients
-            for pair in client.exemplars
-        ]
-        if runner.slo is not None:
-            dashboard.slo_source = runner.slo.engine.panel
-        dashboard.attach(compiled.sim)
-    result = runner.run()
-    if dashboard is not None:
-        dashboard.tick()  # final frame: the run's end state
-    summary = service.metrics.summary()
-    expected = result.issued
-    completed, failed, lost = result.completed, result.failed, result.lost
+    runner, result = _drive_scenario(args, scenario, journal=journal)
+    stats = result.services[sem_group.name]
     print(f"serve-sim: {args.param_set}, k={args.k}, "
-          f"{w} SEM(s) (t={threshold or 1}, {args.crash} crashed), "
+          f"{sem_group.w} SEM(s) (t={sem_group.t}, {args.crash} crashed), "
           f"{args.clients} client(s) x {args.requests} request(s)")
-    print(f"  completed {completed}, failed {failed}, lost {lost} "
-          f"in {result.virtual_duration_s:.3f}s virtual time "
+    print(f"  completed {result.completed}, failed {result.failed}, "
+          f"lost {result.lost} in {result.virtual_duration_s:.3f}s virtual time "
           f"({result.bytes_on_wire} bytes on the wire)")
-    print(f"  batches: {summary['batches']} (mean size {summary['batch_size_mean']:.1f}), "
-          f"signatures: {summary['signatures_produced']}")
-    print(f"  queue high watermark: {summary['queue_high_watermark']}, "
-          f"retries: {summary['retries']}, failovers: {summary['failovers']}")
-    print(f"  latency p50 {summary['latency_p50_s']:.3f}s, "
-          f"p99 {summary['latency_p99_s']:.3f}s (virtual)")
-    if injector is not None:
+    print(f"  batches: {stats['batches']} (mean size {stats['batch_size_mean']:.1f}), "
+          f"signatures: {stats['signatures_produced']}")
+    print(f"  queue high watermark: {stats['queue_high_watermark']}, "
+          f"retries: {stats['retries']}, failovers: {stats['failovers']}")
+    print(f"  latency p50 {stats['latency_p50_s']:.3f}s, "
+          f"p99 {stats['latency_p99_s']:.3f}s (virtual)")
+    if args.chaos:
         injected = ", ".join(
-            f"{kind} {count}" for kind, count in sorted(injector.counts.items())
+            f"{kind} {count}" for kind, count in sorted(result.fault_counts.items())
         ) or "none fired"
-        health = service.health.summary()
-        print(f"  chaos plan {injector.plan.name or args.chaos!r} "
-              f"(seed {injector.plan.seed}): {injected}")
-        print(f"  health: {health['trips']} quarantine trip(s), "
-              f"{health['probes']} probe(s), "
-              f"{health['invalid_total']} invalid share batch(es)")
+        settings = scenario.settings
+        print(f"  chaos plan {settings.fault_plan_name or args.chaos!r} "
+              f"(seed {settings.fault_seed}): {injected}")
+        print(f"  health: {stats['quarantine_trips']} quarantine trip(s), "
+              f"{stats['probes']} probe(s), "
+              f"{stats['invalid_share_batches']} invalid share batch(es)")
     if journal is not None:
         jsummary = journal.summary()
         print(f"  journal: {jsummary['accepted']} accepted, "
@@ -776,20 +736,57 @@ def cmd_serve_sim(args) -> int:
               f"{jsummary['pending']} pending, {runner.replayed} replayed")
     _print_flight_recorder(result)
     _print_slo_summary(result)
-    _write_alerts_out(args, result)
-    _persist_last_slo(args, scenario, result)
-    from repro.obs import trace_header
-
-    _write_obs_outputs(args, obs, header=trace_header(
-        scenario=scenario.name, seed=scenario.settings.seed,
-        digest=result.digest(),
-    ))
-    return 0 if completed == expected else 1
+    _write_run_outputs(args, runner, result)
+    return 0 if result.completed == result.issued else 1
 
 
 # ---------------------------------------------------------------------------
 # Scenario engine commands
 # ---------------------------------------------------------------------------
+
+def _drive_scenario(args, scenario, journal=None):
+    """Run one scenario with the CLI's obs bundle, ``--ledger`` and
+    ``--watch`` dashboard; returns ``(runner, result)``."""
+    from repro.scenarios import ScenarioRunner
+
+    runner = ScenarioRunner(scenario, obs=_make_obs(), journal=journal,
+                            ledger=_make_ledger(args),
+                            max_events=getattr(args, "max_events", None))
+    dashboard = None
+    if getattr(args, "watch", False):
+        from repro.obs import Dashboard
+
+        compiled = runner.compile()
+        dashboard = Dashboard(
+            runner.obs.registry, clock=lambda: compiled.sim.now,
+            interval_s=getattr(args, "watch_interval", 0.05),
+        )
+        dashboard.exemplar_source = lambda: [
+            pair for node in compiled.cohorts.values()
+            for pair in node.exemplars
+        ]
+        if runner.slo is not None:
+            dashboard.slo_source = runner.slo.engine.panel
+        dashboard.attach(compiled.sim)
+    result = runner.run()
+    if dashboard is not None:
+        dashboard.tick()  # final frame: the run's end state
+    return runner, result
+
+
+def _write_run_outputs(args, runner, result) -> None:
+    """``--alerts-out``, the persisted SLO summary, ``--trace-out`` and
+    ``--metrics-out`` of a finished scenario run."""
+    from repro.obs import trace_header
+
+    scenario = runner.scenario
+    _write_alerts_out(args, result)
+    _persist_last_slo(args, scenario, result)
+    _write_obs_outputs(args, runner.obs, header=trace_header(
+        scenario=scenario.name, seed=scenario.settings.seed,
+        digest=result.digest(),
+    ))
+
 
 def _run_scenario(args, scenario) -> int:
     """Execute one scenario, print its verdict, optionally write the report.
@@ -798,8 +795,6 @@ def _run_scenario(args, scenario) -> int:
     Exit codes: 0 envelope pass, 1 envelope fail.
     """
     import dataclasses
-
-    from repro.scenarios import ScenarioRunner
 
     seed_override = getattr(args, "seed_override", None)
     if seed_override is not None:
@@ -811,29 +806,7 @@ def _run_scenario(args, scenario) -> int:
         raise CliError(
             f"--slo: scenario '{scenario.name}' declares no slos: component"
         )
-    obs = _make_obs()
-    runner = ScenarioRunner(scenario, obs=obs, ledger=_make_ledger(args),
-                            max_events=getattr(args, "max_events", None))
-    dashboard = None
-    if getattr(args, "watch", False):
-        from repro.obs import Dashboard
-
-        compiled = runner.compile()
-        dashboard = Dashboard(
-            runner.obs.registry, clock=lambda: compiled.sim.now,
-            interval_s=getattr(args, "watch_interval", 0.05),
-        )
-        sources = (compiled.legacy_clients if scenario.legacy
-                   else list(compiled.cohorts.values()))
-        dashboard.exemplar_source = lambda: [
-            pair for node in sources for pair in node.exemplars
-        ]
-        if runner.slo is not None:
-            dashboard.slo_source = runner.slo.engine.panel
-        dashboard.attach(compiled.sim)
-    result = runner.run()
-    if dashboard is not None:
-        dashboard.tick()  # final frame: the run's end state
+    runner, result = _drive_scenario(args, scenario)
     workload = scenario.workload
     print(f"scenario '{scenario.name}': {scenario.settings.param_set}, "
           f"k={scenario.settings.k}, seed {scenario.settings.seed}, "
@@ -872,14 +845,7 @@ def _run_scenario(args, scenario) -> int:
             json.dumps(result.to_report(), indent=2, sort_keys=True) + "\n"
         )
         print(f"  report: {report_out}")
-    _write_alerts_out(args, result)
-    _persist_last_slo(args, scenario, result)
-    from repro.obs import trace_header
-
-    _write_obs_outputs(args, runner.obs, header=trace_header(
-        scenario=scenario.name, seed=scenario.settings.seed,
-        digest=result.digest(),
-    ))
+    _write_run_outputs(args, runner, result)
     return 0 if result.passed else 1
 
 

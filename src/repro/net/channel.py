@@ -8,6 +8,7 @@ choices here.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from repro.net.message import Message
@@ -80,6 +81,25 @@ class Channel:
     def delay_for(self, message: Message) -> float:
         transmit = 0.0 if self.bandwidth_bps is None else message.size_bytes / self.bandwidth_bps
         return self.latency_s + transmit
+
+    def clone(self) -> "Channel":
+        """An independent channel with this one's parameters.
+
+        The clone gets fresh stats and its own deterministically derived
+        RNG — sharing this RNG object would correlate drop decisions across
+        links that are supposed to be independent.
+        """
+        rng = self.rng
+        if rng is not None:
+            rng = random.Random(rng.getrandbits(64))
+        return Channel(
+            latency_s=self.latency_s,
+            bandwidth_bps=self.bandwidth_bps,
+            authenticated=self.authenticated,
+            anonymous=self.anonymous,
+            drop_rate=self.drop_rate,
+            rng=rng,
+        )
 
     def should_drop(self) -> bool:
         if self.drop_rate <= 0.0:

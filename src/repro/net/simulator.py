@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from repro.net.channel import Channel
@@ -166,32 +165,12 @@ class Simulator:
         live_daemons = len(self._daemon_timers - self._cancelled_timers)
         return len(self._queue) - len(self._cancelled_timers) - live_daemons
 
-    @staticmethod
-    def _clone_channel(template: Channel) -> Channel:
-        """An independent channel with the template's parameters.
-
-        Each clone gets its own deterministically derived RNG — sharing the
-        template's RNG object would correlate drop decisions across links
-        that are supposed to be independent.
-        """
-        rng = template.rng
-        if rng is not None:
-            rng = random.Random(rng.getrandbits(64))
-        return Channel(
-            latency_s=template.latency_s,
-            bandwidth_bps=template.bandwidth_bps,
-            authenticated=template.authenticated,
-            anonymous=template.anonymous,
-            drop_rate=template.drop_rate,
-            rng=rng,
-        )
-
     def connect(self, sender: str, recipient: str, channel: Channel,
                 bidirectional: bool = True) -> None:
         self._channels[(sender, recipient)] = channel
         if bidirectional:
             # Independent reverse channel: fresh stats and a derived RNG.
-            self._channels[(recipient, sender)] = self._clone_channel(channel)
+            self._channels[(recipient, sender)] = channel.clone()
 
     def channel(self, sender: str, recipient: str) -> Channel:
         """The directed channel between two nodes.
@@ -203,7 +182,7 @@ class Simulator:
         key = (sender, recipient)
         existing = self._channels.get(key)
         if existing is None:
-            existing = self._clone_channel(self._default_channel)
+            existing = self._default_channel.clone()
             self._channels[key] = existing
         return existing
 

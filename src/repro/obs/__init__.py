@@ -32,6 +32,7 @@ from repro.obs.adapters import (
     bind_ledger,
     bind_operation_counter,
     bind_service_metrics,
+    bind_sim_run,
     bind_simulator,
     bind_tracer_spans,
 )
@@ -206,6 +207,7 @@ __all__ = [
     "bind_ledger",
     "bind_operation_counter",
     "bind_service_metrics",
+    "bind_sim_run",
     "bind_simulator",
     "bind_sli_sources",
     "bind_tracer_spans",

@@ -187,3 +187,18 @@ def bind_failover_health(registry: MetricsRegistry, health) -> None:
             ).set(float(value))
 
     registry.register_collector(collect)
+
+
+def bind_sim_run(registry: MetricsRegistry, sim, service=None, injector=None,
+                 ledger=None) -> None:
+    """Mirror one simulated signing run: the simulator and its channels,
+    plus whichever of the service (metrics + health scoreboard), the
+    fault injector and the ledger the run has."""
+    bind_simulator(registry, sim)
+    if service is not None:
+        bind_service_metrics(registry, service.metrics)
+        bind_failover_health(registry, service.health)
+    if injector is not None:
+        bind_fault_injector(registry, injector)
+    if ledger is not None:
+        bind_ledger(registry, ledger)

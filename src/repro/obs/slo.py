@@ -408,8 +408,8 @@ def check_slo_report(slo: dict, tolerance: float = 1e-6) -> list[str]:
 class LatencyTap:
     """Pull-absorbs completion latencies into the SLO latency histogram.
 
-    Cohort and legacy client nodes append each completion's latency to a
-    plain list; the tap tracks a consumed index per source and, on every
+    Cohort driver nodes append each completion's latency to a plain
+    list; the tap tracks a consumed index per source and, on every
     registry collect, observes only the new entries.  Absorption happens
     at sampler ticks, which is deterministic under virtual time.
     """

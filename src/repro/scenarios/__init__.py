@@ -9,8 +9,10 @@ the path to any offending field; the compiler maps the document onto the
 deterministic simulator with hash-derived independent RNG streams; the
 runner executes, judges the envelope, and emits a verdict report.
 
-Entry points: ``repro-pdp scenario validate|run|list`` and
-``repro-pdp serve-sim --scenario FILE``.
+Entry points: ``repro-pdp scenario validate|run|list``,
+``repro-pdp serve-sim --scenario FILE``, and the ``serve-sim`` flag set,
+which :mod:`repro.scenarios.legacy` turns into an ordinary scenario for
+the same compiler and runner.
 """
 
 from repro.scenarios.arrivals import (

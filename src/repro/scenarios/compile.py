@@ -23,7 +23,6 @@ bit-identical traffic — including message byte sizes.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from repro.core.blocks import encode_data
@@ -43,7 +42,7 @@ from repro.pairing.interface import OperationCounter
 from repro.scenarios.arrivals import make_arrival_process
 from repro.scenarios.population import Population
 from repro.scenarios.rng import derive_rng, derive_seed
-from repro.scenarios.schema import CohortSpec, LinkParams, Scenario
+from repro.scenarios.schema import CohortSpec, LinkParams, Scenario, ScenarioError
 from repro.service.api import SignRequest, SignResponse
 from repro.service.batcher import BatchConfig
 from repro.service.failover import FailoverConfig, SEMEndpoint
@@ -336,11 +335,7 @@ class CompiledScenario:
     verifiers: dict[str, TPANode] = field(default_factory=dict)
     budget: RequestBudget | None = None
     injector: object = None
-    # Legacy compatibility handles (serve-sim flag shim):
-    legacy_clients: list = field(default_factory=list)
-    legacy_rng: random.Random | None = None
-    legacy_expected: int = 0
-    legacy_replayed: int = 0
+    replayed: int = 0  # journaled requests re-queued at startup
 
     def start_workload(self) -> None:
         """Arm cohort arrival schedules and TPA audit ticks."""
@@ -391,9 +386,19 @@ def _connect(sim: Simulator, scenario: Scenario, seed: int,
                 bidirectional=False)
 
 
-def compile_scenario(scenario: Scenario, obs=None,
-                     ledger=None) -> CompiledScenario:
-    """Build the simulator network for a (non-legacy) scenario."""
+def compile_scenario(scenario: Scenario, obs=None, ledger=None,
+                     journal=None) -> CompiledScenario:
+    """Build the simulator network for a scenario.
+
+    ``journal`` (a :class:`~repro.service.journal.SigningJournal`) backs
+    the one SEM group's service; its pending requests are re-queued once
+    the network is wired.  A journal belongs to one service, so it is
+    refused for any other topology.
+    """
+    if journal is not None and len(scenario.topology.sem_groups) != 1:
+        raise ScenarioError("topology.sem_groups",
+                            "a signing journal needs exactly one SEM group, "
+                            f"got {len(scenario.topology.sem_groups)}")
     settings = scenario.settings
     seed = settings.seed
     group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[settings.param_set])
@@ -420,10 +425,6 @@ def compile_scenario(scenario: Scenario, obs=None,
             "k": settings.k,
             "setup_seed": params.seed.hex(),
         })
-        if obs is not None and obs.enabled:
-            from repro.obs import bind_ledger
-
-            bind_ledger(obs.registry, ledger)
     compiled = CompiledScenario(scenario=scenario, sim=sim, params=params,
                                 counter=counter)
     batch_config = BatchConfig(max_batch=settings.batch.max_batch,
@@ -462,6 +463,7 @@ def compile_scenario(scenario: Scenario, obs=None,
             batch_config=batch_config,
             failover_config=failover_config,
             rng=derive_rng(seed, "service", spec.name),
+            journal=journal,
             obs=obs,
             ledger=ledger,
         )
@@ -538,76 +540,17 @@ def compile_scenario(scenario: Scenario, obs=None,
     for spec in scenario.topology.sem_groups:
         for j in range(spec.initial_crashed):
             sim.nodes[f"sem-{spec.name}-{j}"].crash()
-    compiled.assert_independent_streams()
-    return compiled
-
-
-def compile_legacy(scenario: Scenario, obs, journal=None,
-                   chaos_plan: FaultPlan | None = None,
-                   ledger=None) -> CompiledScenario:
-    """Replicate the historical ``serve-sim`` wiring for the flag shim.
-
-    Byte-for-byte compatible with the pre-scenario code path: one root
-    RNG seeds key material, channels, and payloads in the original
-    consumption order, node names stay ``service``/``sem-j``/``client-i``,
-    and arrivals are the legacy all-at-t=0 batch issued by
-    :class:`~repro.scenarios.runner.ScenarioRunner`.
-    """
-    from repro.service.simnodes import build_service_network
-
-    settings = scenario.settings
-    spec = scenario.topology.sem_groups[0]
-    cohort = scenario.workload.cohorts[0]
-    group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[settings.param_set])
-    params = setup(group, settings.k)
-    if ledger is not None:
-        # build_service_network re-clocks the ledger to virtual time and
-        # binds its registry counters; genesis is written here, first.
-        ledger.ensure_genesis({
-            "scenario": scenario.name,
-            "seed": settings.seed,
-            "param_set": settings.param_set,
-            "k": settings.k,
-            "setup_seed": params.seed.hex(),
-        })
-    rng = random.Random(settings.seed)
-    threshold = spec.t if spec.t > 1 else None
-    link = scenario.topology.default_link
-    channel = Channel(latency_s=link.latency_s, drop_rate=link.drop_rate,
-                      rng=random.Random(rng.getrandbits(64)))
-    sim, service, clients = build_service_network(
-        params,
-        threshold=threshold,
-        n_clients=cohort.members,
-        rng=rng,
-        batch_config=BatchConfig(max_batch=settings.batch.max_batch,
-                                 max_wait_s=settings.batch.max_wait_s),
-        failover_config=FailoverConfig(
-            timeout_s=settings.failover.timeout_s,
-            round_deadline_s=settings.failover.round_deadline_s,
-        ),
-        client_service_channel=channel,
-        service_sem_channel=channel,
-        journal=journal,
-        obs=obs,
-        ledger=ledger,
-    )
-    compiled = CompiledScenario(
-        scenario=scenario, sim=sim, params=params,
-        counter=obs.counter if obs is not None and obs.enabled else OperationCounter(),
-        services={spec.name: service},
-        legacy_clients=clients,
-        legacy_rng=rng,
-        legacy_expected=cohort.members * cohort.arrival.requests_per_member,
-    )
-    if chaos_plan is not None:
-        compiled.injector = chaos_plan.install(sim)
-        if obs is not None and obs.enabled:
-            from repro.obs import bind_fault_injector
-
-            bind_fault_injector(obs.registry, compiled.injector)
     if journal is not None:
-        compiled.legacy_replayed = service.recover()
-    for j in range(spec.initial_crashed):
-        sim.nodes[f"sem-{j}"].crash()
+        (service,) = compiled.services.values()
+        compiled.replayed = service.recover()
+    if obs is not None and obs.enabled:
+        from repro.obs import bind_sim_run
+
+        # The service and health gauges carry no group label, so only a
+        # single-group run can export them without collisions.
+        services = list(compiled.services.values())
+        bind_sim_run(obs.registry, sim,
+                     service=services[0] if len(services) == 1 else None,
+                     injector=compiled.injector, ledger=ledger)
+    compiled.assert_independent_streams()
     return compiled

@@ -1,19 +1,22 @@
 """The deprecation shim: legacy ``serve-sim`` flags as a scenario.
 
 ``repro-pdp serve-sim`` predates the scenario engine; its flag set
-(``--clients/--requests/--threshold/--crash/...``) describes exactly one
-shape of run — a single SEM group, one batch-arrival cohort, everything
-issued at t = 0.  :func:`scenario_from_legacy_args` synthesizes that
-in-memory :class:`~repro.scenarios.schema.Scenario` (marked ``legacy``)
-so both the flag path and ``--scenario FILE`` flow through one
-:class:`~repro.scenarios.runner.ScenarioRunner`, and the flag path keeps
-its historical byte-for-byte behaviour via the dedicated legacy compiler.
+(``--clients/--requests/--threshold/--crash/--chaos/...``) describes
+exactly one shape of run — a single SEM group, one batch-arrival cohort,
+everything issued at t = 0.  :func:`scenario_from_legacy_args`
+synthesizes that as an ordinary in-memory
+:class:`~repro.scenarios.schema.Scenario`, so the flag path and
+``--scenario FILE`` compile and run through the same
+:func:`~repro.scenarios.compile.compile_scenario` and
+:class:`~repro.scenarios.runner.ScenarioRunner`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
+from repro.net.faults import FaultPlan
 from repro.scenarios.schema import (
     ArrivalSpec,
     BatchSpec,
@@ -45,6 +48,8 @@ LEGACY_FLAG_DEFAULTS = {
     "crash": 0,
     "seed": 0,
     "round_deadline": None,
+    "chaos": None,
+    "chaos_seed": None,
 }
 
 _warned_mixed = False
@@ -74,8 +79,43 @@ def warn_if_mixed(args) -> list[str]:
     return overridden
 
 
+def _retarget(name: str) -> str:
+    """A ``--chaos`` plan node name on the scenario naming contract.
+
+    Plans written for :func:`~repro.service.simnodes.build_service_network`
+    name its nodes ``service``, ``sem-<j>`` and ``client-<i>``; here they
+    are ``svc-main``, ``sem-main-<j>`` and the one cohort ``c-clients``.
+    Other names (and ``*``) pass through, for schema validation to judge.
+    """
+    if name == "service":
+        return "svc-main"
+    if name.startswith("sem-"):
+        return "sem-main-" + name[len("sem-"):]
+    if name.startswith("client-"):
+        return "c-clients"
+    return name
+
+
+def _chaos_faults(plan: FaultPlan) -> tuple:
+    return tuple(
+        dataclasses.replace(
+            fault,
+            node=None if fault.node is None else _retarget(fault.node),
+            links=tuple((_retarget(a), _retarget(b)) for a, b in fault.links),
+        )
+        for fault in plan.faults
+    )
+
+
 def scenario_from_legacy_args(args) -> Scenario:
-    """The legacy flag set as a validated in-memory scenario document."""
+    """The legacy flag set as a validated in-memory scenario document.
+
+    ``--chaos PLAN.json`` lands in ``settings.faults`` (seeded by the plan,
+    or by ``--chaos-seed``), so fault targets are schema-checked like any
+    scenario's.
+    """
+    plan = (FaultPlan.from_file(args.chaos, seed=args.chaos_seed)
+            if args.chaos else FaultPlan())
     threshold = args.threshold if args.threshold and args.threshold > 1 else None
     t = threshold or 1
     w = 1 if threshold is None else 2 * threshold - 1
@@ -110,6 +150,8 @@ def scenario_from_legacy_args(args) -> Scenario:
             batch=BatchSpec(max_batch=args.max_batch, max_wait_s=args.max_wait),
             failover=FailoverSpec(timeout_s=args.timeout,
                                   round_deadline_s=args.round_deadline),
+            faults=_chaos_faults(plan),
+            fault_seed=plan.seed if args.chaos else None,
+            fault_plan_name=plan.name,
         ),
-        legacy=True,
     )

@@ -23,11 +23,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from repro.scenarios.compile import (
-    CompiledScenario,
-    compile_legacy,
-    compile_scenario,
-)
+from repro.scenarios.compile import CompiledScenario, compile_scenario
 from repro.scenarios.schema import EnvelopeSpec, Scenario
 
 #: Verdict report schema identifier (bump on breaking changes).
@@ -286,19 +282,18 @@ def check_envelope(result: ScenarioResult,
 class ScenarioRunner:
     """Compile, execute, and judge one scenario.
 
-    The legacy path (``scenario.legacy``) reproduces the historical
-    ``serve-sim`` wiring byte-for-byte so the flag shim cannot drift from
-    the behaviour the chaos-smoke CI job and the verify recipe pin down;
-    both paths share this collection and verdict logic.
+    ``scenario run``, ``serve-sim --scenario`` and the ``serve-sim`` flag
+    set (synthesized into a scenario by :mod:`repro.scenarios.legacy`)
+    all run through here and :func:`compile_scenario`.  ``journal`` backs
+    the single SEM group's service; ``replayed`` counts the journaled
+    requests it re-queued at startup.
     """
 
     def __init__(self, scenario: Scenario, obs=None, journal=None,
-                 chaos_plan=None, max_events: int | None = None,
-                 ledger=None):
+                 max_events: int | None = None, ledger=None):
         self.scenario = scenario
         self.obs = obs
         self.journal = journal
-        self.chaos_plan = chaos_plan
         self.max_events = max_events
         self.ledger = ledger
         self.compiled: CompiledScenario | None = None
@@ -314,14 +309,10 @@ class ScenarioRunner:
                 from repro.obs import Observability
 
                 self.obs = Observability.create()
-            if self.scenario.legacy:
-                self.compiled = compile_legacy(
-                    self.scenario, self.obs, journal=self.journal,
-                    chaos_plan=self.chaos_plan, ledger=self.ledger,
-                )
-            else:
-                self.compiled = compile_scenario(self.scenario, obs=self.obs,
-                                                 ledger=self.ledger)
+            self.compiled = compile_scenario(self.scenario, obs=self.obs,
+                                             ledger=self.ledger,
+                                             journal=self.journal)
+            self.replayed = self.compiled.replayed
             if self.scenario.slos is not None:
                 from repro.scenarios.slo_wiring import SLOHarness
 
@@ -336,10 +327,7 @@ class ScenarioRunner:
             return self._run_fleet()
         compiled = self.compile()
         started = time.perf_counter()
-        if self.scenario.legacy:
-            self._drive_legacy(compiled)
-        else:
-            compiled.start_workload()
+        compiled.start_workload()
         virtual_end = compiled.sim.run(max_events=self.max_events)
         if self.slo is not None:
             # Last evaluation + metering close happen before the ledger
@@ -464,21 +452,6 @@ class ScenarioRunner:
         })
         result.ledger = self.ledger.head()
 
-    # -- legacy drive --------------------------------------------------------
-    def _drive_legacy(self, compiled: CompiledScenario) -> None:
-        """The historical request loop: every request enqueued at t = 0,
-        payload bytes drawn from the root RNG in client-major order."""
-        self.replayed = compiled.legacy_replayed
-        cohort = self.scenario.workload.cohorts[0]
-        rng = compiled.legacy_rng
-        size = cohort.file_sizes.bytes
-        for i, client in enumerate(compiled.legacy_clients):
-            for n in range(cohort.arrival.requests_per_member):
-                data = rng.randbytes(size)
-                compiled.sim.send(
-                    client.request_for_data(data, f"file-{i}-{n}".encode())
-                )
-
     # -- collection ----------------------------------------------------------
     def _collect(self, compiled: CompiledScenario,
                  virtual_end: float) -> ScenarioResult:
@@ -490,27 +463,12 @@ class ScenarioRunner:
         result.bytes_on_wire = sim.total_bytes()
         if compiled.counter is not None:
             result.ops = {k: v for k, v in compiled.counter.snapshot().items() if v}
-        if self.scenario.legacy:
-            clients = compiled.legacy_clients
-            result.issued = compiled.legacy_expected
-            result.completed = sum(len(c.completed) for c in clients)
-            result.failed = sum(len(c.failed) for c in clients)
-            for client in clients:
-                result.latencies.extend(client.latencies)
-            cohort = self.scenario.workload.cohorts[0]
-            result.cohorts[cohort.name] = {
-                "members": cohort.members,
-                "requests": result.issued,
-                "completed": result.completed,
-                "failed": result.failed,
-            }
-        else:
-            for name, node in compiled.cohorts.items():
-                result.issued += node.issued
-                result.completed += len(node.completed)
-                result.failed += len(node.failed)
-                result.latencies.extend(node.latencies)
-                result.cohorts[name] = node.stats()
+        for name, node in compiled.cohorts.items():
+            result.issued += node.issued
+            result.completed += len(node.completed)
+            result.failed += len(node.failed)
+            result.latencies.extend(node.latencies)
+            result.cohorts[name] = node.stats()
         for name, node in compiled.clouds.items():
             result.clouds[name] = {
                 "files_stored": node.server.stored_files,
@@ -560,11 +518,9 @@ class ScenarioRunner:
             spans_from_tracer,
         )
 
-        sources = (compiled.legacy_clients if self.scenario.legacy
-                   else compiled.cohorts.values())
         pairs: list[tuple[float, int]] = []
-        for node in sources:
-            pairs.extend(getattr(node, "exemplars", ()))
+        for node in compiled.cohorts.values():
+            pairs.extend(node.exemplars)
         if not pairs:
             return
         spans = spans_from_tracer(self.obs.tracer)

@@ -83,7 +83,7 @@ class ArrivalSpec:
               peak ``peak_ratio`` x the mean rate (thinning sampler)
     closed    closed loop: ``concurrency`` members in lockstep, each
               thinking ``think_time_s`` between response and next request
-    batch     all requests issued at t=0 (the legacy serve-sim model)
+    batch     all requests issued at t=0 (the serve-sim flag model)
     ========  ==========================================================
     """
 
@@ -305,7 +305,7 @@ class SEMGroupSpec:
     ``w`` mediators hold Shamir shares; any ``t`` reconstruct.  The paper
     deploys w = 2t − 1 (tolerates t − 1 unavailable); other w >= t
     choices are legal deployments too.  ``initial_crashed`` starts that
-    many mediators fail-silent at t = 0 (the legacy ``--crash`` axis).
+    many mediators fail-silent at t = 0 (the serve-sim ``--crash`` axis).
     """
 
     name: str
@@ -714,7 +714,6 @@ class Scenario:
     settings: RunSettings = field(default_factory=RunSettings)
     description: str = ""
     slos: SLOSpec | None = None
-    legacy: bool = field(default=False, compare=False)  # set by the CLI shim only
 
     def __post_init__(self):
         self.validate()
@@ -787,11 +786,6 @@ class Scenario:
             for end in (link.src, link.dst):
                 _require(end in endpoint_names, path,
                          f"link references unknown endpoint {end!r}")
-        if self.legacy:
-            # Legacy serve-sim wiring keeps its historical node names
-            # ("service", "sem-j", "client-i"); chaos plans are validated
-            # against the live simulator at install time instead.
-            return
         node_names = self.node_names()
         for i, fault in enumerate(self.settings.faults):
             path = f"settings.faults[{i}]"

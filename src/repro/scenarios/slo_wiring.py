@@ -61,12 +61,12 @@ def objectives_from_spec(spec: SLOSpec) -> list[SLOObjective]:
 
 
 def default_slo_spec() -> SLOSpec:
-    """The stock objectives ``serve-sim --slo`` attaches to a legacy run.
+    """The stock objectives ``serve-sim --slo`` attaches to a flag-built run.
 
-    Legacy runs drain as fast as the protocol allows (their declared
-    duration is only a horizon), so the sampler and metering cadences are
-    pinned to the sub-second scale of the actual traffic instead of being
-    derived from the horizon.
+    Flag-built runs issue everything at t = 0 and drain as fast as the
+    protocol allows (their declared duration is only a horizon), so the
+    sampler and metering cadences are pinned to the sub-second scale of
+    the actual traffic instead of being derived from the horizon.
     """
     return SLOSpec(
         objectives=(
@@ -103,7 +103,7 @@ class SLOHarness:
         self.spec = spec
         self.objectives = objectives_from_spec(spec)
         sim = compiled.sim
-        self._bind_slis(registry, compiled, scenario)
+        self._bind_slis(registry, compiled)
         self.store = TimeSeriesStore(registry, clock=lambda: sim.now)
         self.engine = AlertEngine(
             compile_rules(self.objectives, duration), self.store
@@ -111,9 +111,9 @@ class SLOHarness:
         self.store.on_sample = self.engine.evaluate
         interval = spec.sample_interval_s or duration / SAMPLES_PER_RUN
         self._attach_sampler(sim, interval, duration)
-        self.meter = Meter(compiled.counter, self._scope_map(scenario, compiled),
+        self.meter = Meter(compiled.counter, self._scope_map(scenario),
                            ledger=ledger)
-        self._add_usage_sources(scenario, compiled)
+        self._add_usage_sources(compiled)
         self.meter.install(sim)
         epoch_s = spec.epoch_s or duration / EPOCHS_PER_RUN
         self._attach_meter(sim, epoch_s, duration)
@@ -153,24 +153,14 @@ class SLOHarness:
         sim.schedule(epoch_s, fire, daemon=True)
 
     # -- SLI binding ---------------------------------------------------------
-    def _request_sources(self, scenario: Scenario, compiled):
-        if scenario.legacy:
-            clients = compiled.legacy_clients
-            issued = lambda: compiled.legacy_expected
-            completed = lambda: sum(len(c.completed) for c in clients)
-            failed = lambda: sum(len(c.failed) for c in clients)
-        else:
-            cohorts = list(compiled.cohorts.values())
-            issued = lambda: sum(c.issued for c in cohorts)
-            completed = lambda: sum(len(c.completed) for c in cohorts)
-            failed = lambda: sum(len(c.failed) for c in cohorts)
-        return issued, completed, failed
-
-    def _bind_slis(self, registry, compiled, scenario: Scenario) -> None:
+    def _bind_slis(self, registry, compiled) -> None:
         sim = compiled.sim
         counter = compiled.counter
         services = list(compiled.services.values())
-        issued, completed, failed = self._request_sources(scenario, compiled)
+        cohorts = list(compiled.cohorts.values())
+        issued = lambda: sum(c.issued for c in cohorts)
+        completed = lambda: sum(len(c.completed) for c in cohorts)
+        failed = lambda: sum(len(c.failed) for c in cohorts)
         bind_sli_sources(registry, {
             SLI_REQUESTS: issued,
             SLI_FINISHED: lambda: completed() + failed(),
@@ -184,24 +174,12 @@ class SLOHarness:
             ),
         })
         self.tap = LatencyTap(registry)
-        sources = (compiled.legacy_clients if scenario.legacy
-                   else compiled.cohorts.values())
-        for node in sources:
+        for node in cohorts:
             self.tap.add_source(node.latencies)
 
     # -- metering scopes -----------------------------------------------------
-    def _scope_map(self, scenario: Scenario, compiled) -> dict[str, str]:
+    def _scope_map(self, scenario: Scenario) -> dict[str, str]:
         scope: dict[str, str] = {}
-        if scenario.legacy:
-            group = scenario.topology.sem_groups[0]
-            cohort = scenario.workload.cohorts[0]
-            for service in compiled.services.values():
-                scope[service.name] = f"group:{group.name}"
-                for endpoint in service.endpoints:
-                    scope[endpoint.name] = f"group:{group.name}"
-            for client in compiled.legacy_clients:
-                scope[client.name] = f"cohort:{cohort.name}"
-            return scope
         for spec in scenario.topology.sem_groups:
             scope[f"svc-{spec.name}"] = f"group:{spec.name}"
             for j in range(spec.w):
@@ -214,7 +192,7 @@ class SLOHarness:
             scope[verifier.name] = f"verifier:{verifier.name}"
         return scope
 
-    def _add_usage_sources(self, scenario: Scenario, compiled) -> None:
+    def _add_usage_sources(self, compiled) -> None:
         sim = compiled.sim
         scope_of = self.meter.scope_of
 
@@ -239,20 +217,6 @@ class SLOHarness:
                 "bytes": bytes_sent_by(scope),
             }
 
-        if scenario.legacy:
-            group = scenario.topology.sem_groups[0]
-            cohort = scenario.workload.cohorts[0]
-            for service in compiled.services.values():
-                scope = f"group:{group.name}"
-                self.meter.add_source(scope, group_source(scope, service))
-            clients = compiled.legacy_clients
-            scope = f"cohort:{cohort.name}"
-            self.meter.add_source(scope, cohort_source(
-                scope,
-                lambda: compiled.legacy_expected,
-                lambda: sum(len(c.completed) for c in clients),
-            ))
-            return
         for gname, service in compiled.services.items():
             scope = f"group:{gname}"
             self.meter.add_source(scope, group_source(scope, service))

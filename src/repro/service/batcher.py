@@ -48,6 +48,11 @@ class BatchConfig:
             raise ValueError("max_wait_s must be non-negative")
 
 
+def _same_payload(a: SignRequest, b: SignRequest) -> bool:
+    """Whether two requests ask for the same signatures from the same owner."""
+    return (a.owner, a.blocks, a.blinded) == (b.owner, b.blocks, b.blinded)
+
+
 class BatchingSEMService:
     """Bounded queue + batch aggregator in front of a signing pipeline.
 
@@ -65,8 +70,9 @@ class BatchingSEMService:
             When set, admitted requests are journaled before queueing and
             terminal responses afterwards, so a crashed service instance
             can :meth:`recover` its in-flight requests; re-submitting an
-            already-completed request id returns the journaled response
-            without re-signing (exactly-once per id).
+            already-completed request returns the journaled response
+            without re-signing (exactly-once per request), while reusing
+            a journaled id for another owner or payload is rejected.
         obs: observability bundle; defaults to the pipeline's, so one
             bundle wired at pipeline construction covers the whole service.
     """
@@ -107,6 +113,17 @@ class BatchingSEMService:
         """
         now = self.clock()
         if self.journal is not None:
+            journaled = self.journal.accepted_request(request.request_id)
+            if journaled is not None and not _same_payload(journaled, request):
+                # Ids are only unique per client process: a reused id for
+                # other data must never be answered with the old signatures.
+                self.metrics.rejected += 1
+                return SignResponse(
+                    request_id=request.request_id,
+                    status=ResponseStatus.REJECTED,
+                    error=f"request id {request.request_id} is journaled "
+                          "for a different request",
+                )
             cached = self.journal.completed_response(request.request_id)
             if cached is not None:
                 return cached  # exactly-once: already signed, replay the reply

@@ -200,6 +200,10 @@ class SigningJournal:
         """The cached terminal response, or None if still pending/unknown."""
         return self._completed.get(request_id)
 
+    def accepted_request(self, request_id: int) -> SignRequest | None:
+        """The journaled request admitted under ``request_id``, if any."""
+        return self._accepted.get(request_id)
+
     def is_pending(self, request_id: int) -> bool:
         return request_id in self._accepted and request_id not in self._completed
 

@@ -468,12 +468,9 @@ def build_service_network(
     if ledger is not None:
         ledger.clock = lambda: sim.now
     if obs is not None and obs.enabled:
-        from repro.obs import bind_service_metrics, bind_simulator
-
         obs.observe_group(group)
         obs.tracer.clock = lambda: sim.now
         sim.tracer = obs.tracer  # message deliveries become causal spans
-        bind_simulator(obs.registry, sim)
     if threshold is None:
         sk = group.random_nonzero_scalar(rng)
         sem_node = SEMNode("sem-0", group, sk)
@@ -510,22 +507,17 @@ def build_service_network(
     )
     sim.add_node(service)
     if obs is not None and obs.enabled:
-        from repro.obs import bind_failover_health
+        from repro.obs import bind_sim_run
 
-        bind_service_metrics(obs.registry, service.metrics)
-        bind_failover_health(obs.registry, service.health)
-        if ledger is not None:
-            from repro.obs import bind_ledger
-
-            bind_ledger(obs.registry, ledger)
+        bind_sim_run(obs.registry, sim, service=service, ledger=ledger)
     clients = []
     for i in range(n_clients):
         client = ServiceClientNode(f"client-{i}", params, "service")
         sim.add_node(client)
         clients.append(client)
         if client_service_channel is not None:
-            sim.connect(client.name, "service", client_service_channel)
+            sim.connect(client.name, "service", client_service_channel.clone())
     if service_sem_channel is not None:
         for endpoint in endpoints:
-            sim.connect("service", endpoint.name, service_sem_channel)
+            sim.connect("service", endpoint.name, service_sem_channel.clone())
     return sim, service, clients

@@ -195,6 +195,48 @@ class TestKillRestart:
         sim.run()
         assert service.metrics.summary()["batches"] == batches_before
 
+    @pytest.mark.parametrize("finished", [True, False], ids=["done", "pending"])
+    def test_reused_id_is_served_only_for_the_journaled_request(
+        self, tmp_path, params_k4, group, finished
+    ):
+        """Ids restart with every client process: after a restart, the
+        honest resubmission of a journaled request gets its cached reply,
+        while the same id carrying other data is rejected, never served."""
+        path = tmp_path / "sign.journal"
+        journal = SigningJournal(path, group=group)
+        sim, service, clients = build_network(params_k4, journal)
+        message = clients[0].request_for_data(b"q" * 40, b"reuse")
+        original = message.payload
+        if finished:
+            sim.send(message)
+            sim.run()
+        else:
+            journal.record_accepted(original)
+        reloaded = SigningJournal(path, group=group)
+        sim2, service2, clients2 = build_network(params_k4, reloaded, seed=54)
+        assert service2.recover() == (0 if finished else 1)
+        other_data = make_blocks_request(params_k4, request_id=original.request_id)
+        conflicting = SignRequest(request_id=original.request_id,
+                                  owner=original.owner, blocks=other_data.blocks)
+        for impostor in (conflicting,
+                         SignRequest(request_id=original.request_id,
+                                     owner="mallory", blocks=original.blocks)):
+            rejected = service2.service.submit(impostor)
+            assert rejected.status is ResponseStatus.REJECTED
+            assert rejected.signatures is None
+            assert "journaled for a different request" in rejected.error
+        assert service2.metrics.rejected == 2
+        honest = service2.service.submit(original)
+        if finished:
+            assert honest.ok
+            assert honest.signatures == reloaded.completed_response(
+                original.request_id).signatures
+        else:
+            assert honest is None  # already re-queued by recover()
+            sim2.run()
+            assert reloaded.completed_response(original.request_id).ok
+        assert reloaded.summary()["accepted"] == 1
+
     def test_restart_after_partial_completion(self, tmp_path, params_k4, group):
         """Kill after some requests completed: only the unfinished replay."""
         path = tmp_path / "sign.journal"

@@ -1,20 +1,32 @@
 """The serve-sim flag shim: legacy flags become one scenario document.
 
 ``scenario_from_legacy_args`` must map every flag onto its scenario
-field (the runner's dedicated legacy compiler keeps the historical
-byte-for-byte wiring), and ``warn_if_mixed`` must detect non-default
-flags next to ``--scenario`` — once per process, listing the offenders.
+field — a ``--chaos`` plan onto ``settings.faults`` under the scenario
+naming contract — so the flag path runs through the one scenario
+compiler with the historical operation counts, and ``warn_if_mixed``
+must detect non-default flags next to ``--scenario`` — once per process,
+listing the offenders.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+from pathlib import Path
 
 import pytest
 
 import repro.scenarios.legacy as legacy_mod
-from repro.scenarios import ScenarioError, scenario_from_legacy_args, warn_if_mixed
+from repro.cli import main
+from repro.scenarios import (
+    ScenarioError,
+    ScenarioRunner,
+    scenario_from_legacy_args,
+    warn_if_mixed,
+)
 from repro.scenarios.legacy import LEGACY_FLAG_DEFAULTS
+
+PLANS = Path(__file__).resolve().parents[1] / "chaos" / "plans"
 
 
 def legacy_args(**overrides) -> argparse.Namespace:
@@ -26,8 +38,9 @@ def legacy_args(**overrides) -> argparse.Namespace:
 class TestScenarioSynthesis:
     def test_defaults_map_to_single_sem(self):
         scenario = scenario_from_legacy_args(legacy_args())
-        assert scenario.legacy
         assert scenario.name == "serve-sim-legacy"
+        assert scenario.settings.faults == ()
+        assert scenario.settings.fault_seed is None
         (group,) = scenario.topology.sem_groups
         assert group.name == "main" and (group.w, group.t) == (1, 1)
         (cohort,) = scenario.workload.cohorts
@@ -65,6 +78,70 @@ class TestScenarioSynthesis:
         # Crashing 2 of w=3 leaves fewer than t=2 live mediators.
         with pytest.raises(ScenarioError):
             scenario_from_legacy_args(legacy_args(threshold=2, crash=2))
+
+
+class TestChaosPlan:
+    def test_plan_lands_in_settings_under_scenario_names(self, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"name": "mapped", "seed": 4, "faults": [
+            {"kind": "crash", "node": "sem-2", "at": 0.1},
+            {"kind": "partition", "links": [["service", "sem-0"],
+                                            ["client-1", "*"]]},
+        ]}))
+        scenario = scenario_from_legacy_args(
+            legacy_args(threshold=2, chaos=str(plan)))
+        crash, partition = scenario.settings.faults
+        assert crash.node == "sem-main-2" and crash.at == 0.1
+        assert partition.links == (("svc-main", "sem-main-0"),
+                                   ("c-clients", "*"))
+        assert scenario.settings.fault_seed == 4
+        assert scenario.settings.fault_plan_name == "mapped"
+
+    def test_chaos_seed_overrides_the_plan_seed(self):
+        scenario = scenario_from_legacy_args(legacy_args(
+            threshold=2, chaos=str(PLANS / "byzantine_quarantine.json"),
+            chaos_seed=99))
+        assert scenario.settings.fault_seed == 99
+
+    def test_unknown_node_rejected_by_schema(self, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"faults": [
+            {"kind": "crash", "node": "sem-3", "at": 0.0}]}))
+        with pytest.raises(ScenarioError, match="sem-main-3"):
+            scenario_from_legacy_args(legacy_args(threshold=2, chaos=str(plan)))
+        # w = 3 SEMs are sem-0..sem-2: the CLI refuses the plan up front.
+        assert main(["serve-sim", "--threshold", "2",
+                     "--chaos", str(plan)]) == 2
+
+
+class TestParity:
+    """The flag path through the one compiler reproduces the operation
+    counts, fault counts and quarantine trips of the historical wiring."""
+
+    MODEL_EXP = ("exp_g1", "exp_g1_fixed_base", "exp_g1_msm",
+                 "exp_g1_skipped", "exp_g2")
+
+    @pytest.mark.parametrize("flags, counts, exp, pairs, hashes, faults, trips", [
+        (dict(threshold=2, clients=2, requests=2, round_deadline=3.0,
+              chaos=str(PLANS / "byzantine_quarantine.json")),
+         (4, 4, 0), (136, 64, 24, 8, 7), 8, 12, {"byzantine": 1}, (1, 1)),
+        (dict(threshold=2, crash=1, clients=2, requests=1, seed=5),
+         (2, 2, 0), (52, 32, 12, 4, 7), 6, 6, {}, (0, 0)),
+        (dict(clients=2, requests=1),
+         (2, 2, 0), (25, 32, 12, 4, 1), 4, 6, {}, (0, 0)),
+    ], ids=["ci-chaos", "threshold-crash", "single-sem"])
+    def test_flag_runs_match_the_pinned_counts(self, flags, counts, exp, pairs,
+                                               hashes, faults, trips):
+        result = ScenarioRunner(
+            scenario_from_legacy_args(legacy_args(**flags))).run()
+        assert (result.issued, result.completed, result.failed) == counts
+        assert tuple(result.ops.get(k, 0) for k in self.MODEL_EXP) == exp
+        assert result.ops["pairings"] == pairs
+        assert result.ops["hash_to_g1"] == hashes
+        assert result.fault_counts == faults
+        service = result.services["main"]
+        assert (service["quarantine_trips"],
+                service["invalid_share_batches"]) == trips
 
 
 class TestMixingWarning:

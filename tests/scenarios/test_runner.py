@@ -9,13 +9,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs import Observability, prometheus_text
 from repro.scenarios import (
     EnvelopeSpec,
+    ScenarioError,
+    ScenarioRunner,
     VERDICT_SCHEMA,
     check_envelope,
     run_scenario,
     scenario_from_dict,
 )
+from repro.service import SigningJournal
+
+
+def two_groups(doc: dict) -> dict:
+    doc["topology"]["sem_groups"].append({"name": "other", "w": 1, "t": 1})
+    return doc
 
 
 class TestHappyPath:
@@ -112,6 +121,57 @@ class TestFaultAxis:
         doc["settings"]["failover"] = {"timeout_s": 0.02}
         result = run_scenario(scenario_from_dict(doc))
         assert result.completed == 6
+
+
+class TestJournal:
+    def test_pending_requests_replay_then_reruns_hit_the_cache(
+            self, doc, tmp_path, group):
+        path = tmp_path / "sign.journal"
+
+        def run(**kwargs):
+            journal = SigningJournal(path, group=group)
+            runner = ScenarioRunner(scenario_from_dict(doc), journal=journal,
+                                    **kwargs)
+            return runner, runner.run(), journal
+
+        # Cut short after admission: every request is journaled, none signed.
+        _, cut, journal = run(max_events=4)
+        assert cut.completed == 0 and journal.summary()["pending"] == 4
+        runner, resumed, journal = run()
+        assert runner.replayed == 4
+        assert resumed.completed == 6 and resumed.failed == 0
+        assert journal.summary()["pending"] == 0
+        runner, rerun, _ = run()
+        assert runner.replayed == 0 and rerun.completed == 6
+        assert rerun.services["org"]["signatures_produced"] == 0
+
+    def test_refused_unless_exactly_one_group(self, doc, tmp_path):
+        runner = ScenarioRunner(scenario_from_dict(two_groups(doc)),
+                                journal=SigningJournal(tmp_path / "j"))
+        with pytest.raises(ScenarioError, match="exactly one SEM group"):
+            runner.run()
+
+
+class TestObsBindings:
+    def exposition(self, doc) -> str:
+        obs = Observability.create()
+        run_scenario(scenario_from_dict(doc), obs=obs)
+        return prometheus_text(obs.registry)
+
+    def test_single_group_exports_sim_service_health_and_chaos(self, doc):
+        doc["topology"]["sem_groups"][0].update(w=3, t=2)
+        doc["settings"]["faults"] = [
+            {"kind": "byzantine", "node": "sem-org-1", "at": 0.0}]
+        text = self.exposition(doc)
+        for series in ("sim_channel_bytes", "service_signatures_produced",
+                       "failover_health_quarantined", "chaos_injected"):
+            assert series in text
+
+    def test_service_gauges_need_a_single_group(self, doc):
+        text = self.exposition(two_groups(doc))
+        assert "sim_channel_bytes" in text
+        assert "service_signatures_produced" not in text
+        assert "failover_health_" not in text
 
 
 class TestClosedLoop:

@@ -195,3 +195,33 @@ class TestThresholdFailover:
         assert statuses.count("overloaded") == 3  # capacity 3, six arrivals
         assert statuses.count("ok") == 3
         assert service.metrics.summary()["overloaded"] >= 1
+
+
+class TestWiring:
+    def test_every_link_owns_its_channel_and_counts_only_its_bytes(self, params_k4):
+        template = Channel(latency_s=0.002, drop_rate=0.0, rng=random.Random(5))
+        sim, service, clients = build_service_network(
+            params_k4,
+            threshold=2,
+            n_clients=3,
+            rng=random.Random(36),
+            client_service_channel=template,
+            service_sem_channel=template,
+        )
+        sent = []
+        send = sim.send
+
+        def counting_send(message, at=None):
+            sent.append(message.size_bytes)
+            send(message, at)
+
+        sim.send = counting_send
+        for i, client in enumerate(clients):
+            sim.send(client.request_for_data(bytes([i + 1]) * 30, b"w%d" % i))
+        sim.run()
+        assert all(c.completed for c in clients)
+        ids = {id(ch) for ch in sim._channels.values()}
+        channels = list(sim._channels.values())
+        assert id(template) not in ids and len(ids) == len(channels)
+        assert len({id(ch.rng) for ch in channels}) == len(channels)
+        assert sim.total_bytes() == sum(sent)

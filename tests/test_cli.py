@@ -133,6 +133,26 @@ class TestServeSim:
         assert "3 SEM(s) (t=2, 1 crashed)" in out
         assert "failed 0" in out
 
+    def test_journal_reused_across_runs(self, tmp_path, capsys):
+        """Request ids restart with every run: a rerun of the same flags is
+        answered from the journal, a rerun for other data is refused."""
+        journal = str(tmp_path / "sign.journal")
+
+        def serve(seed):
+            code = main(["serve-sim", "--clients", "2", "--requests", "2",
+                         "--seed", str(seed), "--journal", journal])
+            return code, capsys.readouterr().out
+
+        code, out = serve(1)
+        assert code == 0 and "batches: 1" in out
+        code, out = serve(1)
+        assert code == 0 and "completed 4, failed 0" in out
+        assert "batches: 0" in out  # nothing re-signed
+        code, out = serve(2)
+        assert code == 1 and "completed 0, failed 4" in out
+        assert "batches: 0" in out
+        assert "journal: 4 accepted, 4 completed" in out
+
     def test_crash_beyond_tolerance_refused(self):
         assert main(["serve-sim", "--threshold", "2", "--crash", "2"]) == 2
 
