@@ -192,9 +192,7 @@ def _deployment_ledger(root: Path, state: dict, org_pk):
         "setup_seed": state["seed"],
     })
     if fresh:
-        ledger.append("verifier_key", {
-            "verifier": "cli", "pk": org_pk.to_bytes().hex(),
-        })
+        ledger.pin_verifier("cli", org_pk)
     return ledger
 
 
@@ -432,21 +430,10 @@ def cmd_audit(args) -> int:
     finally:
         if pool is not None:
             pool.close()
-    from repro.obs import model_equivalent_exp
+    from repro.obs.ledger import audit_record
 
-    delta = {key: after.get(key, 0) - before.get(key, 0)
-             for key in set(after) | set(before)}
-    ledger.append("audit", {
-        "verifier": "cli",
-        "file": file_id.hex(),
-        "indices": [int(i) for i in challenge.indices],
-        "betas": [int(b) for b in challenge.betas],
-        "sigma": proof.sigma.to_bytes().hex(),
-        "alphas": [int(a) for a in proof.alphas],
-        "ok": ok,
-        "exp": model_equivalent_exp(delta),
-        "pair": delta.get("pairings", 0),
-    })
+    ledger.append(*audit_record("cli", file_id, challenge, proof, ok,
+                                ops=(before, after)))
     _write_obs_outputs(args, obs)
     _persist_last_run(root, "audit", obs)
     scope = f"{len(challenge)} of {len(signed.blocks)} blocks"
@@ -623,23 +610,10 @@ def cmd_dynamic_audit(args) -> int:
             ok = auditor.verify(file_id, challenge, proof)
             span.set(ok=ok)
         after = obs.counter.snapshot()
-    from repro.obs import model_equivalent_exp
+    from repro.obs.ledger import audit_record
 
-    delta = {key: after.get(key, 0) - before.get(key, 0)
-             for key in set(after) | set(before)}
-    ledger.append("dyn_audit", {
-        "verifier": "cli",
-        "file": file_id.hex(),
-        "epoch": proof.epoch,
-        "indices": [int(i) for i in challenge.indices],
-        "betas": [int(b) for b in challenge.betas],
-        "block_ids": [b.hex() for b in proof.block_ids],
-        "sigma": proof.response.sigma.to_bytes().hex(),
-        "alphas": [int(a) for a in proof.response.alphas],
-        "ok": ok,
-        "exp": model_equivalent_exp(delta),
-        "pair": delta.get("pairings", 0),
-    })
+    ledger.append(*audit_record("cli", file_id, challenge, proof, ok,
+                                ops=(before, after)))
     _write_obs_outputs(args, obs)
     _persist_last_run(root, "dynamic-audit", obs)
     scope = f"{len(challenge)} of {pin['count']} blocks"

@@ -21,7 +21,8 @@ verifies the batch with one Eq. 7 check (2 pairings total), and
 unblinds without per-message pairings — exactly k block re-signatures
 per batch, never n.  Every batch is fenced on the hash-chained ledger
 with a ``dyn_update_begin`` / ``dyn_update_commit`` pair so
-``repro-pdp ledger verify`` can replay the root transitions offline.
+``repro-pdp ledger verify`` can replay the root transitions offline
+(:class:`DynamicChecker`).
 
 The auditor pins ``(epoch, root, count)`` per file and checks four
 things together: the pin (stale-root replay dies here), the root
@@ -541,3 +542,124 @@ class DynamicAuditor:
             betas=challenge.betas,
         )
         return self.verifier.verify(authed, proof.response)
+
+
+class DynamicChecker:
+    """Shadow-replay of dynamic-file root transitions on the ledger.
+
+    ``dyn_create`` plants a shadow rank tree from the recorded leaves;
+    every ``dyn_update_begin`` must assert exactly the shadow's current
+    root, and every ``dyn_update_commit`` re-applies its begin's
+    recorded ops to the shadow tree — the recomputed root must equal the
+    recorded root-after, or the transition was forged.  A second begin
+    for the same file with the same root-before supersedes the open one
+    (the crash-retry path: the first batch never committed, so the state
+    never moved); a begin with a *different* root-before while one is
+    open means a commit went missing.  Batches still open at the chain
+    tail are surfaced, not failed — that is the torn mid-batch state the
+    store resumes from idempotently.
+    """
+
+    kinds = (KIND_DYN_CREATE, KIND_DYN_UPDATE_BEGIN, KIND_DYN_UPDATE_COMMIT)
+
+    def __init__(self):
+        self.trees: dict[str, RankTree] = {}
+        self.open: dict[str, dict] = {}
+
+    def check(self, kind: str, body: dict) -> list[str]:
+        file = body.get("file")
+        if not isinstance(file, str) or not file:
+            return [f"{kind} entry without a file id"]
+        if kind == KIND_DYN_CREATE:
+            if file in self.trees:
+                return [f"dynamic file {file[:16]} created twice"]
+            try:
+                leaves = [bytes.fromhex(leaf) for leaf in body.get("leaves", [])]
+            except (TypeError, ValueError):
+                return [f"dynamic file {file[:16]}: unparseable create leaves"]
+            tree = RankTree(leaves)
+            self.trees[file] = tree
+            problems = []
+            if body.get("count") != len(leaves):
+                problems.append(
+                    f"dynamic file {file[:16]}: create count {body.get('count')} "
+                    f"does not match its {len(leaves)} leaves")
+            if body.get("root") != tree.root.hex():
+                problems.append(
+                    f"dynamic file {file[:16]}: create root does not hash "
+                    "from the recorded leaves — forged initial root")
+            return problems
+        tree = self.trees.get(file)
+        if tree is None:
+            return [f"{kind} references dynamic file {file[:16]} that was "
+                    "never created — spliced update record"]
+        if kind == KIND_DYN_UPDATE_BEGIN:
+            if body.get("root_before") != tree.root.hex():
+                return [
+                    f"dynamic file {file[:16]}: batch {body.get('batch')} "
+                    f"asserts root-before {str(body.get('root_before'))[:16]}… "
+                    "but the replayed state disagrees — forged or out-of-order"
+                    " update"]
+            open_batch = self.open.get(file)
+            if open_batch is not None and (
+                open_batch.get("root_before") != body.get("root_before")
+            ):
+                return [
+                    f"dynamic file {file[:16]}: batch {body.get('batch')} "
+                    f"begun while batch {open_batch.get('batch')} is open at a "
+                    "different root — missing commit"]
+            # Same root-before: an idempotent crash retry; supersede.
+            self.open[file] = body
+            return []
+        # dyn_update_commit
+        begun = self.open.get(file)
+        if begun is None or begun.get("batch") != body.get("batch"):
+            return [f"dynamic file {file[:16]}: commit for batch "
+                    f"{body.get('batch')} without a matching open begin"]
+        self.open.pop(file)
+        problems = []
+        signed = 0
+        for record in begun.get("ops", []):
+            op, position = record.get("op"), record.get("position")
+            try:
+                if op == "delete":
+                    tree.delete(position)
+                else:
+                    leaf = bytes.fromhex(record.get("leaf", ""))
+                    signed += 1
+                    if op == "modify":
+                        tree.modify(position, leaf)
+                    elif op == "insert":
+                        tree.insert(position, leaf)
+                    elif op == "append":
+                        tree.append(leaf)
+                    else:
+                        problems.append(
+                            f"dynamic file {file[:16]}: unknown op {op!r} in "
+                            f"batch {body.get('batch')}")
+            except (IndexError, TypeError, ValueError):
+                problems.append(
+                    f"dynamic file {file[:16]}: op {op!r} at position "
+                    f"{position!r} does not apply to the replayed state")
+        if body.get("root_after") != tree.root.hex():
+            problems.append(
+                f"dynamic file {file[:16]}: batch {body.get('batch')} commits "
+                f"root-after {str(body.get('root_after'))[:16]}… but replaying "
+                "its recorded ops yields a different root — forged root "
+                "transition")
+        if body.get("count") != len(tree):
+            problems.append(
+                f"dynamic file {file[:16]}: commit count {body.get('count')} "
+                f"does not match the replayed {len(tree)} leaves")
+        if body.get("signed_blocks") != signed:
+            problems.append(
+                f"dynamic file {file[:16]}: commit claims "
+                f"{body.get('signed_blocks')} signed blocks but its begin "
+                f"records {signed} non-delete ops")
+        return problems
+
+    def finish(self, report) -> None:
+        report.updates_checked = sum(report.counts.get(k, 0) for k in self.kinds)
+        report.open_updates = sorted(
+            f"{file[:16]}:{body.get('batch')}" for file, body in self.open.items()
+        )

@@ -32,7 +32,8 @@ The audit loop is the paper's protocol, fleet-wide:
   ``repair_begin`` / ``repair_slice`` / ``audit`` / ``repair_complete``
   events on the ledger so ``ledger verify`` re-derives every repair
   verdict offline — and so a crashed repair resumes idempotently from
-  the chain (:meth:`FleetStore.resume_repairs`).
+  the chain (:meth:`FleetStore.resume_repairs`).  Both read the repair
+  records through one :class:`RepairChecker`.
 """
 
 from __future__ import annotations
@@ -45,17 +46,25 @@ from repro.core.owner import SignedFile
 from repro.erasure.placement import PlacementMap, StripePlacement
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.obs import NULL_OBS
+from repro.obs.ledger import audit_record
 from repro.service.cloud_health import CloudScoreboard
 
 __all__ = [
     "FleetAuditReport",
     "FleetRepairReport",
     "FleetStore",
+    "RepairChecker",
     "RepairTask",
     "ServerHandle",
     "ServerUnavailable",
     "build_demo_fleet",
 ]
+
+#: Ledger record kinds written by :class:`FleetStore` repairs.
+KIND_REPAIR_BEGIN = "repair_begin"
+KIND_REPAIR_SLICE = "repair_slice"
+KIND_REPAIR_COMPLETE = "repair_complete"
+KIND_REPAIR_FAILED = "repair_failed"
 
 
 class ServerUnavailable(ConnectionError):
@@ -372,15 +381,8 @@ class FleetStore:
     def _record_audit(self, slice_id: bytes, challenge, proof, ok: bool) -> None:
         if self.ledger is None:
             return
-        self.ledger.append("audit", {
-            "verifier": self.verifier_name,
-            "file": slice_id.hex(),
-            "indices": [int(i) for i in challenge.indices],
-            "betas": [int(b) for b in challenge.betas],
-            "sigma": proof.sigma.to_bytes().hex(),
-            "alphas": [int(a) for a in proof.alphas],
-            "ok": ok,
-        })
+        self.ledger.append(*audit_record(self.verifier_name, slice_id,
+                                         challenge, proof, ok))
 
     # -- repair --------------------------------------------------------------
     def plan_repairs(self, failed: list[str] | None = None) -> list[RepairTask]:
@@ -434,7 +436,7 @@ class FleetStore:
         task = dataclasses.replace(task, target=target or task.source)
         repair_id = self._repair_id(task)
         if self.ledger is not None:
-            self.ledger.append("repair_begin", {
+            self.ledger.append(KIND_REPAIR_BEGIN, {
                 "repair": repair_id,
                 "file": task.file_id.hex(),
                 "slot": task.slot,
@@ -446,7 +448,7 @@ class FleetStore:
         if survivors is None or target is None:
             report.unrecoverable.append(task)
             if self.ledger is not None:
-                self.ledger.append("repair_failed", {
+                self.ledger.append(KIND_REPAIR_FAILED, {
                     "repair": repair_id,
                     "reason": ("no replacement server"
                                if survivors is not None
@@ -474,7 +476,7 @@ class FleetStore:
             for word in rebuilt:
                 for element in word:
                     digest.update(int(element).to_bytes(64, "big"))
-            self.ledger.append("repair_slice", {
+            self.ledger.append(KIND_REPAIR_SLICE, {
                 "repair": repair_id,
                 "stripes": placement.stripes,
                 "digest": digest.hexdigest(),
@@ -486,7 +488,7 @@ class FleetStore:
         ok = self.verifier.verify(challenge, proof)
         self._record_audit(slice_id, challenge, proof, ok)
         if self.ledger is not None:
-            self.ledger.append("repair_complete", {
+            self.ledger.append(KIND_REPAIR_COMPLETE, {
                 "repair": repair_id,
                 "server": task.target,
                 "slices": placement.stripes,
@@ -538,19 +540,19 @@ class FleetStore:
             from repro.obs.ledger import read_ledger
 
             entries, _torn = read_ledger(self.ledger.path)
-        open_repairs: dict[str, dict] = {}
+        replay = RepairChecker()
         for entry in entries:
-            kind, body = entry.get("kind"), entry.get("body", {})
-            if kind == "repair_begin":
-                open_repairs[body["repair"]] = body
-                self._repair_attempts[(bytes.fromhex(body["file"]), body["slot"])] = \
-                    max(self._repair_attempts.get(
-                        (bytes.fromhex(body["file"]), body["slot"]), 0),
-                        int(str(body["repair"]).rsplit(".", 1)[-1]))
-            elif kind in ("repair_complete", "repair_failed"):
-                open_repairs.pop(body["repair"], None)
+            kind, body = entry["kind"], entry["body"]
+            if kind == KIND_REPAIR_BEGIN:
+                # Never reuse an attempt number the chain already holds.
+                key = (bytes.fromhex(body["file"]), body["slot"])
+                attempt = int(str(body["repair"]).rsplit(".", 1)[-1])
+                self._repair_attempts[key] = max(
+                    self._repair_attempts.get(key, 0), attempt)
+            if kind in replay.kinds:
+                replay.check(kind, body)
         report = FleetRepairReport()
-        for body in open_repairs.values():
+        for body in replay.open.values():
             file_id = bytes.fromhex(body["file"])
             # target is re-resolved inside _execute_repair; the recorded
             # "to" is only the crashed run's choice, kept as a hint.
@@ -683,10 +685,7 @@ def build_demo_fleet(servers: int = 6, parity: int = 2, spares: int = 1,
             "k": k,
             "setup_seed": params.seed.hex(),
         })
-        ledger.append("verifier_key", {
-            "verifier": verifier_name,
-            "pk": sem.pk.to_bytes().hex(),
-        })
+        ledger.pin_verifier(verifier_name, sem.pk)
     names = (tuple(server_names) if server_names is not None
              else tuple(f"cloud-s{j}" for j in range(servers + spares)))
     if len(names) != servers + spares:
@@ -708,3 +707,59 @@ def build_demo_fleet(servers: int = 6, parity: int = 2, spares: int = 1,
     if owns_pool:
         store.pool = pool
     return store
+
+
+class RepairChecker:
+    """Structural verification of fleet repair lifecycles.
+
+    Every ``repair_slice`` / ``repair_complete`` / ``repair_failed``
+    entry must reference a ``repair_begin`` that is still open, and a
+    ``repair_complete`` must report the stripe count its begin promised.
+    Repairs still open at the chain tail are *not* an error — that is
+    exactly the crash-mid-repair state :meth:`FleetStore.resume_repairs`
+    recovers from (it replays the chain through this same checker) — but
+    they are surfaced so the operator can tell a clean chain from an
+    interrupted one.  The cryptographic half of the repair verdict is
+    the post-repair ``audit`` entry, which the ledger's Eq. 6 recheck
+    already covers.
+    """
+
+    kinds = (KIND_REPAIR_BEGIN, KIND_REPAIR_SLICE, KIND_REPAIR_COMPLETE,
+             KIND_REPAIR_FAILED)
+
+    def __init__(self):
+        #: repair id -> its ``repair_begin`` body, in begin order.
+        self.open: dict[str, dict] = {}
+
+    def check(self, kind: str, body: dict) -> list[str]:
+        repair_id = body.get("repair")
+        if not isinstance(repair_id, str) or not repair_id:
+            return [f"{kind} entry without a repair id"]
+        if kind == KIND_REPAIR_BEGIN:
+            if repair_id in self.open:
+                return [f"repair {repair_id} begun twice"]
+            if not {"file", "slot", "from", "to", "stripes"} <= set(body):
+                return [f"repair_begin {repair_id} missing placement fields"]
+            self.open[repair_id] = body
+            return []
+        begun = self.open.get(repair_id)
+        if begun is None:
+            return [f"{kind} references repair {repair_id} that was never "
+                    "begun (or already closed) — spliced repair record"]
+        problems = []
+        if kind == KIND_REPAIR_SLICE and body.get("stripes") != begun.get("stripes"):
+            problems.append(
+                f"repair {repair_id}: slice carries {body.get('stripes')} "
+                f"stripes but its begin promised {begun.get('stripes')}")
+        if kind == KIND_REPAIR_COMPLETE and body.get("slices") != begun.get("stripes"):
+            problems.append(
+                f"repair {repair_id}: completion reports "
+                f"{body.get('slices')} slices but its begin promised "
+                f"{begun.get('stripes')}")
+        if kind != KIND_REPAIR_SLICE:  # complete or failed closes the repair
+            self.open.pop(repair_id)
+        return problems
+
+    def finish(self, report) -> None:
+        report.repairs_checked = sum(report.counts.get(k, 0) for k in self.kinds)
+        report.open_repairs = sorted(self.open)

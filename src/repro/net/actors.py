@@ -22,7 +22,7 @@ from repro.core.owner import SignedFile
 from repro.core.params import SystemParams
 from repro.core.verifier import PublicVerifier
 from repro.crypto.blind_bls import batch_unblind_verify, blind, unblind
-from repro.crypto.threshold import ThresholdKeyShares, combine_shares, verify_share
+from repro.crypto.threshold import combine_shares, verify_share
 from repro.mathkit.poly import lagrange_basis_at_zero
 from repro.net.channel import Channel
 from repro.net.message import Message
@@ -80,7 +80,12 @@ class SEMNode(Node):
 
 
 class OwnerNode(Node):
-    """A data owner: blinds blocks, collects signatures, uploads."""
+    """A data owner: blinds blocks, collects signatures, uploads.
+
+    ``endpoints`` name each SEM with its Shamir abscissa and share public
+    key (:class:`~repro.service.failover.SEMEndpoint`); with more than one,
+    the first ``threshold`` shares that verify are interpolated.
+    """
 
     def __init__(
         self,
@@ -88,10 +93,9 @@ class OwnerNode(Node):
         params: SystemParams,
         org_pk,
         org_pk_g1,
-        sem_names: list[str],
+        endpoints: list,
+        threshold: int = 1,
         cloud_name: str = "cloud",
-        key_shares: ThresholdKeyShares | None = None,
-        sem_abscissae: dict[str, int] | None = None,
         rng=None,
         retry_timeout_s: float | None = None,
         max_retries: int = 3,
@@ -101,10 +105,10 @@ class OwnerNode(Node):
         self.group = params.group
         self.org_pk = org_pk
         self.org_pk_g1 = org_pk_g1
-        self.sem_names = list(sem_names)
+        self.endpoints = {endpoint.name: endpoint for endpoint in endpoints}
+        self.sem_names = list(self.endpoints)
+        self.threshold = threshold
         self.cloud_name = cloud_name
-        self.key_shares = key_shares
-        self.sem_abscissae = sem_abscissae or {}
         self._rng = rng
         self.retry_timeout_s = retry_timeout_s
         self.max_retries = max_retries
@@ -112,10 +116,6 @@ class OwnerNode(Node):
         self.completed_uploads: list[bytes] = []
         self.on("sign_response", self._handle_sign_response)
         self.on("upload_ack", self._handle_upload_ack)
-
-    @property
-    def threshold(self) -> int:
-        return 1 if self.key_shares is None else self.key_shares.t
 
     def start_upload(self, data: bytes, file_id: bytes) -> list[Message]:
         """Blind all blocks and produce sign_request messages for the SEMs."""
@@ -164,7 +164,7 @@ class OwnerNode(Node):
         if len(pending.shares) < self.threshold:
             return None
         blinded = [s.blinded for s in pending.states]
-        if self.key_shares is None:
+        if len(self.sem_names) == 1:
             blind_signatures = pending.shares[self.sem_names[0]]
         else:
             blind_signatures = self._combine(blinded, pending.shares)
@@ -187,22 +187,15 @@ class OwnerNode(Node):
 
     def _combine(self, blinded, shares_by_sem):
         """Pick t SEMs whose shares all verify, then interpolate."""
-        valid: list[str] = []
-        share_pk_by_name = {}
-        for position, name in enumerate(self.sem_names):
-            if name in shares_by_sem:
-                share_pk_by_name[name] = self.key_shares.share_pks[position]
-        for name, shares in shares_by_sem.items():
-            ok = all(
-                verify_share(self.group, m, s, share_pk_by_name[name])
-                for m, s in zip(blinded, shares)
-            )
-            if ok:
-                valid.append(name)
-        if len(valid) < self.key_shares.t:
+        valid = [
+            name for name, shares in shares_by_sem.items()
+            if all(verify_share(self.group, m, s, self.endpoints[name].share_pk)
+                   for m, s in zip(blinded, shares))
+        ]
+        if len(valid) < self.threshold:
             return None
-        chosen = valid[: self.key_shares.t]
-        xs = [self.sem_abscissae[name] for name in chosen]
+        chosen = valid[: self.threshold]
+        xs = [self.endpoints[name].x for name in chosen]
         basis = lagrange_basis_at_zero(xs, self.group.order)
         combined = []
         for i in range(len(blinded)):
@@ -271,39 +264,20 @@ def build_protocol_network(
     Returns ``(simulator, owner_node, verifier_node)``; SEM and cloud nodes
     are reachable through ``simulator.nodes``.
     """
-    from repro.crypto.threshold import distribute_key
+    from repro.service.simnodes import add_sem_group
 
-    group = params.group
     sim = Simulator()
-    if threshold is None:
-        sk = group.random_nonzero_scalar(rng)
-        sem = SEMNode("sem-0", group, sk)
-        sim.add_node(sem)
-        org_pk = sem.pk
-        org_pk_g1 = group.g1() ** sk
-        sem_names = ["sem-0"]
-        key_shares = None
-        abscissae = {}
-    else:
-        key_shares = distribute_key(group, 2 * threshold - 1, threshold, rng=rng)
-        sem_names = []
-        abscissae = {}
-        for j, share in enumerate(key_shares.shares):
-            name = f"sem-{j}"
-            sim.add_node(SEMNode(name, group, share.y))
-            sem_names.append(name)
-            abscissae[name] = share.x
-        org_pk = key_shares.master_pk
-        org_pk_g1 = key_shares.master_pk_g1
+    t = 1 if threshold is None else threshold
+    endpoints, org_pk, org_pk_g1 = add_sem_group(
+        sim, params.group, [f"sem-{j}" for j in range(2 * t - 1)], t, rng)
     cloud = CloudNode("cloud", CloudServer(params, org_pk=org_pk, rng=rng))
     owner = OwnerNode(
         "owner",
         params,
         org_pk,
         org_pk_g1,
-        sem_names,
-        key_shares=key_shares,
-        sem_abscissae=abscissae,
+        endpoints,
+        threshold=t,
         rng=rng,
         retry_timeout_s=retry_timeout_s,
         max_retries=max_retries,
@@ -313,7 +287,7 @@ def build_protocol_network(
     sim.add_node(owner)
     sim.add_node(verifier)
     if owner_sem_channel is not None:
-        for name in sem_names:
+        for name in owner.sem_names:
             sim.connect("owner", name, owner_sem_channel)
     if verifier_cloud_channel is not None:
         sim.connect("verifier", "cloud", verifier_cloud_channel)

@@ -112,14 +112,19 @@ def write_metrics_text(registry: MetricsRegistry, path) -> None:
 # Per-phase cost table vs the analytic model
 # ---------------------------------------------------------------------------
 
+#: The operation-counter fields that sum to model-equivalent Exp.
+MODEL_EXP_FIELDS = ("exp_g1", "exp_g1_fixed_base", "exp_g1_msm", "exp_g1_skipped")
+
+
 def model_equivalent_exp(ops: dict) -> int:
     """Exponentiations in the paper's counting convention (see module doc)."""
-    return (
-        ops.get("exp_g1", 0)
-        + ops.get("exp_g1_fixed_base", 0)
-        + ops.get("exp_g1_msm", 0)
-        + ops.get("exp_g1_skipped", 0)
-    )
+    return sum(ops.get(name, 0) for name in MODEL_EXP_FIELDS)
+
+
+def counter_model_exp(counter) -> int:
+    """:func:`model_equivalent_exp` read off a live operation counter,
+    without building a snapshot dict (the per-event metering path)."""
+    return sum(getattr(counter, name) for name in MODEL_EXP_FIELDS)
 
 
 def _predict(span: Span, k: int, t: int | None, optimized: bool):

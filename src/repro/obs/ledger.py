@@ -17,6 +17,8 @@ seed), ``verifier_key`` entries pin each verifier's public key, and every
 ``audit`` entry carries the full challenge (file id + indices + betas) and
 proof (sigma + alphas), so Eq. 6 can be re-evaluated from the ledger alone
 — a forged verdict with a consistently re-chained hash tail still fails.
+This module owns those records (:func:`audit_record`); every other kind
+is checked by the module that writes it (see :func:`verify_ledger`).
 
 Crash semantics follow the signing journal's discipline
 (:mod:`repro.service.journal`): appends are flushed line-writes, a torn
@@ -32,6 +34,8 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+
+from repro.obs.exporters import model_equivalent_exp
 
 #: Ledger schema identifier recorded in every genesis entry.
 LEDGER_SCHEMA = "repro-ledger-v1"
@@ -98,17 +102,12 @@ class Ledger:
                 data = handle.read()
                 keep = data.rfind(b"\n") + 1
                 handle.truncate(keep)
-        for entry in entries:
-            if entry_hash(entry) != entry["hash"]:
-                raise LedgerError(
-                    f"corrupt ledger entry at seq {entry.get('seq')}: hash mismatch"
-                )
-            if entry["prev"] != self._prev:
-                raise LedgerError(
-                    f"broken hash chain at seq {entry.get('seq')}"
-                )
+        for position, entry in enumerate(entries):
+            problem = _chain_break(entry, position, self._prev)
+            if problem is not None:
+                raise LedgerError(f"corrupt ledger: {problem}")
             self._prev = entry["hash"]
-            self._seq = entry["seq"] + 1
+            self._seq = position + 1
             self.counts[entry["kind"]] = self.counts.get(entry["kind"], 0) + 1
             if entry["kind"] == "genesis" and "epoch_len" in entry["body"]:
                 # Resume with the chain's own epoch cadence, not ours.
@@ -154,6 +153,11 @@ class Ledger:
             return True
         return False
 
+    def pin_verifier(self, name: str, pk) -> dict:
+        """Record ``name``'s public key for the offline Eq. 6 recheck."""
+        return self.append("verifier_key", {"verifier": name,
+                                            "pk": pk.to_bytes().hex()})
+
     def _latest_genesis_meta(self) -> dict | None:
         if self.path is None:
             source = self.entries
@@ -179,11 +183,24 @@ class Ledger:
 
 # -- offline reading ---------------------------------------------------------
 
+def _is_record(record) -> bool:
+    """The shape every appended entry has: int ``seq``, numeric ``t``,
+    str ``kind``/``prev``/``hash``, and an object ``body``."""
+    return (
+        isinstance(record, dict)
+        and type(record.get("seq")) is int
+        and type(record.get("t")) in (int, float)
+        and all(isinstance(record.get(key), str) for key in ("kind", "prev", "hash"))
+        and isinstance(record.get("body"), dict)
+    )
+
+
 def read_ledger(path) -> tuple[list[dict], bool]:
     """Parse a ledger file; returns (entries, torn_tail).
 
     A torn final line (crash mid-append) is tolerated and reported; a
-    malformed line anywhere else raises :class:`LedgerError` — the chain
+    malformed line anywhere else — and any line that parses but is not
+    shaped like a ledger record — raises :class:`LedgerError`: the chain
     behind it is unusable.
     """
     entries: list[dict] = []
@@ -193,13 +210,18 @@ def read_ledger(path) -> tuple[list[dict], bool]:
         if not raw.strip():
             continue
         try:
-            entries.append(json.loads(raw.decode("utf-8")))
+            record = json.loads(raw.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
             # A flipped bit can break UTF-8 just as easily as JSON; both
             # are tamper unless it is the torn final line of a crash.
             if lineno == len(lines) - 1:
                 return entries, True
             raise LedgerError(f"corrupt ledger record at line {lineno + 1}")
+        if not _is_record(record):
+            # A torn write never parses, so this is tamper on any line.
+            raise LedgerError(f"malformed ledger record at line {lineno + 1}: "
+                              "not a sealed entry")
+        entries.append(record)
     return entries, False
 
 
@@ -211,11 +233,45 @@ def ledger_head(path) -> dict | None:
     last = entries[-1]
     epoch_len = DEFAULT_EPOCH_LEN
     for entry in entries:
-        if entry.get("kind") == "genesis":
+        if entry["kind"] == "genesis":
             epoch_len = int(entry["body"].get("epoch_len", DEFAULT_EPOCH_LEN))
             break
     count = last["seq"] + 1
     return {"entries": count, "epoch": count // epoch_len, "hash": last["hash"]}
+
+
+# -- audit records -------------------------------------------------------------
+
+def audit_record(verifier: str, file_id: bytes, challenge, proof, ok: bool,
+                 ops: tuple[dict, dict] | None = None) -> tuple[str, dict]:
+    """The ``(kind, body)`` ledger entry for one audit verdict: the full
+    challenge and proof, so :func:`verify_ledger` can re-evaluate Eq. 6.
+
+    A :class:`~repro.dynamic.store.DynamicProof` makes a ``dyn_audit``
+    that also records its epoch and rank-authenticated block ids.
+    ``ops`` — counter snapshots (before, after) around the verification
+    — adds the verdict's model-equivalent Exp and pairing cost.
+    """
+    response = getattr(proof, "response", proof)
+    body = {
+        "verifier": verifier,
+        "file": file_id.hex(),
+        "indices": [int(i) for i in challenge.indices],
+        "betas": [int(b) for b in challenge.betas],
+        "sigma": response.sigma.to_bytes().hex(),
+        "alphas": [int(a) for a in response.alphas],
+        "ok": ok,
+    }
+    kind = "audit"
+    if response is not proof:
+        kind = "dyn_audit"
+        body["epoch"] = proof.epoch
+        body["block_ids"] = [b.hex() for b in proof.block_ids]
+    if ops is not None:
+        before, after = ops
+        body["exp"] = model_equivalent_exp(after) - model_equivalent_exp(before)
+        body["pair"] = after.get("pairings", 0) - before.get("pairings", 0)
+    return kind, body
 
 
 # -- offline verification -----------------------------------------------------
@@ -243,46 +299,76 @@ class LedgerVerification:
         return not self.errors
 
 
-class _AuditRuntime:
-    """Crypto context rebuilt from genesis/verifier_key entries, lazily."""
+class _AuditRecheck:
+    """Eq. 6 re-evaluation of recorded audit verdicts.
 
-    def __init__(self):
+    The crypto context is rebuilt lazily from the chain itself: a
+    ``genesis`` entry's (param_set, k, setup seed) rebuilds the
+    parameters, each ``verifier_key`` entry pins one verifier's public
+    key, and every ``audit`` / ``dyn_audit`` body (see
+    :func:`audit_record`) is then re-verified from its recorded challenge
+    and proof.  With ``enabled=False`` the checker owns no kinds.
+    """
+
+    def __init__(self, enabled: bool = True):
+        self.kinds = (("genesis", "verifier_key", "audit", "dyn_audit")
+                      if enabled else ())
         self.params = None
         self.pks: dict[str, object] = {}
-        self.failure: str | None = None
+        self.rechecked = 0
+        self.mismatches = 0
 
-    def load_genesis(self, body: dict) -> None:
+    def check(self, kind: str, body: dict) -> list[str]:
+        if kind == "genesis":
+            return self._load_genesis(body)
+        if kind == "verifier_key":
+            if self.params is not None:
+                from repro.pairing.interface import GroupElement
+
+                # Type A is symmetric: G1 and G2 share the serialization, so
+                # the G2 key round-trips through deserialize_g1 plus a rewrap.
+                group = self.params.group
+                point = group.deserialize_g1(bytes.fromhex(body["pk"])).point
+                self.pks[body["verifier"]] = GroupElement(group, point, "g2")
+            return []
+        try:
+            verdict = self._recheck(kind, body)
+        except Exception as exc:
+            self.mismatches += 1
+            return [f"audit recheck failed: {exc}"]
+        if verdict is None:
+            return []
+        self.rechecked += 1
+        if verdict != body.get("ok"):
+            self.mismatches += 1
+            return [f"recorded verdict ok={body.get('ok')} but Eq. 6 "
+                    f"re-evaluates to {verdict} — forged verdict"]
+        return []
+
+    def finish(self, report: LedgerVerification) -> None:
+        report.audits_rechecked = self.rechecked
+        report.audit_mismatches = self.mismatches
+
+    def _load_genesis(self, body: dict) -> list[str]:
         from repro.core.params import setup
         from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
 
         self.pks = {}
-        self.failure = None
+        self.params = None
         if not {"param_set", "k", "setup_seed"} <= set(body):
             # A chain-only genesis (no crypto pins): rechecking is simply
             # unavailable, not an error.
-            self.params = None
-            return
+            return []
         try:
             group = TypeAPairingGroup.from_params(
                 TYPE_A_PARAM_SETS[body["param_set"]])
             self.params = setup(group, int(body["k"]),
                                 seed=bytes.fromhex(body["setup_seed"]))
         except Exception as exc:  # unknown param set, bad seed, …
-            self.params = None
-            self.failure = f"cannot rebuild parameters: {exc}"
+            return [f"cannot rebuild parameters: {exc}"]
+        return []
 
-    def load_key(self, body: dict) -> None:
-        from repro.pairing.interface import GroupElement
-
-        if self.params is None:
-            return
-        group = self.params.group
-        element = group.deserialize_g1(bytes.fromhex(body["pk"]))
-        # Type A is symmetric: G1 and G2 share the serialization, so the
-        # G2 public key round-trips through deserialize_g1 plus a rewrap.
-        self.pks[body["verifier"]] = GroupElement(group, element.point, "g2")
-
-    def recheck(self, kind: str, body: dict) -> bool | None:
+    def _recheck(self, kind: str, body: dict) -> bool | None:
         """Re-evaluate Eq. 6 for one audit or dyn_audit entry; None when
         impossible.
 
@@ -318,242 +404,52 @@ class _AuditRuntime:
         return PublicVerifier(self.params, pk).verify(challenge, response)
 
 
-class _MeterAudit:
-    """Re-adds metering deltas offline; totals must match the records.
+def _chain_break(entry: dict, position: int, prev: str) -> str | None:
+    """Why ``entry`` cannot sit at ``position`` after head ``prev``, or None.
 
-    A forged delta (or total) in any ``metering`` entry desynchronises
-    the running sum from the recorded cumulative total; a consistently
-    forged suffix is still caught by the ``metering_close`` grand totals
-    (and, failing that, by the pinned head).  Epoch numbers must be
-    strictly increasing — a replayed or dropped epoch breaks billing.
+    ``seq`` must be gapless from 0, ``prev`` must link the preceding
+    hash, the entry's hash must seal its canonical serialization, and a
+    checkpoint must pin the head it claims.
     """
-
-    def __init__(self):
-        self.totals: dict[str, dict[str, float]] = {}
-        self.last_epoch = 0
-
-    def check_record(self, body: dict) -> list[str]:
-        problems = []
-        epoch = body.get("epoch")
-        scope = body.get("scope")
-        delta = body.get("delta") or {}
-        total = body.get("total") or {}
-        if not isinstance(epoch, int) or epoch <= self.last_epoch:
-            problems.append(
-                f"epoch {epoch!r} not strictly increasing "
-                f"(last was {self.last_epoch})")
-        else:
-            self.last_epoch = epoch
-        running = self.totals.setdefault(str(scope), {})
-        for key in sorted(set(delta) | set(total)):
-            running[key] = running.get(key, 0) + delta.get(key, 0)
-            if running[key] != total.get(key):
-                problems.append(
-                    f"scope {scope}: cumulative {key}={total.get(key)} does "
-                    f"not match the recorded deltas (expected {running[key]})"
-                    " — forged metering record")
-        return problems
-
-    def check_close(self, body: dict) -> list[str]:
-        problems = []
-        claimed = body.get("totals") or {}
-        for scope in sorted(set(claimed) | set(self.totals)):
-            if claimed.get(scope) != self.totals.get(scope):
-                problems.append(
-                    f"closing totals for scope {scope} "
-                    f"({claimed.get(scope)}) do not match the metering "
-                    f"records ({self.totals.get(scope)})")
-        return problems
-
-
-class _RepairAudit:
-    """Structural verification of fleet repair lifecycles.
-
-    Every ``repair_slice`` / ``repair_complete`` / ``repair_failed``
-    entry must reference a ``repair_begin`` that is still open, and a
-    ``repair_complete`` must report the stripe count its begin promised.
-    Repairs still open at the chain tail are *not* an error — that is
-    exactly the crash-mid-repair state :meth:`FleetStore.resume_repairs`
-    recovers from — but they are surfaced so the operator can tell a
-    clean chain from an interrupted one.  The cryptographic half of the
-    repair verdict is the post-repair ``audit`` entry, which the regular
-    Eq. 6 recheck already covers.
-    """
-
-    def __init__(self):
-        self.open: dict[str, dict] = {}
-
-    def check(self, kind: str, body: dict) -> list[str]:
-        repair_id = body.get("repair")
-        if not isinstance(repair_id, str) or not repair_id:
-            return [f"{kind} entry without a repair id"]
-        if kind == "repair_begin":
-            if repair_id in self.open:
-                return [f"repair {repair_id} begun twice"]
-            if not {"file", "slot", "from", "to", "stripes"} <= set(body):
-                return [f"repair_begin {repair_id} missing placement fields"]
-            self.open[repair_id] = body
-            return []
-        begun = self.open.get(repair_id)
-        if begun is None:
-            return [f"{kind} references repair {repair_id} that was never "
-                    "begun (or already closed) — spliced repair record"]
-        problems = []
-        if kind == "repair_slice":
-            if body.get("stripes") != begun.get("stripes"):
-                problems.append(
-                    f"repair {repair_id}: slice carries {body.get('stripes')} "
-                    f"stripes but its begin promised {begun.get('stripes')}")
-        elif kind == "repair_complete":
-            if body.get("slices") != begun.get("stripes"):
-                problems.append(
-                    f"repair {repair_id}: completion reports "
-                    f"{body.get('slices')} slices but its begin promised "
-                    f"{begun.get('stripes')}")
-            self.open.pop(repair_id, None)
-        elif kind == "repair_failed":
-            self.open.pop(repair_id, None)
-        return problems
-
-
-class _DynamicAudit:
-    """Shadow-replay of dynamic-file root transitions.
-
-    ``dyn_create`` plants a shadow rank tree from the recorded leaves;
-    every ``dyn_update_begin`` must assert exactly the shadow's current
-    root, and every ``dyn_update_commit`` re-applies its begin's
-    recorded ops to the shadow tree — the recomputed root must equal the
-    recorded root-after, or the transition was forged.  A second begin
-    for the same file with the same root-before supersedes the open one
-    (the crash-retry path: the first batch never committed, so the state
-    never moved); a begin with a *different* root-before while one is
-    open means a commit went missing.  Batches still open at the chain
-    tail are surfaced, not failed — that is the torn mid-batch state the
-    store resumes from idempotently.
-    """
-
-    def __init__(self):
-        self.trees: dict[str, object] = {}
-        self.open: dict[str, dict] = {}
-
-    def check(self, kind: str, body: dict) -> list[str]:
-        from repro.dynamic.rank_tree import RankTree
-
-        file = body.get("file")
-        if not isinstance(file, str) or not file:
-            return [f"{kind} entry without a file id"]
-        if kind == "dyn_create":
-            if file in self.trees:
-                return [f"dynamic file {file[:16]} created twice"]
-            try:
-                leaves = [bytes.fromhex(leaf) for leaf in body.get("leaves", [])]
-            except ValueError:
-                return [f"dynamic file {file[:16]}: unparseable create leaves"]
-            tree = RankTree(leaves)
-            self.trees[file] = tree
-            problems = []
-            if body.get("count") != len(leaves):
-                problems.append(
-                    f"dynamic file {file[:16]}: create count {body.get('count')} "
-                    f"does not match its {len(leaves)} leaves")
-            if body.get("root") != tree.root.hex():
-                problems.append(
-                    f"dynamic file {file[:16]}: create root does not hash "
-                    "from the recorded leaves — forged initial root")
-            return problems
-        tree = self.trees.get(file)
-        if tree is None:
-            return [f"{kind} references dynamic file {file[:16]} that was "
-                    "never created — spliced update record"]
-        if kind == "dyn_update_begin":
-            if body.get("root_before") != tree.root.hex():
-                return [
-                    f"dynamic file {file[:16]}: batch {body.get('batch')} "
-                    f"asserts root-before {str(body.get('root_before'))[:16]}… "
-                    "but the replayed state disagrees — forged or out-of-order"
-                    " update"]
-            open_batch = self.open.get(file)
-            if open_batch is not None and (
-                open_batch.get("root_before") != body.get("root_before")
-            ):
-                return [
-                    f"dynamic file {file[:16]}: batch {body.get('batch')} "
-                    f"begun while batch {open_batch.get('batch')} is open at a "
-                    "different root — missing commit"]
-            # Same root-before: an idempotent crash retry; supersede.
-            self.open[file] = body
-            return []
-        # dyn_update_commit
-        begun = self.open.get(file)
-        if begun is None or begun.get("batch") != body.get("batch"):
-            return [f"dynamic file {file[:16]}: commit for batch "
-                    f"{body.get('batch')} without a matching open begin"]
-        self.open.pop(file)
-        problems = []
-        signed = 0
-        for record in begun.get("ops", []):
-            op, position = record.get("op"), record.get("position")
-            try:
-                if op == "delete":
-                    tree.delete(position)
-                else:
-                    leaf = bytes.fromhex(record.get("leaf", ""))
-                    signed += 1
-                    if op == "modify":
-                        tree.modify(position, leaf)
-                    elif op == "insert":
-                        tree.insert(position, leaf)
-                    elif op == "append":
-                        tree.append(leaf)
-                    else:
-                        problems.append(
-                            f"dynamic file {file[:16]}: unknown op {op!r} in "
-                            f"batch {body.get('batch')}")
-            except (IndexError, TypeError, ValueError):
-                problems.append(
-                    f"dynamic file {file[:16]}: op {op!r} at position "
-                    f"{position!r} does not apply to the replayed state")
-        if body.get("root_after") != tree.root.hex():
-            problems.append(
-                f"dynamic file {file[:16]}: batch {body.get('batch')} commits "
-                f"root-after {str(body.get('root_after'))[:16]}… but replaying "
-                "its recorded ops yields a different root — forged root "
-                "transition")
-        if body.get("count") != len(tree):
-            problems.append(
-                f"dynamic file {file[:16]}: commit count {body.get('count')} "
-                f"does not match the replayed {len(tree)} leaves")
-        if body.get("signed_blocks") != signed:
-            problems.append(
-                f"dynamic file {file[:16]}: commit claims "
-                f"{body.get('signed_blocks')} signed blocks but its begin "
-                f"records {signed} non-delete ops")
-        return problems
+    label, kind, body = f"entry {position}", entry["kind"], entry["body"]
+    if entry["seq"] != position:
+        return (f"{label}: seq {entry['seq']} out of order (expected "
+                f"{position}) — entry deleted, inserted, or reordered")
+    if entry["prev"] != prev:
+        return f"{label} (kind {kind}): prev-hash link broken"
+    if entry_hash(entry) != entry["hash"]:
+        return (f"{label} (kind {kind}): hash does not seal the entry — "
+                "contents tampered")
+    if kind == "checkpoint" and (body.get("entries") != position
+                                 or body.get("head") != prev):
+        return f"{label}: checkpoint does not pin the chain head"
+    return None
 
 
 def verify_ledger(path, expect_head: str | None = None,
                   recheck: bool = True) -> LedgerVerification:
     """Re-walk a ledger chain offline and fail loudly on any tamper.
 
-    Checks, in order: every line parses (torn tail tolerated), every
-    entry's hash seals its canonical serialization, every ``prev`` links
-    the preceding hash, ``seq`` is gapless from 0, checkpoint entries pin
-    the head they claim, every ``metering`` entry's cumulative totals
-    re-add from the recorded deltas (and the ``metering_close`` grand
-    totals match), every fleet repair record references an open
-    ``repair_begin`` with consistent stripe counts (repairs still open at
-    the tail are reported, not failed — that is the crash-resume state),
-    every dynamic-file root transition replays from its recorded ops
-    (``dyn_create`` / ``dyn_update_begin`` / ``dyn_update_commit`` — a
-    commit whose root-after disagrees with the replayed rank tree is a
-    forged transition; a batch open at the tail is the torn mid-update
-    state, reported not failed),
-    and — when ``recheck`` is on and the genesis metadata
-    allows rebuilding the crypto context — every recorded audit verdict
-    matches a fresh Eq. 6 evaluation of its recorded proof.
-    ``expect_head`` defends against whole-suffix truncation and total
-    re-chain forgery, which no chain-internal check can see.
+    Every line must parse into a record (torn tail tolerated) that extends
+    the chain (:func:`_chain_break`).  Every other record kind is
+    re-derived by the checker of the module that writes it: metering
+    totals re-add from their deltas (:class:`repro.obs.meter.MeterChecker`),
+    fleet repairs form begin → slice* → complete/failed lifecycles
+    (:class:`repro.erasure.fleet.RepairChecker`), dynamic-file root
+    transitions replay from their recorded ops
+    (:class:`repro.dynamic.store.DynamicChecker`), and — when ``recheck``
+    is on and the genesis pins allow rebuilding the crypto context —
+    every recorded audit verdict matches a fresh Eq. 6 evaluation.
+    Repairs and update batches still open at the tail are the
+    crash-resume state: reported, not failed.  A checker that raises on
+    a malformed body is an error on that entry.  ``expect_head`` defends
+    against whole-suffix truncation and total re-chain forgery, which no
+    chain-internal check can see.
     """
+    from repro.dynamic.store import DynamicChecker
+    from repro.erasure.fleet import RepairChecker
+    from repro.obs.meter import MeterChecker
+
     report = LedgerVerification(path=os.fspath(path))
     try:
         entries, torn = read_ledger(path)
@@ -561,85 +457,29 @@ def verify_ledger(path, expect_head: str | None = None,
         report.errors.append(str(exc))
         return report
     report.torn_tail = torn
-    runtime = _AuditRuntime() if recheck else None
-    metering = _MeterAudit()
-    repairs = _RepairAudit()
-    dynamics = _DynamicAudit()
+    checkers = (_AuditRecheck(enabled=recheck), MeterChecker(),
+                RepairChecker(), DynamicChecker())
+    dispatch = {kind: checker for checker in checkers for kind in checker.kinds}
     prev = GENESIS_PREV
     for position, entry in enumerate(entries):
-        label = f"entry {position}"
-        try:
-            seq, kind = entry["seq"], entry["kind"]
-        except (TypeError, KeyError):
-            report.errors.append(f"{label}: missing seq/kind fields")
+        problem = _chain_break(entry, position, prev)
+        if problem is not None:
+            report.errors.append(problem)
             return report
-        if seq != position:
-            report.errors.append(
-                f"{label}: seq {seq} out of order (expected {position}) — "
-                "entry deleted, inserted, or reordered")
-            return report
-        if entry.get("prev") != prev:
-            report.errors.append(f"{label} (kind {kind}): prev-hash link broken")
-            return report
-        if entry_hash(entry) != entry.get("hash"):
-            report.errors.append(
-                f"{label} (kind {kind}): hash does not seal the entry — "
-                "contents tampered")
-            return report
-        prev = entry["hash"]
+        prev, kind = entry["hash"], entry["kind"]
         report.entries += 1
         report.counts[kind] = report.counts.get(kind, 0) + 1
-        if kind == "checkpoint":
-            body = entry["body"]
-            if body.get("entries") != seq or entries[seq - 1]["hash"] != body.get("head"):
-                report.errors.append(f"{label}: checkpoint does not pin the chain head")
-                return report
-        elif kind == "metering":
-            report.meterings_checked += 1
-            for problem in metering.check_record(entry["body"]):
-                report.errors.append(f"{label}: {problem}")
-        elif kind == "metering_close":
-            for problem in metering.check_close(entry["body"]):
-                report.errors.append(f"{label}: {problem}")
-        elif kind in ("repair_begin", "repair_slice", "repair_complete",
-                      "repair_failed"):
-            report.repairs_checked += 1
-            for problem in repairs.check(kind, entry["body"]):
-                report.errors.append(f"{label}: {problem}")
-        elif kind in ("dyn_create", "dyn_update_begin", "dyn_update_commit"):
-            report.updates_checked += 1
-            for problem in dynamics.check(kind, entry["body"]):
-                report.errors.append(f"{label}: {problem}")
-        if runtime is not None:
-            if kind == "genesis":
-                runtime.load_genesis(entry["body"])
-                if runtime.failure:
-                    report.errors.append(f"{label}: {runtime.failure}")
-            elif kind == "verifier_key":
-                try:
-                    runtime.load_key(entry["body"])
-                except Exception as exc:
-                    report.errors.append(f"{label}: bad verifier key: {exc}")
-            elif kind in ("audit", "dyn_audit"):
-                try:
-                    verdict = runtime.recheck(kind, entry["body"])
-                except Exception as exc:
-                    report.errors.append(f"{label}: audit recheck failed: {exc}")
-                    report.audit_mismatches += 1
-                    continue
-                if verdict is None:
-                    continue
-                report.audits_rechecked += 1
-                if verdict != entry["body"].get("ok"):
-                    report.audit_mismatches += 1
-                    report.errors.append(
-                        f"{label}: recorded verdict ok={entry['body'].get('ok')} "
-                        f"but Eq. 6 re-evaluates to {verdict} — forged verdict")
+        checker = dispatch.get(kind)
+        if checker is None:
+            continue
+        try:
+            problems = checker.check(kind, entry["body"])
+        except Exception as exc:
+            problems = [f"malformed {kind} record: {exc!r}"]
+        report.errors.extend(f"entry {position}: {p}" for p in problems)
     report.head = prev
-    report.open_repairs = sorted(repairs.open)
-    report.open_updates = sorted(
-        f"{file[:16]}:{body.get('batch')}" for file, body in dynamics.open.items()
-    )
+    for checker in checkers:
+        checker.finish(report)
     if expect_head is not None and prev != expect_head:
         report.errors.append(
             f"head hash {prev[:16]}… does not match expected "

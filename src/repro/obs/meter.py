@@ -12,10 +12,11 @@ per-scope tallies into **epoch-numbered metering records** appended to
 the hash-chained ledger (PR 7).
 
 Each record carries both the epoch *delta* and the running *total* per
-scope; :func:`repro.obs.ledger.verify_ledger` re-adds the deltas and
-rejects a chain whose totals do not match — so a third party can verify
-the usage accounting offline with nothing but the ledger file.  A final
-``metering_close`` record pins every scope's grand total.
+scope; :class:`MeterChecker`, which :func:`repro.obs.ledger.verify_ledger`
+runs over those records, re-adds the deltas and rejects a chain whose
+totals do not match — so a third party can verify the usage accounting
+offline with nothing but the ledger file.  A final ``metering_close``
+record pins every scope's grand total.
 
 The meter is pure bookkeeping: integer reads of the operation counter,
 no group operations, no RNG (the SLO bench gates 0 ΔExp / 0 ΔPair).
@@ -23,16 +24,16 @@ no group operations, no RNG (the SLO bench gates 0 ΔExp / 0 ΔPair).
 
 from __future__ import annotations
 
-__all__ = ["Meter", "METER_FIELDS"]
+from repro.obs.exporters import counter_model_exp
+
+__all__ = ["Meter", "MeterChecker", "METER_FIELDS"]
 
 #: The usage dimensions every metering record carries.
 METER_FIELDS = ("requests", "signatures", "exp", "pair", "bytes")
 
-
-def _exp_total(counter) -> int:
-    """Model-equivalent Exp (Table I counting convention)."""
-    return (counter.exp_g1 + counter.exp_g1_fixed_base
-            + counter.exp_g1_msm + counter.exp_g1_skipped)
+#: Ledger record kinds written by :class:`Meter`.
+KIND_METERING = "metering"
+KIND_METERING_CLOSE = "metering_close"
 
 
 class Meter:
@@ -67,11 +68,11 @@ class Meter:
     # -- per-event attribution (hot path: integer reads only) ---------------
     def begin(self, owner: str | None) -> None:
         self._pending_owner = owner
-        self._pending_exp = _exp_total(self.counter)
+        self._pending_exp = counter_model_exp(self.counter)
         self._pending_pair = self.counter.pairings
 
     def commit(self) -> None:
-        d_exp = _exp_total(self.counter) - self._pending_exp
+        d_exp = counter_model_exp(self.counter) - self._pending_exp
         d_pair = self.counter.pairings - self._pending_pair
         if not d_exp and not d_pair:
             return
@@ -146,7 +147,7 @@ class Meter:
             }
             self.records.append(record)
             if self.ledger is not None:
-                self.ledger.append("metering", record)
+                self.ledger.append(KIND_METERING, record)
             out.append(record)
             self._last_total[scope] = dict(total)
         self._epoch_start = now
@@ -168,6 +169,57 @@ class Meter:
             },
         }
         if self.ledger is not None:
-            self.ledger.append("metering_close", body)
+            self.ledger.append(KIND_METERING_CLOSE, body)
         self.close_record = body
         return body
+
+
+class MeterChecker:
+    """Re-adds metering deltas offline; totals must match the records.
+
+    A forged delta (or total) in any ``metering`` entry desynchronises
+    the running sum from the recorded cumulative total; a consistently
+    forged suffix is still caught by the ``metering_close`` grand totals
+    (and, failing that, by the pinned head).  Epoch numbers must be
+    strictly increasing — a replayed or dropped epoch breaks billing.
+    """
+
+    kinds = (KIND_METERING, KIND_METERING_CLOSE)
+
+    def __init__(self):
+        self.totals: dict[str, dict[str, float]] = {}
+        self.last_epoch = 0
+
+    def check(self, kind: str, body: dict) -> list[str]:
+        problems = []
+        if kind == KIND_METERING_CLOSE:
+            claimed = body.get("totals") or {}
+            for scope in sorted(set(claimed) | set(self.totals)):
+                if claimed.get(scope) != self.totals.get(scope):
+                    problems.append(
+                        f"closing totals for scope {scope} "
+                        f"({claimed.get(scope)}) do not match the metering "
+                        f"records ({self.totals.get(scope)})")
+            return problems
+        epoch = body.get("epoch")
+        scope = body.get("scope")
+        delta = body.get("delta") or {}
+        total = body.get("total") or {}
+        if not isinstance(epoch, int) or epoch <= self.last_epoch:
+            problems.append(
+                f"epoch {epoch!r} not strictly increasing "
+                f"(last was {self.last_epoch})")
+        else:
+            self.last_epoch = epoch
+        running = self.totals.setdefault(str(scope), {})
+        for key in sorted(set(delta) | set(total)):
+            running[key] = running.get(key, 0) + delta.get(key, 0)
+            if running[key] != total.get(key):
+                problems.append(
+                    f"scope {scope}: cumulative {key}={total.get(key)} does "
+                    f"not match the recorded deltas (expected {running[key]})"
+                    " — forged metering record")
+        return problems
+
+    def finish(self, report) -> None:
+        report.meterings_checked = report.counts.get(KIND_METERING, 0)

@@ -30,13 +30,13 @@ from repro.core.cloud import CloudServer
 from repro.core.owner import SignedFile
 from repro.core.params import setup
 from repro.core.verifier import PublicVerifier
-from repro.crypto.threshold import distribute_key
-from repro.net.actors import CloudNode, SEMNode
+from repro.net.actors import CloudNode
 from repro.net.channel import Channel
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.simulator import Simulator
+from repro.obs.ledger import audit_record
 from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
 from repro.pairing.interface import OperationCounter
 from repro.scenarios.arrivals import make_arrival_process
@@ -45,8 +45,8 @@ from repro.scenarios.rng import derive_rng, derive_seed
 from repro.scenarios.schema import CohortSpec, LinkParams, Scenario, ScenarioError
 from repro.service.api import SignRequest, SignResponse
 from repro.service.batcher import BatchConfig
-from repro.service.failover import FailoverConfig, SEMEndpoint
-from repro.service.simnodes import SEMServiceNode
+from repro.service.failover import FailoverConfig
+from repro.service.simnodes import SEMServiceNode, add_sem_group
 
 
 class RequestBudget:
@@ -298,26 +298,11 @@ class TPANode(Node):
             self.audits_failed += 1
         if self.ledger is not None:
             # The full challenge + proof go on the chain so `ledger verify`
-            # can re-evaluate Eq. 6 offline (block ids re-derive from the
-            # file id and indices; the pk comes from the verifier_key entry).
-            body = {
-                "verifier": self.name,
-                "file": file_id.hex(),
-                "indices": [int(i) for i in challenge.indices],
-                "betas": [int(b) for b in challenge.betas],
-                "sigma": response.sigma.to_bytes().hex(),
-                "alphas": [int(a) for a in response.alphas],
-                "ok": ok,
-            }
-            if before is not None:
-                from repro.obs.exporters import model_equivalent_exp
-
-                after = counter.snapshot()
-                delta = {k: after.get(k, 0) - before.get(k, 0)
-                         for k in set(after) | set(before)}
-                body["exp"] = model_equivalent_exp(delta)
-                body["pair"] = delta.get("pairings", 0)
-            self.ledger.append("audit", body)
+            # can re-evaluate Eq. 6 offline (the pk comes from the
+            # verifier_key entry).
+            ops = (before, counter.snapshot()) if before is not None else None
+            self.ledger.append(*audit_record(self.name, file_id, challenge,
+                                             response, ok, ops=ops))
         return None
 
 
@@ -435,24 +420,10 @@ def compile_scenario(scenario: Scenario, obs=None, ledger=None,
     )
     group_pks: dict[str, object] = {}
     for spec in scenario.topology.sem_groups:
-        key_rng = derive_rng(seed, "group", spec.name)
         service_name = f"svc-{spec.name}"
-        if spec.w == 1 and spec.t == 1:
-            sk = group.random_nonzero_scalar(key_rng)
-            sem = SEMNode(f"sem-{spec.name}-0", group, sk)
-            sim.add_node(sem)
-            endpoints = [SEMEndpoint(name=sem.name, x=1, share_pk=sem.pk)]
-            org_pk, org_pk_g1 = sem.pk, group.g1() ** sk
-        else:
-            shares = distribute_key(group, spec.w, spec.t, rng=key_rng)
-            endpoints = []
-            for j, share in enumerate(shares.shares):
-                name = f"sem-{spec.name}-{j}"
-                sim.add_node(SEMNode(name, group, share.y))
-                endpoints.append(
-                    SEMEndpoint(name=name, x=share.x, share_pk=shares.share_pks[j])
-                )
-            org_pk, org_pk_g1 = shares.master_pk, shares.master_pk_g1
+        endpoints, org_pk, org_pk_g1 = add_sem_group(
+            sim, group, [f"sem-{spec.name}-{j}" for j in range(spec.w)], spec.t,
+            derive_rng(seed, "group", spec.name))
         service = SEMServiceNode(
             service_name,
             params,
@@ -499,10 +470,7 @@ def compile_scenario(scenario: Scenario, obs=None, ledger=None,
         verifier = PublicVerifier(params, org_pk,
                                   rng=derive_rng(seed, "tpa", spec.name))
         if ledger is not None:
-            ledger.append("verifier_key", {
-                "verifier": spec.name,
-                "pk": org_pk.to_bytes().hex(),
-            })
+            ledger.pin_verifier(spec.name, org_pk)
         node = TPANode(spec.name, verifier, spec.audits, spec.period_s,
                        spec.sample_size, settings.duration_s, ledger=ledger)
         sim.add_node(node)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.erasure.fleet import FleetStore, build_demo_fleet
 from repro.obs import NULL_OBS, Observability
-from repro.obs.meter import _exp_total
+from repro.obs.exporters import counter_model_exp
 from repro.obs.slo import (
     SLI_BAD,
     SLI_DROPPED,
@@ -73,7 +73,7 @@ class FleetSLO:
             SLI_BAD: lambda: drill.invalid_proofs + drill.timeouts,
             SLI_MESSAGES: lambda: drill.checks_issued,
             SLI_DROPPED: lambda: drill.timeouts,
-            SLI_EXP: lambda: _exp_total(counter),
+            SLI_EXP: lambda: counter_model_exp(counter),
             SLI_PAIR: lambda: counter.pairings if counter else 0,
             SLI_INVALID: lambda: drill.invalid_proofs + drill.timeouts,
         })

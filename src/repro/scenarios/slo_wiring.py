@@ -14,7 +14,8 @@ runs keep their golden metric expositions and digests byte-identical.
 
 from __future__ import annotations
 
-from repro.obs.meter import Meter, _exp_total
+from repro.obs.exporters import counter_model_exp
+from repro.obs.meter import Meter
 from repro.obs.slo import (
     SLI_BAD,
     SLI_DROPPED,
@@ -167,7 +168,7 @@ class SLOHarness:
             SLI_BAD: failed,
             SLI_MESSAGES: lambda: sim.delivered + sim.dropped,
             SLI_DROPPED: lambda: sim.dropped,
-            SLI_EXP: lambda: _exp_total(counter),
+            SLI_EXP: lambda: counter_model_exp(counter),
             SLI_PAIR: lambda: counter.pairings,
             SLI_INVALID: lambda: sum(
                 s.health.summary()["invalid_total"] for s in services

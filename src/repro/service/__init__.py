@@ -12,10 +12,8 @@ and :mod:`~repro.crypto.blind_bls` primitives in a service:
   backpressure policies;
 * :mod:`repro.service.pipeline` — the vectorized blind-sign pass that
   amortizes fixed-base precomputation and Eq. 7 batch verification across
-  a whole batch;
-* :mod:`repro.service.workers` — a worker pool for the heavy
-  exponentiations (multiprocessing, with a deterministic in-process
-  fallback used under the simulator);
+  a whole batch, aggregating blocks in-process (the repo's one process
+  pool is :class:`~repro.core.parallel.WorkerPool`);
 * :mod:`repro.service.batcher` — the batch aggregator that coalesces
   pending requests into signing passes;
 * :mod:`repro.service.failover` — multi-SEM client with per-SEM timeouts,
@@ -59,7 +57,6 @@ from repro.service.simnodes import (
     ServiceClientNode,
     build_service_network,
 )
-from repro.service.workers import InlineWorkerPool, ProcessWorkerPool, make_worker_pool
 
 __all__ = [
     "BatchConfig",
@@ -70,9 +67,7 @@ __all__ = [
     "FailoverError",
     "FailoverMultiSEMClient",
     "HealthScoreboard",
-    "InlineWorkerPool",
     "JournalError",
-    "ProcessWorkerPool",
     "QueueFullError",
     "RequestValidationError",
     "ResponseStatus",
@@ -86,5 +81,4 @@ __all__ = [
     "SignRequest",
     "SignResponse",
     "build_service_network",
-    "make_worker_pool",
 ]

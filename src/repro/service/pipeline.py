@@ -2,7 +2,7 @@
 
 One batch = one pass over every pending request's items:
 
-1. **aggregate** all ``blocks``-kind items to G1 via the worker pool,
+1. **aggregate** all ``blocks``-kind items to G1 in-process,
    amortizing the u_1..u_k fixed-base tables across the whole batch;
 2. **blind** them (Eq. 2) through a fixed-base table for g1 — the blinding
    base never changes, so each blinding costs table lookups;
@@ -25,17 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.blocks import aggregate_block
 from repro.core.params import SystemParams
 from repro.crypto.blind_bls import (
     BlindingState,
     batch_unblind_verify,
     verify_blinded,
 )
+from repro.ec import fixed_base
 from repro.ec.fixed_base import FixedBaseTable, build_tables
 from repro.obs import NULL_OBS
 from repro.pairing.interface import GroupElement
 from repro.service.api import SignRequest
-from repro.service.workers import InlineWorkerPool
 
 
 class PipelineError(Exception):
@@ -81,8 +82,6 @@ class SigningPipeline:
             enforce membership at admission and call a trusted SEM.
         use_fixed_base: precompute tables for u_1..u_k, g1, and pk1.
         rng: randomness source for blinding factors and Eq. 7 coefficients.
-        workers: a worker pool for block aggregation; defaults to an
-            inline pool sharing the u-tables.
     """
 
     def __init__(
@@ -95,7 +94,6 @@ class SigningPipeline:
         use_fixed_base: bool = True,
         window: int = 4,
         rng=None,
-        workers=None,
         obs=None,
     ):
         self.obs = obs if obs is not None else NULL_OBS
@@ -118,18 +116,20 @@ class SigningPipeline:
             self._u_tables = build_tables(list(params.u), bits, window=window)
             self._g1_table = FixedBaseTable(self.group.g1(), bits, window=window)
             self._pk1_table = FixedBaseTable(org_pk_g1, bits, window=window)
-        if workers is None:
-            workers = InlineWorkerPool(params, tables=self._u_tables)
-        self.workers = workers
 
     # -- the batched pass ---------------------------------------------------
     def prepare_batch(self, requests: list[SignRequest]) -> PreparedBatch:
-        """Stages 1–2: aggregate (worker pool, u-tables) and blind (g1 table)."""
+        """Stages 1–2: aggregate (u-tables) and blind (g1 table)."""
         all_blocks = [b for r in requests for b in r.blocks]
         with self.obs.tracer.span(
             "batch.prepare", n_requests=len(requests), n_blocks=len(all_blocks)
         ):
-            aggregates = iter(self.workers.aggregate_blocks(all_blocks))
+            if self._u_tables is None:
+                aggregates = iter([aggregate_block(self.params, b) for b in all_blocks])
+            else:  # via the module, so per-layer tracing sees every call
+                aggregates = iter([
+                    fixed_base.aggregate_with_tables(self.params, b, self._u_tables)
+                    for b in all_blocks])
             blinded: list[GroupElement] = []
             states: list[BlindingState | None] = []  # None = already blinded
             for request in requests:
@@ -211,8 +211,6 @@ class SigningPipeline:
         library port of the paper does per request, and the baseline the
         throughput benchmark measures the batch pass against.
         """
-        from repro.core.blocks import aggregate_block
-
         signatures = []
         items: list[tuple[BlindingState | None, GroupElement]] = []
         if request.kind == "blocks":

@@ -436,6 +436,28 @@ class ServiceClientNode(Node):
         return None
 
 
+def add_sem_group(sim: Simulator, group, names: list[str], t: int, rng):
+    """Key one SEM group and add its SEM nodes to ``sim``.
+
+    One name with ``t = 1`` is the paper's single SEM holding y itself;
+    otherwise the ``w = len(names)`` SEMs hold Shamir shares of y with
+    threshold ``t`` (Eq. 8).  Returns ``(endpoints, org_pk, org_pk_g1)``.
+    """
+    from repro.net.actors import SEMNode
+
+    if len(names) == 1 and t == 1:
+        sk = group.random_nonzero_scalar(rng)
+        sem = SEMNode(names[0], group, sk)
+        sim.add_node(sem)
+        return [SEMEndpoint(name=sem.name, x=1, share_pk=sem.pk)], sem.pk, group.g1() ** sk
+    shares = distribute_key(group, len(names), t, rng=rng)
+    endpoints = []
+    for name, share, share_pk in zip(names, shares.shares, shares.share_pks):
+        sim.add_node(SEMNode(name, group, share.y))
+        endpoints.append(SEMEndpoint(name=name, x=share.x, share_pk=share_pk))
+    return endpoints, shares.master_pk, shares.master_pk_g1
+
+
 def build_service_network(
     params: SystemParams,
     threshold: int | None = None,
@@ -460,8 +482,6 @@ def build_service_network(
     (``sim.now``) and its registry mirrors the simulator's per-channel
     traffic and the service's metrics at every scrape.
     """
-    from repro.net.actors import SEMNode
-
     group = params.group
     rng = rng or random.Random(0)
     sim = Simulator()
@@ -471,26 +491,9 @@ def build_service_network(
         obs.observe_group(group)
         obs.tracer.clock = lambda: sim.now
         sim.tracer = obs.tracer  # message deliveries become causal spans
-    if threshold is None:
-        sk = group.random_nonzero_scalar(rng)
-        sem_node = SEMNode("sem-0", group, sk)
-        sim.add_node(sem_node)
-        org_pk = sem_node.pk
-        org_pk_g1 = group.g1() ** sk
-        endpoints = [SEMEndpoint(name="sem-0", x=1, share_pk=sem_node.pk)]
-        t = 1
-    else:
-        t = threshold
-        key_shares = distribute_key(group, 2 * t - 1, t, rng=rng)
-        endpoints = []
-        for j, share in enumerate(key_shares.shares):
-            name = f"sem-{j}"
-            sim.add_node(SEMNode(name, group, share.y))
-            endpoints.append(
-                SEMEndpoint(name=name, x=share.x, share_pk=key_shares.share_pks[j])
-            )
-        org_pk = key_shares.master_pk
-        org_pk_g1 = key_shares.master_pk_g1
+    t = 1 if threshold is None else threshold
+    endpoints, org_pk, org_pk_g1 = add_sem_group(
+        sim, group, [f"sem-{j}" for j in range(2 * t - 1)], t, rng)
     service = SEMServiceNode(
         "service",
         params,

@@ -402,3 +402,130 @@ class TestRepairLifecycle:
         report = verify_ledger(path)
         assert report.ok, report.errors
         assert report.open_repairs == []
+
+
+class TestMalformedRecords:
+    """Lines that parse as JSON but are not ledger records fail closed:
+    every reader raises :class:`LedgerError` (or reports a FAIL verdict
+    naming the line) instead of crashing on the record's shape."""
+
+    NOT_RECORDS = ["[]", "7", '{"seq":0}']
+    NON_OBJECT_BODIES = ["metering", "repair_begin", "dyn_create", "checkpoint"]
+
+    @staticmethod
+    def _chain(tmp_path):
+        path = tmp_path / "chain.jsonl"
+        ledger = Ledger(path)
+        ledger.ensure_genesis({"scenario": "shapes", "seed": 0})
+        ledger.append("round", {"round": 0})
+        return path, ledger
+
+    @staticmethod
+    def _append_sealed(path, kind, body):
+        """Seal one entry by hand, bypassing ``Ledger.append``'s dict body."""
+        head = ledger_head(path)
+        entry = {"seq": head["entries"], "t": 0.0, "kind": kind,
+                 "body": body, "prev": head["hash"]}
+        entry["hash"] = entry_hash(entry)
+        with open(path, "a") as fh:
+            fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+
+    @staticmethod
+    def _cli(capsys, *argv):
+        from repro.cli import main
+
+        code = main(["ledger", *argv])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        return code, out + err
+
+    @pytest.mark.parametrize("line", NOT_RECORDS)
+    @pytest.mark.parametrize("where", ["middle", "tail"])
+    def test_non_record_line_fails_every_reader(self, tmp_path, capsys, line, where):
+        path, ledger = self._chain(tmp_path)
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        if where == "middle":
+            ledger.append("round", {"round": 1})
+        with pytest.raises(LedgerError, match="line 3"):
+            read_ledger(path)
+        with pytest.raises(LedgerError, match="line 3"):
+            Ledger(path)
+        with pytest.raises(LedgerError, match="line 3"):
+            ledger_head(path)
+        report = verify_ledger(path)
+        assert not report.ok
+        assert any("line 3" in e for e in report.errors)
+        code, out = self._cli(capsys, "verify", str(path))
+        assert code == 1 and "FAIL" in out and "line 3" in out
+        for command in ("show", "head"):
+            code, out = self._cli(capsys, command, str(path))
+            assert code == 2 and "line 3" in out
+
+    @pytest.mark.parametrize("kind", NON_OBJECT_BODIES)
+    @pytest.mark.parametrize("body", [[], 7, "text", None])
+    def test_sealed_entry_with_non_object_body_is_rejected(self, tmp_path, capsys,
+                                                           kind, body):
+        path, _ = self._chain(tmp_path)
+        self._append_sealed(path, kind, body)
+        with pytest.raises(LedgerError, match="malformed ledger record at line 3"):
+            Ledger(path)
+        with pytest.raises(LedgerError, match="line 3"):
+            ledger_head(path)
+        report = verify_ledger(path)
+        assert not report.ok
+        assert any("line 3" in e for e in report.errors)
+        code, out = self._cli(capsys, "verify", str(path))
+        assert code == 1 and "line 3" in out
+        for command in ("show", "head"):
+            assert self._cli(capsys, command, str(path))[0] == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("seq", "0"), ("seq", True), ("t", "now"), ("kind", 1),
+        ("prev", None), ("hash", 5),
+    ])
+    def test_mistyped_envelope_field_is_rejected(self, tmp_path, field, value):
+        path, _ = self._chain(tmp_path)
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry[field] = value
+        lines[1] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LedgerError, match="line 2"):
+            read_ledger(path)
+        assert not verify_ledger(path).ok
+
+    def test_unparseable_create_leaves_fail_with_the_entry_label(self, tmp_path,
+                                                                 capsys):
+        path, ledger = self._chain(tmp_path)
+        ledger.append("dyn_create", {"file": "aa", "epoch": 0, "count": 1,
+                                     "root": "00", "leaves": [5]})
+        assert ledger_head(path) == ledger.head()
+        report = verify_ledger(path)
+        assert not report.ok
+        assert any(e.startswith("entry 2:") and "unparseable create leaves" in e
+                   for e in report.errors)
+        code, out = self._cli(capsys, "verify", str(path))
+        assert code == 1 and "entry 2:" in out
+
+    @pytest.mark.parametrize("kind,body", [
+        ("metering", {"epoch": 1, "scope": "s", "delta": [1], "total": {}}),
+        ("metering_close", {"totals": [1]}),
+        ("dyn_update_commit", {"file": "aa", "batch": "b1"}),
+    ])
+    def test_raising_checker_is_a_fail_on_the_entry(self, tmp_path, kind, body):
+        """A checker that raises on a mistyped field yields a FAIL verdict
+        labelled with that entry, never an uncaught exception."""
+        from repro.dynamic.rank_tree import RankTree
+
+        path, ledger = self._chain(tmp_path)
+        if kind == "dyn_update_commit":
+            root = RankTree([b"leaf"]).root.hex()
+            ledger.append("dyn_create", {"file": "aa", "epoch": 0, "count": 1,
+                                         "root": root, "leaves": [b"leaf".hex()]})
+            ledger.append("dyn_update_begin", {"file": "aa", "batch": "b1",
+                                               "root_before": root, "ops": 5})
+        entry = ledger.append(kind, body)
+        report = verify_ledger(path)
+        assert len(report.errors) == 1
+        assert report.errors[0].startswith(f"entry {entry['seq']}: malformed {kind} record:")
