@@ -113,12 +113,10 @@ def _task_msm(payload):
 
 
 def _task_hash_msm(payload):
-    """Partial ∏ H(id_i)^{β_i}: hashes ids then MSMs, per Eq. 6's RHS."""
+    """Partial ∏ H(id_i)^{β_i} of Eq. 6's RHS, cofactor cleared once."""
     block_ids, betas = payload
-    group = _WORKER["group"]
     before = _WORKER["counter"].snapshot()
-    elements = [group.hash_to_g1(block_id) for block_id in block_ids]
-    acc = group.multi_exp(elements, betas)
+    acc = _WORKER["group"].hash_multi_exp(block_ids, betas)
     return acc.point, _delta_since(before)
 
 
@@ -270,14 +268,18 @@ class WorkerPool:
         return self._merge_partials("msm", self._run(_task_msm, payloads))
 
     def hash_msm(self, block_ids: list[bytes], betas: list[int]) -> GroupElement:
-        """``prod H(id_i) ** beta_i`` — hash-to-curve fanned out too."""
+        """``prod H(id_i) ** beta_i`` — hash-to-curve fanned out too.
+
+        Each chunk is one :meth:`~repro.pairing.interface.PairingGroup.hash_multi_exp`
+        call (one cofactor clearing per chunk); identical point and op
+        tallies to that call on the whole input.
+        """
         if len(block_ids) != len(betas):
             raise ValueError("block_ids and betas must have equal length")
         if not block_ids:
             raise ValueError("need at least one term")
         if self.workers <= 1 or len(block_ids) < MIN_PARALLEL_ITEMS:
-            elements = [self.group.hash_to_g1(block_id) for block_id in block_ids]
-            return self.group.multi_exp(elements, betas)
+            return self.group.hash_multi_exp(block_ids, betas)
         payloads = [
             (list(block_ids[lo:hi]), list(betas[lo:hi]))
             for lo, hi in chunk_ranges(len(block_ids), self.workers)

@@ -152,14 +152,16 @@ class PublicVerifier:
     def _challenge_aggregate(self, challenge: Challenge, response: ProofResponse) -> GroupElement:
         """χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l}  (the RHS element of Eq. 6).
 
-        One (c + k)-term multi-scalar multiplication.  With a
-        :class:`~repro.core.parallel.WorkerPool` attached, the c
-        hash-to-curve evaluations and their MSM terms fan out across
-        workers (the k-term u-part stays local); the result and the op
-        tallies are identical either way.  Op-count cost: (c + k) Exp_G1
-        (``exp_g1_msm`` for nonzero exponents, ``exp_g1_skipped`` for zero
-        α_l — Section VI-A2 counts (c + k) Exp unconditionally) plus
-        c ``hash_to_g1``.
+        One :meth:`~repro.pairing.interface.PairingGroup.hash_multi_exp`
+        call: a (c + k)-term multi-scalar multiplication, which the type-A
+        group runs over the raw hashed points before clearing the cofactor
+        once.  With a :class:`~repro.core.parallel.WorkerPool` attached,
+        the c hash-to-curve evaluations and their MSM terms fan out across
+        workers, each chunk clearing its own partial (the k-term u-part
+        stays local); the result and the op tallies are identical either
+        way.  Op-count cost: (c + k) Exp_G1 (``exp_g1_msm`` for nonzero
+        exponents, ``exp_g1_skipped`` for zero α_l — Section VI-A2 counts
+        (c + k) Exp unconditionally) plus c ``hash_to_g1``.
         """
         if not challenge.block_ids:
             raise ValueError("empty challenge")
@@ -174,6 +176,6 @@ class PublicVerifier:
                 self.group._add(h_part.point, u_part.point, "g1"),
                 "g1",
             )
-        elements = [self.group.hash_to_g1(block_id) for block_id in challenge.block_ids]
-        elements.extend(self.params.u)
-        return self.group.multi_exp(elements, betas + list(response.alphas))
+        return self.group.hash_multi_exp(
+            list(challenge.block_ids), betas, list(self.params.u), list(response.alphas)
+        )

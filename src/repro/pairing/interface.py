@@ -311,15 +311,44 @@ class PairingGroup(ABC):
         counter = self.counter
         if counter is not None:
             if which == "g1":
-                for e in reduced:
-                    if e:
-                        counter.exp_g1_msm += 1
-                    else:
-                        counter.exp_g1_skipped += 1
+                self._tally_msm_terms(reduced)
             else:
                 counter.exp_g2 += len(reduced)
         point = self._msm([el.point for el in elements], reduced, which)
         return GroupElement(self, point, which)
+
+    def hash_multi_exp(
+        self,
+        ids: list[bytes],
+        id_exponents: list[int],
+        elements: list[GroupElement] = (),
+        exponents: list[int] = (),
+    ) -> GroupElement:
+        """``∏ H(ids[i]) ** id_exponents[i] · ∏ elements[l] ** exponents[l]``.
+
+        Eq. 6's χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l} in one call.  The
+        default hashes each id with :meth:`hash_to_g1` and runs one
+        :meth:`multi_exp` over all terms; backends whose hash clears a
+        cofactor override it to clear that cofactor once per aggregate
+        (:meth:`repro.pairing.type_a.TypeAPairingGroup.hash_multi_exp`).
+
+        Op-count cost: one ``hash_to_g1`` per id plus, per term, what
+        :meth:`multi_exp` tallies — overrides must tally the same.
+
+        Args:
+            ids: byte strings hashed into G1.
+            id_exponents: one integer per id.
+            elements: further G1 elements, which must lie in the order-r
+                subgroup (the public ``u_l``).
+            exponents: one integer per element.
+
+        Raises:
+            ValueError: on no terms at all, a length mismatch, or a
+                non-G1 element.
+        """
+        self._check_hash_terms(ids, id_exponents, elements, exponents)
+        hashed = [self.hash_to_g1(data) for data in ids]
+        return self.multi_exp(hashed + list(elements), list(id_exponents) + list(exponents))
 
     @abstractmethod
     def g1(self) -> GroupElement:
@@ -357,6 +386,28 @@ class PairingGroup(ABC):
         return (self.order.bit_length() + 7) // 8
 
     # -- backend primitives -------------------------------------------------
+    @staticmethod
+    def _check_hash_terms(ids, id_exponents, elements, exponents) -> None:
+        """Argument checks every :meth:`hash_multi_exp` runs first."""
+        if len(ids) != len(id_exponents):
+            raise ValueError("ids and id_exponents must have equal length")
+        if len(elements) != len(exponents):
+            raise ValueError("elements and exponents must have equal length")
+        if not ids and not elements:
+            raise ValueError("need at least one term")
+        if any(el.which != "g1" for el in elements):
+            raise ValueError("hash_multi_exp elements must lie in G1")
+
+    def _tally_msm_terms(self, reduced: list[int]) -> None:
+        """One ``exp_g1_msm`` per nonzero and one ``exp_g1_skipped`` per
+        zero (already reduced) G1 exponent."""
+        counter = self.counter
+        for e in reduced:
+            if e:
+                counter.exp_g1_msm += 1
+            else:
+                counter.exp_g1_skipped += 1
+
     def _msm(self, points, exponents, which: str):
         """Raw multi-scalar multiplication hook behind :meth:`multi_exp`.
 

@@ -23,6 +23,7 @@ recorded seeds and re-validated on import by the test suite
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -48,6 +49,9 @@ class TypeAParams:
             raise ValueError("q is not prime")
         if self.q % 4 != 3:
             raise ValueError("q % 4 != 3")
+        # hash_multi_exp folds G1 terms in with h⁻¹ mod r.
+        if math.gcd(self.h, self.r) != 1:
+            raise ValueError("gcd(h, r) != 1")
         if self.h * self.r != self.q + 1:
             raise ValueError("q + 1 != h*r")
         if (self.gy * self.gy - (self.gx**3 + self.gx)) % self.q != 0:

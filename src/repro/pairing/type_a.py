@@ -31,7 +31,7 @@ from repro.ec.jacobian import jac_add as _jac_add_xyz
 from repro.ec.jacobian import jac_double as _jac_double_xyz
 from repro.ec.jacobian import jac_msm
 from repro.mathkit.ntheory import sqrt_mod
-from repro.pairing.interface import PairingGroup
+from repro.pairing.interface import GroupElement, PairingGroup
 from repro.pairing.params import TypeAParams
 
 #: Most G2 points whose Miller lines a group keeps (~60 KB each at
@@ -54,6 +54,8 @@ class TypeAPairingGroup(PairingGroup):
         self._generator = (params.gx, params.gy)
         # Final exponentiation: (q² − 1)/r = (q − 1) · h.
         self._final_exp_h = params.h
+        # α·h⁻¹ folds G1 terms into a cofactor-cleared MSM (hash_multi_exp).
+        self._h_inv = pow(params.h, -1, params.r)
         # G2 point -> its Miller lines (see _miller_loop).
         self._lines: dict = {}
 
@@ -65,27 +67,54 @@ class TypeAPairingGroup(PairingGroup):
     # Generators and hashing
     # ------------------------------------------------------------------
     def g1(self):
-        from repro.pairing.interface import GroupElement
-
         return GroupElement(self, self._generator, "g1")
 
     def g2(self):
-        from repro.pairing.interface import GroupElement
-
         return GroupElement(self, self._generator, "g2")
 
     def hash_to_g1(self, data: bytes):
-        from repro.pairing.interface import GroupElement
-
         if self.counter is not None:
             self.counter.hash_to_g1 += 1
-        x, y = hash_to_curve_try_increment(data, self.q, 1, 0, self.params.h, sqrt_mod)
-        point = self._raw_scalar_mul((x, y), self.params.h)
+        point = self._raw_scalar_mul(self._hash_to_curve(data), self.params.h)
         if point is None:
             # Probability h/q ~ 2^-160: the hashed point was in the small
             # subgroup.  Retry with a domain-separated suffix.
             return self.hash_to_g1(data + b"\x00retry")
         return GroupElement(self, point, "g1")
+
+    def hash_multi_exp(self, ids, id_exponents, elements=(), exponents=()):
+        """χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l} with one cofactor clearing.
+
+        Scalar multiplication commutes, so Σ β_i·[h]P_i = [h](Σ β_i·P_i):
+        one MSM over the *raw* try-and-increment points P_i, then one
+        multiplication by h, instead of one [h] per id.  The G1 elements
+        ride in the same MSM with exponents α_l·h⁻¹ mod r, since
+        [h](α·h⁻¹·u) = α·u for u of order r (h⁻¹ exists because
+        gcd(h, r) = 1, checked by :meth:`TypeAParams.validate`).
+
+        The result equals the default (:meth:`hash_to_g1` per id, then
+        :meth:`multi_exp`) bit for bit, except when some [h]P_i = O:
+        ``hash_to_g1`` retries with a suffix there, while this contributes
+        O.  That happens with probability about c/r, and can only turn an
+        honest Eq. 6 check into a reject, never a forgery into an accept.
+        Op counts are the default's: one ``hash_to_g1`` per id and one
+        ``exp_g1_msm``/``exp_g1_skipped`` per term.
+        """
+        self._check_hash_terms(ids, id_exponents, elements, exponents)
+        r = self.order
+        reduced = [e % r for e in id_exponents]
+        reduced += [e * self._h_inv % r for e in exponents]
+        if self.counter is not None:
+            self.counter.hash_to_g1 += len(ids)
+            self._tally_msm_terms(reduced)
+        points = [self._hash_to_curve(data) for data in ids]
+        points += [el.point for el in elements]
+        point = self._raw_scalar_mul(self._msm(points, reduced, "g1"), self.params.h)
+        return GroupElement(self, point, "g1")
+
+    def _hash_to_curve(self, data: bytes):
+        """Try-and-increment onto E(F_q); the caller clears the cofactor."""
+        return hash_to_curve_try_increment(data, self.q, 1, 0, self.params.h, sqrt_mod)
 
     # ------------------------------------------------------------------
     # Raw affine/Jacobian point arithmetic on y² = x³ + x  (a = 1, b = 0)
@@ -181,8 +210,6 @@ class TypeAPairingGroup(PairingGroup):
         Only canonical encodings decode: x must be reduced mod q and the
         tag must be exactly 0x02 or 0x03, so every point has one encoding.
         """
-        from repro.pairing.interface import GroupElement
-
         if len(data) != self._qbytes + 1:
             raise ValueError("bad element encoding length")
         if data == b"\x00" * (self._qbytes + 1):

@@ -1,5 +1,7 @@
 """Tests for type-A parameter sets and their generation."""
 
+import math
+
 import pytest
 
 from repro.mathkit.ntheory import is_prime
@@ -26,6 +28,7 @@ class TestPinnedSets:
             assert is_prime(params.q)
             assert params.q % 4 == 3
             assert params.h * params.r == params.q + 1
+            assert math.gcd(params.h, params.r) == 1
 
 
 class TestGeneration:
@@ -66,4 +69,13 @@ class TestValidateRejects:
         good = TYPE_A_PARAM_SETS["toy-64"]
         bad = TypeAParams(name="x", r=good.r, q=good.q, h=good.h, gx=good.gx + 1, gy=good.gy)
         with pytest.raises(ValueError):
+            bad.validate()
+
+    def test_cofactor_divisible_by_order(self):
+        # r | h: h⁻¹ mod r does not exist.  Checked before q + 1 = h·r, so
+        # this hand-built set (whose q no longer matches h) hits it.
+        good = TYPE_A_PARAM_SETS["toy-64"]
+        bad = TypeAParams(name="x", r=good.r, q=good.q, h=good.h * good.r,
+                          gx=good.gx, gy=good.gy)
+        with pytest.raises(ValueError, match=r"gcd\(h, r\) != 1"):
             bad.validate()
