@@ -9,11 +9,15 @@ trade this module implements with the radix-2^w fixed-base method:
     base^e  =  prod_j  T_j[d_j]      where e = sum_j d_j * 2^(w*j)
 
 and ``T_j[d] = base^(d * 2^(w*j))`` is precomputed.  For 160-bit
-exponents and w = 4 that is 40 lookups/multiplications instead of ~200
-double-and-add steps, at 40 x 15 stored points per base.
+exponents and w = 4 that is 40 lookups instead of ~200 double-and-add
+steps, at 40 x 15 stored points per base.
 
-Works on any :class:`~repro.pairing.interface.GroupElement`; see the
-``test_ablation_fixed_base`` benchmark for the measured speedup.
+The looked-up entries are summed by the group's ``_sum`` hook; on the
+type-A backend that is mixed Jacobian adds with a single normalization.
+:func:`aggregate_with_tables` sums the hashed point and every table's
+entries for a block in one call, so a whole block aggregate pays one field
+inversion.  Works on any :class:`~repro.pairing.interface.GroupElement`;
+see the ``test_ablation_fixed_base`` benchmark for the measured speedup.
 
 >>> import random
 >>> from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
@@ -32,7 +36,7 @@ from repro.pairing.interface import GroupElement
 class FixedBaseTable:
     """Precomputed radix-2^w table for one fixed base."""
 
-    __slots__ = ("base", "window", "digits", "_table", "_identity")
+    __slots__ = ("base", "window", "digits", "_table")
 
     def __init__(self, base: GroupElement, exponent_bits: int, window: int = 4):
         if window < 1:
@@ -40,9 +44,6 @@ class FixedBaseTable:
         self.base = base
         self.window = window
         self.digits = (exponent_bits + window - 1) // window
-        self._identity = base.group.g1_identity() if base.which == "g1" else (
-            base.group.g2_identity()
-        )
         radix = 1 << window
         table = []
         # running = base^(2^(w*j)); row j holds its multiples 1..radix-1.
@@ -88,59 +89,65 @@ class FixedBaseTable:
         table.base = base
         table.window = window
         table.digits = digits
-        table._identity = base.group.g1_identity() if base.which == "g1" else (
-            base.group.g2_identity()
-        )
         table._table = rows
         return table
 
     def power(self, exponent: int) -> GroupElement:
-        """base^exponent using only table lookups and multiplications."""
-        counter = self.base.group.counter
-        if counter is not None and self.base.which == "g1":
+        """base^exponent: the table entries for its digits, summed once."""
+        return _fold(self.base.group, self._entries(exponent), self.base.which)
+
+    def _entries(self, exponent: int) -> list:
+        """The raw table points whose sum is base^exponent.
+
+        Tallies the one model-level Exp this power stands for.
+        """
+        group = self.base.group
+        if group.counter is not None and self.base.which == "g1":
             # One model-level Exp_G1 served from the table (Table I counts it).
-            counter.exp_g1_fixed_base += 1
-        exponent %= self.base.group.order
-        if exponent == 0:
-            return self._identity
+            group.counter.exp_g1_fixed_base += 1
+        exponent %= group.order
         mask = (1 << self.window) - 1
-        acc = None
+        entries = []
         j = 0
         while exponent:
             digit = exponent & mask
             if digit:
                 if j >= self.digits:
                     raise ValueError("exponent exceeds the precomputed range")
-                term = self._table[j][digit]
-                acc = term if acc is None else acc * term
+                entries.append(self._table[j][digit].point)
             exponent >>= self.window
             j += 1
-        return acc if acc is not None else self._identity
+        return entries
 
     def storage_points(self) -> int:
         """Number of precomputed group elements held."""
         return self.digits * ((1 << self.window) - 1)
 
 
-def build_tables(
-    bases: list[GroupElement], exponent_bits: int, window: int = 4
-) -> list[FixedBaseTable]:
-    """Precompute tables for a list of fixed bases (e.g. u_1..u_k)."""
-    return [FixedBaseTable(base, exponent_bits, window) for base in bases]
+def _fold(group, points: list, which: str) -> GroupElement:
+    """Sum raw points through the group's ``_sum`` hook.
+
+    Tallies ``len(points) − 1`` ``mul_g1``, the ``*`` count of folding
+    them one at a time, whatever coordinates the hook adds in.
+    """
+    if points and group.counter is not None and which == "g1":
+        group.counter.mul_g1 += len(points) - 1
+    return GroupElement(group, group._sum(points, which), which)
 
 
 def aggregate_with_tables(params, block, tables: list[FixedBaseTable]):
     """Drop-in fast variant of :func:`repro.core.blocks.aggregate_block`.
 
-    Computes  H(id_i) · ∏ u_l^{m_{i,l}}  using the precomputed u-tables.
+    Computes  H(id_i) · ∏ u_l^{m_{i,l}}  as one sum over the hashed point
+    and the u-tables' entries for every nonzero m_{i,l}.
     """
     if len(tables) != params.k:
         raise ValueError("need one table per u element")
     group = params.group
-    acc = group.hash_to_g1(block.block_id)
+    points = [group.hash_to_g1(block.block_id).point]
     for table, m_l in zip(tables, block.elements):
         if m_l:
-            acc = acc * table.power(m_l)
+            points += table._entries(m_l)
         elif group.counter is not None:
             group.counter.exp_g1_skipped += 1
-    return acc
+    return _fold(group, points, "g1")

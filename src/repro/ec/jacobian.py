@@ -18,7 +18,8 @@ operation counters — callers account for operations at the API boundary.
 The MSM entry point :func:`jac_msm` runs the shared Straus/Pippenger cores
 from :mod:`repro.ec.scalar_mul` over these coordinates, with Pippenger's
 bucket collapse batch-normalized so the suffix-sum additions work on Z = 1
-points.
+points.  :func:`jac_scalar_mul` is the single-point multiplication (width-4
+NAF), and :func:`jac_sum` folds many affine points with one inversion.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 from repro.ec.scalar_mul import (
     _pippenger_core,
     _straus_core,
+    _wnaf_digits,
     pippenger_crossover,
     pippenger_window,
 )
@@ -120,6 +122,58 @@ def jac_to_affine(point, q):
     zinv = pow(z, -1, q)
     zinv2 = zinv * zinv % q
     return (x * zinv2 % q, y * zinv2 % q * zinv % q)
+
+
+def jac_sum(points, q):
+    """Sum of affine points (``None`` = infinity) with one field inversion.
+
+    Accumulates with mixed Jacobian + affine additions and normalizes once
+    at the end, where an affine fold would pay one inversion per add.
+
+    Returns:
+        The affine sum (``None`` if infinity, including for no points).
+    """
+    x, y, z = JAC_INFINITY
+    for pt in points:
+        if pt is not None:
+            x, y, z = jac_add_mixed(x, y, z, pt[0], pt[1], q)
+    return jac_to_affine((x, y, z), q)
+
+
+#: NAF width of :func:`jac_scalar_mul`: digits are odd and in (−8, 8).
+_NAF_WIDTH = 4
+
+
+def jac_scalar_mul(point, n, q):
+    """``n·point`` for an affine point by width-4 NAF (``None`` = infinity).
+
+    Precomputes P, 3P, 5P, 7P (normalized with one shared inversion), then
+    runs one doubling per digit plus one mixed add of ± a table entry per
+    nonzero digit — about ``bits/5`` adds against ``bits/2`` for binary
+    double-and-add.  Correct for any point on the curve, including points
+    outside the order-r subgroup: a table entry that is infinity (a point
+    of order 3, 5 or 7) is simply skipped.
+    """
+    if point is None or n == 0:
+        return None
+    x, y = point
+    if n < 0:
+        y, n = (-y) % q, -n
+    two = jac_double(x, y, 1, q)
+    odd = [(x, y, 1)]
+    for _ in range((1 << (_NAF_WIDTH - 2)) - 1):
+        prev = odd[-1]
+        odd.append(jac_add(prev[0], prev[1], prev[2], two[0], two[1], two[2], q))
+    plus = batch_normalize(odd, q)
+    minus = [None if pt is None else (pt[0], (-pt[1]) % q) for pt in plus]
+    ax, ay, az = JAC_INFINITY
+    for digit in reversed(_wnaf_digits(n, _NAF_WIDTH)):
+        ax, ay, az = jac_double(ax, ay, az, q)
+        if digit:
+            pt = plus[digit >> 1] if digit > 0 else minus[-digit >> 1]
+            if pt is not None:
+                ax, ay, az = jac_add_mixed(ax, ay, az, pt[0], pt[1], q)
+    return jac_to_affine((ax, ay, az), q)
 
 
 def batch_inverse(values, q):

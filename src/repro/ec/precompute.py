@@ -70,11 +70,13 @@ def build_tables_fast(
 ) -> list[FixedBaseTable]:
     """Precompute tables for fixed bases with batch-affine normalization.
 
-    Produces tables identical to
-    :func:`repro.ec.fixed_base.build_tables` but builds each row in
-    Jacobian coordinates and normalizes *all* points of a base's table with
-    a single shared field inversion.  Groups whose raw points are not
-    affine integer pairs fall back to the generic constructor.
+    Produces the same rows as the generic
+    :class:`~repro.ec.fixed_base.FixedBaseTable` constructor, but builds
+    each row in Jacobian coordinates and normalizes *all* points of a
+    base's table with a single shared field inversion.  It runs the same
+    group operations as that constructor, so it tallies the same
+    ``mul_g1``.  Groups whose raw points are not affine integer pairs fall
+    back to the generic constructor.
 
     Args:
         bases: the fixed bases (e.g. the u_1..u_k system parameters).
@@ -132,6 +134,10 @@ def build_tables_fast(
                 row[d] = GroupElement(group, next(it), base.which)
             rows.append(row)
         tables.append(FixedBaseTable.from_rows(base, exponent_bits, window, rows))
+        if group.counter is not None and base.which == "g1":
+            # The same group operations as the generic constructor, so the
+            # same tally: radix − 2 adds and ``window`` doublings per row.
+            group.counter.mul_g1 += digits * (radix - 2 + window)
     return tables
 
 

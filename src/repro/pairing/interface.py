@@ -424,6 +424,21 @@ class PairingGroup(ABC):
             acc = self._add(acc, self._scalar_mul(pt, e, which), which)
         return acc
 
+    def _sum(self, points, which: str):
+        """Raw sum of raw points (the fold behind fixed-base table lookups).
+
+        The default folds with ``_add``; backends with cheaper projective
+        addition override it (see
+        :meth:`repro.pairing.type_a.TypeAPairingGroup._sum`).  Like
+        :meth:`_msm` it must not touch the operation counter: callers tally
+        ``len(points) − 1`` ``mul_g1``, what the fold would have cost as
+        ``*``.
+        """
+        acc = self._identity(which)
+        for pt in points:
+            acc = self._add(acc, pt, which)
+        return acc
+
     @abstractmethod
     def _add(self, a, b, which: str): ...
 

@@ -27,9 +27,7 @@ object-level API is provided by :class:`repro.pairing.interface`.
 from __future__ import annotations
 
 from repro.ec.hash_to_curve import hash_to_curve_try_increment
-from repro.ec.jacobian import jac_add as _jac_add_xyz
-from repro.ec.jacobian import jac_double as _jac_double_xyz
-from repro.ec.jacobian import jac_msm
+from repro.ec.jacobian import jac_msm, jac_scalar_mul, jac_sum
 from repro.mathkit.ntheory import sqrt_mod
 from repro.pairing.interface import GroupElement, PairingGroup
 from repro.pairing.params import TypeAParams
@@ -143,29 +141,8 @@ class TypeAPairingGroup(PairingGroup):
         return (p[0], (-p[1]) % self.q)
 
     def _raw_scalar_mul(self, point, n: int):
-        """Jacobian-coordinate double-and-add; returns affine or None."""
-        if point is None or n == 0:
-            return None
-        if n < 0:
-            return self._raw_scalar_mul(self._raw_neg(point), -n)
-        q = self.q
-        # Jacobian: (X, Y, Z) represents (X/Z², Y/Z³).
-        rx, ry, rz = 0, 0, 0  # infinity marker: rz == 0
-        ax, ay, az = point[0], point[1], 1
-        while n:
-            if n & 1:
-                if rz == 0:
-                    rx, ry, rz = ax, ay, az
-                else:
-                    rx, ry, rz = _jac_add(rx, ry, rz, ax, ay, az, q)
-            n >>= 1
-            if n:
-                ax, ay, az = _jac_double(ax, ay, az, q)
-        if rz == 0:
-            return None
-        zinv = pow(rz, -1, q)
-        zinv2 = zinv * zinv % q
-        return (rx * zinv2 % q, ry * zinv2 % q * zinv % q)
+        """Width-4 NAF in Jacobian coordinates; returns affine or None."""
+        return jac_scalar_mul(point, n, self.q)
 
     # ------------------------------------------------------------------
     # PairingGroup backend primitives
@@ -178,6 +155,10 @@ class TypeAPairingGroup(PairingGroup):
 
     def _scalar_mul(self, a, n, which):
         return self._raw_scalar_mul(a, n)
+
+    def _sum(self, points, which):
+        """Mixed Jacobian adds and one normalization (:func:`jac_sum`)."""
+        return jac_sum(points, self.q)
 
     def _msm(self, points, exponents, which):
         """Raw Jacobian MSM (Straus/Pippenger via :mod:`repro.ec.jacobian`).
@@ -377,9 +358,3 @@ class TypeAPairingGroup(PairingGroup):
     def __repr__(self):
         return f"TypeAPairingGroup({self.params.name}, |r|={self.order.bit_length()})"
 
-
-# The Jacobian group law lives in repro.ec.jacobian (shared with the MSM
-# engine and the fixed-base table builder); these aliases keep the local
-# call sites readable.
-_jac_double = _jac_double_xyz
-_jac_add = _jac_add_xyz

@@ -33,7 +33,7 @@ from repro.crypto.blind_bls import (
     verify_blinded,
 )
 from repro.ec import fixed_base
-from repro.ec.fixed_base import FixedBaseTable, build_tables
+from repro.ec.precompute import build_tables_fast
 from repro.obs import NULL_OBS
 from repro.pairing.interface import GroupElement
 from repro.service.api import SignRequest
@@ -113,9 +113,9 @@ class SigningPipeline:
         self._g1_table = None
         self._pk1_table = None
         if use_fixed_base:
-            self._u_tables = build_tables(list(params.u), bits, window=window)
-            self._g1_table = FixedBaseTable(self.group.g1(), bits, window=window)
-            self._pk1_table = FixedBaseTable(org_pk_g1, bits, window=window)
+            *self._u_tables, self._g1_table, self._pk1_table = build_tables_fast(
+                [*params.u, self.group.g1(), org_pk_g1], bits, window=window
+            )
 
     # -- the batched pass ---------------------------------------------------
     def prepare_batch(self, requests: list[SignRequest]) -> PreparedBatch:

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocks import aggregate_block, encode_data
-from repro.ec.fixed_base import FixedBaseTable, aggregate_with_tables, build_tables
+from repro.ec.fixed_base import FixedBaseTable, aggregate_with_tables
+from repro.ec.precompute import build_tables_fast
 
 
 @pytest.fixture(scope="module")
@@ -85,14 +86,14 @@ def _cached_table(group, base):
 
 class TestAggregateWithTables:
     def test_matches_plain_aggregate(self, params_k4):
-        tables = build_tables(list(params_k4.u), params_k4.order.bit_length())
+        tables = build_tables_fast(list(params_k4.u), params_k4.order.bit_length())
         for block in encode_data(bytes(range(1, 150)), params_k4, b"f"):
             assert aggregate_with_tables(params_k4, block, tables) == aggregate_block(
                 params_k4, block
             )
 
     def test_wrong_table_count(self, params_k4):
-        tables = build_tables(list(params_k4.u[:-1]), params_k4.order.bit_length())
+        tables = build_tables_fast(list(params_k4.u[:-1]), params_k4.order.bit_length())
         block = encode_data(b"x", params_k4, b"f")[0]
         with pytest.raises(ValueError):
             aggregate_with_tables(params_k4, block, tables)
@@ -102,7 +103,7 @@ class TestAggregateWithTables:
         from repro.crypto.bls import bls_keygen, bls_verify_element
 
         kp = bls_keygen(group, rng)
-        tables = build_tables(list(params_k4.u), params_k4.order.bit_length())
+        tables = build_tables_fast(list(params_k4.u), params_k4.order.bit_length())
         block = encode_data(b"fast path", params_k4, b"f")[0]
         element = aggregate_with_tables(params_k4, block, tables)
         assert bls_verify_element(group, kp.pk, element, element**kp.sk)

@@ -46,6 +46,25 @@ class TestFastBuild:
             assert f._table == g._table
         _assert_tables_correct(group, bases, fast)
 
+    @pytest.mark.parametrize("window", [1, 4, 5])
+    def test_tallies_what_generic_builder_tallies(self, group, bases, window):
+        from repro.pairing.interface import OperationCounter
+
+        tallies = []
+        for build in (
+            lambda: build_tables_fast(bases, BITS, window=window),
+            lambda: [FixedBaseTable(base, BITS, window=window) for base in bases],
+        ):
+            counter = OperationCounter()
+            group.attach_counter(counter)
+            try:
+                build()
+            finally:
+                group.detach_counter()
+            tallies.append(counter.snapshot())
+        assert tallies[0] == tallies[1]
+        assert tallies[0]["mul_g1"] > 0
+
     def test_identity_base(self, group):
         identity = group.g1_identity()
         (table,) = build_tables_fast([identity], BITS)

@@ -96,6 +96,28 @@ class TestFaultIsolation:
         assert good.ok
         assert_final_signatures(params_k4, sem.pk, bystander, good.signatures)
 
+    @pytest.mark.parametrize("x_byte", range(8))
+    def test_flipped_encoding_fails_only_its_request(
+        self, params_k4, sem, pipeline, make_request, x_byte
+    ):
+        """A blind signature re-decoded from its real encoding with one
+        x-coordinate byte flipped: either the decode refuses it, or the
+        pass fails that request alone."""
+        requests = [make_request(bytes([i]), n_blocks=2) for i in (1, 2, 3)]
+        prepared = pipeline.prepare_batch(requests)
+        signatures = sem.sign_blinded_batch(prepared.blinded)
+        encoding = bytearray(signatures[2].to_bytes())
+        encoding[x_byte] ^= 0x01
+        try:
+            signatures[2] = params_k4.group.deserialize_g1(bytes(encoding))
+        except ValueError:
+            return  # no curve point has this x: the decode refuses it
+        first, victim, last = pipeline.finish_batch(prepared, signatures)
+        assert not victim.ok and "verification" in victim.error
+        for request, result in ((requests[0], first), (requests[2], last)):
+            assert result.ok
+            assert_final_signatures(params_k4, sem.pk, request, result.signatures)
+
     def test_byzantine_sem_fails_whole_batch_loudly(self, params_k4, sem, pipeline, make_request):
         sem.fail_mode = "byzantine"
         results = pipeline.sign_batch([make_request(b"z", n_blocks=2)])
