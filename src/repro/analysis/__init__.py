@@ -10,12 +10,7 @@ linear in n.  :mod:`repro.analysis.calibrate` measures the unit costs;
 communication/storage curves of Figure 6, Table II, and Table III.
 """
 
-from repro.analysis.calibrate import (
-    MsmCalibration,
-    UnitCosts,
-    calibrate,
-    calibrate_msm_crossover,
-)
+from repro.analysis.calibrate import UnitCosts, calibrate
 from repro.analysis.cost_model import (
     PAPER_DATA_BYTES,
     CostModel,
@@ -24,10 +19,8 @@ from repro.analysis.cost_model import (
 )
 
 __all__ = [
-    "MsmCalibration",
     "UnitCosts",
     "calibrate",
-    "calibrate_msm_crossover",
     "CostModel",
     "SchemeCosts",
     "table1_exp_pair_counts",

@@ -85,86 +85,3 @@ def calibrate(group: PairingGroup, repeats: int = 20, rng=None) -> UnitCosts:
     hash_g1 = _time_it(_hash, repeats)
     mul_zp = _time_it(lambda: scalar * scalar2 % p, repeats * 100)
     return UnitCosts(exp_g1=exp_g1, pair=pair, mul_g1=mul_g1, hash_g1=hash_g1, mul_zp=mul_zp)
-
-
-@dataclass(frozen=True)
-class MsmCalibration:
-    """Measured Straus vs Pippenger wall times and the resulting crossover."""
-
-    sizes: tuple[int, ...]
-    straus_s: tuple[float, ...]
-    pippenger_s: tuple[float, ...]
-    crossover: int
-
-    def as_rows(self) -> list[dict]:
-        return [
-            {"terms": n, "straus_s": s, "pippenger_s": p,
-             "winner": "pippenger" if p <= s else "straus"}
-            for n, s, p in zip(self.sizes, self.straus_s, self.pippenger_s)
-        ]
-
-
-def calibrate_msm_crossover(
-    group: PairingGroup,
-    sizes: tuple[int, ...] = (4, 8, 16, 24, 32, 48, 64, 96, 128),
-    repeats: int = 3,
-    rng=None,
-    install: bool = False,
-) -> MsmCalibration:
-    """Measure where Pippenger actually overtakes Straus on ``group``.
-
-    The import-time crossover in :mod:`repro.ec.scalar_mul` comes from an
-    operation-count model; real machines disagree with models (bucket
-    bookkeeping is pure Python while point adds are big-int arithmetic), so
-    this times :meth:`~repro.pairing.interface.PairingGroup.multi_exp` with
-    each algorithm forced at every size in ``sizes`` and reports the first
-    size where Pippenger wins.
-
-    Args:
-        group: the pairing group to measure (its counter is detached for
-            the duration so calibration never pollutes a profiled run).
-        sizes: ascending term counts to probe.
-        repeats: timing loop length per (algorithm, size) cell.
-        rng: source for random points/scalars (module default if ``None``).
-        install: when true, install the measured crossover via
-            :func:`repro.ec.scalar_mul.set_pippenger_crossover`.
-
-    Returns:
-        The per-size timings and chosen crossover.  When Pippenger never
-        wins inside ``sizes``, the crossover is one past the largest size
-        probed (i.e. "not before here").
-    """
-    from repro.ec import scalar_mul
-
-    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be non-empty and strictly ascending")
-    largest = sizes[-1]
-    points = [group.random_g1(rng) for _ in range(largest)]
-    scalars = [group.random_nonzero_scalar(rng) for _ in range(largest)]
-    previous_counter = group.counter
-    previous_crossover = scalar_mul.pippenger_crossover()
-    group.counter = None
-    straus_times, pippenger_times = [], []
-    try:
-        for n in sizes:
-            pts, scs = points[:n], scalars[:n]
-            scalar_mul.set_pippenger_crossover(largest + 1)  # force Straus
-            straus_times.append(_time_it(lambda: group.multi_exp(pts, scs), repeats))
-            scalar_mul.set_pippenger_crossover(1)  # force Pippenger
-            pippenger_times.append(_time_it(lambda: group.multi_exp(pts, scs), repeats))
-    finally:
-        scalar_mul.set_pippenger_crossover(previous_crossover)
-        group.counter = previous_counter
-    crossover = largest + 1
-    for n, s, p in zip(sizes, straus_times, pippenger_times):
-        if p <= s:
-            crossover = n
-            break
-    if install:
-        scalar_mul.set_pippenger_crossover(crossover)
-    return MsmCalibration(
-        sizes=tuple(sizes),
-        straus_s=tuple(straus_times),
-        pippenger_s=tuple(pippenger_times),
-        crossover=crossover,
-    )

@@ -1,14 +1,9 @@
-"""Elliptic-curve groups: generic short-Weierstrass arithmetic, scalar
-multiplication strategies, and hash-to-curve."""
+"""Elliptic-curve arithmetic: raw type-A G1 point arithmetic in Jacobian
+coordinates (scalar and multi-scalar multiplication), fixed-base tables,
+and hash-to-curve."""
 
-from repro.ec.curve import EllipticCurve, CurvePoint
-from repro.ec.scalar_mul import scalar_mul_wnaf, multi_scalar_mul
 from repro.ec.hash_to_curve import hash_to_curve_try_increment
 
 __all__ = [
-    "EllipticCurve",
-    "CurvePoint",
-    "scalar_mul_wnaf",
-    "multi_scalar_mul",
     "hash_to_curve_try_increment",
 ]

@@ -1,11 +1,12 @@
-"""Raw Jacobian-coordinate arithmetic for short-Weierstrass curves a = 1.
+"""Raw point arithmetic on the type-A curve ``y² = x³ + x``: the one G1 library.
 
-The pairing backends' hot paths (scalar multiplication, and since PR 5 the
-multi-scalar multiplications behind Eq. 6/Eq. 7) cannot afford one modular
-inversion per group operation, which is what affine addition costs.  This
-module keeps intermediate points in Jacobian coordinates — ``(X, Y, Z)``
+Every G1 operation of the type-A backend runs here: scalar multiplication,
+the multi-scalar multiplications behind Eq. 6/Eq. 7, the fixed-base table
+sums and the affine group law.  A modular inversion per group operation,
+which is what affine addition costs, is too slow for the hot paths, so
+intermediate points stay in Jacobian coordinates — ``(X, Y, Z)``
 representing the affine point ``(X/Z², Y/Z³)``, with ``Z = 0`` marking the
-point at infinity — and defers all inversions to the very end, where
+point at infinity — and all inversions are deferred to the very end, where
 :func:`batch_normalize` amortizes them down to **one** field inversion for
 any number of points via Montgomery's simultaneous-inversion trick.
 
@@ -15,22 +16,15 @@ Only the curve family the type-A pairing uses is supported:
 nothing here touches :class:`~repro.pairing.interface.GroupElement` or the
 operation counters — callers account for operations at the API boundary.
 
-The MSM entry point :func:`jac_msm` runs the shared Straus/Pippenger cores
-from :mod:`repro.ec.scalar_mul` over these coordinates, with Pippenger's
-bucket collapse batch-normalized so the suffix-sum additions work on Z = 1
-points.  :func:`jac_scalar_mul` is the single-point multiplication (width-4
-NAF), and :func:`jac_sum` folds many affine points with one inversion.
+:func:`jac_msm` picks Straus interleaving (:func:`jac_straus`) below
+:data:`PIPPENGER_THRESHOLD` terms and Pippenger bucketing
+(:func:`jac_pippenger`, buckets batch-normalized so the suffix sum runs
+mixed adds) at or above it.  :func:`jac_scalar_mul` is the single-point
+multiplication (width-4 NAF), :func:`jac_sum` folds many affine points with
+one inversion, and :func:`affine_add` is the one-inversion affine add.
 """
 
 from __future__ import annotations
-
-from repro.ec.scalar_mul import (
-    _pippenger_core,
-    _straus_core,
-    _wnaf_digits,
-    pippenger_crossover,
-    pippenger_window,
-)
 
 #: Canonical point-at-infinity marker (any Z = 0 triple is infinity).
 JAC_INFINITY = (0, 0, 0)
@@ -124,6 +118,25 @@ def jac_to_affine(point, q):
     return (x * zinv2 % q, y * zinv2 % q * zinv % q)
 
 
+def affine_add(p1, p2, q):
+    """Affine sum of two points (``None`` = infinity), one field inversion."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    x1, y1 = p1
+    x2, y2 = p2
+    if x1 == x2:
+        if (y1 + y2) % q == 0:
+            return None
+        slope = (3 * x1 * x1 + 1) * pow(2 * y1, -1, q) % q
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
+    x3 = (slope * slope - x1 - x2) % q
+    y3 = (slope * (x1 - x3) - y1) % q
+    return (x3, y3)
+
+
 def jac_sum(points, q):
     """Sum of affine points (``None`` = infinity) with one field inversion.
 
@@ -138,6 +151,24 @@ def jac_sum(points, q):
         if pt is not None:
             x, y, z = jac_add_mixed(x, y, z, pt[0], pt[1], q)
     return jac_to_affine((x, y, z), q)
+
+
+def _wnaf_digits(scalar, width):
+    """Windowed non-adjacent form of a non-negative scalar, low digit first."""
+    digits = []
+    power = 1 << width
+    half = 1 << (width - 1)
+    while scalar:
+        if scalar & 1:
+            digit = scalar % power
+            if digit >= half:
+                digit -= power
+            scalar -= digit
+        else:
+            digit = 0
+        digits.append(digit)
+        scalar >>= 1
+    return digits
 
 
 #: NAF width of :func:`jac_scalar_mul`: digits are odd and in (−8, 8).
@@ -236,76 +267,165 @@ def batch_normalize(points, q):
     return out
 
 
-def _collapse_buckets(buckets, q):
-    """Batch-normalize Pippenger buckets to Z = 1 before the suffix sum.
+# ---------------------------------------------------------------------------
+# Multi-scalar multiplication: Straus below the threshold, Pippenger at/above
+# ---------------------------------------------------------------------------
 
-    After the bucket-accumulation phase each non-empty bucket is a Jacobian
-    point with an arbitrary Z; one Montgomery inversion flattens them all so
-    the ~2·(2^c − 1) suffix-sum additions run as cheap mixed adds.
+#: Scalar size the dispatch threshold is modeled at: the paper's |r| = 160.
+_MODEL_BITS = 160
+
+
+def _pippenger_op_estimate(n_terms, bits, window):
+    windows = (bits + window - 1) // window
+    return windows * (n_terms + 2 * ((1 << window) - 1)) + bits
+
+
+def _straus_op_estimate(n_terms, bits):
+    # bits doublings + one add per set scalar bit (density 1/2 on average).
+    return bits + (n_terms * bits) // 2
+
+
+def pippenger_window(n_terms, bits=_MODEL_BITS):
+    """The bucket width minimizing the modeled group-op count for ``n_terms``.
+
+    Per window of width ``c`` Pippenger pays ~``n`` bucket insertions plus
+    ``2·(2^c − 1)`` collapse additions; there are ``ceil(bits/c)`` windows
+    plus the shared ``bits`` doublings.  The optimum grows like
+    ``log2(n) − log2(log2(n))``; this just evaluates the model directly.
     """
-    affine = batch_normalize([b for b in buckets if b is not None], q)
-    flat = iter(affine)
-    out = []
-    for b in buckets:
-        if b is None:
-            out.append(None)
+    if n_terms < 1:
+        return 1
+    best_c, best_cost = 1, None
+    for c in range(1, max(2, bits.bit_length() + 8)):
+        cost = _pippenger_op_estimate(n_terms, bits, c)
+        if best_cost is None or cost < best_cost:
+            best_c, best_cost = c, cost
+    return best_c
+
+
+def _modeled_threshold(bits):
+    """Smallest term count where the Pippenger op model beats Straus."""
+    n = 2
+    while (_pippenger_op_estimate(n, bits, pippenger_window(n, bits))
+           >= _straus_op_estimate(n, bits)):
+        n += 1
+    return n
+
+
+#: Nonzero-term count at or above which :func:`jac_msm` runs Pippenger
+#: (30 at 160 bits; measured wall times cross within two terms of it).
+PIPPENGER_THRESHOLD = _modeled_threshold(_MODEL_BITS)
+
+
+def _msm_terms(points, scalars, q):
+    """``(x, y, s)`` per term with ``s > 0``: identity and zero terms are
+    dropped, negative scalars folded into the negated point."""
+    if len(points) != len(scalars):
+        raise ValueError("points and scalars must have equal length")
+    terms = []
+    for pt, sc in zip(points, scalars):
+        if pt is None or sc == 0:
             continue
-        pt = next(flat)
-        out.append(None if pt is None else (pt[0], pt[1], 1))
-    return out
+        x, y = pt
+        if sc < 0:
+            y, sc = (-y) % q, -sc
+        terms.append((x, y, sc))
+    return terms
 
 
-def jac_msm(points, scalars, q, neg=None):
+def _straus(terms, q):
+    """Straus interleaving: one shared doubling chain, one mixed add per
+    set scalar bit."""
+    if not terms:
+        return None
+    max_bits = max(sc.bit_length() for _, _, sc in terms)
+    rx, ry, rz = JAC_INFINITY
+    for bit in range(max_bits - 1, -1, -1):
+        rx, ry, rz = jac_double(rx, ry, rz, q)
+        for x, y, sc in terms:
+            if (sc >> bit) & 1:
+                rx, ry, rz = jac_add_mixed(rx, ry, rz, x, y, q)
+    return jac_to_affine((rx, ry, rz), q)
+
+
+def _pippenger(terms, q, window=None):
+    """Pippenger bucketing over ``window``-bit scalar digits.
+
+    Per digit position the terms are thrown into ``2^window − 1`` buckets
+    by digit, the buckets are normalized with one shared inversion, and a
+    running suffix sum adds ``Σ d·bucket[d]`` with ``2·(2^window − 1)``
+    additions.
+    """
+    if not terms:
+        return None
+    max_bits = max(sc.bit_length() for _, _, sc in terms)
+    if window is None:
+        window = pippenger_window(len(terms), max_bits)
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    mask = (1 << window) - 1
+    rx, ry, rz = JAC_INFINITY
+    for shift in range((max_bits - 1) // window * window, -1, -window):
+        if rz:
+            for _ in range(window):
+                rx, ry, rz = jac_double(rx, ry, rz, q)
+        buckets = [None] * mask
+        for x, y, sc in terms:
+            digit = (sc >> shift) & mask
+            if digit:
+                held = buckets[digit - 1]
+                buckets[digit - 1] = (
+                    (x, y, 1) if held is None else jac_add_mixed(*held, x, y, q)
+                )
+        running = acc = JAC_INFINITY
+        for held in reversed(batch_normalize(buckets, q)):
+            if held is not None:
+                running = jac_add_mixed(*running, *held, q)
+            acc = jac_add(*acc, *running, q)
+        rx, ry, rz = jac_add(rx, ry, rz, *acc, q)
+    return jac_to_affine((rx, ry, rz), q)
+
+
+def jac_straus(points, scalars, q):
+    """``Σ scalars[i]·points[i]`` by Straus interleaving, whatever the size.
+
+    Same arguments and result as :func:`jac_msm`.
+    """
+    return _straus(_msm_terms(points, scalars, q), q)
+
+
+def jac_pippenger(points, scalars, q, window=None):
+    """``Σ scalars[i]·points[i]`` by Pippenger bucketing, whatever the size.
+
+    Same arguments and result as :func:`jac_msm`; ``window`` is the bucket
+    width in scalar bits (:func:`pippenger_window` when omitted).
+
+    Raises:
+        ValueError: on a length mismatch or a window below 1.
+    """
+    return _pippenger(_msm_terms(points, scalars, q), q, window)
+
+
+def jac_msm(points, scalars, q):
     """Multi-scalar multiplication over raw affine points, via Jacobian.
 
-    Dispatches between Straus and Pippenger at the shared
-    :func:`repro.ec.scalar_mul.pippenger_crossover` threshold, exactly like
-    the :class:`CurvePoint` front end.
+    Straus below :data:`PIPPENGER_THRESHOLD` nonzero terms, Pippenger at or
+    above it.  Correct for any points on ``y² = x³ + x``, also outside the
+    order-r subgroup (raw try-and-increment points, (0, 0)).
 
     Args:
         points: affine ``(x, y)`` tuples (``None`` = infinity allowed).
         scalars: one integer per point (zero and negative allowed).
         q: field modulus of the curve ``y² = x³ + x``.
-        neg: affine negation, defaulting to ``(x, −y mod q)``.
 
     Returns:
-        The affine sum ``Σ scalars[i]·points[i]`` (``None`` if infinity).
+        The affine sum ``Σ scalars[i]·points[i]`` (``None`` if infinity,
+        including for no terms).
+
+    Raises:
+        ValueError: if ``points`` and ``scalars`` differ in length.
     """
-    if len(points) != len(scalars):
-        raise ValueError("points and scalars must have equal length")
-    if neg is None:
-        neg = lambda p: (p[0], (-p[1]) % q)
-    terms = []
-    max_bits = 0
-    for pt, sc in zip(points, scalars):
-        if pt is None or sc == 0:
-            continue
-        if sc < 0:
-            pt, sc = neg(pt), -sc
-        terms.append(((pt[0], pt[1], 1), sc))
-        if sc.bit_length() > max_bits:
-            max_bits = sc.bit_length()
-    if not terms:
-        return None
-
-    def add(a, b):
-        if b[2] == 1:
-            return jac_add_mixed(a[0], a[1], a[2], b[0], b[1], q)
-        return jac_add(a[0], a[1], a[2], b[0], b[1], b[2], q)
-
-    def double(a):
-        return jac_double(a[0], a[1], a[2], q)
-
-    if len(terms) >= pippenger_crossover():
-        window = pippenger_window(len(terms), max_bits)
-        result = _pippenger_core(
-            terms,
-            JAC_INFINITY,
-            add,
-            double,
-            window,
-            collapse=lambda buckets: _collapse_buckets(buckets, q),
-        )
-    else:
-        result = _straus_core(terms, JAC_INFINITY, add, double)
-    return jac_to_affine(result, q)
+    terms = _msm_terms(points, scalars, q)
+    if len(terms) >= PIPPENGER_THRESHOLD:
+        return _pippenger(terms, q)
+    return _straus(terms, q)

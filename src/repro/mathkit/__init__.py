@@ -17,7 +17,6 @@ from repro.mathkit.ntheory import (
     sqrt_mod,
 )
 from repro.mathkit.field import PrimeField, FieldElement
-from repro.mathkit.fp2 import QuadraticExtension, Fp2Element
 from repro.mathkit.poly import Polynomial, lagrange_basis_at_zero, lagrange_interpolate_at_zero
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "sqrt_mod",
     "PrimeField",
     "FieldElement",
-    "QuadraticExtension",
-    "Fp2Element",
     "Polynomial",
     "lagrange_basis_at_zero",
     "lagrange_interpolate_at_zero",

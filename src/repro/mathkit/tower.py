@@ -4,8 +4,8 @@ Used by the BN254 (asymmetric) pairing backend for F_p² = F_p[u]/(u² + 1)
 and F_p¹² = F_p[w]/(w¹² − 18w⁶ + 82).  The representation is a plain
 coefficient list with schoolbook multiplication followed by reduction by the
 (sparse) modulus — simple, easy to audit, and fast enough for the secondary
-backend (the primary type-A backend uses the specialized
-:mod:`repro.mathkit.fp2`).
+backend (the primary type-A backend computes F_q² on raw ``(a, b)`` pairs
+in :mod:`repro.pairing.type_a`).
 """
 
 from __future__ import annotations

@@ -402,8 +402,9 @@ def _suite_msm(repeats: int, options: dict) -> tuple[list[dict], dict]:
     """Straus vs Pippenger head-to-head at small and audit-scale term counts.
 
     One phase per (algorithm, size) cell; the Pippenger phases carry a
-    ``speedup_x`` scalar relative to Straus at the same size.  Both
-    algorithms count one ``exp_g1_msm`` per nonzero term, so their op
+    ``speedup_x`` scalar relative to Straus at the same size.  Each cell
+    runs one :mod:`repro.ec.jacobian` algorithm directly and tallies one
+    ``exp_g1_msm`` per (nonzero) term, as ``multi_exp`` would, so the op
     tallies are identical by construction and the regression gate only
     watches the wall-clock trend.
 
@@ -412,7 +413,7 @@ def _suite_msm(repeats: int, options: dict) -> tuple[list[dict], dict]:
     """
     import random
 
-    from repro.ec import scalar_mul
+    from repro.ec.jacobian import PIPPENGER_THRESHOLD, jac_pippenger, jac_straus
     from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
 
     param_set = str(options.get("param_set") or "toy-64")
@@ -423,29 +424,26 @@ def _suite_msm(repeats: int, options: dict) -> tuple[list[dict], dict]:
     sizes.sort()
     group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[param_set])
     rng = random.Random(47)
-    points = [group.random_g1(rng) for _ in range(max(sizes))]
+    points = [group.random_g1(rng).point for _ in range(max(sizes))]
     scalars = [group.random_nonzero_scalar(rng) for _ in range(max(sizes))]
 
-    def forced(crossover, pts, scs):
+    def timed(algorithm, pts, scs):
         def fn():
-            previous = scalar_mul.set_pippenger_crossover(crossover)
-            try:
-                group.multi_exp(pts, scs)
-            finally:
-                scalar_mul.set_pippenger_crossover(previous)
+            group.counter.exp_g1_msm += len(scs)
+            algorithm(pts, scs, group.q)
         return fn
 
     phases = []
     for n in sizes:
         pts, scs = points[:n], scalars[:n]
-        wall_s, ops_s = measure_ops_and_wall(group, forced(n + 1, pts, scs), repeats)
-        wall_p, ops_p = measure_ops_and_wall(group, forced(1, pts, scs), repeats)
+        wall_s, ops_s = measure_ops_and_wall(group, timed(jac_straus, pts, scs), repeats)
+        wall_p, ops_p = measure_ops_and_wall(group, timed(jac_pippenger, pts, scs), repeats)
         phases.append(make_phase(f"straus.{n}", wall_s, ops_s, repeats=repeats,
                                  scalars={"terms": n}))
         phases.append(make_phase(f"pippenger.{n}", wall_p, ops_p, repeats=repeats,
                                  scalars={"terms": n, "speedup_x": wall_s / wall_p}))
     return phases, {"param_set": param_set, "sizes": sizes,
-                    "crossover": scalar_mul.pippenger_crossover()}
+                    "crossover": PIPPENGER_THRESHOLD}
 
 
 #: Self-contained scenario documents the scenario suite measures — inline

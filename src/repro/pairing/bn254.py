@@ -217,15 +217,21 @@ class BN254PairingGroup(PairingGroup):
         )
 
     def deserialize_g1(self, data: bytes) -> GroupElement:
-        """Inverse of G1 element serialization (compressed form)."""
+        """Inverse of G1 element serialization (compressed form).
+
+        Only canonical encodings decode: x must be reduced mod p and the
+        tag must be exactly 0x02 or 0x03, so every point has one encoding.
+        """
         if len(data) != self._pbytes + 1:
             raise ValueError("bad G1 encoding length")
         if data == b"\x00" * (self._pbytes + 1):
             return GroupElement(self, None, "g1")
         x = int.from_bytes(data[:-1], "big")
         sign = data[-1]
-        if not sign & 2:
+        if sign not in (2, 3):
             raise ValueError("bad compression tag")
+        if x >= FIELD_MODULUS:
+            raise ValueError("x coordinate is not reduced mod p")
         rhs = (pow(x, 3, FIELD_MODULUS) + 3) % FIELD_MODULUS
         y = sqrt_mod(rhs, FIELD_MODULUS)
         if y is None:

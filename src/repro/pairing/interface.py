@@ -278,7 +278,7 @@ class PairingGroup(ABC):
         computes — Eq. 7's ``∏ σ̃_i^{γ_i}``, the proof's ``∏ σ_i^{β_i}``,
         and Eq. 6's ``∏ H(id_i)^{β_i} · ∏ u_l^{α_l}`` — replacing per-term
         ``**``/``*`` loops with a Straus- or Pippenger-backed multi-scalar
-        multiplication (:mod:`repro.ec.scalar_mul`).
+        multiplication (:func:`repro.ec.jacobian.jac_msm` on type-A).
 
         Op-count cost: one ``exp_g1_msm`` per nonzero exponent and one
         ``exp_g1_skipped`` per zero exponent (for G1 inputs), so the

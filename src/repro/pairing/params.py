@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from repro.ec.jacobian import jac_scalar_mul
 from repro.mathkit.ntheory import is_prime, random_prime, sqrt_mod
 
 
@@ -56,36 +57,6 @@ class TypeAParams:
             raise ValueError("q + 1 != h*r")
         if (self.gy * self.gy - (self.gx**3 + self.gx)) % self.q != 0:
             raise ValueError("generator not on y^2 = x^3 + x")
-
-
-def _affine_scalar_mul(x: int, y: int, n: int, q: int):
-    """Minimal affine scalar multiplication on y² = x³ + x (generation only)."""
-    result = None
-    addend = (x, y)
-    while n:
-        if n & 1:
-            result = _affine_add(result, addend, q)
-        addend = _affine_add(addend, addend, q)
-        n >>= 1
-    return result
-
-
-def _affine_add(p1, p2, q: int):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % q == 0:
-            return None
-        slope = (3 * x1 * x1 + 1) * pow(2 * y1, -1, q) % q
-    else:
-        slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
-    x3 = (slope * slope - x1 - x2) % q
-    y3 = (slope * (x1 - x3) - y1) % q
-    return x3, y3
 
 
 def generate_type_a_params(
@@ -118,13 +89,13 @@ def generate_type_a_params(
         y = sqrt_mod(rhs, q)
         if y is None:
             continue
-        point = _affine_scalar_mul(x, y, h, q)
+        point = jac_scalar_mul((x, y), h, q)
         if point is None:
             continue
         gx, gy = point
         # The subgroup has prime order r, so any non-identity h-multiple
         # generates it; double-check anyway.
-        if _affine_scalar_mul(gx, gy, r, q) is not None:
+        if jac_scalar_mul(point, r, q) is not None:
             raise AssertionError("generated point does not have order r")
         params = TypeAParams(name=name, r=r, q=q, h=h, gx=gx, gy=gy)
         params.validate()

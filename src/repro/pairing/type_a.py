@@ -27,7 +27,7 @@ object-level API is provided by :class:`repro.pairing.interface`.
 from __future__ import annotations
 
 from repro.ec.hash_to_curve import hash_to_curve_try_increment
-from repro.ec.jacobian import jac_msm, jac_scalar_mul, jac_sum
+from repro.ec.jacobian import affine_add, jac_msm, jac_scalar_mul, jac_sum
 from repro.mathkit.ntheory import sqrt_mod
 from repro.pairing.interface import GroupElement, PairingGroup
 from repro.pairing.params import TypeAParams
@@ -114,44 +114,20 @@ class TypeAPairingGroup(PairingGroup):
         """Try-and-increment onto E(F_q); the caller clears the cofactor."""
         return hash_to_curve_try_increment(data, self.q, 1, 0, self.params.h, sqrt_mod)
 
-    # ------------------------------------------------------------------
-    # Raw affine/Jacobian point arithmetic on y² = x³ + x  (a = 1, b = 0)
-    # ------------------------------------------------------------------
-    def _raw_add(self, p1, p2):
-        if p1 is None:
-            return p2
-        if p2 is None:
-            return p1
-        q = self.q
-        x1, y1 = p1
-        x2, y2 = p2
-        if x1 == x2:
-            if (y1 + y2) % q == 0:
-                return None
-            slope = (3 * x1 * x1 + 1) * pow(2 * y1, -1, q) % q
-        else:
-            slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
-        x3 = (slope * slope - x1 - x2) % q
-        y3 = (slope * (x1 - x3) - y1) % q
-        return (x3, y3)
-
-    def _raw_neg(self, p):
-        if p is None:
-            return None
-        return (p[0], (-p[1]) % self.q)
-
     def _raw_scalar_mul(self, point, n: int):
         """Width-4 NAF in Jacobian coordinates; returns affine or None."""
         return jac_scalar_mul(point, n, self.q)
 
     # ------------------------------------------------------------------
-    # PairingGroup backend primitives
+    # PairingGroup backend primitives (G1 arithmetic: repro.ec.jacobian)
     # ------------------------------------------------------------------
     def _add(self, a, b, which):
-        return self._raw_add(a, b)
+        return affine_add(a, b, self.q)
 
     def _neg(self, a, which):
-        return self._raw_neg(a)
+        if a is None:
+            return None
+        return (a[0], (-a[1]) % self.q)
 
     def _scalar_mul(self, a, n, which):
         return self._raw_scalar_mul(a, n)
@@ -161,13 +137,13 @@ class TypeAPairingGroup(PairingGroup):
         return jac_sum(points, self.q)
 
     def _msm(self, points, exponents, which):
-        """Raw Jacobian MSM (Straus/Pippenger via :mod:`repro.ec.jacobian`).
+        """Raw Jacobian MSM (:func:`repro.ec.jacobian.jac_msm`).
 
         Runs the whole multi-scalar multiplication in Jacobian coordinates
         with batch-normalized Pippenger buckets, instead of the default
         per-term affine fold (which would pay one field inversion per add).
         """
-        return jac_msm(points, exponents, self.q, neg=self._raw_neg)
+        return jac_msm(points, exponents, self.q)
 
     def _identity(self, which):
         return None

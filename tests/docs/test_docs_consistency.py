@@ -7,8 +7,9 @@ Four checks keep the prose and the code from drifting apart:
 * every relative markdown link (and ``#anchor``) in README/DESIGN/
   EXPERIMENTS/docs/*.md points at a file (and heading) that exists;
 * the bench ``--suite`` help text names exactly the registered suites;
-* every ``repro.<module>:<Symbol>`` code anchor in docs/PROTOCOL.md
-  imports and resolves, so the protocol narrative cannot rot.
+* every ``repro.<module>:<Symbol>`` code anchor in docs/PROTOCOL.md, and
+  every backticked ``repro.<dotted.name>`` in any document, imports and
+  resolves, so the narrative cannot name code that is gone.
 """
 
 import re
@@ -147,26 +148,44 @@ def test_docs_document_the_dynamic_tier():
 
 
 _CODE_ANCHOR = re.compile(r"`(repro\.[\w.]+):([\w.]+)`")
+_DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)")
+
+
+def _resolve_dotted(name: str):
+    """Import the longest module prefix of ``name``, getattr the rest."""
+    import importlib
+
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for part in parts[cut:]:
+            obj = getattr(obj, part)
+        return obj
+    raise ModuleNotFoundError(name)
 
 
 def test_protocol_code_anchors_resolve():
     """docs/PROTOCOL.md annotates every flow step with
-    ``repro.<module>:<Symbol>.<attr>`` anchors; each one must import and
-    getattr-resolve against the current tree."""
-    import importlib
-
+    ``repro.<module>:<Symbol>.<attr>`` anchors, and every document may
+    name code as a backticked ``repro.<dotted.name>``; each one must
+    import and getattr-resolve against the current tree, so a deleted
+    module or function cannot stay documented."""
     refs = sorted(set(_CODE_ANCHOR.findall(
         (REPO / "docs" / "PROTOCOL.md").read_text())))
     assert len(refs) >= 30, f"PROTOCOL.md lost its code anchors: {refs}"
+    names = {("PROTOCOL.md", f"{module}.{symbol}") for module, symbol in refs}
+    for path in DOC_FILES:
+        names.update((path.name, n) for n in _DOTTED_NAME.findall(path.read_text()))
     broken = []
-    for module, symbol in refs:
+    for source, name in sorted(names):
         try:
-            obj = importlib.import_module(module)
-            for part in symbol.split("."):
-                obj = getattr(obj, part)
+            _resolve_dotted(name)
         except (ImportError, AttributeError) as exc:
-            broken.append(f"{module}:{symbol} ({exc})")
-    assert not broken, "stale PROTOCOL.md anchors: " + "; ".join(broken)
+            broken.append(f"{source}: {name} ({exc})")
+    assert not broken, "stale code references: " + "; ".join(broken)
 
 
 def test_protocol_names_every_dynamic_ledger_kind():

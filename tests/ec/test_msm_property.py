@@ -1,112 +1,137 @@
-"""Property tests: naive, Straus, and Pippenger MSM agree on every input.
+"""Property tests: Straus, Pippenger and the ``jac_msm`` dispatch agree
+with a per-term double-and-add oracle on every input.
 
-The issue's acceptance bar — all three algorithms agree on negative
-scalars, zero scalars, identity points, a single term, and duplicated
-points — plus the raw-Jacobian backend used by the pairing group and the
-dispatcher's crossover behavior.
+Points are on the type-A toy-64 curve y² = x³ + x: order-r G1 points and
+points outside G1 — (0, 0) of order 2 and raw try-and-increment points
+before cofactor clearing, which ``hash_multi_exp`` feeds in.  Inputs
+cover negative and zero scalars, identity points, a single term,
+duplicated points, explicit windows, and term counts on both sides of
+:data:`~repro.ec.jacobian.PIPPENGER_THRESHOLD`.
 """
 
 import random
 
 import pytest
 
-from repro.ec.curve import EllipticCurve
-from repro.ec.jacobian import batch_inverse, batch_normalize, jac_msm
-from repro.ec.scalar_mul import (
-    estimate_crossover,
-    multi_scalar_mul,
-    multi_scalar_mul_naive,
-    multi_scalar_mul_pippenger,
-    multi_scalar_mul_straus,
-    pippenger_crossover,
+from repro.ec import jacobian
+from repro.ec.jacobian import (
+    PIPPENGER_THRESHOLD,
+    affine_add,
+    batch_inverse,
+    batch_normalize,
+    jac_msm,
+    jac_pippenger,
+    jac_straus,
     pippenger_window,
-    set_pippenger_crossover,
 )
-from repro.mathkit.field import PrimeField
-from repro.mathkit.ntheory import sqrt_mod
+from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
+from tests.ec.test_projective_paths import _oracle_scalar_mul
 
-Q = 1000003
-F = PrimeField(Q)
-CURVE = EllipticCurve(F(2), F(3), F(0))
+GROUP = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
+Q = GROUP.q
+R = GROUP.order
+
+ALGORITHMS = [jac_straus, jac_pippenger, jac_msm]
 
 
 def _points(count, rng):
+    """G1 points, with about 30 % raw hashed points and an occasional
+    (0, 0) mixed in."""
     out = []
-    x = 1
-    while len(out) < count:
-        rhs = (x**3 + 2 * x + 3) % Q
-        y = sqrt_mod(rhs, Q)
-        if y is not None:
-            pt = CURVE.point(F(x), F(y))
-            out.append(-pt if rng.random() < 0.5 else pt)
-        x += 1
+    for i in range(count):
+        roll = rng.random()
+        if roll < 0.3:
+            out.append(GROUP._hash_to_curve(b"msm-%d-%d" % (i, rng.getrandbits(32))))
+        elif roll < 0.35:
+            out.append((0, 0))
+        else:
+            out.append(GROUP.random_g1(rng).point)
     return out
 
 
-ALGORITHMS = [
-    multi_scalar_mul_naive,
-    multi_scalar_mul_straus,
-    multi_scalar_mul_pippenger,
-    multi_scalar_mul,
-]
+def _oracle(points, scalars):
+    acc = None
+    for pt, sc in zip(points, scalars):
+        acc = affine_add(acc, _oracle_scalar_mul(Q, pt, sc), Q)
+    return acc
 
 
 def _assert_all_agree(points, scalars):
-    expected = multi_scalar_mul_naive(points, scalars)
-    for algorithm in ALGORITHMS[1:]:
-        assert algorithm(points, scalars) == expected, algorithm.__name__
+    expected = _oracle(points, scalars)
+    for algorithm in ALGORITHMS:
+        assert algorithm(points, scalars, Q) == expected, algorithm.__name__
     return expected
 
 
 class TestAgreement:
     def test_random_inputs(self):
         rng = random.Random(7)
-        for n in (1, 2, 3, 7, 20, 40):
+        for n in (1, 2, 3, 7, 20, PIPPENGER_THRESHOLD - 1, PIPPENGER_THRESHOLD,
+                  40, 64):
             points = _points(n, rng)
             scalars = [rng.randrange(-(1 << 64), 1 << 64) for _ in range(n)]
             _assert_all_agree(points, scalars)
+
+    def test_points_outside_g1(self):
+        """(0, 0) and uncleared hashed points, as ``hash_multi_exp`` passes
+        them: scalars reduced mod r but the points' order is h·r."""
+        rng = random.Random(21)
+        for n in (5, PIPPENGER_THRESHOLD + 6):
+            points = [GROUP._hash_to_curve(b"raw-%d" % i) for i in range(n)]
+            points[1] = (0, 0)
+            scalars = [rng.randrange(R) for _ in range(n)]
+            scalars[2] = R - 1
+            _assert_all_agree(points, scalars)
+            _assert_all_agree(points, [R] * n)  # r kills only G1 parts
 
     def test_negative_scalars(self):
         rng = random.Random(8)
         points = _points(6, rng)
         scalars = [-1, -(1 << 40), -3, -7, -255, -(Q + 1)]
         _assert_all_agree(points, scalars)
+        many = _points(PIPPENGER_THRESHOLD + 2, rng)
+        _assert_all_agree(many, [-rng.getrandbits(64) for _ in many])
 
     def test_zero_scalars(self):
         rng = random.Random(9)
         points = _points(5, rng)
-        assert _assert_all_agree(points, [0] * 5) == CURVE.infinity()
+        assert _assert_all_agree(points, [0] * 5) is None
         mixed = [0, 5, 0, -3, 0]
         _assert_all_agree(points, mixed)
 
     def test_identity_points(self):
         rng = random.Random(10)
-        points = _points(4, rng)
-        points[1] = CURVE.infinity()
-        points[3] = CURVE.infinity()
-        _assert_all_agree(points, [3, 12345, -7, 9])
+        for n in (4, PIPPENGER_THRESHOLD + 4):
+            points = _points(n, rng)
+            points[1] = None
+            points[3] = None
+            _assert_all_agree(points, [rng.randrange(-R, R) for _ in range(n)])
 
     def test_single_term(self):
         rng = random.Random(11)
-        (pt,) = _points(1, rng)
-        for scalar in (0, 1, -1, 2, 1 << 63, -(1 << 63)):
-            _assert_all_agree([pt], [scalar])
+        for pt in (GROUP.random_g1(rng).point, GROUP._hash_to_curve(b"one"), (0, 0)):
+            for scalar in (0, 1, -1, 2, R - 1, R, 1 << 63, -(1 << 63)):
+                _assert_all_agree([pt], [scalar])
 
     def test_duplicated_points(self):
+        """Equal points land in one bucket (doubling inside a mixed add),
+        and P next to −P empties it."""
         rng = random.Random(12)
-        (pt,) = _points(1, rng)
-        points = [pt] * 8
-        scalars = [rng.randrange(1 << 32) for _ in range(8)]
-        result = _assert_all_agree(points, scalars)
-        assert result == sum(scalars) * pt
+        pt = GROUP.random_g1(rng).point
+        for n in (8, PIPPENGER_THRESHOLD + 10):
+            scalars = [rng.randrange(1 << 32) for _ in range(n)]
+            result = _assert_all_agree([pt] * n, scalars)
+            assert result == _oracle_scalar_mul(Q, pt, sum(scalars))
+            _assert_all_agree([pt] * n, [5, -5] * (n // 2))
 
     def test_pippenger_explicit_windows(self):
         rng = random.Random(13)
-        points = _points(10, rng)
-        scalars = [rng.getrandbits(64) for _ in range(10)]
-        expected = multi_scalar_mul_naive(points, scalars)
-        for window in (1, 2, 3, 5, 8):
-            assert multi_scalar_mul_pippenger(points, scalars, window) == expected
+        for n in (10, PIPPENGER_THRESHOLD + 10):
+            points = _points(n, rng)
+            scalars = [rng.getrandbits(64) for _ in range(n)]
+            expected = _oracle(points, scalars)
+            for window in (1, 2, 3, 5, 8):
+                assert jac_pippenger(points, scalars, Q, window) == expected
 
 
 class TestValidation:
@@ -115,49 +140,44 @@ class TestValidation:
         points = _points(2, rng)
         for algorithm in ALGORITHMS:
             with pytest.raises(ValueError, match="equal length"):
-                algorithm(points, [1])
+                algorithm(points, [1], Q)
 
     def test_empty(self):
         for algorithm in ALGORITHMS:
-            with pytest.raises(ValueError, match="at least one term"):
-                algorithm([], [])
+            assert algorithm([], [], Q) is None
 
     def test_bad_window(self):
         rng = random.Random(15)
         points = _points(1, rng)
         with pytest.raises(ValueError, match="window"):
-            multi_scalar_mul_pippenger(points, [3], window=0)
+            jac_pippenger(points, [3], Q, window=0)
 
 
 class TestCrossoverDispatch:
     def test_modeled_crossover_is_sane(self):
-        assert 2 <= estimate_crossover() <= 4096
-        assert pippenger_crossover() >= 1
+        assert PIPPENGER_THRESHOLD == 30  # the op-count model at 160 bits
+        assert jacobian._modeled_threshold(160) == PIPPENGER_THRESHOLD
 
-    def test_set_crossover_round_trip(self):
-        previous = set_pippenger_crossover(5)
-        try:
-            assert pippenger_crossover() == 5
-        finally:
-            set_pippenger_crossover(previous)
-        assert pippenger_crossover() == previous
-
-    def test_set_crossover_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            set_pippenger_crossover(0)
-
-    def test_dispatch_agrees_on_both_sides(self):
+    def test_dispatch_agrees_on_both_sides(self, monkeypatch):
+        """Nonzero terms decide: 29 run Straus, 30 run Pippenger, also when
+        zero-scalar and identity terms pad the input past the threshold."""
+        calls = []
+        for name in ("_straus", "_pippenger"):
+            real = getattr(jacobian, name)
+            monkeypatch.setattr(jacobian, name, lambda t, q, *a, _r=real, _n=name:
+                                calls.append((_n, len(t))) or _r(t, q, *a))
         rng = random.Random(16)
-        points = _points(12, rng)
-        scalars = [rng.getrandbits(48) for _ in range(12)]
-        expected = multi_scalar_mul_naive(points, scalars)
-        previous = set_pippenger_crossover(4)  # forces Pippenger at n=12
-        try:
-            assert multi_scalar_mul(points, scalars) == expected
-            set_pippenger_crossover(100)  # forces Straus at n=12
-            assert multi_scalar_mul(points, scalars) == expected
-        finally:
-            set_pippenger_crossover(previous)
+        for nonzero, padding, algorithm in (
+            (PIPPENGER_THRESHOLD - 1, 0, "_straus"),
+            (PIPPENGER_THRESHOLD - 1, 3, "_straus"),
+            (PIPPENGER_THRESHOLD, 0, "_pippenger"),
+            (PIPPENGER_THRESHOLD + 1, 2, "_pippenger"),
+        ):
+            points = _points(nonzero, rng) + [GROUP.random_g1(rng).point, None] * padding
+            scalars = [rng.getrandbits(48) | 1 for _ in range(nonzero)] + [0, 7] * padding
+            calls.clear()
+            assert jac_msm(points, scalars, Q) == _oracle(points, scalars)
+            assert calls == [(algorithm, nonzero)]
 
     def test_window_model_monotone_floor(self):
         assert pippenger_window(0) == 1
@@ -169,15 +189,16 @@ class TestCrossoverDispatch:
 class TestJacobianBackend:
     def test_jac_msm_matches_group_exponentiation(self, group):
         rng = random.Random(17)
-        elements = [group.random_g1(rng) for _ in range(20)]
-        scalars = [rng.randrange(-group.order, group.order) for _ in range(20)]
-        acc = None
-        for el, sc in zip(elements, scalars):
-            term = el ** (sc % group.order)
-            acc = term if acc is None else acc * term
-        result = jac_msm([el.point for el in elements],
-                         [sc % group.order for sc in scalars], group.q)
-        assert result == acc.point
+        for n in (20, PIPPENGER_THRESHOLD + 10):
+            elements = [group.random_g1(rng) for _ in range(n)]
+            scalars = [rng.randrange(-group.order, group.order) for _ in range(n)]
+            acc = None
+            for el, sc in zip(elements, scalars):
+                term = el ** (sc % group.order)
+                acc = term if acc is None else acc * term
+            result = jac_msm([el.point for el in elements],
+                             [sc % group.order for sc in scalars], group.q)
+            assert result == acc.point
 
     def test_jac_msm_skips_identity_and_zero(self, group):
         rng = random.Random(18)

@@ -1,29 +1,28 @@
-"""Tests for wNAF and multi-scalar multiplication."""
+"""Tests for w-NAF recoding, ``jac_scalar_mul`` and ``jac_msm`` on the
+type-A toy-64 curve, against binary double-and-add."""
 
 import random
 
 import pytest
 
-from repro.ec.curve import EllipticCurve
-from repro.ec.scalar_mul import _wnaf_digits, multi_scalar_mul, scalar_mul_wnaf
-from repro.mathkit.field import PrimeField
+from repro.ec.jacobian import _wnaf_digits, affine_add, jac_msm, jac_scalar_mul
+from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
+from tests.ec.test_projective_paths import _oracle_scalar_mul
 
-F = PrimeField(1000003)
-CURVE = EllipticCurve(F(2), F(3), F(0))
-
-
-def _find_point():
-    from repro.mathkit.ntheory import sqrt_mod
-
-    for x in range(1, 1000):
-        rhs = (x**3 + 2 * x + 3) % 1000003
-        y = sqrt_mod(rhs, 1000003)
-        if y is not None:
-            return CURVE.point(F(x), F(y))
-    raise AssertionError("no point found")
+GROUP = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
+Q = GROUP.q
+P_BASE = GROUP.g1().point
 
 
-P_BASE = _find_point()
+def _mul(n, point=P_BASE):
+    return _oracle_scalar_mul(Q, point, n)
+
+
+def _naive_sum(points, scalars):
+    acc = None
+    for pt, sc in zip(points, scalars):
+        acc = affine_add(acc, _mul(sc, pt), Q)
+    return acc
 
 
 class TestWnafDigits:
@@ -52,54 +51,54 @@ class TestWnafDigits:
 class TestWnafMul:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 16, 255, 12345, 999331])
     def test_matches_double_and_add(self, n):
-        assert scalar_mul_wnaf(P_BASE, n) == n * P_BASE
+        assert jac_scalar_mul(P_BASE, n, Q) == _mul(n)
 
     def test_random_scalars(self):
         rng = random.Random(3)
         for _ in range(20):
             n = rng.getrandbits(40)
-            assert scalar_mul_wnaf(P_BASE, n) == n * P_BASE
+            assert jac_scalar_mul(P_BASE, n, Q) == _mul(n)
 
     def test_negative(self):
-        assert scalar_mul_wnaf(P_BASE, -17) == (-17) * P_BASE
+        assert jac_scalar_mul(P_BASE, -17, Q) == _mul(-17)
 
     @pytest.mark.parametrize("width", [2, 3, 4, 6])
     def test_widths(self, width):
-        assert scalar_mul_wnaf(P_BASE, 987654321, width=width) == 987654321 * P_BASE
+        """The width-w NAF evaluated on the curve (Horner: double, then add
+        the signed odd digit multiple) lands on n·P."""
+        n = 987654321
+        acc = None
+        for digit in reversed(_wnaf_digits(n, width)):
+            acc = affine_add(acc, acc, Q)
+            acc = affine_add(acc, _mul(digit), Q)
+        assert acc == _mul(n) == jac_scalar_mul(P_BASE, n, Q)
 
 
 class TestMultiScalarMul:
     def test_matches_naive(self):
         rng = random.Random(5)
-        points = [n * P_BASE for n in (1, 2, 5, 11)]
+        points = [_mul(n) for n in (1, 2, 5, 11)]
         scalars = [rng.getrandbits(30) for _ in points]
-        expected = CURVE.infinity()
-        for pt, sc in zip(points, scalars):
-            expected = expected + sc * pt
-        assert multi_scalar_mul(points, scalars) == expected
+        assert jac_msm(points, scalars, Q) == _naive_sum(points, scalars)
 
     def test_single_term(self):
-        assert multi_scalar_mul([P_BASE], [7]) == 7 * P_BASE
+        assert jac_msm([P_BASE], [7], Q) == _mul(7)
 
     def test_zero_scalars(self):
-        assert multi_scalar_mul([P_BASE, P_BASE], [0, 0]).infinity
+        assert jac_msm([P_BASE, P_BASE], [0, 0], Q) is None
 
     def test_negative_scalars(self):
-        assert multi_scalar_mul([P_BASE, 2 * P_BASE], [-3, 5]) == (-3) * P_BASE + 10 * P_BASE
+        assert jac_msm([P_BASE, _mul(2)], [-3, 5], Q) == _mul(7)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            multi_scalar_mul([P_BASE], [1, 2])
+            jac_msm([P_BASE], [1, 2], Q)
 
     def test_empty(self):
-        with pytest.raises(ValueError):
-            multi_scalar_mul([], [])
+        assert jac_msm([], [], Q) is None
 
     def test_many_terms(self):
         rng = random.Random(6)
-        points = [n * P_BASE for n in range(1, 33)]
+        points = [_mul(n) for n in range(1, 33)]
         scalars = [rng.getrandbits(20) for _ in points]
-        expected = CURVE.infinity()
-        for pt, sc in zip(points, scalars):
-            expected = expected + sc * pt
-        assert multi_scalar_mul(points, scalars) == expected
+        assert jac_msm(points, scalars, Q) == _naive_sum(points, scalars)

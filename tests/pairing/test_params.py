@@ -45,11 +45,12 @@ class TestGeneration:
         assert params.q.bit_length() == 80
 
     def test_generator_has_order_r(self):
-        from repro.pairing.params import _affine_scalar_mul
+        from repro.ec.jacobian import jac_scalar_mul
 
         params = generate_type_a_params(rbits=32, qbits=64, seed=7)
-        assert _affine_scalar_mul(params.gx, params.gy, params.r, params.q) is None
-        assert _affine_scalar_mul(params.gx, params.gy, 1, params.q) is not None
+        generator = (params.gx, params.gy)
+        assert jac_scalar_mul(generator, params.r, params.q) is None
+        assert jac_scalar_mul(generator, 1, params.q) == generator
 
 
 class TestValidateRejects:
