@@ -656,7 +656,7 @@ def cmd_serve_sim(args) -> int:
     )
 
     if args.scenario:
-        warn_if_mixed(args)
+        warn_if_mixed(args, vars(build_parser().parse_args(["serve-sim"])))
         try:
             scenario = load_scenario(args.scenario)
         except (OSError, ScenarioError) as exc:

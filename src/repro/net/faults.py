@@ -39,6 +39,7 @@ the paper's assumption.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 
@@ -105,26 +106,64 @@ def _match(pattern: str, name: str) -> bool:
     return pattern == "*" or pattern == name
 
 
+def finite_number(value) -> float | None:
+    """``value`` as a finite float, or ``None`` if it is not one.
+
+    Numbers and numeric strings (PyYAML reads ``1e-3`` as a string) are
+    accepted; a bool is never a number, and NaN and ±inf are rejected.
+    Fault entries and scenario documents share this rule.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _number(value, key: str) -> float:
+    number = finite_number(value)
+    if number is None:
+        raise FaultPlanError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _is_pair(pair) -> bool:
+    return (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(isinstance(end, str) for end in pair))
+
+
 def _fault_from_dict(raw: dict) -> Fault:
+    """One fault entry, every field type-checked (fails closed)."""
     if not isinstance(raw, dict):
         raise FaultPlanError(f"fault entries must be objects, got {raw!r}")
     known = {"kind", "node", "links", "bidirectional", "at", "until", "rate", "delay_s"}
     unknown = set(raw) - known
     if unknown:
-        raise FaultPlanError(f"unknown fault fields {sorted(unknown)}")
-    links = tuple(
-        (str(pair[0]), str(pair[1]))
-        for pair in raw.get("links", ())
-    )
+        raise FaultPlanError(f"unknown fault fields {sorted(unknown, key=str)}")
+    kind, node = raw.get("kind", ""), raw.get("node")
+    if not isinstance(kind, str):
+        raise FaultPlanError(f"kind must be a string, got {kind!r}")
+    if node is not None and not isinstance(node, str):
+        raise FaultPlanError(f"node must be a string, got {node!r}")
+    links = raw.get("links", ())
+    if not isinstance(links, (list, tuple)) or not all(map(_is_pair, links)):
+        raise FaultPlanError(
+            f"links must be a list of [sender, recipient] name pairs, got {links!r}")
+    bidirectional = raw.get("bidirectional", True)
+    if not isinstance(bidirectional, bool):
+        raise FaultPlanError(f"bidirectional must be a boolean, got {bidirectional!r}")
+    until = raw.get("until")
     return Fault(
-        kind=raw.get("kind", ""),
-        node=raw.get("node"),
-        links=links,
-        bidirectional=bool(raw.get("bidirectional", True)),
-        at=float(raw.get("at", 0.0)),
-        until=None if raw.get("until") is None else float(raw["until"]),
-        rate=float(raw.get("rate", 1.0)),
-        delay_s=float(raw.get("delay_s", 0.05)),
+        kind=kind,
+        node=node,
+        links=tuple((src, dst) for src, dst in links),
+        bidirectional=bidirectional,
+        at=_number(raw.get("at", 0.0), "at"),
+        until=None if until is None else _number(until, "until"),
+        rate=_number(raw.get("rate", 1.0), "rate"),
+        delay_s=_number(raw.get("delay_s", 0.05), "delay_s"),
     )
 
 

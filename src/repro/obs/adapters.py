@@ -38,8 +38,7 @@ def bind_service_metrics(registry: MetricsRegistry, metrics, prefix: str = "serv
     """Mirror a :class:`ServiceMetrics` summary as ``<prefix>_<key>`` gauges.
 
     Scalar summary keys only (the batch-size histogram dict stays with the
-    service's own human-readable summary), matching what
-    :meth:`ServiceMetrics.to_labels` exports into accounting labels.
+    service's own human-readable summary).
 
     Additionally taps the per-completion latency stream into a registry
     histogram ``<prefix>_latency_seconds`` so bucket-based quantiles

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import secrets
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -49,7 +49,6 @@ class OperationCounter:
     exp_g1_fixed_base: int = 0
     exp_g1_msm: int = 0
     exp_g1_skipped: int = 0
-    labels: dict[str, int] = field(default_factory=dict)
 
     def reset(self) -> None:
         self.exp_g1 = 0
@@ -61,7 +60,6 @@ class OperationCounter:
         self.exp_g1_fixed_base = 0
         self.exp_g1_msm = 0
         self.exp_g1_skipped = 0
-        self.labels.clear()
 
     def snapshot(self) -> dict[str, int]:
         return {

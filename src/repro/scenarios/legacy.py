@@ -31,41 +31,27 @@ from repro.scenarios.schema import (
     WorkloadSpec,
 )
 
-#: serve-sim flags subsumed by the scenario document, with their argparse
-#: defaults — used to detect (and warn about) mixing them with --scenario.
-LEGACY_FLAG_DEFAULTS = {
-    "param_set": "toy-64",
-    "k": 4,
-    "threshold": None,
-    "clients": 2,
-    "requests": 2,
-    "file_bytes": 64,
-    "max_batch": 16,
-    "max_wait": 0.02,
-    "timeout": 0.5,
-    "latency": 0.005,
-    "drop_rate": 0.0,
-    "crash": 0,
-    "seed": 0,
-    "round_deadline": None,
-    "chaos": None,
-    "chaos_seed": None,
-}
+#: serve-sim flags subsumed by the scenario document — mixing them with
+#: --scenario is detected (and warned about) against the parser's defaults.
+LEGACY_FLAGS = (
+    "param_set", "k", "threshold", "clients", "requests", "file_bytes",
+    "max_batch", "max_wait", "timeout", "latency", "drop_rate", "crash",
+    "seed", "round_deadline", "chaos", "chaos_seed",
+)
 
 _warned_mixed = False
 
 
-def warn_if_mixed(args) -> list[str]:
+def warn_if_mixed(args, defaults) -> list[str]:
     """Warn (once per process) when legacy flags accompany ``--scenario``.
 
-    Returns the non-default flag names, so callers can test the detection
-    without capturing warnings.
+    ``defaults`` maps each flag to the serve-sim parser's default.  Returns
+    the non-default flag names, so callers can test the detection without
+    capturing warnings.
     """
     global _warned_mixed
-    overridden = [
-        flag for flag, default in LEGACY_FLAG_DEFAULTS.items()
-        if getattr(args, flag, default) != default
-    ]
+    overridden = [flag for flag in LEGACY_FLAGS
+                  if getattr(args, flag) != defaults[flag]]
     if overridden and not _warned_mixed:
         _warned_mixed = True
         warnings.warn(

@@ -1,9 +1,22 @@
 """Scenario documents: YAML/JSON in, validated :class:`Scenario` out.
 
-The loader is strict by design (validation-first, fail-fast — the
-AsyncFlow input-contract discipline): unknown keys are rejected with
-their document path, every field is type-coerced explicitly, and the
-resulting :class:`~repro.scenarios.schema.Scenario` re-validates all
+The schema dataclasses are the only description of the document: one
+reader walks each spec's ``dataclasses.fields`` and type hints, so the
+document keys are exactly the field names (validation-first, fail-fast —
+the AsyncFlow input-contract discipline):
+
+* an unknown key is rejected with its document path;
+* a key may be omitted exactly when its field has a default;
+* values follow the annotation — ``str`` is a string, ``int`` an integer
+  (an integral float is accepted), ``float`` a finite number (or a string
+  that parses as one: PyYAML reads ``1e-3`` as a string), ``bool`` a
+  boolean; a bool is never a number, NaN and ±inf are never accepted,
+  ``X | None`` accepts null, and ``tuple[T, ...]`` needs a list;
+* two entries have their own readers: a link's document form is flat
+  (``src``, ``dst`` and the :class:`LinkParams` keys), and fault entries
+  belong to :mod:`repro.net.faults`.
+
+The resulting :class:`~repro.scenarios.schema.Scenario` re-validates all
 cross-references on construction.  YAML support uses PyYAML when the
 interpreter has it (the standard toolchain does) and falls back to JSON
 otherwise — ``.json`` scenarios always work.
@@ -11,376 +24,126 @@ otherwise — ``.json`` scenarios always work.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import types
+import typing
 from pathlib import Path
 
-from repro.scenarios.schema import (
-    ArrivalSpec,
-    BatchSpec,
-    BurnWindowSpec,
-    CloudSpec,
-    CohortSpec,
-    DynamicSpec,
-    EnvelopeSpec,
-    FailoverSpec,
-    FleetSpec,
-    LinkParams,
-    LinkSpec,
-    ObjectiveSpec,
-    RunSettings,
-    Scenario,
-    ScenarioError,
-    SEMGroupSpec,
-    SizeSpec,
-    SLOSpec,
-    TopologySpec,
-    VerifierSpec,
-    WorkloadSpec,
-    make_fault,
-)
+from repro.net.faults import Fault, FaultPlanError, _fault_from_dict, finite_number
+from repro.scenarios.schema import LinkParams, LinkSpec, Scenario, ScenarioError
 
 
-def _check_keys(raw: dict, known: set[str], path: str) -> None:
+def _check_keys(raw, known: set[str], path: str) -> None:
     if not isinstance(raw, dict):
         raise ScenarioError(path, f"expected a mapping, got {type(raw).__name__}")
     unknown = set(raw) - known
     if unknown:
-        raise ScenarioError(path, f"unknown keys {sorted(unknown)} "
+        raise ScenarioError(path, f"unknown keys {sorted(unknown, key=str)} "
                                   f"(known: {sorted(known)})")
 
 
-def _opt_float(raw: dict, key: str, path: str):
-    value = raw.get(key)
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{path}.{key}", f"expected a number, got {value!r}") from None
+def _str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(path, f"expected a string, got {value!r}")
+    return value
 
 
-def _opt_int(raw: dict, key: str, path: str):
-    value = raw.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
-        raise ScenarioError(f"{path}.{key}", f"expected an integer, got {value!r}")
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ScenarioError(path, f"expected an integer, got {value!r}")
     return int(value)
 
 
-def _float(raw: dict, key: str, default: float, path: str) -> float:
-    value = _opt_float(raw, key, path)
-    return default if value is None else value
+def _float(value, path: str) -> float:
+    number = finite_number(value)
+    if number is None:
+        raise ScenarioError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
-def _int(raw: dict, key: str, default: int, path: str) -> int:
-    value = _opt_int(raw, key, path)
-    return default if value is None else value
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(path, f"expected a boolean, got {value!r}")
+    return value
 
 
-def _arrival(raw: dict, path: str) -> ArrivalSpec:
-    _check_keys(raw, {"kind", "rate_rps", "per_user_rps", "burst_rate_rps",
-                      "mean_burst_s", "mean_idle_s", "alpha", "peak_ratio",
-                      "period_s", "phase", "concurrency", "think_time_s",
-                      "requests_per_member"}, path)
-    return ArrivalSpec(
-        kind=str(raw.get("kind", "poisson")),
-        rate_rps=_opt_float(raw, "rate_rps", path),
-        per_user_rps=_opt_float(raw, "per_user_rps", path),
-        burst_rate_rps=_opt_float(raw, "burst_rate_rps", path),
-        mean_burst_s=_float(raw, "mean_burst_s", 0.5, path),
-        mean_idle_s=_float(raw, "mean_idle_s", 2.0, path),
-        alpha=_float(raw, "alpha", 1.5, path),
-        peak_ratio=_float(raw, "peak_ratio", 2.0, path),
-        period_s=_float(raw, "period_s", 10.0, path),
-        phase=_float(raw, "phase", 0.0, path),
-        concurrency=_int(raw, "concurrency", 1, path),
-        think_time_s=_float(raw, "think_time_s", 0.0, path),
-        requests_per_member=_int(raw, "requests_per_member", 1, path),
-    )
+_SCALARS = {str: _str, int: _int, float: _float, bool: _bool}
 
 
-def _sizes(raw: dict, path: str) -> SizeSpec:
-    _check_keys(raw, {"kind", "bytes", "min_bytes", "max_bytes",
-                      "median_bytes", "sigma", "alpha"}, path)
-    return SizeSpec(
-        kind=str(raw.get("kind", "fixed")),
-        bytes=_int(raw, "bytes", 64, path),
-        min_bytes=_int(raw, "min_bytes", 32, path),
-        max_bytes=_int(raw, "max_bytes", 4096, path),
-        median_bytes=_int(raw, "median_bytes", 128, path),
-        sigma=_float(raw, "sigma", 0.5, path),
-        alpha=_float(raw, "alpha", 1.8, path),
-    )
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
 
 
-def _cohort(raw: dict, path: str) -> CohortSpec:
-    _check_keys(raw, {"name", "members", "target", "arrival", "file_sizes",
-                      "max_requests", "upload_to"}, path)
-    upload_to = raw.get("upload_to", [])
-    if not isinstance(upload_to, (list, tuple)):
-        raise ScenarioError(f"{path}.upload_to", "expected a list of cloud names")
-    return CohortSpec(
-        name=str(raw.get("name", "")),
-        members=_int(raw, "members", 1, path),
-        target=str(raw.get("target", "")),
-        arrival=_arrival(raw.get("arrival", {}), f"{path}.arrival"),
-        file_sizes=_sizes(raw.get("file_sizes", {}), f"{path}.file_sizes"),
-        max_requests=_opt_int(raw, "max_requests", path),
-        upload_to=tuple(str(c) for c in upload_to),
-    )
+def _value(hint, value, path: str):
+    """Read one document value as the annotation ``hint`` says."""
+    if dataclasses.is_dataclass(hint):
+        return _read(hint, value, path)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (hint,) = (arg for arg in args if arg is not type(None))
+        return _value(hint, value, path)
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...]
+        if not isinstance(value, list):
+            raise ScenarioError(path, f"expected a list, got {type(value).__name__}")
+        return tuple(_value(args[0], item, f"{path}[{i}]")
+                     for i, item in enumerate(value))
+    return _SCALARS[hint](value, path)
 
 
-def _dynamic(raw: dict, path: str) -> DynamicSpec:
-    _check_keys(raw, {"profile", "target", "files", "initial_blocks",
-                      "block_bytes", "batches", "ops_per_batch",
-                      "update_period_s", "audit_every", "sample_size",
-                      "hot_blocks"}, path)
-    return DynamicSpec(
-        profile=str(raw.get("profile", "")),
-        target=str(raw.get("target", "")),
-        files=_int(raw, "files", 2, path),
-        initial_blocks=_int(raw, "initial_blocks", 8, path),
-        block_bytes=_int(raw, "block_bytes", 16, path),
-        batches=_int(raw, "batches", 6, path),
-        ops_per_batch=_int(raw, "ops_per_batch", 4, path),
-        update_period_s=_float(raw, "update_period_s", 0.25, path),
-        audit_every=_int(raw, "audit_every", 2, path),
-        sample_size=_opt_int(raw, "sample_size", path),
-        hot_blocks=_int(raw, "hot_blocks", 2, path),
-    )
+def _values(cls, fields, raw: dict, path: str) -> dict:
+    """Constructor arguments for ``fields`` of ``cls`` read from ``raw``."""
+    values = {}
+    for f in fields:
+        key_path = f"{path}.{f.name}" if path else f.name
+        if f.name in raw:
+            values[f.name] = _value(_hints(cls)[f.name], raw[f.name], key_path)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ScenarioError(key_path, "missing required key")
+    return values
 
 
-def _link_params(raw: dict, path: str) -> LinkParams:
-    _check_keys(raw, {"latency_s", "bandwidth_bps", "drop_rate"}, path)
-    return LinkParams(
-        latency_s=_float(raw, "latency_s", 0.005, path),
-        bandwidth_bps=_opt_float(raw, "bandwidth_bps", path),
-        drop_rate=_float(raw, "drop_rate", 0.0, path),
-    )
+def _read(cls, raw, path: str):
+    """One spec from its document mapping (``path`` is ``""`` at the root)."""
+    reader = _READERS.get(cls)
+    if reader is not None:
+        return reader(raw, path)
+    fields = dataclasses.fields(cls)
+    _check_keys(raw, {f.name for f in fields}, path or "scenario")
+    return cls(**_values(cls, fields, raw, path))
 
 
-def _fleet(raw: dict, path: str) -> FleetSpec:
-    _check_keys(raw, {"servers", "parity", "spares", "files", "file_size",
-                      "audit_period_s", "sample_size", "quarantine_threshold",
-                      "quarantine_rounds", "auto_repair", "name_prefix"}, path)
-    auto_repair = raw.get("auto_repair", True)
-    if not isinstance(auto_repair, bool):
-        raise ScenarioError(f"{path}.auto_repair", "expected a boolean")
-    return FleetSpec(
-        servers=_int(raw, "servers", 3, path),
-        parity=_int(raw, "parity", 1, path),
-        spares=_int(raw, "spares", 0, path),
-        files=_int(raw, "files", 2, path),
-        file_size=_int(raw, "file_size", 1024, path),
-        audit_period_s=_float(raw, "audit_period_s", 0.2, path),
-        sample_size=_opt_int(raw, "sample_size", path),
-        quarantine_threshold=_int(raw, "quarantine_threshold", 1, path),
-        quarantine_rounds=_int(raw, "quarantine_rounds", 2, path),
-        auto_repair=auto_repair,
-        name_prefix=str(raw.get("name_prefix", "fleet")),
-    )
+def _read_link(raw, path: str) -> LinkSpec:
+    """A link is flat: ``src``, ``dst`` and the :class:`LinkParams` keys."""
+    ends = [f for f in dataclasses.fields(LinkSpec) if f.name != "params"]
+    end_names = {f.name for f in ends}
+    _check_keys(raw, end_names | {f.name for f in dataclasses.fields(LinkParams)}, path)
+    params = {k: v for k, v in raw.items() if k not in end_names}
+    return LinkSpec(**_values(LinkSpec, ends, raw, path),
+                    params=_read(LinkParams, params, path))
 
 
-def _topology(raw: dict, path: str) -> TopologySpec:
-    _check_keys(raw, {"sem_groups", "clouds", "verifiers", "links",
-                      "default_link", "fleet"}, path)
-    groups = []
-    for i, entry in enumerate(raw.get("sem_groups", [])):
-        gpath = f"{path}.sem_groups[{i}]"
-        _check_keys(entry, {"name", "w", "t", "initial_crashed", "sem_link"}, gpath)
-        groups.append(SEMGroupSpec(
-            name=str(entry.get("name", "")),
-            w=_int(entry, "w", 1, gpath),
-            t=_int(entry, "t", 1, gpath),
-            initial_crashed=_int(entry, "initial_crashed", 0, gpath),
-            sem_link=_link_params(entry.get("sem_link", {}), f"{gpath}.sem_link"),
-        ))
-    clouds = []
-    for i, entry in enumerate(raw.get("clouds", [])):
-        cpath = f"{path}.clouds[{i}]"
-        _check_keys(entry, {"name"}, cpath)
-        clouds.append(CloudSpec(name=str(entry.get("name", ""))))
-    verifiers = []
-    for i, entry in enumerate(raw.get("verifiers", [])):
-        vpath = f"{path}.verifiers[{i}]"
-        _check_keys(entry, {"name", "audits", "period_s", "sample_size"}, vpath)
-        verifiers.append(VerifierSpec(
-            name=str(entry.get("name", "")),
-            audits=str(entry.get("audits", "")),
-            period_s=_float(entry, "period_s", 0.5, vpath),
-            sample_size=_opt_int(entry, "sample_size", vpath),
-        ))
-    links = []
-    for i, entry in enumerate(raw.get("links", [])):
-        lpath = f"{path}.links[{i}]"
-        _check_keys(entry, {"src", "dst", "latency_s", "bandwidth_bps",
-                            "drop_rate"}, lpath)
-        links.append(LinkSpec(
-            src=str(entry.get("src", "")),
-            dst=str(entry.get("dst", "")),
-            params=_link_params(
-                {k: v for k, v in entry.items() if k not in ("src", "dst")}, lpath
-            ),
-        ))
-    fleet_raw = raw.get("fleet")
-    return TopologySpec(
-        sem_groups=tuple(groups),
-        clouds=tuple(clouds),
-        verifiers=tuple(verifiers),
-        links=tuple(links),
-        default_link=_link_params(raw.get("default_link", {}),
-                                  f"{path}.default_link"),
-        fleet=(_fleet(fleet_raw, f"{path}.fleet")
-               if fleet_raw is not None else None),
-    )
+def make_fault(raw, path: str) -> Fault:
+    """Build one :class:`~repro.net.faults.Fault` from a scenario dict,
+    translating structural errors into :class:`ScenarioError` with path."""
+    try:
+        return _fault_from_dict(raw)
+    except FaultPlanError as exc:
+        raise ScenarioError(path, str(exc)) from None
 
 
-def _envelope(raw: dict, path: str) -> EnvelopeSpec:
-    _check_keys(raw, {"max_p99_latency_s", "max_p50_latency_s", "max_drop_rate",
-                      "max_failed", "min_completed", "max_exp_per_request",
-                      "max_pair_per_request", "max_virtual_duration_s",
-                      "max_unrecoverable_files", "min_repaired_slices",
-                      "max_post_repair_audit_failures",
-                      "max_repair_duration_s", "min_update_batches",
-                      "max_resigned_blocks_per_batch",
-                      "min_dynamic_audits"}, path)
-    return EnvelopeSpec(
-        max_p99_latency_s=_opt_float(raw, "max_p99_latency_s", path),
-        max_p50_latency_s=_opt_float(raw, "max_p50_latency_s", path),
-        max_drop_rate=_opt_float(raw, "max_drop_rate", path),
-        max_failed=_opt_int(raw, "max_failed", path),
-        min_completed=_opt_int(raw, "min_completed", path),
-        max_exp_per_request=_opt_float(raw, "max_exp_per_request", path),
-        max_pair_per_request=_opt_float(raw, "max_pair_per_request", path),
-        max_virtual_duration_s=_opt_float(raw, "max_virtual_duration_s", path),
-        max_unrecoverable_files=_opt_int(raw, "max_unrecoverable_files", path),
-        min_repaired_slices=_opt_int(raw, "min_repaired_slices", path),
-        max_post_repair_audit_failures=_opt_int(
-            raw, "max_post_repair_audit_failures", path),
-        max_repair_duration_s=_opt_float(raw, "max_repair_duration_s", path),
-        min_update_batches=_opt_int(raw, "min_update_batches", path),
-        max_resigned_blocks_per_batch=_opt_int(
-            raw, "max_resigned_blocks_per_batch", path),
-        min_dynamic_audits=_opt_int(raw, "min_dynamic_audits", path),
-    )
-
-
-def _settings(raw: dict, path: str) -> RunSettings:
-    _check_keys(raw, {"duration_s", "seed", "param_set", "k", "max_requests",
-                      "batch", "failover", "faults", "fault_seed",
-                      "fault_plan_name", "envelope", "metrics"}, path)
-    batch_raw = raw.get("batch", {})
-    _check_keys(batch_raw, {"max_batch", "max_wait_s"}, f"{path}.batch")
-    failover_raw = raw.get("failover", {})
-    _check_keys(failover_raw, {"timeout_s", "round_deadline_s"}, f"{path}.failover")
-    faults_raw = raw.get("faults", [])
-    if not isinstance(faults_raw, list):
-        raise ScenarioError(f"{path}.faults", "expected a list of fault objects")
-    faults = tuple(
-        make_fault(entry, f"{path}.faults[{i}]") for i, entry in enumerate(faults_raw)
-    )
-    metrics = raw.get("metrics", ["latency", "throughput", "ops"])
-    if not isinstance(metrics, (list, tuple)):
-        raise ScenarioError(f"{path}.metrics", "expected a list of metric groups")
-    return RunSettings(
-        duration_s=_float(raw, "duration_s", 1.0, path),
-        seed=_int(raw, "seed", 0, path),
-        param_set=str(raw.get("param_set", "toy-64")),
-        k=_int(raw, "k", 4, path),
-        max_requests=_int(raw, "max_requests", 1000, path),
-        batch=BatchSpec(
-            max_batch=_int(batch_raw, "max_batch", 16, f"{path}.batch"),
-            max_wait_s=_float(batch_raw, "max_wait_s", 0.02, f"{path}.batch"),
-        ),
-        failover=FailoverSpec(
-            timeout_s=_float(failover_raw, "timeout_s", 0.5, f"{path}.failover"),
-            round_deadline_s=_opt_float(failover_raw, "round_deadline_s",
-                                        f"{path}.failover"),
-        ),
-        faults=faults,
-        fault_seed=_opt_int(raw, "fault_seed", path),
-        fault_plan_name=str(raw.get("fault_plan_name", "")),
-        envelope=_envelope(raw.get("envelope", {}), f"{path}.envelope"),
-        metrics=tuple(str(m) for m in metrics),
-    )
-
-
-def _slo_objective(raw: dict, path: str) -> ObjectiveSpec:
-    _check_keys(raw, {"name", "signal", "target", "threshold_s", "op",
-                      "budget_per_request", "windows"}, path)
-    windows_raw = raw.get("windows", [])
-    if not isinstance(windows_raw, list):
-        raise ScenarioError(f"{path}.windows", "expected a list of window pairs")
-    windows = []
-    for i, entry in enumerate(windows_raw):
-        wpath = f"{path}.windows[{i}]"
-        _check_keys(entry, {"long_s", "short_s", "burn_rate", "severity"}, wpath)
-        windows.append(BurnWindowSpec(
-            long_s=_float(entry, "long_s", 0.0, wpath),
-            short_s=_float(entry, "short_s", 0.0, wpath),
-            burn_rate=_float(entry, "burn_rate", 0.0, wpath),
-            severity=str(entry.get("severity", "page")),
-        ))
-    return ObjectiveSpec(
-        name=str(raw.get("name", "")),
-        signal=str(raw.get("signal", "")),
-        target=_float(raw, "target", 0.99, path),
-        threshold_s=_opt_float(raw, "threshold_s", path),
-        op=str(raw.get("op", "exp")),
-        budget_per_request=_opt_float(raw, "budget_per_request", path),
-        windows=tuple(windows),
-    )
-
-
-def _slos(raw: dict, path: str) -> SLOSpec:
-    _check_keys(raw, {"objectives", "sample_interval_s", "epoch_s",
-                      "expected_alerts"}, path)
-    objectives_raw = raw.get("objectives", [])
-    if not isinstance(objectives_raw, list):
-        raise ScenarioError(f"{path}.objectives", "expected a list of objectives")
-    expected = raw.get("expected_alerts", [])
-    if not isinstance(expected, (list, tuple)):
-        raise ScenarioError(f"{path}.expected_alerts",
-                            "expected a list of alert names")
-    return SLOSpec(
-        objectives=tuple(
-            _slo_objective(entry, f"{path}.objectives[{i}]")
-            for i, entry in enumerate(objectives_raw)
-        ),
-        sample_interval_s=_opt_float(raw, "sample_interval_s", path),
-        epoch_s=_opt_float(raw, "epoch_s", path),
-        expected_alerts=tuple(str(e) for e in expected),
-    )
+_READERS = {LinkSpec: _read_link, Fault: make_fault}
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build and fully validate a scenario from a parsed document."""
-    _check_keys(raw, {"name", "description", "workload", "topology",
-                      "settings", "slos"}, "scenario")
-    workload_raw = raw.get("workload", {})
-    _check_keys(workload_raw, {"cohorts", "dynamic"}, "workload")
-    cohorts_raw = workload_raw.get("cohorts", [])
-    if not isinstance(cohorts_raw, list):
-        raise ScenarioError("workload.cohorts", "expected a list of cohorts")
-    dynamic_raw = workload_raw.get("dynamic")
-    workload = WorkloadSpec(
-        cohorts=tuple(
-            _cohort(entry, f"workload.cohorts[{i}]")
-            for i, entry in enumerate(cohorts_raw)
-        ),
-        dynamic=(None if dynamic_raw is None
-                 else _dynamic(dynamic_raw, "workload.dynamic")),
-    )
-    slos_raw = raw.get("slos")
-    return Scenario(
-        name=str(raw.get("name", "")),
-        description=str(raw.get("description", "")),
-        workload=workload,
-        topology=_topology(raw.get("topology", {}), "topology"),
-        settings=_settings(raw.get("settings", {}), "settings"),
-        slos=None if slos_raw is None else _slos(slos_raw, "slos"),
-    )
+    return _read(Scenario, raw, "")
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:

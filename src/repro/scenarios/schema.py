@@ -21,9 +21,9 @@ rejected with the path to the offending field, so by the time a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from repro.net.faults import Fault, FaultPlanError, NODE_KINDS
+from repro.net.faults import Fault, NODE_KINDS
 
 #: Open-loop arrival kinds (interarrival-time processes) plus the
 #: closed-loop and batch models handled by the cohort driver directly.
@@ -258,7 +258,7 @@ class DynamicSpec:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    cohorts: tuple[CohortSpec, ...]
+    cohorts: tuple[CohortSpec, ...] = ()
     dynamic: DynamicSpec | None = None
 
     def validate(self, path: str = "workload") -> None:
@@ -423,7 +423,7 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class TopologySpec:
-    sem_groups: tuple[SEMGroupSpec, ...]
+    sem_groups: tuple[SEMGroupSpec, ...] = ()
     clouds: tuple[CloudSpec, ...] = ()
     verifiers: tuple[VerifierSpec, ...] = ()
     links: tuple[LinkSpec, ...] = ()
@@ -500,36 +500,16 @@ class EnvelopeSpec:
     min_dynamic_audits: int | None = None
 
     def validate(self, path: str) -> None:
-        for name in ("max_p99_latency_s", "max_p50_latency_s", "max_drop_rate",
-                     "max_exp_per_request", "max_pair_per_request",
-                     "max_virtual_duration_s", "max_repair_duration_s"):
+        for name in self.checks:
             value = getattr(self, name)
-            if value is not None:
-                _require(value >= 0, path, f"{name} must be non-negative, got {value}")
+            _require(value >= 0, path, f"{name} must be non-negative, got {value}")
         if self.max_drop_rate is not None:
             _require(self.max_drop_rate <= 1.0, path, "max_drop_rate must be <= 1")
-        for name in ("max_failed", "min_completed", "max_unrecoverable_files",
-                     "min_repaired_slices", "max_post_repair_audit_failures",
-                     "min_update_batches", "max_resigned_blocks_per_batch",
-                     "min_dynamic_audits"):
-            value = getattr(self, name)
-            if value is not None:
-                _require(value >= 0, path, f"{name} must be non-negative, got {value}")
 
     @property
     def checks(self) -> list[str]:
-        return [name for name in ("max_p99_latency_s", "max_p50_latency_s",
-                                  "max_drop_rate", "max_failed", "min_completed",
-                                  "max_exp_per_request", "max_pair_per_request",
-                                  "max_virtual_duration_s",
-                                  "max_unrecoverable_files",
-                                  "min_repaired_slices",
-                                  "max_post_repair_audit_failures",
-                                  "max_repair_duration_s",
-                                  "min_update_batches",
-                                  "max_resigned_blocks_per_batch",
-                                  "min_dynamic_audits")
-                if getattr(self, name) is not None]
+        """The enabled checks, in declaration order."""
+        return [f.name for f in fields(self) if getattr(self, f.name) is not None]
 
 
 @dataclass(frozen=True)
@@ -704,12 +684,12 @@ class SLOSpec:
 # The scenario
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """One fully-described run.  Construction validates everything."""
 
     name: str
-    workload: WorkloadSpec
+    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     topology: TopologySpec
     settings: RunSettings = field(default_factory=RunSettings)
     description: str = ""
@@ -806,14 +786,3 @@ class Scenario:
             for c in self.workload.cohorts
         )
         return min(self.settings.max_requests, per_cohort)
-
-
-def make_fault(raw: dict, path: str) -> Fault:
-    """Build one :class:`~repro.net.faults.Fault` from a scenario dict,
-    translating structural errors into :class:`ScenarioError` with path."""
-    try:
-        from repro.net.faults import _fault_from_dict
-
-        return _fault_from_dict(raw)
-    except FaultPlanError as exc:
-        raise ScenarioError(path, str(exc)) from None

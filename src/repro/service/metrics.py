@@ -2,18 +2,15 @@
 
 Everything here is deterministic and allocation-light so it can run inside
 the discrete-event simulator without perturbing results.  Metrics flow out
-through the existing accounting path: :func:`ServiceMetrics.to_labels`
-writes flattened gauges into an
-:class:`~repro.pairing.interface.OperationCounter`'s ``labels`` dict, which
-:class:`~repro.core.accounting.CostTracker` already carries.
+through the observability registry:
+:func:`~repro.obs.adapters.bind_service_metrics` mirrors the scalar
+summary as gauges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from repro.pairing.interface import OperationCounter
 
 
 class LatencyReservoir:
@@ -157,11 +154,3 @@ class ServiceMetrics:
             "latency_p50_s": self.service_latency.percentile(50),
             "latency_p99_s": self.service_latency.percentile(99),
         }
-
-    def to_labels(self, counter: OperationCounter, prefix: str = "service") -> None:
-        """Export scalar gauges into an accounting counter's labels."""
-        for key, value in self.summary().items():
-            if isinstance(value, dict):
-                continue
-            scaled = int(value * 1_000_000) if isinstance(value, float) else value
-            counter.labels[f"{prefix}.{key}"] = scaled

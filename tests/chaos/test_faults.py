@@ -56,6 +56,30 @@ class TestFaultValidation:
         with pytest.raises(FaultPlanError, match="unknown fault fields"):
             FaultPlan.from_dict({"faults": [{"kind": "crash", "node": "n", "sev": 9}]})
 
+    @pytest.mark.parametrize("entry, problem", [
+        ({"kind": "partition", "links": [["a"]]}, "links"),
+        ({"kind": "partition", "links": "ab"}, "links"),
+        ({"kind": "partition", "links": [["a", 3]]}, "links"),
+        ({"kind": "crash", "node": "n", "at": "soon"}, "at"),
+        ({"kind": "partition", "links": [["a", "b"]], "bidirectional": "false"},
+         "bidirectional"),
+        ({"kind": "crash", "node": "n", "at": True}, "at"),
+        ({"kind": "crash", "node": "n", "until": float("inf")}, "until"),
+        ({"kind": "slow", "links": [["a", "b"]], "delay_s": float("nan")}, "delay_s"),
+        ({"kind": ["crash"], "node": "n"}, "kind"),
+        ({"kind": "crash", "node": {"n": 1}}, "node"),
+    ], ids=["short-pair", "string-links", "non-string-end", "at-soon",
+            "string-bool", "bool-at", "inf-until", "nan-delay", "list-kind",
+            "mapping-node"])
+    def test_malformed_entry_fails_closed(self, entry, problem):
+        with pytest.raises(FaultPlanError, match=f"^{problem} must be"):
+            FaultPlan.from_dict({"faults": [entry]})
+
+    def test_numeric_strings_still_read_as_numbers(self):
+        (fault,) = FaultPlan.from_dict({"faults": [
+            {"kind": "crash", "node": "n", "at": "1e-3", "until": 2}]}).faults
+        assert (fault.at, fault.until) == (0.001, 2.0)
+
 
 class TestFaultMatching:
     def test_wildcard_and_exact(self):

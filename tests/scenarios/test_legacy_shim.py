@@ -17,22 +17,25 @@ from pathlib import Path
 import pytest
 
 import repro.scenarios.legacy as legacy_mod
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.scenarios import (
     ScenarioError,
     ScenarioRunner,
     scenario_from_legacy_args,
     warn_if_mixed,
 )
-from repro.scenarios.legacy import LEGACY_FLAG_DEFAULTS
 
 PLANS = Path(__file__).resolve().parents[1] / "chaos" / "plans"
 
 
 def legacy_args(**overrides) -> argparse.Namespace:
-    values = dict(LEGACY_FLAG_DEFAULTS)
-    values.update(overrides)
-    return argparse.Namespace(**values)
+    """The serve-sim parser's own defaults, with ``overrides`` applied."""
+    args = build_parser().parse_args(["serve-sim"])
+    vars(args).update(overrides)
+    return args
+
+
+DEFAULTS = vars(legacy_args())
 
 
 class TestScenarioSynthesis:
@@ -156,19 +159,19 @@ class TestMixingWarning:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert warn_if_mixed(legacy_args()) == []
+            assert warn_if_mixed(legacy_args(), DEFAULTS) == []
 
     def test_overridden_flags_are_detected(self):
         with pytest.warns(DeprecationWarning, match="--clients.*--seed"):
-            overridden = warn_if_mixed(legacy_args(clients=5, seed=3))
+            overridden = warn_if_mixed(legacy_args(clients=5, seed=3), DEFAULTS)
         assert sorted(overridden) == ["clients", "seed"]
 
     def test_warns_once_per_process(self):
         import warnings
 
         with pytest.warns(DeprecationWarning):
-            warn_if_mixed(legacy_args(clients=5))
+            warn_if_mixed(legacy_args(clients=5), DEFAULTS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # Still *detects*, but no second warning.
-            assert warn_if_mixed(legacy_args(clients=5)) == ["clients"]
+            assert warn_if_mixed(legacy_args(clients=5), DEFAULTS) == ["clients"]

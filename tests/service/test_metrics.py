@@ -1,8 +1,7 @@
-"""Deterministic service metrics: reservoirs, histograms, label export."""
+"""Deterministic service metrics: reservoirs and histograms."""
 
 import pytest
 
-from repro.pairing.interface import OperationCounter
 from repro.service.metrics import Histogram, LatencyReservoir, ServiceMetrics
 
 
@@ -101,36 +100,3 @@ class TestServiceMetrics:
         assert s["batches"] == 1
         assert s["queue_high_watermark"] == 2
         assert s["latency_p99_s"] > 0
-
-    def test_to_labels_flattens_scalars(self):
-        m = ServiceMetrics()
-        m.on_enqueue(1)
-        m.on_batch(1, 0)
-        m.on_complete(2, 0.5, 1.5)
-        counter = OperationCounter()
-        m.to_labels(counter)
-        assert counter.labels["service.submitted"] == 1
-        assert counter.labels["service.latency_p50_s"] == 1_500_000  # µs-scaled
-        assert "service.batch_size_hist" not in counter.labels
-
-    def test_to_labels_round_trips_every_scalar(self):
-        # Every scalar in summary() must be recoverable from the exported
-        # labels: ints verbatim, floats µs-scaled (so undo the scaling).
-        m = ServiceMetrics()
-        for depth in range(1, 6):
-            m.on_enqueue(depth)
-        m.on_batch(5, 0)
-        m.on_complete(10, 0.25, 0.125)
-        m.retries = 3
-        m.failovers = 1
-        counter = OperationCounter()
-        m.to_labels(counter)
-        for key, value in m.summary().items():
-            if isinstance(value, dict):
-                assert f"service.{key}" not in counter.labels
-                continue
-            exported = counter.labels[f"service.{key}"]
-            if isinstance(value, float):
-                assert exported / 1_000_000 == pytest.approx(value, abs=1e-6)
-            else:
-                assert exported == value
