@@ -12,12 +12,14 @@ and ``T_j[d] = base^(d * 2^(w*j))`` is precomputed.  For 160-bit
 exponents and w = 4 that is 40 lookups instead of ~200 double-and-add
 steps, at 40 x 15 stored points per base.
 
-The looked-up entries are summed by the group's ``_sum`` hook; on the
-type-A backend that is mixed Jacobian adds with a single normalization.
-:func:`aggregate_with_tables` sums the hashed point and every table's
-entries for a block in one call, so a whole block aggregate pays one field
-inversion.  Works on any :class:`~repro.pairing.interface.GroupElement`;
-see the ``test_ablation_fixed_base`` benchmark for the measured speedup.
+The looked-up entries are summed by the group's batched ``_sums`` hook;
+on the type-A backend that is pairwise affine adds with one shared field
+inversion per tree level.  :func:`aggregate_with_tables` sums the hashed
+point and every table's entries for a block in one call, and
+:meth:`FixedBaseTable.powers` sums many powers' entries in one call, so
+the tree levels are shared.  Works on any
+:class:`~repro.pairing.interface.GroupElement`; see the
+``test_ablation_fixed_base`` benchmark for the measured speedup.
 
 >>> import random
 >>> from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
@@ -94,7 +96,17 @@ class FixedBaseTable:
 
     def power(self, exponent: int) -> GroupElement:
         """base^exponent: the table entries for its digits, summed once."""
-        return _fold(self.base.group, self._entries(exponent), self.base.which)
+        return self.powers([exponent])[0]
+
+    def powers(self, exponents) -> list[GroupElement]:
+        """``[base^e for e in exponents]``, all their sums in one batch.
+
+        Many short sums share one ``_sums`` call, so on the type-A backend
+        they share every tree level's inversion.
+        """
+        return _folds(
+            self.base.group, [self._entries(e) for e in exponents], self.base.which
+        )
 
     def _entries(self, exponent: int) -> list:
         """The raw table points whose sum is base^exponent.
@@ -124,15 +136,15 @@ class FixedBaseTable:
         return self.digits * ((1 << self.window) - 1)
 
 
-def _fold(group, points: list, which: str) -> GroupElement:
-    """Sum raw points through the group's ``_sum`` hook.
+def _folds(group, lists: list[list], which: str) -> list[GroupElement]:
+    """Sum each list of raw points through the group's ``_sums`` hook.
 
-    Tallies ``len(points) − 1`` ``mul_g1``, the ``*`` count of folding
-    them one at a time, whatever coordinates the hook adds in.
+    Tallies ``len(points) − 1`` ``mul_g1`` per list, the ``*`` count of
+    folding it one at a time, whatever coordinates the hook adds in.
     """
-    if points and group.counter is not None and which == "g1":
-        group.counter.mul_g1 += len(points) - 1
-    return GroupElement(group, group._sum(points, which), which)
+    if group.counter is not None and which == "g1":
+        group.counter.mul_g1 += sum(len(points) - 1 for points in lists if points)
+    return [GroupElement(group, point, which) for point in group._sums(lists, which)]
 
 
 def aggregate_with_tables(params, block, tables: list[FixedBaseTable]):
@@ -150,4 +162,4 @@ def aggregate_with_tables(params, block, tables: list[FixedBaseTable]):
             points += table._entries(m_l)
         elif group.counter is not None:
             group.counter.exp_g1_skipped += 1
-    return _fold(group, points, "g1")
+    return _folds(group, [points], "g1")[0]

@@ -3,12 +3,15 @@
 Every G1 operation of the type-A backend runs here: scalar multiplication,
 the multi-scalar multiplications behind Eq. 6/Eq. 7, the fixed-base table
 sums and the affine group law.  A modular inversion per group operation,
-which is what affine addition costs, is too slow for the hot paths, so
-intermediate points stay in Jacobian coordinates — ``(X, Y, Z)``
-representing the affine point ``(X/Z², Y/Z³)``, with ``Z = 0`` marking the
-point at infinity — and all inversions are deferred to the very end, where
-:func:`batch_normalize` amortizes them down to **one** field inversion for
-any number of points via Montgomery's simultaneous-inversion trick.
+which is what a lone affine addition costs, is too slow for the hot paths.
+So sequential chains (doubling chains, Straus) stay in Jacobian
+coordinates — ``(X, Y, Z)`` representing the affine point ``(X/Z², Y/Z³)``,
+with ``Z = 0`` marking the point at infinity — and defer their inversion to
+the end, where :func:`batch_normalize` amortizes it over any number of
+points via Montgomery's simultaneous-inversion trick.  Many independent
+additions instead run affinely and share one inversion per step:
+:func:`batch_affine_sums` sums lists by pairwise tree levels, at about 6
+field multiplications per add against about 11 for a mixed Jacobian add.
 
 Only the curve family the type-A pairing uses is supported:
 ``y² = x³ + a·x`` with ``a = 1`` (the supersingular curve of
@@ -18,10 +21,11 @@ operation counters — callers account for operations at the API boundary.
 
 :func:`jac_msm` picks Straus interleaving (:func:`jac_straus`) below
 :data:`PIPPENGER_THRESHOLD` terms and Pippenger bucketing
-(:func:`jac_pippenger`, buckets batch-normalized so the suffix sum runs
-mixed adds) at or above it.  :func:`jac_scalar_mul` is the single-point
-multiplication (width-4 NAF), :func:`jac_sum` folds many affine points with
-one inversion, and :func:`affine_add` is the one-inversion affine add.
+(:func:`jac_pippenger`: signed window digits, each window's buckets summed
+by one :func:`batch_affine_sums` call, the suffix sums of all windows run
+side by side) at or above it.  The same tree kernel sums the fixed-base
+table entries.  :func:`jac_scalar_mul` is the single-point multiplication
+(width-4 NAF), and :func:`affine_add` is the one-inversion affine add.
 """
 
 from __future__ import annotations
@@ -135,22 +139,6 @@ def affine_add(p1, p2, q):
     x3 = (slope * slope - x1 - x2) % q
     y3 = (slope * (x1 - x3) - y1) % q
     return (x3, y3)
-
-
-def jac_sum(points, q):
-    """Sum of affine points (``None`` = infinity) with one field inversion.
-
-    Accumulates with mixed Jacobian + affine additions and normalizes once
-    at the end, where an affine fold would pay one inversion per add.
-
-    Returns:
-        The affine sum (``None`` if infinity, including for no points).
-    """
-    x, y, z = JAC_INFINITY
-    for pt in points:
-        if pt is not None:
-            x, y, z = jac_add_mixed(x, y, z, pt[0], pt[1], q)
-    return jac_to_affine((x, y, z), q)
 
 
 def _wnaf_digits(scalar, width):
@@ -267,6 +255,70 @@ def batch_normalize(points, q):
     return out
 
 
+def _add_pairs(lefts, rights, q):
+    """Affine ``lefts[i] + rights[i]`` for every ``i``, one shared inversion.
+
+    Operands are affine ``(x, y)`` tuples or ``None`` (infinity).  The slope
+    denominators (``x2 − x1`` for an add, ``2·y`` for a doubling) are all
+    inverted by one :func:`batch_inverse`; a sum that is infinity (``P +
+    (−P)``, or a 2-torsion point doubled) needs no slope.
+    """
+    denominators = []
+    for p1, p2 in zip(lefts, rights):
+        if p1 is not None and p2 is not None:
+            if p1[0] != p2[0]:
+                denominators.append(p2[0] - p1[0])
+            elif p1[1] == p2[1] and p1[1]:
+                denominators.append(2 * p1[1])
+    inverses = iter(batch_inverse(denominators, q))
+    out = []
+    for p1, p2 in zip(lefts, rights):
+        if p1 is None or p2 is None:
+            out.append(p2 if p1 is None else p1)
+            continue
+        (x1, y1), (x2, y2) = p1, p2
+        if x1 != x2:
+            slope = (y2 - y1) * next(inverses) % q
+        elif y1 == y2 and y1:
+            slope = (3 * x1 * x1 + 1) * next(inverses) % q
+        else:
+            out.append(None)
+            continue
+        x3 = (slope * slope - x1 - x2) % q
+        out.append((x3, (slope * (x1 - x3) - y1) % q))
+    return out
+
+
+def batch_affine_sums(lists, q):
+    """The affine sum of every list of affine points, by pairwise tree levels.
+
+    Each level adds neighbouring points pairwise in every list at once,
+    and all the slopes of that level share one Montgomery inversion
+    (:func:`_add_pairs`): an affine add then costs about 6 field
+    multiplications, against about 11 for a mixed Jacobian add.  A list
+    of ``n`` points takes ``ceil(log2(n))`` levels.  Any points on the
+    curve are allowed: ``P + P`` doubles, ``P + (−P)`` and ``(0, 0) +
+    (0, 0)`` give infinity, and ``None`` entries are skipped.
+
+    Args:
+        lists: iterables of affine ``(x, y)`` tuples (``None`` = infinity).
+        q: the field modulus.
+
+    Returns:
+        One affine sum per list, in input order (``None`` for infinity,
+        including for an empty list).
+    """
+    levels = [[pt for pt in points if pt is not None] for points in lists]
+    while any(len(points) > 1 for points in levels):
+        sums = iter(_add_pairs(
+            [pt for points in levels for pt in points[:-1:2]],
+            [pt for points in levels for pt in points[1::2]], q))
+        # An odd list carries its last point up to the next level.
+        levels = [[next(sums) for _ in range(len(points) >> 1)]
+                  + points[len(points) & ~1:] for points in levels]
+    return [points[0] if points else None for points in levels]
+
+
 # ---------------------------------------------------------------------------
 # Multi-scalar multiplication: Straus below the threshold, Pippenger at/above
 # ---------------------------------------------------------------------------
@@ -276,8 +328,10 @@ _MODEL_BITS = 160
 
 
 def _pippenger_op_estimate(n_terms, bits, window):
-    windows = (bits + window - 1) // window
-    return windows * (n_terms + 2 * ((1 << window) - 1)) + bits
+    # Signed digits: at most bits // window + 1 windows (the top one takes
+    # the carry), 2^(window−1) buckets, and 2·2^(window−1) collapse adds.
+    windows = bits // window + 1
+    return windows * (n_terms + (1 << window)) + bits
 
 
 def _straus_op_estimate(n_terms, bits):
@@ -288,10 +342,11 @@ def _straus_op_estimate(n_terms, bits):
 def pippenger_window(n_terms, bits=_MODEL_BITS):
     """The bucket width minimizing the modeled group-op count for ``n_terms``.
 
-    Per window of width ``c`` Pippenger pays ~``n`` bucket insertions plus
-    ``2·(2^c − 1)`` collapse additions; there are ``ceil(bits/c)`` windows
-    plus the shared ``bits`` doublings.  The optimum grows like
-    ``log2(n) − log2(log2(n))``; this just evaluates the model directly.
+    Per signed window of width ``c`` Pippenger pays ~``n`` bucket
+    insertions plus ``2·2^(c−1)`` collapse additions; there are
+    ``bits // c + 1`` windows plus the shared ``bits`` doublings.  The
+    optimum grows like ``log2(n) − log2(log2(n))``; this just evaluates
+    the model directly.
     """
     if n_terms < 1:
         return 1
@@ -313,7 +368,7 @@ def _modeled_threshold(bits):
 
 
 #: Nonzero-term count at or above which :func:`jac_msm` runs Pippenger
-#: (30 at 160 bits; measured wall times cross within two terms of it).
+#: (17 at 160 bits; measured wall times cross within a few terms of it).
 PIPPENGER_THRESHOLD = _modeled_threshold(_MODEL_BITS)
 
 
@@ -348,41 +403,62 @@ def _straus(terms, q):
     return jac_to_affine((rx, ry, rz), q)
 
 
-def _pippenger(terms, q, window=None):
-    """Pippenger bucketing over ``window``-bit scalar digits.
+def _signed_digit(scalar, window):
+    """The low digit of ``scalar ≥ 0`` in (−2^(window−1), 2^(window−1)],
+    and the scalar left for the windows above it.
 
-    Per digit position the terms are thrown into ``2^window − 1`` buckets
-    by digit, the buckets are normalized with one shared inversion, and a
-    running suffix sum adds ``Σ d·bucket[d]`` with ``2·(2^window − 1)``
-    additions.
+    A digit above the half range borrows from the next window, so the
+    top window may carry one more digit; window 1 is plain binary.
+    """
+    digit = scalar & ((1 << window) - 1)
+    if digit > 1 << (window - 1):
+        digit -= 1 << window
+    return digit, (scalar - digit) >> window
+
+
+def _pippenger(terms, q, window=None):
+    """Pippenger bucketing over signed ``window``-bit scalar digits.
+
+    Per digit position each term goes into bucket ``|d|`` (its point
+    negated for a negative digit), and the ``2^(window−1)`` buckets are
+    summed affinely by one :func:`batch_affine_sums` call; one window's
+    digits and buckets are live at a time.  Every window's
+    ``Σ d·bucket[d]`` then comes from a running suffix sum,
+    ``2·2^(window−1)`` affine adds run for all windows side by side, so
+    each step shares one inversion.  A Jacobian Horner pass with
+    ``window`` doublings per window combines the window sums.
     """
     if not terms:
         return None
-    max_bits = max(sc.bit_length() for _, _, sc in terms)
     if window is None:
-        window = pippenger_window(len(terms), max_bits)
+        bits = max(sc.bit_length() for _, _, sc in terms)
+        window = pippenger_window(len(terms), bits)
     if window < 1:
         raise ValueError("window must be >= 1")
-    mask = (1 << window) - 1
+    rest = [sc for _, _, sc in terms]
+    signed = [((x, y), (x, (-y) % q)) for x, y, _ in terms]
+    half = 1 << (window - 1)
+    bucket_sums = []
+    while any(rest):
+        buckets = [[] for _ in range(half)]
+        for i, (plus, minus) in enumerate(signed):
+            digit, rest[i] = _signed_digit(rest[i], window)
+            if digit > 0:
+                buckets[digit - 1].append(plus)
+            elif digit:
+                buckets[-digit - 1].append(minus)
+        bucket_sums.append(batch_affine_sums(buckets, q))
+    running = acc = [None] * len(bucket_sums)
+    for d in range(half - 1, -1, -1):
+        running = _add_pairs(running, [sums[d] for sums in bucket_sums], q)
+        acc = _add_pairs(acc, running, q)
     rx, ry, rz = JAC_INFINITY
-    for shift in range((max_bits - 1) // window * window, -1, -window):
+    for window_sum in reversed(acc):
         if rz:
             for _ in range(window):
                 rx, ry, rz = jac_double(rx, ry, rz, q)
-        buckets = [None] * mask
-        for x, y, sc in terms:
-            digit = (sc >> shift) & mask
-            if digit:
-                held = buckets[digit - 1]
-                buckets[digit - 1] = (
-                    (x, y, 1) if held is None else jac_add_mixed(*held, x, y, q)
-                )
-        running = acc = JAC_INFINITY
-        for held in reversed(batch_normalize(buckets, q)):
-            if held is not None:
-                running = jac_add_mixed(*running, *held, q)
-            acc = jac_add(*acc, *running, q)
-        rx, ry, rz = jac_add(rx, ry, rz, *acc, q)
+        if window_sum is not None:
+            rx, ry, rz = jac_add_mixed(rx, ry, rz, *window_sum, q)
     return jac_to_affine((rx, ry, rz), q)
 
 

@@ -122,14 +122,15 @@ def jacobi_symbol(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        # (2/n) = −1 exactly for n ≡ 3, 5 (mod 8); strip every factor 2 at once.
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and (n & 7) in (3, 5):
             result = -result
-        a %= n
+        # Reciprocity flips the sign exactly when a ≡ n ≡ 3 (mod 4).
+        if a & n & 2:
+            result = -result
+        a, n = n % a, a
     return result if n == 1 else 0
 
 

@@ -401,6 +401,9 @@ def _suite_chaos(repeats: int, options: dict) -> tuple[list[dict], dict]:
 def _suite_msm(repeats: int, options: dict) -> tuple[list[dict], dict]:
     """Straus vs Pippenger head-to-head at small and audit-scale term counts.
 
+    24 terms sits just above :data:`~repro.ec.jacobian.PIPPENGER_THRESHOLD`,
+    so the cells cover both sides of the ``jac_msm`` dispatch.
+
     One phase per (algorithm, size) cell; the Pippenger phases carry a
     ``speedup_x`` scalar relative to Straus at the same size.  Each cell
     runs one :mod:`repro.ec.jacobian` algorithm directly and tallies one
@@ -417,7 +420,7 @@ def _suite_msm(repeats: int, options: dict) -> tuple[list[dict], dict]:
     from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
 
     param_set = str(options.get("param_set") or "toy-64")
-    sizes = [64, 460, 1000]
+    sizes = [24, 64, 460, 1000]
     extra = options.get("msm_terms")
     if extra and int(extra) not in sizes:
         sizes.append(int(extra))

@@ -422,20 +422,23 @@ class PairingGroup(ABC):
             acc = self._add(acc, self._scalar_mul(pt, e, which), which)
         return acc
 
-    def _sum(self, points, which: str):
-        """Raw sum of raw points (the fold behind fixed-base table lookups).
+    def _sums(self, lists, which: str) -> list:
+        """Raw sum of each list of raw points (behind fixed-base lookups).
 
-        The default folds with ``_add``; backends with cheaper projective
-        addition override it (see
-        :meth:`repro.pairing.type_a.TypeAPairingGroup._sum`).  Like
+        The default folds each list with ``_add``; backends with a cheaper
+        batched sum override it (see
+        :meth:`repro.pairing.type_a.TypeAPairingGroup._sums`).  Like
         :meth:`_msm` it must not touch the operation counter: callers tally
-        ``len(points) − 1`` ``mul_g1``, what the fold would have cost as
-        ``*``.
+        ``len(points) − 1`` ``mul_g1`` per list, what the fold would have
+        cost as ``*``.
         """
-        acc = self._identity(which)
-        for pt in points:
-            acc = self._add(acc, pt, which)
-        return acc
+        sums = []
+        for points in lists:
+            acc = self._identity(which)
+            for pt in points:
+                acc = self._add(acc, pt, which)
+            sums.append(acc)
+        return sums
 
     @abstractmethod
     def _add(self, a, b, which: str): ...

@@ -27,7 +27,7 @@ object-level API is provided by :class:`repro.pairing.interface`.
 from __future__ import annotations
 
 from repro.ec.hash_to_curve import hash_to_curve_try_increment
-from repro.ec.jacobian import affine_add, jac_msm, jac_scalar_mul, jac_sum
+from repro.ec.jacobian import affine_add, batch_affine_sums, jac_msm, jac_scalar_mul
 from repro.mathkit.ntheory import sqrt_mod
 from repro.pairing.interface import GroupElement, PairingGroup
 from repro.pairing.params import TypeAParams
@@ -132,16 +132,16 @@ class TypeAPairingGroup(PairingGroup):
     def _scalar_mul(self, a, n, which):
         return self._raw_scalar_mul(a, n)
 
-    def _sum(self, points, which):
-        """Mixed Jacobian adds and one normalization (:func:`jac_sum`)."""
-        return jac_sum(points, self.q)
+    def _sums(self, lists, which):
+        """One affine tree for all lists (:func:`batch_affine_sums`)."""
+        return batch_affine_sums(lists, self.q)
 
     def _msm(self, points, exponents, which):
         """Raw Jacobian MSM (:func:`repro.ec.jacobian.jac_msm`).
 
-        Runs the whole multi-scalar multiplication in Jacobian coordinates
-        with batch-normalized Pippenger buckets, instead of the default
-        per-term affine fold (which would pay one field inversion per add).
+        Runs the whole multi-scalar multiplication with Jacobian chains
+        and batch-affine Pippenger buckets, instead of the default per-term
+        affine fold (which would pay one field inversion per add).
         """
         return jac_msm(points, exponents, self.q)
 

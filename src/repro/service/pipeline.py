@@ -125,17 +125,18 @@ class SigningPipeline:
             "batch.prepare", n_requests=len(requests), n_blocks=len(all_blocks)
         ):
             if self._u_tables is None:
-                aggregates = iter([aggregate_block(self.params, b) for b in all_blocks])
+                aggregates = [aggregate_block(self.params, b) for b in all_blocks]
             else:  # via the module, so per-layer tracing sees every call
-                aggregates = iter([
+                aggregates = [
                     fixed_base.aggregate_with_tables(self.params, b, self._u_tables)
-                    for b in all_blocks])
+                    for b in all_blocks]
+            blindings = iter(self._blind(aggregates))
             blinded: list[GroupElement] = []
             states: list[BlindingState | None] = []  # None = already blinded
             for request in requests:
                 if request.kind == "blocks":
                     for _ in request.blocks:
-                        state = self._blind(next(aggregates))
+                        state = next(blindings)
                         states.append(state)
                         blinded.append(state.blinded)
                 else:
@@ -159,11 +160,22 @@ class SigningPipeline:
             return self._regroup(prepared, blind_signatures, item_ok)
 
     def _regroup(self, prepared, blind_signatures, item_ok) -> list[PipelineResult]:
-        results: list[PipelineResult] = []
+        spans = []
         cursor = 0
         for request in prepared.requests:
             n = request.n_items
-            ok = all(item_ok[cursor : cursor + n])
+            spans.append((request, cursor, cursor + n, all(item_ok[cursor : cursor + n])))
+            cursor += n
+        # Unblind every blinded item of every verified request in one batch.
+        unblind = [i for _, start, end, ok in spans if ok for i in range(start, end)
+                   if prepared.states[i] is not None]
+        signatures = list(blind_signatures)
+        unblinded = self._unblind([prepared.states[i] for i in unblind],
+                                  [blind_signatures[i] for i in unblind])
+        for i, signature in zip(unblind, unblinded):
+            signatures[i] = signature
+        results: list[PipelineResult] = []
+        for request, start, end, ok in spans:
             if not ok:
                 results.append(
                     PipelineResult(
@@ -174,17 +186,9 @@ class SigningPipeline:
                     )
                 )
             else:
-                signatures = tuple(
-                    self._unblind(state, sig) if state is not None else sig
-                    for state, sig in zip(
-                        prepared.states[cursor : cursor + n],
-                        blind_signatures[cursor : cursor + n],
-                    )
-                )
-                results.append(
-                    PipelineResult(request_id=request.request_id, signatures=signatures, ok=True)
-                )
-            cursor += n
+                results.append(PipelineResult(
+                    request_id=request.request_id,
+                    signatures=tuple(signatures[start:end]), ok=True))
         return results
 
     def sign_batch(self, requests: list[SignRequest]) -> list[PipelineResult]:
@@ -243,16 +247,25 @@ class SigningPipeline:
         )
 
     # -- internals ----------------------------------------------------------
-    def _blind(self, element: GroupElement) -> BlindingState:
-        r = self.group.random_nonzero_scalar(self._rng)
-        mask = self._g1_table.power(r) if self._g1_table is not None else self.group.g1() ** r
-        return BlindingState(r=r, blinded=element * mask)
+    def _blind(self, elements: list[GroupElement]) -> list[BlindingState]:
+        """Eq. 2 for every element: one g1-table batch for all the masks."""
+        rs = [self.group.random_nonzero_scalar(self._rng) for _ in elements]
+        if self._g1_table is not None:
+            masks = self._g1_table.powers(rs)
+        else:
+            masks = [self.group.g1() ** r for r in rs]
+        return [BlindingState(r=r, blinded=element * mask)
+                for r, element, mask in zip(rs, elements, masks)]
 
-    def _unblind(self, state: BlindingState, blind_signature: GroupElement) -> GroupElement:
-        exponent = self.group.order - state.r % self.group.order
+    def _unblind(self, states, blind_signatures) -> list[GroupElement]:
+        """Eq. 5 for every item: one pk1-table batch for all the unmasks."""
+        exponents = [self.group.order - state.r % self.group.order for state in states]
         if self._pk1_table is not None:
-            return blind_signature * self._pk1_table.power(exponent)
-        return blind_signature * self.org_pk_g1**exponent
+            unmasks = self._pk1_table.powers(exponents)
+        else:
+            unmasks = [self.org_pk_g1**exponent for exponent in exponents]
+        return [signature * unmask
+                for signature, unmask in zip(blind_signatures, unmasks)]
 
     def _verify_or_isolate(self, blinded, blind_signatures) -> list[bool]:
         if batch_unblind_verify(self.group, blinded, blind_signatures, self.org_pk, self._rng):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.blocks import aggregate_block, encode_data
 from repro.ec.fixed_base import FixedBaseTable, aggregate_with_tables
 from repro.ec.precompute import build_tables_fast
+from repro.pairing.interface import OperationCounter
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,23 @@ class TestFixedBaseTable:
         base = group.g1() ** 12345
         t = _cached_table(group, base)
         assert t.power(e) == base**e
+
+    def test_powers_match_single_powers(self, group, table):
+        """One batch gives the elements and the tallies of one call each."""
+        base, t = table
+        exponents = [0, 1, 2, 15, 17, 0xDEADBEEF, group.order - 1, group.order + 7]
+        expected = [base**e for e in exponents]
+        tallies = []
+        for run in (lambda: t.powers(exponents), lambda: [t.power(e) for e in exponents]):
+            counter = OperationCounter()
+            group.attach_counter(counter)
+            try:
+                assert run() == expected
+            finally:
+                group.detach_counter()
+            tallies.append(counter)
+        assert tallies[0] == tallies[1]
+        assert t.powers([]) == []
 
     def test_window_sizes(self, group):
         base = group.g1() ** 777

@@ -5,8 +5,10 @@ Points are on the type-A toy-64 curve y² = x³ + x: order-r G1 points and
 points outside G1 — (0, 0) of order 2 and raw try-and-increment points
 before cofactor clearing, which ``hash_multi_exp`` feeds in.  Inputs
 cover negative and zero scalars, identity points, a single term,
-duplicated points, explicit windows, and term counts on both sides of
-:data:`~repro.ec.jacobian.PIPPENGER_THRESHOLD`.
+duplicated points, explicit windows, all-max-digit scalars, term counts
+on both sides of :data:`~repro.ec.jacobian.PIPPENGER_THRESHOLD` and the
+audit's 460.  The tree kernel ``batch_affine_sums`` under Pippenger and
+the fixed-base sums is checked against an ``affine_add`` fold.
 """
 
 import random
@@ -18,6 +20,7 @@ from repro.ec.jacobian import (
     PIPPENGER_THRESHOLD,
     affine_add,
     batch_inverse,
+    batch_affine_sums,
     batch_normalize,
     jac_msm,
     jac_pippenger,
@@ -114,15 +117,15 @@ class TestAgreement:
                 _assert_all_agree([pt], [scalar])
 
     def test_duplicated_points(self):
-        """Equal points land in one bucket (doubling inside a mixed add),
-        and P next to −P empties it."""
+        """Equal points land in one bucket (a doubling inside the affine
+        tree), and P next to −P empties it."""
         rng = random.Random(12)
         pt = GROUP.random_g1(rng).point
         for n in (8, PIPPENGER_THRESHOLD + 10):
             scalars = [rng.randrange(1 << 32) for _ in range(n)]
             result = _assert_all_agree([pt] * n, scalars)
             assert result == _oracle_scalar_mul(Q, pt, sum(scalars))
-            _assert_all_agree([pt] * n, [5, -5] * (n // 2))
+            _assert_all_agree([pt] * n, ([5, -5] * n)[:n])
 
     def test_pippenger_explicit_windows(self):
         rng = random.Random(13)
@@ -132,6 +135,81 @@ class TestAgreement:
             expected = _oracle(points, scalars)
             for window in (1, 2, 3, 5, 8):
                 assert jac_pippenger(points, scalars, Q, window) == expected
+
+    def test_all_max_digit_scalars(self):
+        """Scalars whose every window digit is the largest: the signed
+        recoding carries out of each window, and out of the top one."""
+        rng = random.Random(22)
+        points = _points(12, rng)
+        for scalar in ((1 << 64) - 1, R - 1):
+            scalars = [scalar] * len(points)
+            expected = _oracle(points, scalars)
+            for window in range(1, 9):
+                assert jac_pippenger(points, scalars, Q, window) == expected, window
+            mixed = [scalar, -scalar] * (len(points) // 2)
+            for window in range(1, 9):
+                assert (jac_pippenger(points, mixed, Q, window)
+                        == _oracle(points, mixed)), window
+
+    def test_signed_digits_recompose(self):
+        for scalar in (1, 2, 3, (1 << 64) - 1, R - 1, R, 1 << 100):
+            for window in range(1, 9):
+                half = 1 << (window - 1)
+                rest, digits = scalar, []
+                while rest:
+                    digit, rest = jacobian._signed_digit(rest, window)
+                    assert -half < digit <= half
+                    digits.append(digit)
+                assert sum(d << (window * i) for i, d in enumerate(digits)) == scalar
+                assert len(digits) <= scalar.bit_length() // window + 1
+
+    def test_audit_scale_pippenger_matches_straus(self):
+        """460 terms, the paper's c: the windows the audit runs (6–7)."""
+        rng = random.Random(23)
+        points = _points(460, rng)
+        scalars = [rng.randrange(-R, R) for _ in points]
+        expected = jac_straus(points, scalars, Q)
+        assert jac_pippenger(points, scalars, Q) == expected
+        assert jac_pippenger(points, scalars, Q, 7) == expected
+        assert jac_msm(points, scalars, Q) == expected
+
+
+def _fold(points):
+    acc = None
+    for pt in points:
+        acc = affine_add(acc, pt, Q)
+    return acc
+
+
+class TestBatchAffineSums:
+    def test_matches_affine_fold(self):
+        rng = random.Random(24)
+        p = GROUP.random_g1(rng).point
+        minus_p = (p[0], (-p[1]) % Q)
+        raw = [GROUP._hash_to_curve(b"tree-%d" % i) for i in range(9)]
+        lists = [
+            [],
+            [p],
+            [None],
+            [p, p],
+            [p, minus_p],
+            [(0, 0), (0, 0)],
+            [(0, 0), (0, 0), (0, 0)],
+            [p, minus_p, p],
+            [p, p, p, minus_p, minus_p],
+            [p, None, p, None, (0, 0)],
+            raw,
+            raw[:4] + [(x, (-y) % Q) for x, y in raw[:4]],
+            _points(33, rng),
+            [p] * 7,
+        ]
+        expected = [_fold(points) for points in lists]
+        assert batch_affine_sums(lists, Q) == expected
+        for points, want in zip(lists, expected):
+            assert batch_affine_sums([points], Q) == [want]
+
+    def test_no_lists(self):
+        assert batch_affine_sums([], Q) == []
 
 
 class TestValidation:
@@ -155,11 +233,11 @@ class TestValidation:
 
 class TestCrossoverDispatch:
     def test_modeled_crossover_is_sane(self):
-        assert PIPPENGER_THRESHOLD == 30  # the op-count model at 160 bits
+        assert PIPPENGER_THRESHOLD == 17  # the op-count model at 160 bits
         assert jacobian._modeled_threshold(160) == PIPPENGER_THRESHOLD
 
     def test_dispatch_agrees_on_both_sides(self, monkeypatch):
-        """Nonzero terms decide: 29 run Straus, 30 run Pippenger, also when
+        """Nonzero terms decide: 16 run Straus, 17 run Pippenger, also when
         zero-scalar and identity terms pad the input past the threshold."""
         calls = []
         for name in ("_straus", "_pippenger"):

@@ -1,8 +1,8 @@
 """The projective signing path against the affine code it replaced.
 
 ``FixedBaseTable.power`` and ``aggregate_with_tables`` sum table entries
-through the group's ``_sum`` hook (mixed Jacobian adds, one normalization),
-and ``_raw_scalar_mul`` runs a width-4 NAF.  The oracles below are the
+through the group's ``_sums`` hook (affine tree sums, one inversion per
+level), and ``_raw_scalar_mul`` runs a width-4 NAF.  The oracles below are the
 deleted implementations: the affine ``*`` fold and binary Jacobian
 double-and-add.  Points must agree bit for bit, and so must every
 :class:`OperationCounter` tally, since replay digests hash ``mul_g1``.

@@ -149,6 +149,33 @@ class TestJacobi:
         n = 1000003  # prime
         assert jacobi_symbol(a * a, n) in (0, 1)
 
+    def test_matches_one_factor_at_a_time_loop(self):
+        """Same symbol as the textbook loop that strips factors of two
+        one by one, on 512-bit inputs and small odd moduli, composites
+        included."""
+        def reference(a, n):
+            a %= n
+            result = 1
+            while a:
+                while a % 2 == 0:
+                    a //= 2
+                    if n % 8 in (3, 5):
+                        result = -result
+                a, n = n, a
+                if a % 4 == 3 and n % 4 == 3:
+                    result = -result
+                a %= n
+            return result if n == 1 else 0
+
+        rng = random.Random(512)
+        for _ in range(200):
+            n = rng.getrandbits(512) | 1
+            a = rng.getrandbits(512) << rng.randrange(8)
+            assert jacobi_symbol(a, n) == reference(a, n)
+        for n in range(1, 200, 2):
+            for a in range(-3, 2 * n + 3):
+                assert jacobi_symbol(a, n) == reference(a, n), (a, n)
+
 
 class TestSqrtMod:
     @pytest.mark.parametrize("p", [7, 11, 13, 17, 10007, 1000003, 2**61 - 1])

@@ -55,6 +55,25 @@ class TestBatchPass:
         for state, blind_signature in zip(states, result.signatures):
             assert verify_blinded(group, state.blinded, blind_signature, sem.pk)
 
+    def test_mixed_batch_unblinds_only_block_items(
+        self, group, params_k4, sem, pipeline, make_request, rng
+    ):
+        """Block and pre-blinded requests share one pass: the block items
+        come back unblinded, the pre-blinded ones as blind signatures."""
+        first, source, last = (make_request(bytes([i]), n_blocks=2) for i in (5, 6, 7))
+        states = [blind(group, aggregate_block(params_k4, b), rng) for b in source.blocks]
+        relay = SignRequest(
+            request_id=next_request_id(),
+            owner="alice",
+            blinded=tuple(s.blinded for s in states),
+        )
+        results = pipeline.sign_batch([first, relay, last])
+        assert all(r.ok for r in results)
+        assert_final_signatures(params_k4, sem.pk, first, results[0].signatures)
+        assert_final_signatures(params_k4, sem.pk, last, results[2].signatures)
+        for state, blind_signature in zip(states, results[1].signatures):
+            assert verify_blinded(group, state.blinded, blind_signature, sem.pk)
+
     def test_empty_batch(self, pipeline):
         assert pipeline.sign_batch([]) == []
 
