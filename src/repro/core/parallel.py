@@ -113,11 +113,11 @@ def _task_msm(payload):
 
 
 def _task_hash_msm(payload):
-    """Partial ∏ H(id_i)^{β_i} of Eq. 6's RHS, cofactor cleared once."""
+    """Partial Σ β_i·P_i of Eq. 6's raw χ (no cofactor clearing)."""
     block_ids, betas = payload
     before = _WORKER["counter"].snapshot()
-    acc = _WORKER["group"].hash_multi_exp(block_ids, betas)
-    return acc.point, _delta_since(before)
+    point = _WORKER["group"].raw_hash_msm(block_ids, betas)
+    return point, _delta_since(before)
 
 
 def _task_blind(payload):
@@ -268,18 +268,22 @@ class WorkerPool:
         return self._merge_partials("msm", self._run(_task_msm, payloads))
 
     def hash_msm(self, block_ids: list[bytes], betas: list[int]) -> GroupElement:
-        """``prod H(id_i) ** beta_i`` — hash-to-curve fanned out too.
+        """Σ β_i·P_i over the raw try-and-increment points — hash-to-curve
+        fanned out too.
 
-        Each chunk is one :meth:`~repro.pairing.interface.PairingGroup.hash_multi_exp`
-        call (one cofactor clearing per chunk); identical point and op
-        tallies to that call on the whole input.
+        Each chunk is one
+        :meth:`~repro.pairing.type_a.TypeAPairingGroup.raw_hash_msm` call,
+        and the partials merge uncleared: the result wraps the raw point
+        that :meth:`~repro.pairing.type_a.TypeAPairingGroup.hashed_pairing_check`
+        pairs against pk_h, with the same point and op tallies as that
+        call on the whole input.
         """
         if len(block_ids) != len(betas):
             raise ValueError("block_ids and betas must have equal length")
         if not block_ids:
             raise ValueError("need at least one term")
         if self.workers <= 1 or len(block_ids) < MIN_PARALLEL_ITEMS:
-            return self.group.hash_multi_exp(block_ids, betas)
+            return GroupElement(self.group, self.group.raw_hash_msm(block_ids, betas), "g1")
         payloads = [
             (list(block_ids[lo:hi]), list(betas[lo:hi]))
             for lo, hi in chunk_ranges(len(block_ids), self.workers)

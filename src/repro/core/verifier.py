@@ -104,27 +104,59 @@ class PublicVerifier:
 
     # -- Verify ----------------------------------------------------------------
     def verify(self, challenge: Challenge, response: ProofResponse) -> bool:
-        """Eq. 6.  True iff the challenged blocks are intact."""
+        """Eq. 6.  True iff the challenged blocks are intact.
+
+        One :meth:`~repro.pairing.interface.PairingGroup.hashed_pairing_check`
+        of σ against χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l}.  The type-A group
+        runs χ as one (c + k)-term MSM over the raw hashed points and pairs
+        it against the cached pk_h = [h mod r]·pk, with no cofactor
+        clearing.  With a :class:`~repro.core.parallel.WorkerPool`
+        attached, the c hash-to-curve evaluations and their MSM terms fan
+        out across workers, which return raw partial sums; the verdict and
+        the op tallies are identical either way.  Op-count cost: (c + k)
+        Exp_G1 (``exp_g1_msm`` for nonzero exponents, ``exp_g1_skipped``
+        for zero α_l — Section VI-A2 counts (c + k) Exp unconditionally),
+        c ``hash_to_g1`` and 2 Pair.
+
+        Raises:
+            ValueError: on a challenge with no blocks.
+        """
         if len(response.alphas) != self.params.k:
             return False
-        chi = self._challenge_aggregate(challenge, response)
-        return self.group.pairing_check(
-            [(response.sigma, self.group.g2()), (chi.inverse(), self.org_pk)]
+        if not challenge.block_ids:
+            raise ValueError("empty challenge")
+        return self.group.hashed_pairing_check(
+            response.sigma, self.org_pk, list(challenge.block_ids),
+            list(challenge.betas), list(self.params.u), list(response.alphas),
+            pool=self.pool,
         )
 
     def verify_batch(
         self, audits: list[tuple[Challenge, ProofResponse]], rng=None
     ) -> bool:
-        """Batch-verify audits of several files with 2 pairings total.
+        """Batch-verify audits of several files in one check (2 pairings).
 
         All files are signed under the same organization key, so L audit
-        equations combine with random small weights w_i:
+        equations combine with random full-width weights w_i:
 
             e(∏ σ_i^{w_i}, g)  ==  e(∏ χ_i^{w_i}, pk).
 
-        Sound except with probability ~L/p.  (This is the multi-request
+        The weights fold into the exponents: one
+        :meth:`~repro.pairing.interface.PairingGroup.hashed_pairing_check`
+        over all Σ c_i ids with exponents β_ij·w_i and the u_l with
+        exponents w_i·α_il (which the type-A group merges into k terms,
+        (Σ_i w_i·α_il)·h⁻¹), against one L-term MSM for the σ side.  Sound
+        except with probability ~L/p.  (This is the multi-request
         batching WCWRL11 advertises, free in our setting because there is
         only ever one verification key.)
+
+        Op-count cost: the model tallies of the unfolded form — per file
+        c_i ``hash_to_g1``, (c_i + k) Exp terms as in :meth:`verify`, and
+        two Exp_G1 for χ_i^{w_i} and σ_i^{w_i}; 2(L − 1) ``mul_g1`` for
+        the products; 2 Pair.
+
+        Raises:
+            ValueError: on a challenge with no blocks.
         """
         if not audits:
             return True
@@ -136,46 +168,26 @@ class PublicVerifier:
                 weights.append(self._rng.randrange(1, self.params.order))
             else:
                 weights.append(secrets.randbelow(self.params.order - 1) + 1)
-        sigma_acc: GroupElement | None = None
-        chi_acc: GroupElement | None = None
+        if any(len(response.alphas) != self.params.k for _, response in audits):
+            return False
+        ids: list[bytes] = []
+        id_exponents: list[int] = []
+        alphas: list[int] = []
         for (challenge, response), weight in zip(audits, weights):
-            if len(response.alphas) != self.params.k:
-                return False
-            chi = self._challenge_aggregate(challenge, response) ** weight
-            sigma = response.sigma**weight
-            sigma_acc = sigma if sigma_acc is None else sigma_acc * sigma
-            chi_acc = chi if chi_acc is None else chi_acc * chi
-        return self.group.pairing_check(
-            [(sigma_acc, self.group.g2()), (chi_acc.inverse(), self.org_pk)]
-        )
-
-    def _challenge_aggregate(self, challenge: Challenge, response: ProofResponse) -> GroupElement:
-        """χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l}  (the RHS element of Eq. 6).
-
-        One :meth:`~repro.pairing.interface.PairingGroup.hash_multi_exp`
-        call: a (c + k)-term multi-scalar multiplication, which the type-A
-        group runs over the raw hashed points before clearing the cofactor
-        once.  With a :class:`~repro.core.parallel.WorkerPool` attached,
-        the c hash-to-curve evaluations and their MSM terms fan out across
-        workers, each chunk clearing its own partial (the k-term u-part
-        stays local); the result and the op tallies are identical either
-        way.  Op-count cost: (c + k) Exp_G1 (``exp_g1_msm`` for nonzero
-        exponents, ``exp_g1_skipped`` for zero α_l — Section VI-A2 counts
-        (c + k) Exp unconditionally) plus c ``hash_to_g1``.
-        """
-        if not challenge.block_ids:
-            raise ValueError("empty challenge")
-        betas = list(challenge.betas)
-        if self.pool is not None:
-            h_part = self.pool.hash_msm(list(challenge.block_ids), betas)
-            u_part = self.group.multi_exp(list(self.params.u), list(response.alphas))
-            # Raw, uncounted merge — multi_exp doesn't tally its internal
-            # additions either, so serial and pooled tallies match exactly.
-            return GroupElement(
-                self.group,
-                self.group._add(h_part.point, u_part.point, "g1"),
-                "g1",
-            )
-        return self.group.hash_multi_exp(
-            list(challenge.block_ids), betas, list(self.params.u), list(response.alphas)
+            if not challenge.block_ids:
+                raise ValueError("empty challenge")
+            ids += challenge.block_ids
+            id_exponents += [beta * weight for beta in challenge.betas]
+            alphas += [alpha * weight for alpha in response.alphas]
+        group = self.group
+        sigma = GroupElement(
+            group, group._msm([resp.sigma.point for _, resp in audits], weights, "g1"), "g1")
+        if group.counter is not None:
+            # The model still counts the unfolded form: each weight raised
+            # as its own Exp on χ_i and σ_i, and the two L-fold products.
+            group.counter.exp_g1 += 2 * len(audits)
+            group.counter.mul_g1 += 2 * (len(audits) - 1)
+        return group.hashed_pairing_check(
+            sigma, self.org_pk, ids, id_exponents, list(self.params.u) * len(audits), alphas,
+            pool=self.pool,
         )

@@ -58,8 +58,15 @@ def bls_sign_element(element: GroupElement, sk: int) -> GroupElement:
 def bls_verify(
     group: PairingGroup, pk: GroupElement, message: bytes, signature: GroupElement
 ) -> bool:
-    """Check e(sigma, g2) == e(H(message), pk)."""
-    return bls_verify_element(group, pk, group.hash_to_g1(message), signature)
+    """Check e(sigma, g2) == e(H(message), pk).
+
+    One :meth:`~repro.pairing.interface.PairingGroup.hashed_pairing_check`
+    with H(message) taken as it is: on type-A, the raw hashed point pairs
+    against the cached pk_h = [h mod r]·pk, so no cofactor clearing runs.
+    Op-count cost: one ``hash_to_g1`` and 2 Pair.  σ = O is rejected, as
+    e(O, g2) = 1 ≠ e(H(message), pk).
+    """
+    return group.hashed_pairing_check(signature, pk, [message], None)
 
 
 def bls_verify_element(

@@ -324,14 +324,14 @@ class PairingGroup(ABC):
     ) -> GroupElement:
         """``∏ H(ids[i]) ** id_exponents[i] · ∏ elements[l] ** exponents[l]``.
 
-        Eq. 6's χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l} in one call.  The
-        default hashes each id with :meth:`hash_to_g1` and runs one
-        :meth:`multi_exp` over all terms; backends whose hash clears a
-        cofactor override it to clear that cofactor once per aggregate
-        (:meth:`repro.pairing.type_a.TypeAPairingGroup.hash_multi_exp`).
+        Eq. 6's χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l} in one call: each id
+        hashed with :meth:`hash_to_g1`, then one :meth:`multi_exp` over
+        all terms.  It is the default body of :meth:`hashed_pairing_check`
+        (BN254's path) and the tests' oracle for the type-A override,
+        which never forms χ itself.
 
         Op-count cost: one ``hash_to_g1`` per id plus, per term, what
-        :meth:`multi_exp` tallies — overrides must tally the same.
+        :meth:`multi_exp` tallies.
 
         Args:
             ids: byte strings hashed into G1.
@@ -347,6 +347,57 @@ class PairingGroup(ABC):
         self._check_hash_terms(ids, id_exponents, elements, exponents)
         hashed = [self.hash_to_g1(data) for data in ids]
         return self.multi_exp(hashed + list(elements), list(id_exponents) + list(exponents))
+
+    def hashed_pairing_check(
+        self,
+        sigma: GroupElement,
+        pk: GroupElement,
+        ids: list[bytes],
+        id_exponents: list[int] | None,
+        elements: list[GroupElement] = (),
+        exponents: list[int] = (),
+        pool=None,
+    ) -> bool:
+        """``e(σ, g2) == e(χ, pk)`` for χ = ∏ H(ids[i])^{id_exponents[i]} ·
+        ∏ elements[l]^{exponents[l]}.
+
+        The one check behind Eq. 6 (with ``u_l`` and ``α_l`` as the
+        elements) and BLS verification (one id, ``id_exponents=None``).
+        The default body is :meth:`hash_multi_exp` then
+        :meth:`pairing_check`; the type-A group overrides it to skip the
+        cofactor clearing of χ
+        (:meth:`repro.pairing.type_a.TypeAPairingGroup.hashed_pairing_check`).
+
+        Op-count cost: what :meth:`hash_multi_exp` tallies, plus two
+        pairings.  ``id_exponents=None`` takes every H(id) as it is
+        (exponent 1), tallying its hash but no Exp, as a plain BLS check
+        does.  Overrides must tally the same.
+
+        Args:
+            sigma: the G1 left-hand element.
+            pk: the G2 public key.
+            ids: byte strings hashed into G1.
+            id_exponents: one integer per id, or ``None`` for all ones.
+            elements: further G1 elements in the order-r subgroup.
+            exponents: one integer per element.
+            pool: an optional :class:`~repro.core.parallel.WorkerPool`
+                to fan the id terms out to; the default body ignores it.
+
+        Raises:
+            ValueError: as :meth:`hash_multi_exp` does.
+        """
+        if id_exponents is not None:
+            chi = self.hash_multi_exp(ids, id_exponents, elements, exponents)
+        else:
+            self._check_hash_terms(ids, [1] * len(ids), elements, exponents)
+            # Plain hashes join uncounted, like multi_exp's internal merges.
+            point = self._identity("g1")
+            for data in ids:
+                point = self._add(point, self.hash_to_g1(data).point, "g1")
+            if elements:
+                point = self._add(point, self.multi_exp(list(elements), list(exponents)).point, "g1")
+            chi = GroupElement(self, point, "g1")
+        return self.pairing_check([(sigma, self.g2()), (chi.inverse(), pk)])
 
     @abstractmethod
     def g1(self) -> GroupElement:

@@ -50,7 +50,7 @@ class TypeAParams:
             raise ValueError("q is not prime")
         if self.q % 4 != 3:
             raise ValueError("q % 4 != 3")
-        # hash_multi_exp folds G1 terms in with h⁻¹ mod r.
+        # hashed_pairing_check folds G1 terms in with h⁻¹ mod r.
         if math.gcd(self.h, self.r) != 1:
             raise ValueError("gcd(h, r) != 1")
         if self.h * self.r != self.q + 1:

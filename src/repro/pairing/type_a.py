@@ -52,10 +52,12 @@ class TypeAPairingGroup(PairingGroup):
         self._generator = (params.gx, params.gy)
         # Final exponentiation: (q² − 1)/r = (q − 1) · h.
         self._final_exp_h = params.h
-        # α·h⁻¹ folds G1 terms into a cofactor-cleared MSM (hash_multi_exp).
+        # α·h⁻¹ folds G1 terms into the raw χ MSM (hashed_pairing_check).
         self._h_inv = pow(params.h, -1, params.r)
         # G2 point -> its Miller lines (see _miller_loop).
         self._lines: dict = {}
+        # Public key -> pk_h = [h mod r]·pk (see _cleared_key).
+        self._pk_h: dict = {}
 
     @classmethod
     def from_params(cls, params: TypeAParams) -> "TypeAPairingGroup":
@@ -80,35 +82,84 @@ class TypeAPairingGroup(PairingGroup):
             return self.hash_to_g1(data + b"\x00retry")
         return GroupElement(self, point, "g1")
 
-    def hash_multi_exp(self, ids, id_exponents, elements=(), exponents=()):
-        """χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l} with one cofactor clearing.
+    def hashed_pairing_check(self, sigma, pk, ids, id_exponents, elements=(),
+                             exponents=(), pool=None):
+        """e(σ, g) == e(χ, pk) with no cofactor clearing of χ.
 
-        Scalar multiplication commutes, so Σ β_i·[h]P_i = [h](Σ β_i·P_i):
-        one MSM over the *raw* try-and-increment points P_i, then one
-        multiplication by h, instead of one [h] per id.  The G1 elements
-        ride in the same MSM with exponents α_l·h⁻¹ mod r, since
-        [h](α·h⁻¹·u) = α·u for u of order r (h⁻¹ exists because
-        gcd(h, r) = 1, checked by :meth:`TypeAParams.validate`).
+        H(id) is [h]P for the raw try-and-increment point P.  Scalar
+        multiplication commutes, and the reduced Tate pairing is bilinear
+        in its non-r-torsion argument, so
 
-        The result equals the default (:meth:`hash_to_g1` per id, then
-        :meth:`multi_exp`) bit for bit, except when some [h]P_i = O:
+            e([h]χ_raw, pk) = e(χ_raw, [h]pk) = e(χ_raw, pk_h),
+
+        with χ_raw = Σ β_i·P_i + Σ (α_l·h⁻¹)·u_l one MSM over the raw
+        points ([h](α·h⁻¹·u) = α·u for u of order r; h⁻¹ exists because
+        gcd(h, r) = 1, checked by :meth:`TypeAParams.validate`) and
+        pk_h = [h mod r]·pk computed once per key (:meth:`_cleared_key`).
+        Elements sharing a point merge into one MSM term first, so
+        ``verify_batch`` passes each u_l once per file and pays for it
+        once.  χ_raw = (0, 0) counts as the identity: [h](0, 0) = O
+        because 4 | h, and (0, 0) is the one point where the Miller lines
+        at φ(·) degenerate (y = 0).
+
+        The verdict equals the default body's (:meth:`hash_multi_exp`,
+        then :meth:`pairing_check`), except when some [h]P_i = O:
         ``hash_to_g1`` retries with a suffix there, while this contributes
-        O.  That happens with probability about c/r, and can only turn an
-        honest Eq. 6 check into a reject, never a forgery into an accept.
-        Op counts are the default's: one ``hash_to_g1`` per id and one
-        ``exp_g1_msm``/``exp_g1_skipped`` per term.
+        O.  That happens with probability about c/r and can only turn an
+        honest check into a reject, never a forgery into an accept.  Op
+        counts are the default's.  With a ``pool``, its workers hash the
+        ids and return raw partial sums (:meth:`raw_hash_msm`).
         """
-        self._check_hash_terms(ids, id_exponents, elements, exponents)
         r = self.order
-        reduced = [e % r for e in id_exponents]
-        reduced += [e * self._h_inv % r for e in exponents]
+        self._check_hash_terms(
+            ids, [1] * len(ids) if id_exponents is None else id_exponents,
+            elements, exponents)
+        if self.counter is not None:
+            self._tally_msm_terms([e % r for e in exponents])
+        folded: dict = {}
+        for el, e in zip(elements, exponents):
+            folded[el.point] = (folded.get(el.point, 0) + e * self._h_inv) % r
+        points, scalars = list(folded), list(folded.values())
+        if pool is None or id_exponents is None:
+            chi = self.raw_hash_msm(ids, id_exponents, points, scalars)
+        else:
+            chi = affine_add(self._msm(points, scalars, "g1"),
+                             pool.hash_msm(ids, id_exponents).point, self.q)
+        if chi == (0, 0):
+            chi = None
+        pk_h = GroupElement(self, self._cleared_key(pk.point), "g2")
+        return self.pairing_check(
+            [(sigma, self.g2()), (GroupElement(self, self._neg(chi, "g1"), "g1"), pk_h)])
+
+    def raw_hash_msm(self, ids, id_exponents, points=(), scalars=()):
+        """Σ β_i·P_i + Σ s_j·Q_j over the raw try-and-increment points P_i.
+
+        No cofactor clearing: this is the raw sum each worker-pool chunk
+        returns, and what :meth:`hashed_pairing_check` pairs against pk_h.
+        The raw ``points`` Q_j ride in the same MSM untallied (the caller
+        tallies them); ``id_exponents=None`` takes every P_i once.
+
+        Op-count cost: one ``hash_to_g1`` per id and, unless
+        ``id_exponents`` is None, one ``exp_g1_msm``/``exp_g1_skipped``
+        per id term.
+        """
+        reduced = [1] * len(ids) if id_exponents is None else [e % self.order for e in id_exponents]
         if self.counter is not None:
             self.counter.hash_to_g1 += len(ids)
-            self._tally_msm_terms(reduced)
-        points = [self._hash_to_curve(data) for data in ids]
-        points += [el.point for el in elements]
-        point = self._raw_scalar_mul(self._msm(points, reduced, "g1"), self.params.h)
-        return GroupElement(self, point, "g1")
+            if id_exponents is not None:
+                self._tally_msm_terms(reduced)
+        hashed = [self._hash_to_curve(data) for data in ids]
+        return self._msm(hashed + list(points), reduced + list(scalars), "g1")
+
+    def _cleared_key(self, pk_point):
+        """pk_h = [h mod r]·pk, cached per key like the Miller lines."""
+        pk_h = self._pk_h.get(pk_point)
+        if pk_h is None:
+            pk_h = self._raw_scalar_mul(pk_point, self.params.h % self.order)
+            if len(self._pk_h) >= _LINE_CACHE_SIZE:
+                self._pk_h.clear()
+            self._pk_h[pk_point] = pk_h
+        return pk_h
 
     def _hash_to_curve(self, data: bytes):
         """Try-and-increment onto E(F_q); the caller clears the cofactor."""
@@ -321,9 +372,9 @@ class TypeAPairingGroup(PairingGroup):
         return GTElement(self, self._final_exponentiation(acc))
 
     def __getstate__(self):
-        # The line cache is derived data: never pickled (spawn-context
-        # worker pools pickle the group).
-        return {**self.__dict__, "_lines": {}}
+        # The line and pk_h caches are derived data: never pickled
+        # (spawn-context worker pools pickle the group).
+        return {**self.__dict__, "_lines": {}, "_pk_h": {}}
 
     def __eq__(self, other):
         return isinstance(other, TypeAPairingGroup) and other.params == self.params

@@ -1,29 +1,41 @@
 """Tests for batch auditing multiple files (verify_batch) and the
 fixed-base owner path."""
 
+import random
+
 import pytest
 
 from repro.core.accounting import CostTracker
+from repro.core.challenge import ProofResponse
 from repro.core.cloud import CloudServer
 from repro.core.owner import DataOwner
 from repro.core.sem import SecurityMediator
 from repro.core.verifier import PublicVerifier
 
 
-@pytest.fixture()
-def multi_file(group, params_k4, rng):
+def _audits(group, params, rng, files):
     sem = SecurityMediator(group, rng=rng, require_membership=False)
-    owner = DataOwner(params_k4, sem.pk, rng=rng)
-    cloud = CloudServer(params_k4, rng=rng)
-    verifier = PublicVerifier(params_k4, sem.pk, rng=rng)
+    owner = DataOwner(params, sem.pk, rng=rng)
+    cloud = CloudServer(params, rng=rng)
+    verifier = PublicVerifier(params, sem.pk, rng=rng)
     audits = []
-    for i in range(4):
+    for i in range(files):
         fid = b"file-%d" % i
         signed = owner.sign_file(b"content %d " % i * 10, fid, sem)
         cloud.store(signed)
         ch = verifier.generate_challenge(fid, len(signed.blocks))
         audits.append((ch, cloud.generate_proof(fid, ch)))
     return sem, cloud, verifier, audits
+
+
+@pytest.fixture()
+def multi_file(group, params_k4, rng):
+    return _audits(group, params_k4, rng, 4)
+
+
+def _forge(audit, group):
+    challenge, proof = audit
+    return challenge, ProofResponse(sigma=proof.sigma * group.g1(), alphas=proof.alphas)
 
 
 class TestBatchAudit:
@@ -77,6 +89,43 @@ class TestBatchAudit:
         _, _, verifier, audits = multi_file
         individually = all(verifier.verify(ch, proof) for ch, proof in audits)
         assert verifier.verify_batch(audits, rng) == individually
+
+    @pytest.mark.parametrize("forged", [(), (0,), (3,), (1, 2)])
+    def test_matches_per_file_verdicts_with_forgeries(self, multi_file, rng, group, forged):
+        _, _, verifier, audits = multi_file
+        audits = [_forge(a, group) if i in forged else a for i, a in enumerate(audits)]
+        per_file = [verifier.verify(ch, proof) for ch, proof in audits]
+        assert per_file == [i not in forged for i in range(len(audits))]
+        assert verifier.verify_batch(audits, rng) == all(per_file)
+
+    def test_one_forged_file_among_16_rejects(self, group, params_k4):
+        _, _, verifier, audits = _audits(group, params_k4, random.Random(16), 16)
+        assert verifier.verify_batch(audits, random.Random(1))
+        for bad in (0, 9, 15):
+            forged = list(audits)
+            forged[bad] = _forge(audits[bad], group)
+            assert not verifier.verify_batch(forged, random.Random(bad))
+
+    def test_counts_the_per_file_model_tally(self, multi_file, rng, group):
+        """The fold runs one MSM, but the model still tallies each file's
+        c_i hashes and (c_i + k) Exp terms, two Exps per weight, the
+        2(L − 1) merges, and 2 pairings — the unfolded form's counts."""
+        _, _, verifier, audits = multi_file
+        _, proof = audits[1]
+        audits[1] = (audits[1][0], ProofResponse(
+            sigma=proof.sigma, alphas=(0,) + tuple(proof.alphas[1:])))
+        expected = {"exp_g1": 2 * len(audits), "mul_g1": 2 * (len(audits) - 1),
+                    "pairings": 2}
+        for ch, proof in audits:
+            with CostTracker(group) as tracker:
+                verifier.verify(ch, proof)
+            for key, value in tracker.counter.diff({}).items():
+                if key != "pairings":
+                    expected[key] = expected.get(key, 0) + value
+        with CostTracker(group) as tracker:
+            assert not verifier.verify_batch(audits, rng)
+        assert tracker.counter.diff({}) == expected
+        assert expected["exp_g1_skipped"] >= 1
 
 
 class TestFixedBaseOwner:

@@ -98,7 +98,9 @@ class TestPoolMsm:
         with WorkerPool(params, 3) as pool:
             result = pool.hash_msm(ids, betas)
         group.detach_counter()
-        assert result.point == serial.point
+        # The partials merge uncleared: [h] of the raw sum is the serial χ.
+        assert result.point == group.raw_hash_msm(ids, betas)
+        assert group._raw_scalar_mul(result.point, group.params.h) == serial.point
         assert counter.hash_to_g1 == 20
         assert counter.exp_g1_msm == 20
 

@@ -3,7 +3,7 @@ with a per-term double-and-add oracle on every input.
 
 Points are on the type-A toy-64 curve y² = x³ + x: order-r G1 points and
 points outside G1 — (0, 0) of order 2 and raw try-and-increment points
-before cofactor clearing, which ``hash_multi_exp`` feeds in.  Inputs
+with no cofactor clearing, which ``hashed_pairing_check`` feeds in.  Inputs
 cover negative and zero scalars, identity points, a single term,
 duplicated points, explicit windows, all-max-digit scalars, term counts
 on both sides of :data:`~repro.ec.jacobian.PIPPENGER_THRESHOLD` and the
@@ -76,7 +76,7 @@ class TestAgreement:
             _assert_all_agree(points, scalars)
 
     def test_points_outside_g1(self):
-        """(0, 0) and uncleared hashed points, as ``hash_multi_exp`` passes
+        """(0, 0) and uncleared hashed points, as ``hashed_pairing_check`` passes
         them: scalars reduced mod r but the points' order is h·r."""
         rng = random.Random(21)
         for n in (5, PIPPENGER_THRESHOLD + 6):

@@ -1,11 +1,15 @@
-"""The type-A ``hash_multi_exp`` (one cofactor clearing per aggregate)
-against the default body (``hash_to_g1`` per id, then ``multi_exp``).
+"""The type-A ``hashed_pairing_check`` (Eq. 6 and BLS with no cofactor
+clearing, against the cached pk_h = [h mod r]·pk) against the default
+body (``hash_multi_exp`` then ``pairing_check``), which stays as the
+oracle.
 
-Both must give the same point bit for bit and the same op-count tallies,
-serial and through the worker pool, and Eq. 6 must still reject a real
+Both must give the same verdict and the same op-count tallies, serial
+and through the worker pool: honest checks accept, and a σ·g, a tampered
+exponent or id, or a wrong key reject.  Eq. 6 must still reject a real
 proof encoding with one α byte flipped.
 """
 
+import pickle
 import random
 
 import pytest
@@ -17,7 +21,9 @@ from repro.core.params import setup
 from repro.core.sem import SecurityMediator
 from repro.core.serial import decode_response, encode_response
 from repro.core.verifier import PublicVerifier
+from repro.crypto.bls import bls_keygen, bls_sign, bls_verify
 from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
+from repro.pairing import type_a
 from repro.pairing.interface import OperationCounter, PairingGroup
 
 _GROUPS = {name: TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[name])
@@ -43,21 +49,47 @@ def _case(group, seed, c, k):
     return ids, betas, elements, alphas
 
 
-def _run(method, group, *args):
+def _run(method, group, *args, **kwargs):
     counter = OperationCounter()
     group.attach_counter(counter)
     try:
-        point = method(group, *args).point
+        verdict = method(group, *args, **kwargs)
     finally:
         group.detach_counter()
-    return point, counter.snapshot()
+    return verdict, counter.snapshot()
 
 
-def _assert_same_as_default(group, ids, betas, elements, alphas):
-    deferred = _run(TypeAPairingGroup.hash_multi_exp, group, ids, betas, elements, alphas)
-    default = _run(PairingGroup.hash_multi_exp, group, ids, betas, elements, alphas)
-    assert deferred == default
-    assert deferred[1]["hash_to_g1"] == len(ids)
+def _check_both(group, *args, **kwargs):
+    """The type-A verdict and tallies, asserted equal to the oracle's."""
+    fast = _run(TypeAPairingGroup.hashed_pairing_check, group, *args, **kwargs)
+    oracle = _run(PairingGroup.hashed_pairing_check, group, *args)
+    assert fast == oracle
+    return fast[0]
+
+
+def _assert_same_as_default(group, ids, betas, elements, alphas, seed=0):
+    """Honest σ = χ^sk accepts; σ·g, each tampered input and a wrong key
+    reject — with the oracle's verdict and tallies every time."""
+    rng = random.Random(seed)
+    sk = group.random_nonzero_scalar(rng)
+    pk = group.g2() ** sk
+    chi = PairingGroup.hash_multi_exp(group, ids, betas, elements, alphas)
+    sigma = chi ** sk
+    assert _check_both(group, sigma, pk, ids, betas, elements, alphas)
+    rejects = [(sigma * group.g1(), pk, ids, betas, elements, alphas)]
+    if not chi.is_identity():
+        rejects.append((sigma, pk ** 2, ids, betas, elements, alphas))
+    if ids:
+        rejects.append((sigma, pk, ids, [betas[0] + 1] + betas[1:], elements, alphas))
+        live = [i for i, beta in enumerate(betas) if beta % group.order]
+        if live:
+            renamed = list(ids)
+            renamed[live[0]] += b"!"
+            rejects.append((sigma, pk, renamed, betas, elements, alphas))
+    if elements:
+        rejects.append((sigma, pk, ids, betas, elements, [alphas[0] + 1] + alphas[1:]))
+    for args in rejects:
+        assert not _check_both(group, *args)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -66,26 +98,52 @@ def _assert_same_as_default(group, ids, betas, elements, alphas):
 def test_matches_default_body(name, c, seed):
     group = _GROUPS[name]
     k = (0, 1, 4, 8)[seed % 4]
-    _assert_same_as_default(group, *_case(group, seed, c, k))
+    _assert_same_as_default(group, *_case(group, seed, c, k), seed=seed)
 
 
 def test_all_zero_exponents_give_identity():
     group = _GROUPS["toy-64"]
     ids, _, elements, _ = _case(group, 99, 8, 2)
     zero = [0] * 8, [0, 0]
-    _assert_same_as_default(group, ids, zero[0], elements, zero[1])
-    assert group.hash_multi_exp(ids, zero[0], elements, zero[1]).is_identity()
+    assert PairingGroup.hash_multi_exp(group, ids, zero[0], elements, zero[1]).is_identity()
+    pk = group.g2() ** 5
+    assert _check_both(group, group.g1_identity(), pk, ids, zero[0], elements, zero[1])
+    assert not _check_both(group, group.g1(), pk, ids, zero[0], elements, zero[1])
 
 
 def test_elements_only():
     group = _GROUPS["test-80"]
     _, _, elements, alphas = _case(group, 7, 1, 4)
-    _assert_same_as_default(group, [], [], elements, alphas)
+    _assert_same_as_default(group, [], [], elements, alphas, seed=7)
+
+
+def test_repeated_elements_merge_into_one_term():
+    """verify_batch passes each u_l once per file: the merged MSM gives
+    the oracle's verdict and the per-term tallies of the unmerged form."""
+    group = _GROUPS["toy-64"]
+    ids, betas, elements, alphas = _case(group, 5, 8, 4)
+    rng = random.Random(5)
+    more = [rng.randrange(group.order) for _ in elements]
+    _assert_same_as_default(group, ids, betas, elements * 2, alphas + more, seed=5)
+
+
+def test_chi_raw_at_order_two_point_is_identity(monkeypatch):
+    """χ_raw = (0, 0): [h](0, 0) = O, so the check is e(σ, g) == 1, and
+    the degenerate Miller evaluation at y = 0 is never reached."""
+    group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
+    raw = type_a.TypeAPairingGroup._hash_to_curve
+    monkeypatch.setattr(group, "_hash_to_curve",
+                        lambda data: (0, 0) if data == b"zero" else raw(group, data))
+    assert group.raw_hash_msm([b"zero"], [3]) == (0, 0)
+    pk = group.g2() ** 7
+    for exps in ([1], [3], None):
+        assert group.hashed_pairing_check(group.g1_identity(), pk, [b"zero"], exps)
+        assert not group.hashed_pairing_check(group.g1(), pk, [b"zero"], exps)
 
 
 @pytest.mark.slow
 def test_matches_default_body_at_paper_160(paper_group):
-    _assert_same_as_default(paper_group, *_case(paper_group, 3, 8, 4))
+    _assert_same_as_default(paper_group, *_case(paper_group, 3, 8, 4), seed=3)
 
 
 @pytest.mark.parametrize("make_args", [
@@ -96,24 +154,62 @@ def test_matches_default_body_at_paper_160(paper_group):
 ])
 def test_rejects_bad_arguments(make_args):
     group = _GROUPS["toy-64"]
-    for method in (TypeAPairingGroup.hash_multi_exp, PairingGroup.hash_multi_exp):
+    for method in (TypeAPairingGroup.hashed_pairing_check, PairingGroup.hashed_pairing_check):
         with pytest.raises(ValueError):
-            method(group, *make_args(group))
+            method(group, group.g1(), group.g2(), *make_args(group))
+    with pytest.raises(ValueError):
+        PairingGroup.hash_multi_exp(group, *make_args(group))
 
 
 def test_pooled_matches_default_body():
     group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
     params = setup(group, 4)
-    ids, betas, _, _ = _case(group, 11, 40, 0)
-    reference = _run(PairingGroup.hash_multi_exp, group, ids, betas)
-    counter = OperationCounter()
-    group.attach_counter(counter)
-    try:
-        with WorkerPool(params, 2) as pool:
-            point = pool.hash_msm(ids, betas).point
-    finally:
-        group.detach_counter()
-    assert (point, counter.snapshot()) == reference
+    ids, betas, elements, alphas = _case(group, 11, 40, 4)
+    pk = group.g2() ** 9
+    sigma = PairingGroup.hash_multi_exp(group, ids, betas, elements, alphas) ** 9
+    with WorkerPool(params, 2) as pool:
+        assert pool.hash_msm(ids, betas).point == group.raw_hash_msm(ids, betas)
+        for s in (sigma, sigma * group.g1()):
+            _check_both(group, s, pk, ids, betas, elements, alphas, pool=pool)
+
+
+class TestClearedKeyCache:
+    def test_bounded_like_the_line_cache(self):
+        group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
+        sigma = group.g1()
+        for i in range(type_a._LINE_CACHE_SIZE + 3):
+            group.hashed_pairing_check(sigma, group.g2() ** (i + 2), [b"m"], None)
+            assert 0 < len(group._pk_h) <= type_a._LINE_CACHE_SIZE
+        pk = group.g2() ** 5
+        group.hashed_pairing_check(sigma, pk, [b"m"], None)
+        assert group._pk_h[pk.point] == (pk ** group.params.h).point
+
+    def test_not_pickled(self):
+        group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
+        group.hashed_pairing_check(group.g1(), group.g2() ** 3, [b"m"], None)
+        assert group._pk_h
+        clone = pickle.loads(pickle.dumps(group))
+        assert clone._pk_h == {} and clone._lines == {}
+        assert clone == group
+
+
+class TestBlsVerify:
+    @pytest.mark.parametrize("name", sorted(_GROUPS))
+    def test_matches_default_body(self, name):
+        group = _GROUPS[name]
+        keys = bls_keygen(group, random.Random(4))
+        sigma = bls_sign(group, keys.sk, b"root")
+        for s, pk, msg in [(sigma, keys.pk, b"root"), (sigma * group.g1(), keys.pk, b"root"),
+                           (sigma, keys.pk ** 2, b"root"), (sigma, keys.pk, b"other")]:
+            verdict = _check_both(group, s, pk, [msg], None)
+            assert verdict == (s is sigma and pk is keys.pk and msg == b"root")
+            assert _run(lambda g: bls_verify(g, pk, msg, s), group) == (
+                verdict, {**OperationCounter().snapshot(), "hash_to_g1": 1, "pairings": 2})
+
+    def test_identity_signature_rejected(self):
+        group = _GROUPS["toy-64"]
+        keys = bls_keygen(group, random.Random(5))
+        assert not bls_verify(group, keys.pk, b"root", group.g1_identity())
 
 
 @pytest.fixture(scope="module")
@@ -131,16 +227,23 @@ def audited():
     return params, verifier, challenge, cloud.generate_proof(b"file", challenge)
 
 
-def test_challenge_aggregate_pooled_equals_serial(audited):
+def test_verify_pooled_equals_serial(audited):
     params, verifier, challenge, response = audited
-    serial = verifier._challenge_aggregate(challenge, response)
+    forged = type(response)(sigma=response.sigma * params.group.g1(), alphas=response.alphas)
     with WorkerPool(params, 2) as pool:
-        pooled = PublicVerifier(params, verifier.org_pk, pool=pool)._challenge_aggregate(
-            challenge, response)
-    reference = PairingGroup.hash_multi_exp(
-        params.group, list(challenge.block_ids), list(challenge.betas),
-        list(params.u), list(response.alphas))
-    assert serial == pooled == reference
+        pooled = PublicVerifier(params, verifier.org_pk, pool=pool)
+        for proof, expected in ((response, True), (forged, False)):
+            serial = _run(lambda g: verifier.verify(challenge, proof), params.group)
+            assert serial == _run(lambda g: pooled.verify(challenge, proof), params.group)
+            assert serial == _run(
+                PairingGroup.hashed_pairing_check, params.group, proof.sigma,
+                verifier.org_pk, list(challenge.block_ids), list(challenge.betas),
+                list(params.u), list(proof.alphas))
+            assert serial[0] is expected
+            audits = [(challenge, response), (challenge, proof)]
+            assert _run(lambda g: verifier.verify_batch(audits, random.Random(3)),
+                        params.group) == _run(
+                lambda g: pooled.verify_batch(audits, random.Random(3)), params.group)
 
 
 @pytest.mark.parametrize("alpha", range(4))
