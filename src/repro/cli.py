@@ -1015,7 +1015,8 @@ def cmd_ledger_verify(args) -> int:
         print(f"  kinds: {kinds}")
     if not args.no_recheck:
         print(f"  audits rechecked offline: {report.audits_rechecked} "
-              f"({report.audit_mismatches} mismatch(es))")
+              f"({report.audit_mismatches} mismatch(es)), "
+              f"{report.audit_batches} batch check(s)")
     if report.repairs_checked:
         print(f"  repair records checked: {report.repairs_checked}")
     if report.open_repairs:

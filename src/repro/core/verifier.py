@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import secrets
+from collections.abc import Callable
 
 from repro.core.blocks import make_block_id
 from repro.core.challenge import Challenge, ProofResponse
@@ -46,6 +47,34 @@ def blocks_needed_for_detection(corrupt_fraction: float, target_probability: flo
     if not 0.0 < target_probability < 1.0:
         raise ValueError("target_probability must be in (0, 1)")
     return math.ceil(math.log(1.0 - target_probability) / math.log(1.0 - corrupt_fraction))
+
+
+def bisect_failures(n: int, check_range: Callable[[int, int], bool]) -> list[int]:
+    """The positions in ``range(n)`` that a binary split isolates as failing.
+
+    Group testing: ``check_range(lo, hi)`` checks the half-open range
+    [lo, hi) in one aggregate check (one range challenge, one
+    :meth:`PublicVerifier.verify_batch`) and returns whether it passes.  A
+    failing range splits at its midpoint until single positions remain, so
+    f failures among n cost O(f · log n) checks and a clean range costs
+    one.  Ranges are visited depth-first, lower half first, so the visit
+    sequence depends only on the outcomes; the returned positions ascend.
+    """
+    failures: list[int] = []
+    # Explicit stack, popping the most recently pushed range and pushing
+    # (mid, hi) before (lo, mid): depth-first, low-first.
+    stack = [(0, n)] if n else []
+    while stack:
+        lo, hi = stack.pop()
+        if check_range(lo, hi):
+            continue
+        if hi - lo == 1:
+            failures.append(lo)
+            continue
+        mid = (lo + hi) // 2
+        stack.append((mid, hi))
+        stack.append((lo, mid))
+    return failures
 
 
 class PublicVerifier:

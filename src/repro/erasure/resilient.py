@@ -29,7 +29,7 @@ from repro.core.challenge import Challenge
 from repro.core.cloud import CloudServer
 from repro.core.owner import DataOwner, SignedFile
 from repro.core.params import SystemParams
-from repro.core.verifier import PublicVerifier
+from repro.core.verifier import PublicVerifier, bisect_failures
 from repro.erasure.reed_solomon import ReedSolomonCode
 
 
@@ -112,11 +112,13 @@ class ResilientStore:
         """Binary-split group testing over the block range: exact corrupt
         positions in O(k · log n) pairing checks for k corrupt blocks.
 
-        The schedule is deterministic: ranges are visited depth-first,
-        lower half before upper half, so for a fixed rng the exact
-        sequence of challenges — and hence the Exp/Pair tally — is
-        bit-identical across runs.  A range whose aggregate Eq. 6 check
-        passes is certified clean with a single verification (a random
+        The split is :func:`~repro.core.verifier.bisect_failures`, with one
+        range challenge per visited range.  Its schedule is deterministic:
+        ranges are visited depth-first, lower half before upper half, so
+        for a fixed rng the exact sequence of challenges — and hence the
+        Exp/Pair tally — is bit-identical across runs.  A range whose
+        aggregate Eq. 6 check passes is certified clean with a single
+        verification (a random
         β-combination of a clean range verifies; a corrupt block escapes
         only with probability 1/p), which is what makes this cheaper than
         the old one-challenge-per-block scrub: a clean file costs 1 check
@@ -125,28 +127,19 @@ class ResilientStore:
         reconciled cost model.
         """
         stored = self.cloud.retrieve(file_id)
-        corrupt: list[int] = []
         challenges = 0
+
+        def check_range(lo: int, hi: int) -> bool:
+            nonlocal challenges
+            challenge = self._range_challenge(file_id, lo, hi)
+            proof = self.cloud.generate_proof(file_id, challenge)
+            challenges += 1
+            return self.verifier.verify(challenge, proof)
+
         with self.obs.tracer.span("repair.localize",
                                   blocks=stored.n_blocks) as span:
-            # Explicit stack, popping the most recently pushed range and
-            # pushing (mid, hi) before (lo, mid): depth-first, low-first.
-            stack = [(0, stored.n_blocks)] if stored.n_blocks else []
-            while stack:
-                lo, hi = stack.pop()
-                challenge = self._range_challenge(file_id, lo, hi)
-                proof = self.cloud.generate_proof(file_id, challenge)
-                challenges += 1
-                if self.verifier.verify(challenge, proof):
-                    continue
-                if hi - lo == 1:
-                    corrupt.append(lo)
-                    continue
-                mid = (lo + hi) // 2
-                stack.append((mid, hi))
-                stack.append((lo, mid))
+            corrupt = bisect_failures(stored.n_blocks, check_range)
             span.set(challenges=challenges, corrupt=len(corrupt))
-        corrupt.sort()
         return corrupt
 
     def _range_challenge(self, file_id: bytes, lo: int, hi: int) -> Challenge:

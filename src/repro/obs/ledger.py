@@ -17,6 +17,10 @@ seed), ``verifier_key`` entries pin each verifier's public key, and every
 ``audit`` entry carries the full challenge (file id + indices + betas) and
 proof (sigma + alphas), so Eq. 6 can be re-evaluated from the ledger alone
 — a forged verdict with a consistently re-chained hash tail still fails.
+The recorded PASS verdicts under one key are rechecked together, in
+random-weight ``verify_batch`` checks of up to :data:`MAX_RECHECK_BATCH`
+records (two pairings each); only a failing batch is binary-split, down
+to the single records that mismatch.
 This module owns those records (:func:`audit_record`); every other kind
 is checked by the module that writes it (see :func:`verify_ledger`).
 
@@ -35,7 +39,11 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from repro.core.blocks import make_block_id
+from repro.core.challenge import Challenge, ProofResponse
+from repro.core.verifier import PublicVerifier, bisect_failures
 from repro.obs.exporters import model_equivalent_exp
+from repro.pairing.interface import GroupElement
 
 #: Ledger schema identifier recorded in every genesis entry.
 LEDGER_SCHEMA = "repro-ledger-v1"
@@ -45,6 +53,11 @@ GENESIS_PREV = "0" * 64
 
 #: Default epoch length: one checkpoint entry per this many appends.
 DEFAULT_EPOCH_LEN = 256
+
+#: Most recorded PASS verdicts the offline recheck holds in one batch:
+#: memory stays flat however long the ledger is, and each 32 records still
+#: share one pair of pairings.
+MAX_RECHECK_BATCH = 32
 
 
 class LedgerError(Exception):
@@ -287,6 +300,7 @@ class LedgerVerification:
     errors: list[str] = field(default_factory=list)
     audits_rechecked: int = 0
     audit_mismatches: int = 0
+    audit_batches: int = 0
     meterings_checked: int = 0
     repairs_checked: int = 0
     updates_checked: int = 0
@@ -306,8 +320,21 @@ class _AuditRecheck:
     ``genesis`` entry's (param_set, k, setup seed) rebuilds the
     parameters, each ``verifier_key`` entry pins one verifier's public
     key, and every ``audit`` / ``dyn_audit`` body (see
-    :func:`audit_record`) is then re-verified from its recorded challenge
-    and proof.  With ``enabled=False`` the checker owns no kinds.
+    :func:`audit_record`) is decoded into its recorded challenge and
+    proof under the key in effect.
+
+    A recorded FAIL (or a record no batch can hold: k alphas missing, an
+    empty challenge) is re-verified on its own at once, because each FAIL
+    must fail by itself.  A recorded PASS is queued under its key, and
+    each queue is rechecked in one :meth:`PublicVerifier.verify_batch`
+    when a ``genesis`` or a re-pinning ``verifier_key`` entry retires
+    that key, when it holds :data:`MAX_RECHECK_BATCH` records, and at
+    :meth:`finish`.  A failing (or raising) batch is
+    split by :func:`~repro.core.verifier.bisect_failures` down to single
+    records, which get the same plain :meth:`PublicVerifier.verify` — and
+    the same error text — as a FAIL.  A queued record's problem list is
+    returned empty by :meth:`check` and filled when its queue is flushed.
+    With ``enabled=False`` the checker owns no kinds.
     """
 
     def __init__(self, enabled: bool = True):
@@ -315,39 +342,100 @@ class _AuditRecheck:
                       if enabled else ())
         self.params = None
         self.pks: dict[str, object] = {}
+        #: pk point -> queued PASS records (challenge, response, problems).
+        self.pending: dict[object, list[tuple]] = {}
         self.rechecked = 0
         self.mismatches = 0
+        self.batches = 0
 
     def check(self, kind: str, body: dict) -> list[str]:
         if kind == "genesis":
+            self.flush()
             return self._load_genesis(body)
         if kind == "verifier_key":
             if self.params is not None:
-                from repro.pairing.interface import GroupElement
-
-                # Type A is symmetric: G1 and G2 share the serialization, so
-                # the G2 key round-trips through deserialize_g1 plus a rewrap.
-                group = self.params.group
-                point = group.deserialize_g1(bytes.fromhex(body["pk"])).point
-                self.pks[body["verifier"]] = GroupElement(group, point, "g2")
+                self._pin(body)
             return []
         try:
-            verdict = self._recheck(kind, body)
+            decoded = self._decode(kind, body)
         except Exception as exc:
             self.mismatches += 1
             return [f"audit recheck failed: {exc}"]
-        if verdict is None:
+        if decoded is None:
             return []
-        self.rechecked += 1
-        if verdict != body.get("ok"):
-            self.mismatches += 1
-            return [f"recorded verdict ok={body.get('ok')} but Eq. 6 "
-                    f"re-evaluates to {verdict} — forged verdict"]
-        return []
+        pk, challenge, response = decoded
+        problems: list[str] = []
+        if (body.get("ok") is True and challenge.block_ids
+                and len(response.alphas) == self.params.k):
+            queue = self.pending.setdefault(pk.point, [])
+            queue.append((challenge, response, problems))
+            if len(queue) >= MAX_RECHECK_BATCH:
+                self._flush(pk.point)
+        else:
+            problems += self._recheck_one(PublicVerifier(self.params, pk),
+                                          challenge, response, body.get("ok"))
+        return problems
 
     def finish(self, report: LedgerVerification) -> None:
+        self.flush()
         report.audits_rechecked = self.rechecked
         report.audit_mismatches = self.mismatches
+        report.audit_batches = self.batches
+
+    def flush(self) -> None:
+        """Recheck every queued PASS record."""
+        for point in list(self.pending):
+            self._flush(point)
+
+    def _pin(self, body: dict) -> None:
+        # Type A is symmetric: G1 and G2 share the serialization, so the
+        # G2 key round-trips through deserialize_g1 plus a rewrap.
+        group = self.params.group
+        point = group.deserialize_g1(bytes.fromhex(body["pk"])).point
+        previous = self.pks.get(body["verifier"])
+        if previous is not None and previous.point != point:
+            self._flush(previous.point)
+        self.pks[body["verifier"]] = GroupElement(group, point, "g2")
+
+    def _flush(self, point) -> None:
+        """One ``verify_batch`` over the PASS records queued under ``point``,
+        bisected down to plain rechecks of single records if it fails."""
+        records = self.pending.pop(point, [])
+        # No rng: the batch weights come from OS randomness, never from
+        # anything written in the ledger.
+        verifier = PublicVerifier(
+            self.params, GroupElement(self.params.group, point, "g2"))
+
+        def check_range(lo: int, hi: int) -> bool:
+            if hi - lo == 1:
+                challenge, response, problems = records[lo]
+                problems += self._recheck_one(verifier, challenge, response, True)
+                return not problems
+            self.batches += 1
+            try:
+                ok = verifier.verify_batch(
+                    [(challenge, response) for challenge, response, _ in records[lo:hi]])
+            except Exception:
+                return False
+            if ok:
+                self.rechecked += hi - lo
+            return ok
+
+        bisect_failures(len(records), check_range)
+
+    def _recheck_one(self, verifier, challenge, response, recorded) -> list[str]:
+        """Plain Eq. 6 for one record against its recorded verdict."""
+        try:
+            verdict = verifier.verify(challenge, response)
+        except Exception as exc:
+            self.mismatches += 1
+            return [f"audit recheck failed: {exc}"]
+        self.rechecked += 1
+        if verdict != recorded:
+            self.mismatches += 1
+            return [f"recorded verdict ok={recorded} but Eq. 6 "
+                    f"re-evaluates to {verdict} — forged verdict"]
+        return []
 
     def _load_genesis(self, body: dict) -> list[str]:
         from repro.core.params import setup
@@ -368,19 +456,15 @@ class _AuditRecheck:
             return [f"cannot rebuild parameters: {exc}"]
         return []
 
-    def _recheck(self, kind: str, body: dict) -> bool | None:
-        """Re-evaluate Eq. 6 for one audit or dyn_audit entry; None when
-        impossible.
+    def _decode(self, kind: str, body: dict):
+        """(pk, challenge, response) of one audit or dyn_audit entry; None
+        when no key material is pinned for it.
 
         A static ``audit`` derives each block id from (file, index).  A
         ``dyn_audit`` records the rank-authenticated identifiers
         explicitly (they are not derivable from positions alone), so the
         recheck replays the same identifiers the TPA verified.
         """
-        from repro.core.blocks import make_block_id
-        from repro.core.challenge import Challenge, ProofResponse
-        from repro.core.verifier import PublicVerifier
-
         if self.params is None:
             return None
         pk = self.pks.get(body.get("verifier"))
@@ -401,7 +485,7 @@ class _AuditRecheck:
         response = ProofResponse(
             sigma=sigma, alphas=tuple(int(a) for a in body["alphas"])
         )
-        return PublicVerifier(self.params, pk).verify(challenge, response)
+        return pk, challenge, response
 
 
 def _chain_break(entry: dict, position: int, prev: str) -> str | None:
@@ -439,12 +523,15 @@ def verify_ledger(path, expect_head: str | None = None,
     transitions replay from their recorded ops
     (:class:`repro.dynamic.store.DynamicChecker`), and — when ``recheck``
     is on and the genesis pins allow rebuilding the crypto context —
-    every recorded audit verdict matches a fresh Eq. 6 evaluation.
-    Repairs and update batches still open at the tail are the
-    crash-resume state: reported, not failed.  A checker that raises on
-    a malformed body is an error on that entry.  ``expect_head`` defends
-    against whole-suffix truncation and total re-chain forgery, which no
-    chain-internal check can see.
+    every recorded audit verdict matches a fresh Eq. 6 evaluation
+    (:class:`_AuditRecheck`: each recorded FAIL on its own, the recorded
+    PASSes under one key in batched checks, split only to name the
+    forgeries).  Repairs and update batches still open at the tail are
+    the crash-resume state: reported, not failed.  A checker that raises
+    on a malformed body is an error on that entry.  Errors are reported
+    in entry order, each labelled with its entry, whenever the batch that
+    found it ran.  ``expect_head`` defends against whole-suffix truncation
+    and total re-chain forgery, which no chain-internal check can see.
     """
     from repro.dynamic.store import DynamicChecker
     from repro.erasure.fleet import RepairChecker
@@ -457,14 +544,23 @@ def verify_ledger(path, expect_head: str | None = None,
         report.errors.append(str(exc))
         return report
     report.torn_tail = torn
-    checkers = (_AuditRecheck(enabled=recheck), MeterChecker(),
-                RepairChecker(), DynamicChecker())
+    audits = _AuditRecheck(enabled=recheck)
+    checkers = (audits, MeterChecker(), RepairChecker(), DynamicChecker())
     dispatch = {kind: checker for checker in checkers for kind in checker.kinds}
+    # (position, problems) per checked entry; a list may still be filled
+    # when the audit recheck flushes the batch the entry was queued in.
+    found: list[tuple[int, list[str]]] = []
+
+    def labelled() -> list[str]:
+        return [f"entry {position}: {p}" for position, problems in found
+                for p in problems]
+
     prev = GENESIS_PREV
     for position, entry in enumerate(entries):
         problem = _chain_break(entry, position, prev)
         if problem is not None:
-            report.errors.append(problem)
+            audits.flush()
+            report.errors += labelled() + [problem]
             return report
         prev, kind = entry["hash"], entry["kind"]
         report.entries += 1
@@ -476,10 +572,11 @@ def verify_ledger(path, expect_head: str | None = None,
             problems = checker.check(kind, entry["body"])
         except Exception as exc:
             problems = [f"malformed {kind} record: {exc!r}"]
-        report.errors.extend(f"entry {position}: {p}" for p in problems)
+        found.append((position, problems))
     report.head = prev
     for checker in checkers:
         checker.finish(report)
+    report.errors += labelled()
     if expect_head is not None and prev != expect_head:
         report.errors.append(
             f"head hash {prev[:16]}… does not match expected "

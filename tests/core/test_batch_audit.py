@@ -10,7 +10,7 @@ from repro.core.challenge import ProofResponse
 from repro.core.cloud import CloudServer
 from repro.core.owner import DataOwner
 from repro.core.sem import SecurityMediator
-from repro.core.verifier import PublicVerifier
+from repro.core.verifier import PublicVerifier, bisect_failures
 
 
 def _audits(group, params, rng, files):
@@ -126,6 +126,48 @@ class TestBatchAudit:
             assert not verifier.verify_batch(audits, rng)
         assert tracker.counter.diff({}) == expected
         assert expected["exp_g1_skipped"] >= 1
+
+
+class TestBisectFailures:
+    """The one binary split shared by corruption localization and the
+    ledger's batched recheck."""
+
+    @staticmethod
+    def _run(n, bad):
+        visited = []
+
+        def check_range(lo, hi):
+            visited.append((lo, hi))
+            return not any(lo <= b < hi for b in bad)
+
+        return bisect_failures(n, check_range), visited
+
+    def test_clean_range_costs_one_check(self):
+        assert self._run(9, set()) == ([], [(0, 9)])
+
+    def test_empty_range_checks_nothing(self):
+        assert self._run(0, set()) == ([], [])
+
+    def test_depth_first_low_first_schedule(self):
+        failures, visited = self._run(8, {1, 6})
+        assert failures == [1, 6]
+        assert visited == [(0, 8), (0, 4), (0, 2), (0, 1), (1, 2), (2, 4),
+                           (4, 8), (4, 6), (6, 8), (6, 7), (7, 8)]
+
+    def test_failing_single_position(self):
+        assert self._run(1, {0}) == ([0], [(0, 1)])
+
+    def test_names_every_failure_in_order(self):
+        bad = {0, 3, 4, 11, 199}
+        failures, visited = self._run(200, bad)
+        assert failures == sorted(bad)
+        assert len(visited) < 200
+
+    def test_one_forged_audit_among_16(self, group, params_k4):
+        _, _, verifier, audits = _audits(group, params_k4, random.Random(16), 16)
+        audits[9] = _forge(audits[9], group)
+        assert bisect_failures(
+            len(audits), lambda lo, hi: verifier.verify_batch(audits[lo:hi])) == [9]
 
 
 class TestFixedBaseOwner:

@@ -18,6 +18,7 @@ import pytest
 from repro.obs.ledger import (
     DEFAULT_EPOCH_LEN,
     GENESIS_PREV,
+    MAX_RECHECK_BATCH,
     Ledger,
     LedgerError,
     entry_hash,
@@ -315,6 +316,195 @@ class TestOfflineRecheck:
         report = verify_ledger(path)
         assert report.ok
         assert report.audits_rechecked == 0
+
+
+class _Org:
+    """One organization key over shared parameters: a signed file in the
+    cloud and a TPA that produces honest ``audit`` records against it."""
+
+    def __init__(self, params, seed, file_id):
+        from repro.core.cloud import CloudServer
+        from repro.core.owner import DataOwner
+        from repro.core.sem import SecurityMediator
+        from repro.core.verifier import PublicVerifier
+
+        rng = random.Random(seed)
+        self.params, self.file_id = params, file_id
+        self.sem = SecurityMediator(params.group, rng=rng, require_membership=False)
+        signed = DataOwner(params, self.sem.pk, rng=rng).sign_file(
+            b"y" * 120, file_id, self.sem, batch=True)
+        self.n_blocks = len(signed.blocks)
+        self.cloud = CloudServer(params, org_pk=self.sem.pk)
+        self.cloud.store(signed)
+        self.tpa = PublicVerifier(params, self.sem.pk, rng=rng)
+
+    def audit(self, verifier, ok=True):
+        """An honest audit recorded with verdict ``ok``."""
+        from repro.obs.ledger import audit_record
+
+        challenge = self.tpa.generate_challenge(self.file_id, self.n_blocks,
+                                                sample_size=3)
+        proof = self.cloud.generate_proof(self.file_id, challenge)
+        return audit_record(verifier, self.file_id, challenge, proof, ok)
+
+    def forged(self, verifier):
+        """A recorded PASS whose σ was replaced by σ·g."""
+        kind, body = self.audit(verifier)
+        group = self.params.group
+        sigma = group.deserialize_g1(bytes.fromhex(body["sigma"]))
+        return kind, {**body, "sigma": (sigma * group.g1()).to_bytes().hex()}
+
+
+class TestBatchedRecheck:
+    """Recorded PASS verdicts under one key are rechecked in one
+    ``verify_batch``; a failing batch is split down to the forgeries,
+    which report exactly the per-record errors."""
+
+    FORGED = "recorded verdict ok=True but Eq. 6 re-evaluates to False — forged verdict"
+
+    @pytest.fixture(scope="class")
+    def orgs(self):
+        from repro.core.params import setup
+        from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
+
+        group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
+        params = setup(group, 2, seed=b"ledger-batch")
+        return params, _Org(params, 1, b"fa"), _Org(params, 2, b"fb")
+
+    @staticmethod
+    def _ledger(tmp_path, params, name="batch.jsonl"):
+        ledger = Ledger(tmp_path / name)
+        ledger.ensure_genesis({"param_set": "toy-64", "k": params.k,
+                               "setup_seed": params.seed.hex()})
+        return ledger
+
+    def test_one_forged_pass_among_200(self, tmp_path, orgs):
+        params, org, _ = orgs
+        ledger = self._ledger(tmp_path, params)
+        ledger.pin_verifier("tpa", org.sem.pk)
+        forged_at = None
+        for i in range(200):
+            entry = ledger.append(*(org.forged("tpa") if i == 137 else org.audit("tpa")))
+            if i == 137:
+                forged_at = entry["seq"]
+        report = verify_ledger(ledger.path)
+        assert report.errors == [f"entry {forged_at}: {self.FORGED}"]
+        assert report.audit_mismatches == 1
+        assert report.audits_rechecked == 200
+        # One check per full or final batch, plus two children per level
+        # down the one path that holds the forgery (leaves use `verify`).
+        batches = -(-200 // MAX_RECHECK_BATCH)
+        depth = (MAX_RECHECK_BATCH - 1).bit_length()
+        assert report.audit_batches == batches + 2 * (depth - 1)
+
+    def test_forged_fail_is_caught_and_errors_stay_in_entry_order(self, tmp_path, orgs):
+        params, org, _ = orgs
+        ledger = self._ledger(tmp_path, params)
+        ledger.pin_verifier("tpa", org.sem.pk)
+        ledger.append(*org.audit("tpa"))
+        pass_forged = ledger.append(*org.forged("tpa"))["seq"]
+        fail_forged = ledger.append(*org.audit("tpa", ok=False))["seq"]
+        ledger.append(*org.audit("tpa"))
+        report = verify_ledger(ledger.path)
+        assert report.errors == [
+            f"entry {pass_forged}: {self.FORGED}",
+            f"entry {fail_forged}: recorded verdict ok=False but Eq. 6 "
+            "re-evaluates to True — forged verdict",
+        ]
+        assert report.audits_rechecked == 4
+        assert report.audit_mismatches == 2
+
+    def test_malformed_sigma_leaves_the_batch(self, tmp_path, orgs):
+        params, org, _ = orgs
+        ledger = self._ledger(tmp_path, params)
+        ledger.pin_verifier("tpa", org.sem.pk)
+        for i in range(12):
+            kind, body = org.audit("tpa")
+            if i == 5:
+                body = {**body, "sigma": "zz"}
+                bad = ledger.append(kind, body)["seq"]
+            else:
+                ledger.append(kind, body)
+        report = verify_ledger(ledger.path)
+        assert len(report.errors) == 1
+        assert report.errors[0].startswith(f"entry {bad}: audit recheck failed:")
+        assert report.audits_rechecked == 11
+        assert report.audit_mismatches == 1
+        assert report.audit_batches == 1   # the other eleven still batch clean
+
+    def test_repinned_key_and_second_genesis(self, tmp_path, orgs):
+        """Records are judged under the key in effect where they sit: a
+        record signed under the old key but written after the re-pin
+        mismatches, and a second genesis drops every pin."""
+        params, org_a, org_b = orgs
+        ledger = self._ledger(tmp_path, params)
+        ledger.pin_verifier("tpa", org_a.sem.pk)
+        for _ in range(3):
+            ledger.append(*org_a.audit("tpa"))
+        ledger.pin_verifier("tpa", org_b.sem.pk)
+        ledger.append(*org_b.audit("tpa"))
+        stale = ledger.append(*org_a.audit("tpa"))["seq"]
+        ledger.append(*org_b.audit("tpa"))
+        ledger.append("genesis", {"param_set": "toy-64", "k": params.k,
+                                  "setup_seed": params.seed.hex(), "run": 2})
+        ledger.append(*org_b.audit("tpa"))          # no pin yet: not rechecked
+        ledger.pin_verifier("tpa", org_a.sem.pk)
+        ledger.append(*org_a.audit("tpa"))
+        again = ledger.append(*org_b.audit("tpa"))["seq"]
+        report = verify_ledger(ledger.path)
+        assert report.errors == [f"entry {stale}: {self.FORGED}",
+                                 f"entry {again}: {self.FORGED}"]
+        assert report.audits_rechecked == 8
+        assert report.audit_mismatches == 2
+
+    def test_two_interleaved_verifiers(self, tmp_path, orgs):
+        params, org_a, org_b = orgs
+        ledger = self._ledger(tmp_path, params)
+        ledger.pin_verifier("tpa-a", org_a.sem.pk)
+        ledger.pin_verifier("tpa-b", org_b.sem.pk)
+        expected = []
+        for i in range(10):
+            for name, org in (("tpa-a", org_a), ("tpa-b", org_b)):
+                forge = (name, i) in (("tpa-a", 7), ("tpa-b", 2))
+                entry = ledger.append(*(org.forged(name) if forge else org.audit(name)))
+                if forge:
+                    expected.append(f"entry {entry['seq']}: {self.FORGED}")
+        report = verify_ledger(ledger.path)
+        assert report.errors == expected
+        assert report.audits_rechecked == 20
+        assert report.audit_mismatches == 2
+
+    def test_clean_single_key_ledger_costs_two_pairings(self, tmp_path, orgs,
+                                                        monkeypatch):
+        """The proof that it batches: L clean records, one check."""
+        from repro.pairing import OperationCounter, TypeAPairingGroup
+
+        params, org, _ = orgs
+        ledger = self._ledger(tmp_path, params)
+        ledger.pin_verifier("tpa", org.sem.pk)
+        for _ in range(MAX_RECHECK_BATCH):
+            ledger.append(*org.audit("tpa"))
+        counter = OperationCounter()
+        build = TypeAPairingGroup.from_params
+
+        def counted(type_a_params):
+            group = build(type_a_params)
+            group.attach_counter(counter)
+            return group
+
+        monkeypatch.setattr(TypeAPairingGroup, "from_params", counted)
+        report = verify_ledger(ledger.path)
+        assert report.ok
+        assert report.audits_rechecked == MAX_RECHECK_BATCH
+        assert report.audit_batches == 1
+        assert counter.pairings == 2
+        # Two more records fill a second batch: 2 pairings per batch.
+        ledger.append(*org.audit("tpa"))
+        ledger.append(*org.audit("tpa"))
+        counter.pairings = 0
+        report = verify_ledger(ledger.path)
+        assert report.ok and report.audit_batches == 2
+        assert counter.pairings == 4
 
 
 class TestRepairLifecycle:
