@@ -200,16 +200,11 @@ class DataOwner:
         """Unblind every signature (Eq. 5), fanned out when pooled."""
         if self.pool is not None:
             pk1 = sem_pk_g1
-            if pk1 is None and self.group.is_symmetric:
-                from repro.pairing.interface import GroupElement as _GE
-
-                pk1 = _GE(self.group, self.sem_pk.point, "g1")
-            if pk1 is not None:
-                result = self.pool.unblind_batch(
-                    states, blind_signatures, self.sem_pk, pk1
-                )
-                if result is not None:
-                    return tuple(result)
+            if pk1 is None:
+                pk1 = GroupElement(self.group, self.sem_pk.point, "g1")
+            result = self.pool.unblind_batch(states, blind_signatures, self.sem_pk, pk1)
+            if result is not None:
+                return tuple(result)
         return tuple(
             self.unblind(s, bs, check=False, sem_pk_g1=sem_pk_g1)
             for s, bs in zip(states, blind_signatures)

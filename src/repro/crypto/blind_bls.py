@@ -15,9 +15,8 @@ nothing about the message.  Unlinkability: for every (M, σ) there exists an
 r matching any transcript (m̃, σ̃), so transcripts cannot be linked to
 published signatures.
 
-On an asymmetric backend the owner uses the G1 generator for blinding and a
-*G1 copy of the public key* ``pk1 = g1^y`` for unblinding (published
-alongside pk); on the symmetric type-A backend pk1 == pk as in the paper.
+Unblinding uses pk as an element of G1, ``pk1 = g1^y``: the pairing is
+symmetric, so pk1 and pk are the same point, as in the paper.
 
 The full round trip, recovering exactly the plain BLS signature M^y:
 
@@ -83,8 +82,8 @@ def unblind(
     """Eq. 5: σ = σ̃ · pk1^{−r}; optionally checks Eq. 4 first.
 
     Args:
-        pk1: the signer's public key in G1 (g1^y).  Defaults to ``pk``,
-            which is correct on symmetric groups.
+        pk1: the signer's public key as a G1 element (g1^y).  Defaults
+            to ``pk`` tagged G1, the same point.
 
     Raises:
         ValueError: if ``check`` is set and the blind signature fails Eq. 4
@@ -93,8 +92,6 @@ def unblind(
     if check and not verify_blinded(group, state.blinded, blind_signature, pk):
         raise ValueError("blind signature failed verification (Eq. 4); re-request from SEM")
     if pk1 is None:
-        if not group.is_symmetric:
-            raise ValueError("asymmetric groups require the G1 public key pk1")
         pk1 = GroupElement(group, pk.point, "g1")
     return blind_signature * (pk1 ** (group.order - state.r % group.order))
 

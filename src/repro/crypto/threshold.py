@@ -26,10 +26,11 @@ from repro.pairing.interface import GroupElement, PairingGroup
 class ThresholdKeyShares:
     """Output of Setup′: per-SEM key shares and public verification keys.
 
-    ``share_pks[j]`` is pk_j = g2^{y_j}; ``share_pks_g1[j]`` the G1 copy
-    used in share combination checks on asymmetric groups.  The master
-    public key pk = g2^y is what public verifiers use; the master secret is
-    *not* retained (the dealer goes offline, as the paper prescribes).
+    ``share_pks[j]`` is pk_j = g2^{y_j}; ``share_pks_g1[j]`` is the same
+    key tagged as a G1 element (g1^{y_j}, the same point on the symmetric
+    type-A group), like ``master_pk_g1``.  The master public key pk = g2^y
+    is what public verifiers use; the master secret is *not* retained (the
+    dealer goes offline, as the paper prescribes).
     """
 
     w: int

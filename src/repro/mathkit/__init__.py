@@ -1,4 +1,4 @@
-"""Number-theoretic and finite-field building blocks.
+"""Number-theoretic and polynomial building blocks.
 
 This subpackage is the lowest layer of the reproduction: everything above it
 (elliptic curves, pairings, signatures, the PDP protocol) is built on the
@@ -16,7 +16,6 @@ from repro.mathkit.ntheory import (
     random_prime,
     sqrt_mod,
 )
-from repro.mathkit.field import PrimeField, FieldElement
 from repro.mathkit.poly import Polynomial, lagrange_basis_at_zero, lagrange_interpolate_at_zero
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "next_prime",
     "random_prime",
     "sqrt_mod",
-    "PrimeField",
-    "FieldElement",
     "Polynomial",
     "lagrange_basis_at_zero",
     "lagrange_interpolate_at_zero",

@@ -209,13 +209,14 @@ class GTElement:
 class PairingGroup(ABC):
     """A bilinear group (G1, G2, GT, e) of prime order ``order``.
 
-    Symmetric backends set ``is_symmetric = True`` and make G2 an alias of
-    G1 so that scheme code written for the general (type-3) API also runs on
-    the paper's symmetric setting unchanged.
+    The API keeps the paper's (G1, G2) argument order: elements carry a
+    ``"g1"``/``"g2"`` tag, public keys are tagged G2, and :meth:`pair`
+    takes (G1, G2).  The one backend,
+    :class:`~repro.pairing.type_a.TypeAPairingGroup`, is symmetric: its G2
+    is an alias of G1 over the same points.
     """
 
     order: int
-    is_symmetric: bool = False
 
     def __init__(self):
         self.counter: OperationCounter | None = None
@@ -247,16 +248,9 @@ class PairingGroup(ABC):
             self.counter.pairings += 1
         return GTElement(self, self._pair(p.point, q.point))
 
+    @abstractmethod
     def multi_pair(self, pairs: list[tuple[GroupElement, GroupElement]]) -> GTElement:
-        """Product of pairings  prod e(p_i, q_i).
-
-        Backends may override with a shared-final-exponentiation product
-        pairing; the default multiplies individual pairings.
-        """
-        result = self.gt_one()
-        for p, q in pairs:
-            result = result * self.pair(p, q)
-        return result
+        """Product of pairings  prod e(p_i, q_i)."""
 
     def pairing_check(self, pairs: list[tuple[GroupElement, GroupElement]]) -> bool:
         """True iff  prod e(p_i, q_i) = 1.
@@ -315,39 +309,7 @@ class PairingGroup(ABC):
         point = self._msm([el.point for el in elements], reduced, which)
         return GroupElement(self, point, which)
 
-    def hash_multi_exp(
-        self,
-        ids: list[bytes],
-        id_exponents: list[int],
-        elements: list[GroupElement] = (),
-        exponents: list[int] = (),
-    ) -> GroupElement:
-        """``∏ H(ids[i]) ** id_exponents[i] · ∏ elements[l] ** exponents[l]``.
-
-        Eq. 6's χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l} in one call: each id
-        hashed with :meth:`hash_to_g1`, then one :meth:`multi_exp` over
-        all terms.  It is the default body of :meth:`hashed_pairing_check`
-        (BN254's path) and the tests' oracle for the type-A override,
-        which never forms χ itself.
-
-        Op-count cost: one ``hash_to_g1`` per id plus, per term, what
-        :meth:`multi_exp` tallies.
-
-        Args:
-            ids: byte strings hashed into G1.
-            id_exponents: one integer per id.
-            elements: further G1 elements, which must lie in the order-r
-                subgroup (the public ``u_l``).
-            exponents: one integer per element.
-
-        Raises:
-            ValueError: on no terms at all, a length mismatch, or a
-                non-G1 element.
-        """
-        self._check_hash_terms(ids, id_exponents, elements, exponents)
-        hashed = [self.hash_to_g1(data) for data in ids]
-        return self.multi_exp(hashed + list(elements), list(id_exponents) + list(exponents))
-
+    @abstractmethod
     def hashed_pairing_check(
         self,
         sigma: GroupElement,
@@ -359,45 +321,7 @@ class PairingGroup(ABC):
         pool=None,
     ) -> bool:
         """``e(σ, g2) == e(χ, pk)`` for χ = ∏ H(ids[i])^{id_exponents[i]} ·
-        ∏ elements[l]^{exponents[l]}.
-
-        The one check behind Eq. 6 (with ``u_l`` and ``α_l`` as the
-        elements) and BLS verification (one id, ``id_exponents=None``).
-        The default body is :meth:`hash_multi_exp` then
-        :meth:`pairing_check`; the type-A group overrides it to skip the
-        cofactor clearing of χ
-        (:meth:`repro.pairing.type_a.TypeAPairingGroup.hashed_pairing_check`).
-
-        Op-count cost: what :meth:`hash_multi_exp` tallies, plus two
-        pairings.  ``id_exponents=None`` takes every H(id) as it is
-        (exponent 1), tallying its hash but no Exp, as a plain BLS check
-        does.  Overrides must tally the same.
-
-        Args:
-            sigma: the G1 left-hand element.
-            pk: the G2 public key.
-            ids: byte strings hashed into G1.
-            id_exponents: one integer per id, or ``None`` for all ones.
-            elements: further G1 elements in the order-r subgroup.
-            exponents: one integer per element.
-            pool: an optional :class:`~repro.core.parallel.WorkerPool`
-                to fan the id terms out to; the default body ignores it.
-
-        Raises:
-            ValueError: as :meth:`hash_multi_exp` does.
-        """
-        if id_exponents is not None:
-            chi = self.hash_multi_exp(ids, id_exponents, elements, exponents)
-        else:
-            self._check_hash_terms(ids, [1] * len(ids), elements, exponents)
-            # Plain hashes join uncounted, like multi_exp's internal merges.
-            point = self._identity("g1")
-            for data in ids:
-                point = self._add(point, self.hash_to_g1(data).point, "g1")
-            if elements:
-                point = self._add(point, self.multi_exp(list(elements), list(exponents)).point, "g1")
-            chi = GroupElement(self, point, "g1")
-        return self.pairing_check([(sigma, self.g2()), (chi.inverse(), pk)])
+        ∏ elements[l]^{exponents[l]}: Eq. 6 and BLS verification."""
 
     @abstractmethod
     def g1(self) -> GroupElement:
@@ -437,7 +361,7 @@ class PairingGroup(ABC):
     # -- backend primitives -------------------------------------------------
     @staticmethod
     def _check_hash_terms(ids, id_exponents, elements, exponents) -> None:
-        """Argument checks every :meth:`hash_multi_exp` runs first."""
+        """Argument checks every :meth:`hashed_pairing_check` runs first."""
         if len(ids) != len(id_exponents):
             raise ValueError("ids and id_exponents must have equal length")
         if len(elements) != len(exponents):
@@ -445,7 +369,7 @@ class PairingGroup(ABC):
         if not ids and not elements:
             raise ValueError("need at least one term")
         if any(el.which != "g1" for el in elements):
-            raise ValueError("hash_multi_exp elements must lie in G1")
+            raise ValueError("hashed_pairing_check elements must lie in G1")
 
     def _tally_msm_terms(self, reduced: list[int]) -> None:
         """One ``exp_g1_msm`` per nonzero and one ``exp_g1_skipped`` per
@@ -457,40 +381,6 @@ class PairingGroup(ABC):
             else:
                 counter.exp_g1_skipped += 1
 
-    def _msm(self, points, exponents, which: str):
-        """Raw multi-scalar multiplication hook behind :meth:`multi_exp`.
-
-        The default folds per-term ``_scalar_mul`` results with ``_add`` and
-        works for any backend; fast backends override it with a shared-chain
-        MSM (see :meth:`repro.pairing.type_a.TypeAPairingGroup._msm`).
-        Implementations must not touch the operation counter — the caller
-        accounts per-term.
-        """
-        acc = self._identity(which)
-        for pt, e in zip(points, exponents):
-            if e == 0:
-                continue
-            acc = self._add(acc, self._scalar_mul(pt, e, which), which)
-        return acc
-
-    def _sums(self, lists, which: str) -> list:
-        """Raw sum of each list of raw points (behind fixed-base lookups).
-
-        The default folds each list with ``_add``; backends with a cheaper
-        batched sum override it (see
-        :meth:`repro.pairing.type_a.TypeAPairingGroup._sums`).  Like
-        :meth:`_msm` it must not touch the operation counter: callers tally
-        ``len(points) − 1`` ``mul_g1`` per list, what the fold would have
-        cost as ``*``.
-        """
-        sums = []
-        for points in lists:
-            acc = self._identity(which)
-            for pt in points:
-                acc = self._add(acc, pt, which)
-            sums.append(acc)
-        return sums
-
     @abstractmethod
     def _add(self, a, b, which: str): ...
 
@@ -499,6 +389,12 @@ class PairingGroup(ABC):
 
     @abstractmethod
     def _scalar_mul(self, a, n: int, which: str): ...
+
+    @abstractmethod
+    def _msm(self, points, exponents, which: str): ...
+
+    @abstractmethod
+    def _sums(self, lists, which: str) -> list: ...
 
     @abstractmethod
     def _identity(self, which: str): ...

@@ -29,7 +29,7 @@ from __future__ import annotations
 from repro.ec.hash_to_curve import hash_to_curve_try_increment
 from repro.ec.jacobian import affine_add, batch_affine_sums, jac_msm, jac_scalar_mul
 from repro.mathkit.ntheory import sqrt_mod
-from repro.pairing.interface import GroupElement, PairingGroup
+from repro.pairing.interface import GroupElement, GTElement, PairingGroup
 from repro.pairing.params import TypeAParams
 
 #: Most G2 points whose Miller lines a group keeps (~60 KB each at
@@ -39,8 +39,6 @@ _LINE_CACHE_SIZE = 32
 
 class TypeAPairingGroup(PairingGroup):
     """Symmetric pairing group over PBC-style type-A parameters."""
-
-    is_symmetric = True
 
     def __init__(self, params: TypeAParams):
         super().__init__()
@@ -86,6 +84,10 @@ class TypeAPairingGroup(PairingGroup):
                              exponents=(), pool=None):
         """e(σ, g) == e(χ, pk) with no cofactor clearing of χ.
 
+        The one check behind Eq. 6 (χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l},
+        with the u_l as ``elements`` and the α_l as ``exponents``) and BLS
+        verification (one id, ``id_exponents=None``).
+
         H(id) is [h]P for the raw try-and-increment point P.  Scalar
         multiplication commutes, and the reduced Tate pairing is bilinear
         in its non-r-torsion argument, so
@@ -102,13 +104,33 @@ class TypeAPairingGroup(PairingGroup):
         because 4 | h, and (0, 0) is the one point where the Miller lines
         at φ(·) degenerate (y = 0).
 
-        The verdict equals the default body's (:meth:`hash_multi_exp`,
-        then :meth:`pairing_check`), except when some [h]P_i = O:
-        ``hash_to_g1`` retries with a suffix there, while this contributes
-        O.  That happens with probability about c/r and can only turn an
-        honest check into a reject, never a forgery into an accept.  Op
-        counts are the default's.  With a ``pool``, its workers hash the
-        ids and return raw partial sums (:meth:`raw_hash_msm`).
+        The verdict equals that of forming χ with :meth:`hash_to_g1` per
+        id and one :meth:`multi_exp`, then :meth:`pairing_check`, except
+        when some [h]P_i = O: ``hash_to_g1`` retries with a suffix there,
+        while this contributes O.  That happens with probability about c/r
+        and can only turn an honest check into a reject, never a forgery
+        into an accept.  With a ``pool``, its workers hash the ids and
+        return raw partial sums (:meth:`raw_hash_msm`).
+
+        Op-count cost: one ``hash_to_g1`` per id, one ``exp_g1_msm`` per
+        nonzero and one ``exp_g1_skipped`` per zero exponent (ids and
+        elements alike, counted before any merging), plus two pairings.
+        ``id_exponents=None`` takes every H(id) as it is (exponent 1),
+        tallying its hash but no Exp, as a plain BLS check does.
+
+        Args:
+            sigma: the G1 left-hand element.
+            pk: the G2 public key.
+            ids: byte strings hashed into G1.
+            id_exponents: one integer per id, or ``None`` for all ones.
+            elements: further G1 elements in the order-r subgroup.
+            exponents: one integer per element.
+            pool: an optional :class:`~repro.core.parallel.WorkerPool`
+                to fan the id terms out to.
+
+        Raises:
+            ValueError: on no terms at all, a length mismatch, or a
+                non-G1 element.
         """
         r = self.order
         self._check_hash_terms(
@@ -184,15 +206,20 @@ class TypeAPairingGroup(PairingGroup):
         return self._raw_scalar_mul(a, n)
 
     def _sums(self, lists, which):
-        """One affine tree for all lists (:func:`batch_affine_sums`)."""
+        """Raw sum of each list of raw points (behind fixed-base lookups).
+
+        One affine tree for all lists (:func:`batch_affine_sums`).  It does
+        not touch the operation counter: callers tally ``len(points) − 1``
+        ``mul_g1`` per list, what a fold with ``*`` would have cost.
+        """
         return batch_affine_sums(lists, self.q)
 
     def _msm(self, points, exponents, which):
-        """Raw Jacobian MSM (:func:`repro.ec.jacobian.jac_msm`).
+        """Raw multi-scalar multiplication behind :meth:`multi_exp`.
 
-        Runs the whole multi-scalar multiplication with Jacobian chains
-        and batch-affine Pippenger buckets, instead of the default per-term
-        affine fold (which would pay one field inversion per add).
+        Runs with Jacobian chains and batch-affine Pippenger buckets
+        (:func:`repro.ec.jacobian.jac_msm`).  It does not touch the
+        operation counter: the caller tallies per term.
         """
         return jac_msm(points, exponents, self.q)
 
@@ -357,9 +384,14 @@ class TypeAPairingGroup(PairingGroup):
         return x == y
 
     def multi_pair(self, pairs):
-        """Product pairing with a single shared final exponentiation."""
-        from repro.pairing.interface import GTElement
+        """Product pairing with a single shared final exponentiation.
 
+        Op-count cost: one pairing per (G1, G2) pair, identity terms
+        included.
+
+        Raises:
+            ValueError: on a pair not of the form (G1, G2).
+        """
         acc = (1, 0)
         for p, q_el in pairs:
             if p.which != "g1" or q_el.which != "g2":

@@ -77,7 +77,8 @@ class SigningPipeline:
             :class:`~repro.core.multi_sem.MultiSEMClient`, or a
             :class:`~repro.service.failover.FailoverMultiSEMClient`.
         org_pk: the organizational public key pk = g2^y.
-        org_pk_g1: the G1 copy g1^y (required on asymmetric groups).
+        org_pk_g1: the SEM key as a G1 element, g1^y.  Defaults to
+            ``org_pk`` tagged G1, the same point.
         credential: the credential forwarded on transport calls; services
             enforce membership at admission and call a trusted SEM.
         use_fixed_base: precompute tables for u_1..u_k, g1, and pk1.
@@ -104,8 +105,6 @@ class SigningPipeline:
         self.credential = credential
         self._rng = rng
         if org_pk_g1 is None:
-            if not self.group.is_symmetric:
-                raise ValueError("asymmetric groups require org_pk_g1 = g1^y")
             org_pk_g1 = GroupElement(self.group, org_pk.point, "g1")
         self.org_pk_g1 = org_pk_g1
         bits = self.group.order.bit_length()

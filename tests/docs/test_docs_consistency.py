@@ -1,6 +1,6 @@
 """The documentation stays true: CLI invocations parse, links resolve.
 
-Four checks keep the prose and the code from drifting apart:
+Five checks keep the prose and the code from drifting apart:
 
 * every ``repro-pdp ...`` command shown in a fenced code block of the
   documentation parses against the real argparse tree;
@@ -9,7 +9,9 @@ Four checks keep the prose and the code from drifting apart:
 * the bench ``--suite`` help text names exactly the registered suites;
 * every ``repro.<module>:<Symbol>`` code anchor in docs/PROTOCOL.md, and
   every backticked ``repro.<dotted.name>`` in any document, imports and
-  resolves, so the narrative cannot name code that is gone.
+  resolves, so the narrative cannot name code that is gone;
+* every backticked ``dir/file.py`` path (optionally ``::name``) in those
+  documents names a file under the repo root, ``src/`` or ``src/repro/``.
 """
 
 import re
@@ -235,6 +237,22 @@ def test_relative_links_resolve(path):
         if anchor and dest.suffix == ".md" and anchor not in _anchors(dest):
             broken.append(f"{target}: no heading for #{anchor} in {dest.name}")
     assert not broken, f"{path.name}: " + "; ".join(broken)
+
+
+_PY_PATH = re.compile(r"`([\w./-]*/[\w.-]+\.py)(?:::[^`\s]+)?`")
+
+
+def test_backticked_file_paths_resolve():
+    """A backticked ``pairing/type_a.py`` or ``benchmarks/test_x.py::test_y``
+    must name an existing file, read from the repo root, ``src/`` or
+    ``src/repro/``, so a deleted or renamed module cannot stay documented."""
+    roots = (REPO, REPO / "src", REPO / "src" / "repro")
+    paths = {(path.name, ref) for path in DOC_FILES
+             for ref in _PY_PATH.findall(path.read_text())}
+    assert len(paths) >= 20, f"documents lost their file references: {paths}"
+    broken = sorted(f"{source}: {ref}" for source, ref in paths
+                    if not any((root / ref).is_file() for root in roots))
+    assert not broken, "stale file paths: " + "; ".join(broken)
 
 
 def test_readme_mentions_every_top_level_command():

@@ -126,17 +126,6 @@ class TestTablePower:
         _, ops = _counted(group, tables[1].power, 0x1F0F)
         assert ops["mul_g1"] == 2 and ops["exp_g1_fixed_base"] == 1
 
-    @pytest.mark.slow
-    def test_bn254_default_sum(self):
-        from repro.pairing.bn254 import BN254PairingGroup
-
-        group = BN254PairingGroup()
-        base = group.g1() ** 0xC0FFEE
-        table = FixedBaseTable(base, group.order.bit_length())
-        e = random.Random(254).randrange(group.order)
-        _same(group, table.power, lambda x: _oracle_power(table, x), e)
-        assert table.power(e) == base**e
-
 
 class TestAggregate:
     def test_matches_affine_fold(self, setting):

@@ -1,5 +1,5 @@
-"""Backend-agnostic contract tests: every PairingGroup implementation must
-satisfy the same algebraic API guarantees the scheme code relies on."""
+"""Contract tests: the pairing group, at two parameter sizes, satisfies
+the algebraic API guarantees the scheme code relies on."""
 
 import random
 
@@ -15,13 +15,6 @@ def _backends():
     yield pytest.param(
         lambda: TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["test-80"]), id="type-a-80"
     )
-    yield pytest.param(_bn254, id="bn254", marks=pytest.mark.slow)
-
-
-def _bn254():
-    from repro.pairing.bn254 import BN254PairingGroup
-
-    return BN254PairingGroup()
 
 
 @pytest.fixture(params=list(_backends()))

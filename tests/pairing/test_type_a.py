@@ -23,7 +23,6 @@ class TestGroupStructure:
         assert not (g.g1() ** 1).is_identity()
 
     def test_symmetric(self, g):
-        assert g.is_symmetric
         assert g.g1().point == g.g2().point
 
     def test_identity_element(self, g):
@@ -134,16 +133,9 @@ class TestHashAndSerialization:
         with pytest.raises(ValueError):
             g.deserialize_g1(b"\x01")
 
-    @pytest.mark.parametrize("backend", ["type-a", "bn254"])
-    def test_deserialize_rejects_non_canonical_encodings(self, g, backend):
+    def test_deserialize_rejects_non_canonical_encodings(self, g):
         """Mutated real encodings: x + q (same point mod q) and tags with
         bit 1 set but other bits too must not decode; honest ones do."""
-        if backend == "bn254":
-            from repro.pairing.bn254 import FIELD_MODULUS, BN254PairingGroup
-
-            g, field_modulus = BN254PairingGroup(), FIELD_MODULUS
-        else:
-            field_modulus = g.q
         width = g.g1_element_bytes() - 1
         mutated = 0
         for i in range(16):
@@ -154,10 +146,9 @@ class TestHashAndSerialization:
             for bad_tag in (0x06, 0xFE):
                 with pytest.raises(ValueError):
                     g.deserialize_g1(data[:-1] + bytes([bad_tag]))
-            if x + field_modulus < 256**width:
+            if x + g.q < 256**width:
                 with pytest.raises(ValueError):
-                    g.deserialize_g1(
-                        (x + field_modulus).to_bytes(width, "big") + bytes([tag]))
+                    g.deserialize_g1((x + g.q).to_bytes(width, "big") + bytes([tag]))
                 mutated += 1
         assert mutated > 0
 

@@ -6,6 +6,7 @@ tier-1 fast and check the documents themselves.)
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,12 @@ def test_paper_table1_runs_inside_its_envelope():
     result = run_scenario(load_scenario(CORPUS_DIR / "paper_table1.yaml"))
     assert result.passed, [v.render() for v in result.violations]
     assert result.completed == 8
+
+
+def test_every_document_has_a_pinned_replay_digest():
+    # CI replays each document against replay_digests.json; a document
+    # added without a pin, or a pin left for a deleted one, fails here.
+    pinned = json.loads((Path(__file__).parent / "replay_digests.json").read_text())
+    assert sorted(pinned) == sorted(p.stem for p in CORPUS)
+    result = run_scenario(load_scenario(CORPUS_DIR / "paper_table1.yaml"))
+    assert result.digest() == pinned["paper_table1"]
