@@ -2,9 +2,11 @@
 
 Every benchmark module reproduces one table or figure of the paper.  Each
 appends a formatted text block to the session-wide report; at the end of
-the run the report is printed in the terminal summary and written to
+the run the report is printed in the terminal summary and merged into
 ``benchmarks/results/report.txt`` so that ``bench_output.txt`` and the
-repository both carry the regenerated tables.
+repository both carry the regenerated tables.  The merge replaces each
+block by its ``== title ==`` line and keeps every block this session did
+not regenerate, so running one benchmark module updates only its section.
 
 Methodology (see DESIGN.md §2 and EXPERIMENTS.md): per-block and
 per-operation costs are *measured* on this machine with the paper's own
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 
 import pytest
 
@@ -49,8 +52,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in block.splitlines():
             terminalreporter.write_line(line)
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "report.txt"), "w") as fh:
-        fh.write("\n\n".join(_REPORT_BLOCKS) + "\n")
+    path = os.path.join(RESULTS_DIR, "report.txt")
+    blocks = _read_report_blocks(path)
+    for block in _REPORT_BLOCKS:
+        blocks[block.splitlines()[0]] = block  # same title: replaced in place
+    with open(path, "w") as fh:
+        fh.write("\n\n".join(blocks.values()) + "\n")
+
+
+def _read_report_blocks(path: str) -> dict[str, str]:
+    """The blocks of an existing report, keyed by their ``== title ==`` line."""
+    if not os.path.exists(path):
+        return {}
+    with open(path) as fh:
+        text = fh.read().removesuffix("\n")
+    chunks = re.split(r"\n\n(?=== .* ==$)", text, flags=re.M) if text else []
+    return {chunk.split("\n", 1)[0]: chunk for chunk in chunks}
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,11 @@
 
 :class:`SEMCluster` is the server side: w mediators, each holding one
 Shamir share of the signing key (Setup′).  :class:`MultiSEMClient` is the
-owner-side combiner: it fans a blinded message out to the cluster, verifies
-the returned signature shares (Eq. 10 / Eq. 14), and interpolates any t
-valid shares into the blind signature (Eq. 11–12), which the regular
+owner-side combiner over it: the
+:class:`~repro.service.failover.FailoverMultiSEMClient` built from the
+cluster's endpoints, which fans a blinded message out, verifies the
+returned signature shares (Eq. 10 / Eq. 14), and interpolates any t valid
+shares into the blind signature (Eq. 11–12), which the regular
 :class:`~repro.core.owner.DataOwner` then unblinds (Eq. 13).
 
 Fault tolerance: with w = 2t − 1 SEMs, up to t − 1 may be crashed or even
@@ -16,19 +18,15 @@ from __future__ import annotations
 
 from repro.core.group_mgmt import MemberCredential
 from repro.core.sem import SecurityMediator
-from repro.crypto.threshold import (
-    ThresholdKeyShares,
-    batch_verify_shares,
-    combine_shares,
-    distribute_key,
-    verify_share,
-)
-from repro.mathkit.poly import lagrange_basis_at_zero
+from repro.crypto.threshold import ThresholdKeyShares, distribute_key
 from repro.pairing.interface import GroupElement, PairingGroup
+from repro.service.failover import (
+    FailoverMultiSEMClient,
+    InsufficientSharesError,
+    SEMEndpoint,
+)
 
-
-class InsufficientSharesError(Exception):
-    """Fewer than t valid signature shares could be collected."""
+__all__ = ["InsufficientSharesError", "MultiSEMClient", "SEMCluster"]
 
 
 class SEMCluster:
@@ -74,8 +72,6 @@ class SEMCluster:
         methods — crash-injected SEMs raise ``ConnectionError`` exactly as
         an unreachable network endpoint would.
         """
-        from repro.service.failover import SEMEndpoint
-
         return [
             SEMEndpoint(
                 name=f"sem-{j}",
@@ -98,14 +94,16 @@ class SEMCluster:
         self.sems[index].fail_mode = None
 
 
-class MultiSEMClient:
+class MultiSEMClient(FailoverMultiSEMClient):
     """Owner-side façade over a :class:`SEMCluster`.
 
     Exposes the same ``sign_blinded_batch`` interface as a single
     :class:`~repro.core.sem.SecurityMediator`, so a
     :class:`~repro.core.owner.DataOwner` works against either transparently
     (the final signatures are identical either way — Section V's point that
-    Challenge/Response/Verify are unchanged).
+    Challenge/Response/Verify are unchanged).  Signing runs one
+    :class:`~repro.service.failover.SigningRound` per batch under the
+    default failover policy.
 
     Args:
         cluster: the SEM cluster to talk to.
@@ -114,56 +112,5 @@ class MultiSEMClient:
     """
 
     def __init__(self, cluster: SEMCluster, batch: bool = True, rng=None):
-        self.cluster = cluster
-        self.group = cluster.group
-        self.batch = batch
-        self._rng = rng
-
-    def sign_blinded_batch(
-        self, blinded_messages: list[GroupElement], credential: MemberCredential | None = None
-    ) -> list[GroupElement]:
-        """Collect shares from the cluster and combine t valid ones per message.
-
-        Raises:
-            InsufficientSharesError: when fewer than t SEMs return valid
-                shares for the batch.
-        """
-        t = self.cluster.t
-        collected: dict[int, list[GroupElement]] = {}
-        valid: list[int] = []
-        for index, sem in enumerate(self.cluster.sems):
-            try:
-                shares = sem.sign_blinded_batch(blinded_messages, credential)
-            except ConnectionError:
-                continue
-            collected[index] = shares
-            # Validate each SEM's batch exactly once (2 pairings in batch
-            # mode), stopping as soon as t SEMs check out.
-            if self._sem_batch_valid(blinded_messages, index, shares):
-                valid.append(index)
-            if len(valid) >= t:
-                break
-        if len(valid) < t:
-            raise InsufficientSharesError(
-                f"only {len(valid)} of the required {t} valid signature shares"
-            )
-        chosen = valid[:t]
-        xs = [self.cluster.key_shares.shares[j].x for j in chosen]
-        basis = lagrange_basis_at_zero(xs, self.group.order)  # Eq. 11, precomputed once
-        combined = []
-        for i in range(len(blinded_messages)):
-            shares = [(xs[pos], collected[j][i]) for pos, j in enumerate(chosen)]
-            combined.append(combine_shares(self.group, shares, basis=basis))  # Eq. 12
-        return combined
-
-    def _sem_batch_valid(self, blinded_messages, index: int, shares) -> bool:
-        """Whether one SEM's whole share batch verifies."""
-        pk = self.cluster.key_shares.share_pks[index]
-        if self.batch:
-            return batch_verify_shares(
-                self.group, blinded_messages, {index: shares}, {index: pk}, rng=self._rng
-            )
-        return all(
-            verify_share(self.group, m, s, pk)  # Eq. 10, one by one
-            for m, s in zip(blinded_messages, shares)
-        )
+        super().__init__(cluster.group, cluster.endpoints(), cluster.t,
+                         rng=rng, batch_verify=batch)

@@ -14,21 +14,19 @@ multi-SEM) into a :class:`~repro.net.simulator.Simulator`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.core.blocks import Block, encode_data
+from repro.core.blocks import Block, aggregate_block, encode_data
 from repro.core.cloud import CloudServer
 from repro.core.owner import SignedFile
 from repro.core.params import SystemParams
 from repro.core.verifier import PublicVerifier
 from repro.crypto.blind_bls import batch_unblind_verify, blind, unblind
-from repro.crypto.threshold import combine_shares, verify_share
-from repro.mathkit.poly import lagrange_basis_at_zero
 from repro.net.channel import Channel
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.simulator import Simulator
-from repro.core.blocks import aggregate_block
+from repro.service.failover import ArmTimer, FailoverConfig, SendRequest, SigningRound
 
 
 @dataclass
@@ -36,10 +34,16 @@ class _PendingUpload:
     file_id: bytes
     blocks: list[Block]
     states: list
-    shares: dict[str, list]  # sem name -> blind signature list
-    uploaded: bool = False
-    retries: int = 0
+    round: SigningRound
+    inflight: dict[int, int] = field(default_factory=dict)  # msg_id -> endpoint index
+    timer_ids: list = field(default_factory=list)  # cancelled once they are moot
+    upload_retries: int = 0
     signed: SignedFile | None = None
+
+    @property
+    def retries(self) -> int:
+        """Signing re-asks plus upload retransmits."""
+        return self.round.retries + self.upload_retries
 
 
 class SEMNode(Node):
@@ -83,8 +87,17 @@ class OwnerNode(Node):
     """A data owner: blinds blocks, collects signatures, uploads.
 
     ``endpoints`` name each SEM with its Shamir abscissa and share public
-    key (:class:`~repro.service.failover.SEMEndpoint`); with more than one,
-    the first ``threshold`` shares that verify are interpolated.
+    key (:class:`~repro.service.failover.SEMEndpoint`).  Each upload runs
+    one :class:`~repro.service.failover.SigningRound`: share batches are
+    checked with Eq. 14 as they arrive and the first ``threshold`` valid
+    ones are interpolated (with one SEM, t = 1 and the basis is [1]).
+
+    With ``retry_timeout_s`` set, an unanswered SEM is re-asked every
+    ``retry_timeout_s`` up to ``max_retries`` times, and an upload whose
+    ack does not arrive is retransmitted on the same cadence and bound.
+    A round that ends with an invalid share batch raises ``ValueError``;
+    one that ends only for want of answers stalls, and nothing reaches
+    the cloud.
     """
 
     def __init__(
@@ -105,13 +118,20 @@ class OwnerNode(Node):
         self.group = params.group
         self.org_pk = org_pk
         self.org_pk_g1 = org_pk_g1
-        self.endpoints = {endpoint.name: endpoint for endpoint in endpoints}
-        self.sem_names = list(self.endpoints)
+        self.endpoints = list(endpoints)
+        self.sem_names = [endpoint.name for endpoint in self.endpoints]
         self.threshold = threshold
         self.cloud_name = cloud_name
         self._rng = rng
         self.retry_timeout_s = retry_timeout_s
         self.max_retries = max_retries
+        # A fixed re-ask cadence: no backoff, no jitter.
+        self.failover_config = FailoverConfig(
+            timeout_s=retry_timeout_s or 0.0,
+            max_attempts=max_retries + 1,
+            backoff_base_s=0.0,
+            backoff_jitter=False,
+        )
         self._pending: _PendingUpload | None = None
         self.completed_uploads: list[bytes] = []
         self.on("sign_response", self._handle_sign_response)
@@ -126,86 +146,97 @@ class OwnerNode(Node):
             blind(self.group, aggregate_block(self.params, block), self._rng)
             for block in blocks
         ]
-        self._pending = _PendingUpload(
-            file_id=file_id, blocks=blocks, states=states, shares={}
-        )
-        blinded = [s.blinded for s in states]
-        self._arm_retry_timer()
-        return [
-            self.make_message(sem, "sign_request", blinded) for sem in self.sem_names
-        ]
+        round_ = SigningRound(self.group, self.endpoints, self.threshold,
+                              [s.blinded for s in states],
+                              config=self.failover_config, rng=self._rng)
+        self._pending = _PendingUpload(file_id, blocks, states, round_)
+        return self._perform(self._pending, round_.start())
 
-    # -- retransmission (tolerates lossy channels) ---------------------------
-    def _arm_retry_timer(self) -> None:
-        if self.retry_timeout_s is not None and self.sim is not None:
-            self.sim.schedule(self.retry_timeout_s, self._on_retry_timeout)
+    # -- the signing round ---------------------------------------------------
+    def _perform(self, pending: _PendingUpload, actions) -> list[Message]:
+        """Map round actions onto sign_requests (backoff is zero, so every
+        send is immediate) and re-ask timers."""
+        out = []
+        for action in actions:
+            if isinstance(action, SendRequest):
+                endpoint = self.endpoints[action.endpoint_index]
+                message = self.make_message(endpoint.name, "sign_request",
+                                            pending.round.blinded)
+                # Responses carry reply_to=msg_id; this maps them back.
+                pending.inflight[message.msg_id] = action.endpoint_index
+                out.append(message)
+            elif (isinstance(action, ArmTimer) and self.retry_timeout_s is not None
+                  and self.sim is not None):
+                pending.timer_ids.append(self.sim.schedule(
+                    action.delay_s,
+                    lambda i=action.endpoint_index: self._on_sign_timeout(pending, i),
+                ))
+        return out
 
-    def _on_retry_timeout(self):
-        pending = self._pending
-        if pending is None or pending.retries >= self.max_retries:
+    def _on_sign_timeout(self, pending: _PendingUpload, endpoint_index: int):
+        if self._pending is not pending:
             return None
-        pending.retries += 1
-        self._arm_retry_timer()
-        blinded = [s.blinded for s in pending.states]
-        if not pending.uploaded:
-            # Re-request signatures from SEMs that have not answered yet.
-            missing = [s for s in self.sem_names if s not in pending.shares]
-            if missing:
-                return [self.make_message(s, "sign_request", blinded) for s in missing]
-            return None
-        # Signatures are in but the upload_ack never arrived: retransmit.
-        return self._build_upload_message(pending)
+        return self._advance(pending, pending.round.on_timeout(endpoint_index))
 
     def _handle_sign_response(self, message: Message):
         pending = self._pending
-        if pending is None or pending.uploaded:
+        if pending is None:
             return None
-        pending.shares[message.sender] = message.payload
-        if len(pending.shares) < self.threshold:
-            return None
-        blinded = [s.blinded for s in pending.states]
-        if len(self.sem_names) == 1:
-            blind_signatures = pending.shares[self.sem_names[0]]
-        else:
-            blind_signatures = self._combine(blinded, pending.shares)
-            if blind_signatures is None:
-                return None  # wait for more shares
-        if not batch_unblind_verify(self.group, blinded, blind_signatures, self.org_pk, self._rng):
+        endpoint_index = pending.inflight.pop(message.reply_to, None)
+        if endpoint_index is None:
+            return None  # stray, duplicate, or not asked by this upload
+        return self._advance(pending,
+                             pending.round.on_response(endpoint_index, message.payload))
+
+    def _advance(self, pending: _PendingUpload, actions):
+        """Send the round's actions; on completion check Eq. 7 and upload."""
+        out = self._perform(pending, actions)
+        round_ = pending.round
+        if round_.done and pending.signed is None:
+            # A finished round must not leave re-ask timers behind.
+            self._cancel_timers(pending)
+        if round_.failed_reason is not None and round_.invalid_endpoints:
+            self._pending = None
+            raise ValueError(f"signing round failed at owner: {round_.failed_reason}")
+        if round_.result is None or pending.signed is not None:
+            return out or None
+        if not batch_unblind_verify(self.group, round_.blinded, round_.result,
+                                    self.org_pk, self._rng):
+            self._pending = None
             raise ValueError("batch verification failed at owner")
         signatures = tuple(
             unblind(self.group, s, bs, self.org_pk, pk1=self.org_pk_g1, check=False)
-            for s, bs in zip(pending.states, blind_signatures)
+            for s, bs in zip(pending.states, round_.result)
         )
         pending.signed = SignedFile(
             file_id=pending.file_id, blocks=tuple(pending.blocks), signatures=signatures
         )
-        pending.uploaded = True
-        return self._build_upload_message(pending)
+        self._arm_upload_timer(pending)
+        out.append(self.make_message(self.cloud_name, "upload", pending.signed))
+        return out
 
-    def _build_upload_message(self, pending: _PendingUpload) -> Message:
-        return self.make_message(self.cloud_name, "upload", pending.signed)
+    def _cancel_timers(self, pending: _PendingUpload) -> None:
+        for timer_id in pending.timer_ids:
+            self.sim.cancel_timer(timer_id)
+        pending.timer_ids.clear()
 
-    def _combine(self, blinded, shares_by_sem):
-        """Pick t SEMs whose shares all verify, then interpolate."""
-        valid = [
-            name for name, shares in shares_by_sem.items()
-            if all(verify_share(self.group, m, s, self.endpoints[name].share_pk)
-                   for m, s in zip(blinded, shares))
-        ]
-        if len(valid) < self.threshold:
+    # -- upload retransmission (tolerates a lost ack) ---------------------------
+    def _arm_upload_timer(self, pending: _PendingUpload) -> None:
+        if self.retry_timeout_s is not None and self.sim is not None:
+            pending.timer_ids.append(self.sim.schedule(
+                self.retry_timeout_s, lambda: self._on_upload_timeout(pending)))
+
+    def _on_upload_timeout(self, pending: _PendingUpload):
+        if self._pending is not pending or pending.upload_retries >= self.max_retries:
             return None
-        chosen = valid[: self.threshold]
-        xs = [self.endpoints[name].x for name in chosen]
-        basis = lagrange_basis_at_zero(xs, self.group.order)
-        combined = []
-        for i in range(len(blinded)):
-            pairs = [(xs[pos], shares_by_sem[name][i]) for pos, name in enumerate(chosen)]
-            combined.append(combine_shares(self.group, pairs, basis=basis))
-        return combined
+        pending.upload_retries += 1
+        self._arm_upload_timer(pending)
+        return self.make_message(self.cloud_name, "upload", pending.signed)
 
     def _handle_upload_ack(self, message: Message):
         if self._pending is not None and message.payload == self._pending.file_id:
             self.completed_uploads.append(self._pending.file_id)
+            self._cancel_timers(self._pending)
             self._pending = None
         return None
 

@@ -8,7 +8,13 @@ exactly that with the simulator's virtual-time timers:
   file;
 * verdicts are appended to an audit log with their virtual timestamps;
 * after ``alert_threshold`` consecutive failures for a file it raises an
-  alert (and keeps auditing — evidence accumulates).
+  alert (and keeps auditing — evidence accumulates);
+* with a ``horizon_s``, ticks stop once virtual time passes it, so a
+  bounded run's event queue drains (the scenario compiler sets it to the
+  scenario duration);
+* with a flight-recorder ``ledger``, every challenge and every verdict —
+  full challenge and proof — goes on the chain, so ``ledger verify`` can
+  re-evaluate Eq. 6 offline.
 
 Combined with corruption injection this reproduces, in one simulation,
 the paper's operational story: misbehaviour is detected within one audit
@@ -22,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.core.verifier import PublicVerifier
 from repro.net.message import Message
 from repro.net.node import Node
+from repro.obs.ledger import audit_record
 
 
 @dataclass
@@ -51,6 +58,8 @@ class AuditServiceNode(Node):
         period_s: float = 10.0,
         sample_size: int | None = None,
         alert_threshold: int = 1,
+        horizon_s: float | None = None,
+        ledger=None,
     ):
         super().__init__(name)
         self.verifier = verifier
@@ -58,8 +67,12 @@ class AuditServiceNode(Node):
         self.period_s = period_s
         self.sample_size = sample_size
         self.alert_threshold = alert_threshold
+        self.horizon_s = horizon_s
+        self.ledger = ledger
         self.watched: dict[bytes, _WatchedFile] = {}
         self.alerts: list[tuple[bytes, float]] = []
+        self.audits_passed = 0
+        self.audits_failed = 0
         self._running = False
         self.on("proof", self._handle_proof)
 
@@ -82,12 +95,21 @@ class AuditServiceNode(Node):
     def _tick(self):
         if not self._running or self.crashed:
             return None
+        if self.horizon_s is not None and self.sim.now > self.horizon_s:
+            return None
         self.sim.schedule(self.period_s, self._tick)
         challenges = []
         for file_id, state in self.watched.items():
             challenge = self.verifier.generate_challenge(
                 file_id, state.n_blocks, sample_size=self.sample_size
             )
+            if self.ledger is not None:
+                self.ledger.append("challenge", {
+                    "verifier": self.name,
+                    "file": file_id.hex(),
+                    "blocks": len(challenge.indices),
+                    "indices": [int(i) for i in challenge.indices],
+                })
             challenges.append(
                 self.make_message(self.cloud_name, "challenge", (file_id, challenge))
             )
@@ -98,16 +120,26 @@ class AuditServiceNode(Node):
         state = self.watched.get(file_id)
         if state is None:
             return None
+        counter = getattr(self.verifier.group, "counter", None)
+        before = (counter.snapshot()
+                  if self.ledger is not None and counter is not None else None)
         passed = self.verifier.verify(challenge, response)
         state.records.append(
             AuditRecord(file_id=file_id, time=self.sim.now if self.sim else 0.0, passed=passed)
         )
         if passed:
+            self.audits_passed += 1
             state.consecutive_failures = 0
         else:
+            self.audits_failed += 1
             state.consecutive_failures += 1
             if state.consecutive_failures == self.alert_threshold:
                 self.alerts.append((file_id, self.sim.now if self.sim else 0.0))
+        if self.ledger is not None:
+            # The pk comes from the ledger's verifier_key entry.
+            ops = (before, counter.snapshot()) if before is not None else None
+            self.ledger.append(*audit_record(self.name, file_id, challenge,
+                                             response, passed, ops=ops))
         return None
 
     # -- reporting --------------------------------------------------------------

@@ -185,7 +185,7 @@ class TypeAPairingGroup(PairingGroup):
 
     def _hash_to_curve(self, data: bytes):
         """Try-and-increment onto E(F_q); the caller clears the cofactor."""
-        return hash_to_curve_try_increment(data, self.q, 1, 0, self.params.h, sqrt_mod)
+        return hash_to_curve_try_increment(data, self.q)
 
     def _raw_scalar_mul(self, point, n: int):
         """Width-4 NAF in Jacobian coordinates; returns affine or None."""

@@ -4,7 +4,9 @@ The compiler is the bridge between the declarative contract
 (:mod:`repro.scenarios.schema`) and the existing runtime: SEM groups
 become :class:`~repro.service.simnodes.SEMServiceNode` deployments,
 cohorts become driver nodes feeding requests through their arrival
-process, clouds/verifiers become storage + TPA nodes, links become
+process, clouds become storage nodes and verifiers become
+:class:`~repro.net.audit_service.AuditServiceNode` auditors (stopping at
+the scenario horizon, recording to the run's ledger), links become
 per-direction :class:`~repro.net.channel.Channel` instances, and fault
 plans install through :mod:`repro.net.faults` unchanged.
 
@@ -31,12 +33,12 @@ from repro.core.owner import SignedFile
 from repro.core.params import setup
 from repro.core.verifier import PublicVerifier
 from repro.net.actors import CloudNode
+from repro.net.audit_service import AuditServiceNode
 from repro.net.channel import Channel
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.simulator import Simulator
-from repro.obs.ledger import audit_record
 from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
 from repro.pairing.interface import OperationCounter
 from repro.scenarios.arrivals import make_arrival_process
@@ -227,7 +229,7 @@ class ScenarioCloudNode(CloudNode):
 
     def __init__(self, name: str, server: CloudServer):
         super().__init__(name, server)
-        self.watchers: list[TPANode] = []
+        self.watchers: list[AuditServiceNode] = []
 
     def _handle_upload(self, message: Message):
         reply = super()._handle_upload(message)
@@ -235,75 +237,6 @@ class ScenarioCloudNode(CloudNode):
         for watcher in self.watchers:
             watcher.watch(signed.file_id, len(signed.blocks))
         return reply
-
-
-class TPANode(Node):
-    """A third-party auditor re-challenging its cloud on a period.
-
-    Ticks stop at the scenario horizon so the event queue drains; verdicts
-    accumulate as pass/fail counts per file.
-    """
-
-    def __init__(self, name: str, verifier: PublicVerifier, cloud_name: str,
-                 period_s: float, sample_size: int | None, horizon_s: float,
-                 ledger=None):
-        super().__init__(name)
-        self.verifier = verifier
-        self.cloud_name = cloud_name
-        self.period_s = period_s
-        self.sample_size = sample_size
-        self.horizon_s = horizon_s
-        self.ledger = ledger
-        self.watched: dict[bytes, int] = {}
-        self.audits_passed = 0
-        self.audits_failed = 0
-        self.on("proof", self._handle_proof)
-
-    def start(self) -> None:
-        self.sim.schedule(self.period_s, self._tick)
-
-    def watch(self, file_id: bytes, n_blocks: int) -> None:
-        self.watched[file_id] = n_blocks
-
-    def _tick(self):
-        if self.crashed or self.sim.now > self.horizon_s:
-            return None
-        self.sim.schedule(self.period_s, self._tick)
-        out = []
-        for file_id, n_blocks in self.watched.items():
-            challenge = self.verifier.generate_challenge(
-                file_id, n_blocks, sample_size=self.sample_size
-            )
-            if self.ledger is not None:
-                self.ledger.append("challenge", {
-                    "verifier": self.name,
-                    "file": file_id.hex(),
-                    "blocks": len(challenge.indices),
-                    "indices": [int(i) for i in challenge.indices],
-                })
-            out.append(
-                self.make_message(self.cloud_name, "challenge", (file_id, challenge))
-            )
-        return out or None
-
-    def _handle_proof(self, message: Message):
-        file_id, challenge, response = message.payload
-        counter = getattr(self.verifier.group, "counter", None)
-        before = (counter.snapshot()
-                  if self.ledger is not None and counter is not None else None)
-        ok = self.verifier.verify(challenge, response)
-        if ok:
-            self.audits_passed += 1
-        else:
-            self.audits_failed += 1
-        if self.ledger is not None:
-            # The full challenge + proof go on the chain so `ledger verify`
-            # can re-evaluate Eq. 6 offline (the pk comes from the
-            # verifier_key entry).
-            ops = (before, counter.snapshot()) if before is not None else None
-            self.ledger.append(*audit_record(self.name, file_id, challenge,
-                                             response, ok, ops=ops))
-        return None
 
 
 @dataclass
@@ -317,7 +250,7 @@ class CompiledScenario:
     services: dict[str, SEMServiceNode] = field(default_factory=dict)
     cohorts: dict[str, CohortNode] = field(default_factory=dict)
     clouds: dict[str, ScenarioCloudNode] = field(default_factory=dict)
-    verifiers: dict[str, TPANode] = field(default_factory=dict)
+    verifiers: dict[str, AuditServiceNode] = field(default_factory=dict)
     budget: RequestBudget | None = None
     injector: object = None
     replayed: int = 0  # journaled requests re-queued at startup
@@ -471,8 +404,9 @@ def compile_scenario(scenario: Scenario, obs=None, ledger=None,
                                   rng=derive_rng(seed, "tpa", spec.name))
         if ledger is not None:
             ledger.pin_verifier(spec.name, org_pk)
-        node = TPANode(spec.name, verifier, spec.audits, spec.period_s,
-                       spec.sample_size, settings.duration_s, ledger=ledger)
+        node = AuditServiceNode(spec.name, verifier, cloud_name=spec.audits,
+                                period_s=spec.period_s, sample_size=spec.sample_size,
+                                horizon_s=settings.duration_s, ledger=ledger)
         sim.add_node(node)
         compiled.verifiers[spec.name] = node
         compiled.clouds[spec.audits].watchers.append(node)

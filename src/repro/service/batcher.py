@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.multi_sem import InsufficientSharesError
 from repro.core.params import SystemParams
 from repro.service.api import (
     RequestEnvelope,
@@ -27,6 +26,7 @@ from repro.service.api import (
     SignRequest,
     SignResponse,
 )
+from repro.service.failover import InsufficientSharesError
 from repro.service.metrics import ServiceMetrics
 from repro.service.pipeline import PipelineError, SigningPipeline
 from repro.service.queues import BoundedQueue, QueueFullError

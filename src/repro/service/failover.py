@@ -1,20 +1,22 @@
 """Multi-SEM failover: timeouts, retry-with-backoff, early reconstruction.
 
 Section V's promise is operational: with w = 2t − 1 mediators, signing
-succeeds while up to t − 1 of them are crashed, slow, or byzantine.  The
-library-level :class:`~repro.core.multi_sem.MultiSEMClient` exercises the
-cryptography but calls every SEM synchronously and in order; this module
-adds the *service orchestration* around the same math:
+succeeds while up to t − 1 of them are crashed, slow, or byzantine.  This
+module holds the one owner-side share check and combine:
 
 * :class:`SigningRound` — a sans-I/O state machine for one batch signing
   round.  It consumes events (``on_response``, ``on_timeout``) and emits
-  :class:`SendRequest`/:class:`ArmTimer` actions, completing with combined
-  blind signatures **as soon as t valid share batches arrive** (Eq. 11–12)
-  — it never waits for stragglers.  Being pure, the same machine drives
-  both the synchronous client below and the discrete-event simulator nodes
-  in :mod:`repro.service.simnodes`.
+  :class:`SendRequest`/:class:`ArmTimer` actions, checks each SEM's share
+  batch (Eq. 14, or Eq. 10 per share), and completes with combined blind
+  signatures **as soon as t valid share batches arrive** (Eq. 11–12) — it
+  never waits for stragglers.  Being pure, the same machine drives the
+  synchronous client below, the service node in
+  :mod:`repro.service.simnodes`, and the owner node in
+  :mod:`repro.net.actors`.
 * :class:`FailoverMultiSEMClient` — a drop-in ``sign_blinded_batch``
-  transport over callable per-SEM endpoints, for direct library use.
+  transport over callable per-SEM endpoints, for direct library use
+  (:class:`~repro.core.multi_sem.MultiSEMClient` is this client built
+  from a :class:`~repro.core.multi_sem.SEMCluster`).
 
 Endpoint lifecycle within a round::
 
@@ -34,11 +36,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.core.multi_sem import InsufficientSharesError
 from repro.crypto.threshold import batch_verify_shares, combine_shares, verify_share
 from repro.mathkit.poly import lagrange_basis_at_zero
 from repro.obs import NULL_OBS
 from repro.pairing.interface import GroupElement, PairingGroup
+
+
+class InsufficientSharesError(Exception):
+    """Fewer than t valid signature shares could be collected."""
 
 
 class FailoverError(InsufficientSharesError):

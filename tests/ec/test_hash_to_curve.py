@@ -11,7 +11,7 @@ A, B = 1, 0
 
 
 def _hash(message: bytes):
-    return hash_to_curve_try_increment(message, P, A, B, 1, sqrt_mod)
+    return hash_to_curve_try_increment(message, P)
 
 
 class TestHashToInt:
@@ -57,14 +57,14 @@ class TestHashToCurve:
     def test_max_attempts_exhaustion(self):
         # With max_attempts=0 nothing can be found.
         with pytest.raises(RuntimeError):
-            hash_to_curve_try_increment(b"m", P, A, B, 1, sqrt_mod, max_attempts=0)
+            hash_to_curve_try_increment(b"m", P, max_attempts=0)
 
     def test_domain_parameter(self):
-        a = hash_to_curve_try_increment(b"m", P, A, B, 1, sqrt_mod, domain=b"d1")
-        b = hash_to_curve_try_increment(b"m", P, A, B, 1, sqrt_mod, domain=b"d2")
+        a = hash_to_curve_try_increment(b"m", P, domain=b"d1")
+        b = hash_to_curve_try_increment(b"m", P, domain=b"d2")
         assert a != b
 
     def test_large_prime_field(self):
         big_p = 2**127 - 1  # 2^127-1 % 4 == 3
-        x, y = hash_to_curve_try_increment(b"big", big_p, 1, 0, 1, sqrt_mod)
+        x, y = hash_to_curve_try_increment(b"big", big_p)
         assert (y * y - (x**3 + x)) % big_p == 0
