@@ -85,9 +85,11 @@ def build_runtime(state: dict):
 def _make_pool(args, root: Path, params, obs):
     """A worker pool for ``--workers N`` (N > 1), or ``None``.
 
-    Workers load fixed-base tables from the deployment's precompute cache
-    (``<state-dir>/precompute``) instead of rebuilding them per process;
-    results and op tallies are identical at any worker count.
+    Workers load the u_1..u_k tables from the deployment's precompute
+    cache (``<state-dir>/precompute``) instead of rebuilding them per
+    process, and build their g1/pk1 blinding tables in memory.  An
+    owner given the same cache then signs with the same lookups at any
+    worker count: results and raw op tallies are identical.
     """
     workers = getattr(args, "workers", 1) or 1
     if workers <= 1:
@@ -354,9 +356,8 @@ def cmd_upload(args) -> int:
     obs = _make_obs()
     obs.observe_group(params.group)
     pool = _make_pool(args, root, params, obs)
-    table_cache = root / PRECOMPUTE_DIR if pool is not None else None
     owner = DataOwner(params, sem.pk, credential=credential, pool=pool,
-                      table_cache_dir=table_cache)
+                      table_cache_dir=root / PRECOMPUTE_DIR)
     try:
         with obs.tracer.span("upload", bytes=len(data)):
             with obs.tracer.span("sign", optimized=not args.no_batch) as span:

@@ -26,9 +26,12 @@ additions either.
 
 Workers are started with the ``fork`` context where available (Linux —
 inherits the parent's imports cheaply) and receive the system parameters
-once via the pool initializer.  Fixed-base tables are *not* rebuilt per
-process: when a ``table_cache_dir`` is configured each worker loads the
-serialized tables from :mod:`repro.ec.precompute`.
+once via the pool initializer.  The u_1..u_k fixed-base tables are *not*
+rebuilt per process: when a ``table_cache_dir`` is configured each worker
+loads the serialized tables from :mod:`repro.ec.precompute`, and, like a
+table-enabled :class:`~repro.core.owner.DataOwner`, builds its g1 and pk1
+blinding tables in memory (on first use), so blinding and unblinding
+tally the same fixed-base lookups at any worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import os
 
 from repro.core.blocks import Block, aggregate_block
 from repro.core.params import SystemParams
-from repro.crypto.blind_bls import BlindingState, unblind
+from repro.crypto.blind_bls import BlindingState, fixed_base_powers, unblind_batch
 from repro.obs.tracer import NULL_TRACER
 from repro.pairing.interface import GroupElement, OperationCounter
 
@@ -95,7 +98,8 @@ def _init_worker(params: SystemParams, table_cache_dir, window: int) -> None:
             table_cache_dir, group, list(params.u), params.order.bit_length(), window
         )
     _WORKER.clear()
-    _WORKER.update(params=params, group=group, counter=counter, tables=tables)
+    _WORKER.update(params=params, group=group, counter=counter, tables=tables,
+                   window=window, base_tables={})
 
 
 def _delta_since(before):
@@ -123,42 +127,58 @@ def _task_hash_msm(payload):
 def _task_blind(payload):
     """Aggregate + blind a chunk of blocks with parent-drawn factors.
 
-    Uses the cached fixed-base tables when the pool was configured with a
-    ``table_cache_dir`` (matching a parent owner built from the same cache),
-    the plain aggregate otherwise.
+    Uses the cached u-tables and the worker's g1 table when the pool was
+    configured with a ``table_cache_dir`` (matching a parent owner built
+    from the same cache), the plain aggregate and g^r otherwise.
     """
     raw_blocks, rs = payload
     params = _WORKER["params"]
-    group = _WORKER["group"]
     tables = _WORKER["tables"]
+    g1 = _WORKER["group"].g1()
+    g1_table = _base_table(g1)  # built before the snapshot: not this task's ops
     before = _WORKER["counter"].snapshot()
-    g = group.g1()
-    out = []
-    for (block_id, elements), r in zip(raw_blocks, rs):
+    aggregates = []
+    for block_id, elements in raw_blocks:
         block = Block(block_id=block_id, elements=elements)
         if tables is not None:
             from repro.ec.fixed_base import aggregate_with_tables
 
-            aggregate = aggregate_with_tables(params, block, tables)
+            aggregates.append(aggregate_with_tables(params, block, tables))
         else:
-            aggregate = aggregate_block(params, block)
-        out.append((aggregate * g**r).point)
-    return out, _delta_since(before)
+            aggregates.append(aggregate_block(params, block))
+    masks = fixed_base_powers(g1, rs, g1_table)
+    return [(m * mask).point for m, mask in zip(aggregates, masks)], _delta_since(before)
+
+
+def _base_table(base: GroupElement):
+    """The worker's table for a blinding base (g1, or one SEM key's pk1).
+
+    Only pools with a ``table_cache_dir`` use them, matching an owner
+    with tables.  Built in memory on first use, once per base, and never
+    loaded from the cache: blindness must not rest on a file.
+    """
+    if _WORKER["tables"] is None:
+        return None
+    cache = _WORKER["base_tables"]
+    if base.point not in cache:
+        from repro.ec.precompute import build_tables_fast
+
+        (cache[base.point],) = build_tables_fast(
+            [base], _WORKER["params"].order.bit_length(), _WORKER["window"])
+    return cache[base.point]
 
 
 def _task_unblind(payload):
     """Unblind a chunk of blind signatures (Eq. 5, checks already done)."""
-    blinded_pts, sig_pts, rs, pk_pt, pk1_pt = payload
+    sig_pts, rs, pk1_pt = payload
     group = _WORKER["group"]
-    before = _WORKER["counter"].snapshot()
-    pk = GroupElement(group, pk_pt, "g2")
     pk1 = GroupElement(group, pk1_pt, "g1")
-    out = []
-    for blinded_pt, sig_pt, r in zip(blinded_pts, sig_pts, rs):
-        state = BlindingState(r=r, blinded=GroupElement(group, blinded_pt, "g1"))
-        signature = GroupElement(group, sig_pt, "g1")
-        out.append(unblind(group, state, signature, pk, pk1=pk1, check=False).point)
-    return out, _delta_since(before)
+    table = _base_table(pk1)  # built before the snapshot: not this task's ops
+    before = _WORKER["counter"].snapshot()
+    states = [BlindingState(r=r, blinded=None) for r in rs]  # Eq. 5 reads r only
+    signatures = [GroupElement(group, pt, "g1") for pt in sig_pts]
+    out = unblind_batch(group, states, signatures, pk1, table)
+    return [sig.point for sig in out], _delta_since(before)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +198,9 @@ class WorkerPool:
             the parent (identical results and op counts, no processes).
         table_cache_dir: when given, workers load the u_1..u_k fixed-base
             tables from this :mod:`repro.ec.precompute` cache instead of
-            rebuilding them per process, and blinding uses them.
+            rebuilding them per process, and aggregation uses them; they
+            also build g1 and pk1 tables in memory for blinding and
+            unblinding.
         window: fixed-base window width for the cached tables.
         tracer: an :class:`~repro.obs.tracer.Tracer`; each fan-out merges
             every worker's op delta inside a ``<task>.worker`` span so
@@ -248,6 +270,10 @@ class WorkerPool:
         return pool.map(task_fn, payloads)
 
     # -- fan-out operations -------------------------------------------------
+    def fans_out(self, n_items: int) -> bool:
+        """Whether ``n_items`` items are worth shipping to the workers."""
+        return self.workers > 1 and n_items >= MIN_PARALLEL_ITEMS
+
     def msm(self, elements: list[GroupElement], exponents: list[int]) -> GroupElement:
         """``prod elements[i] ** exponents[i]`` chunked across workers.
 
@@ -259,7 +285,7 @@ class WorkerPool:
             raise ValueError("elements and exponents must have equal length")
         if not elements:
             raise ValueError("need at least one term")
-        if self.workers <= 1 or len(elements) < MIN_PARALLEL_ITEMS:
+        if not self.fans_out(len(elements)):
             return self.group.multi_exp(elements, exponents)
         payloads = [
             ([el.point for el in elements[lo:hi]], list(exponents[lo:hi]))
@@ -282,7 +308,7 @@ class WorkerPool:
             raise ValueError("block_ids and betas must have equal length")
         if not block_ids:
             raise ValueError("need at least one term")
-        if self.workers <= 1 or len(block_ids) < MIN_PARALLEL_ITEMS:
+        if not self.fans_out(len(block_ids)):
             return GroupElement(self.group, self.group.raw_hash_msm(block_ids, betas), "g1")
         payloads = [
             (list(block_ids[lo:hi]), list(betas[lo:hi]))
@@ -291,15 +317,15 @@ class WorkerPool:
         return self._merge_partials("hash_msm", self._run(_task_hash_msm, payloads))
 
     def blind_blocks(self, blocks: list[Block], rs: list[int]) -> list[GroupElement]:
-        """Aggregate + blind every block, with parent-drawn blinding factors.
+        """Aggregate + blind every block across workers, with parent-drawn
+        blinding factors.
 
         The caller draws ``rs`` (sequentially, before calling) so the rng
-        stream is identical to a serial run.
+        stream is identical to a serial run, and runs its serial path
+        itself when :meth:`fans_out` says no.
         """
         if len(blocks) != len(rs):
             raise ValueError("one blinding factor per block required")
-        if self.workers <= 1 or len(blocks) < MIN_PARALLEL_ITEMS:
-            return None  # caller runs its serial path
         payloads = [
             (
                 [(b.block_id, b.elements) for b in blocks[lo:hi]],
@@ -314,20 +340,15 @@ class WorkerPool:
         self,
         states: list[BlindingState],
         signatures: list[GroupElement],
-        pk: GroupElement,
         pk1: GroupElement,
-    ) -> list[GroupElement] | None:
+    ) -> list[GroupElement]:
         """Unblind every signature (Eq. 5) across workers."""
         if len(states) != len(signatures):
             raise ValueError("one blind signature per state required")
-        if self.workers <= 1 or len(states) < MIN_PARALLEL_ITEMS:
-            return None  # caller runs its serial path
         payloads = [
             (
-                [s.blinded.point for s in states[lo:hi]],
                 [sig.point for sig in signatures[lo:hi]],
                 [s.r for s in states[lo:hi]],
-                pk.point,
                 pk1.point,
             )
             for lo, hi in chunk_ranges(len(states), self.workers)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from repro.core.blocks import Block, make_block_id
 from repro.core.owner import DataOwner, SignedFile
 from repro.core.params import SystemParams
-from repro.crypto.blind_bls import batch_unblind_verify
 
 
 @dataclass(frozen=True)
@@ -77,17 +76,8 @@ class SharedFileBuilder:
             )
             for i, elements in enumerate(element_rows)
         ]
-        states = [owner.blind_block(block) for block in blocks]
-        blinded = [s.blinded for s in states]
-        blind_signatures = self.sem.sign_blinded_batch(blinded, owner.credential)
-        if not batch_unblind_verify(
-            self.group, blinded, blind_signatures, owner.sem_pk, owner._rng
-        ):
-            raise ValueError("batch verification failed for a contribution")
-        signatures = [
-            owner.unblind(s, bs, check=False, sem_pk_g1=self.sem_pk_g1)
-            for s, bs in zip(states, blind_signatures)
-        ]
+        signatures = owner.sign_blocks(self.sem, blocks, rng=owner._rng,
+                                       sem_pk_g1=self.sem_pk_g1)
         self._blocks.extend(blocks)
         self._signatures.extend(signatures)
         self._authors.extend([owner] * len(blocks))

@@ -18,6 +18,13 @@ published signatures.
 Unblinding uses pk as an element of G1, ``pk1 = g1^y``: the pairing is
 symmetric, so pk1 and pk are the same point, as in the paper.
 
+Both masks raise a *fixed* base — g1 in Eq. 2, pk1 in Eq. 5 — so a
+signer of many messages blinds and unblinds them in batches with
+:func:`blind_batch` and :func:`unblind_batch`.  Given a
+:class:`~repro.ec.fixed_base.FixedBaseTable` for the base, each batch
+sums table entries in chunks of :data:`POWERS_CHUNK` exponents instead
+of running one scalar multiplication per message.
+
 The full round trip, recovering exactly the plain BLS signature M^y:
 
 >>> import random
@@ -41,6 +48,11 @@ from dataclasses import dataclass
 from repro.pairing.interface import GroupElement, PairingGroup
 
 
+class BlindSignatureError(ValueError):
+    """The signer's blind signatures failed Eq. 4 or Eq. 7, or did not
+    answer every blinded message."""
+
+
 @dataclass(frozen=True)
 class BlindingState:
     """The owner's secret per-message blinding state."""
@@ -54,6 +66,59 @@ def blind(group: PairingGroup, message_element: GroupElement, rng=None) -> Blind
     r = group.random_nonzero_scalar(rng)
     blinded = message_element * group.g1() ** r
     return BlindingState(r=r, blinded=blinded)
+
+
+def blind_batch(
+    group: PairingGroup, message_elements: list[GroupElement], rng=None, table=None
+) -> list[BlindingState]:
+    """Eq. 2 for every element, one fresh r each, drawn in input order.
+
+    Args:
+        table: an optional :class:`~repro.ec.fixed_base.FixedBaseTable`
+            for ``group.g1()``; the masks g^r then come from it.
+    """
+    rs = [group.random_nonzero_scalar(rng) for _ in message_elements]
+    masks = fixed_base_powers(group.g1(), rs, table)
+    return [BlindingState(r=r, blinded=element * mask)
+            for r, element, mask in zip(rs, message_elements, masks)]
+
+
+def unblind_batch(
+    group: PairingGroup,
+    states: list[BlindingState],
+    blind_signatures: list[GroupElement],
+    pk1: GroupElement,
+    table=None,
+) -> list[GroupElement]:
+    """Eq. 5 for every item, after the caller has checked Eq. 4 or Eq. 7.
+
+    Args:
+        pk1: the signer's public key as a G1 element (g1^y).
+        table: an optional :class:`~repro.ec.fixed_base.FixedBaseTable`
+            for ``pk1``; the unmasks pk1^{−r} then come from it.
+    """
+    exponents = [group.order - state.r % group.order for state in states]
+    unmasks = fixed_base_powers(pk1, exponents, table)
+    return [signature * unmask for signature, unmask in zip(blind_signatures, unmasks)]
+
+
+#: Exponents per :meth:`~repro.ec.fixed_base.FixedBaseTable.powers` call.
+#: One call sums all its powers in one affine tree, so an unchunked call
+#: over a whole file would hold every power's first tree level at once.
+POWERS_CHUNK = 32
+
+
+def fixed_base_powers(
+    base: GroupElement, exponents: list[int], table=None
+) -> list[GroupElement]:
+    """``[base ** e for e in exponents]``; with ``table`` (a table for
+    ``base``), summed from it :data:`POWERS_CHUNK` exponents at a time."""
+    if table is None:
+        return [base**e for e in exponents]
+    powers: list[GroupElement] = []
+    for lo in range(0, len(exponents), POWERS_CHUNK):
+        powers += table.powers(exponents[lo : lo + POWERS_CHUNK])
+    return powers
 
 
 def sign_blinded(blinded: GroupElement, sk: int) -> GroupElement:

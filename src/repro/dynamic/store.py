@@ -42,7 +42,7 @@ from repro.core.challenge import Challenge, ProofResponse
 from repro.core.owner import DataOwner
 from repro.core.params import SystemParams
 from repro.core.verifier import PublicVerifier
-from repro.crypto.blind_bls import batch_unblind_verify, blind
+from repro.crypto.blind_bls import BlindSignatureError
 from repro.crypto.bls import bls_verify
 from repro.dynamic.rank_tree import RankPath, RankTree
 from repro.pairing.interface import GroupElement
@@ -386,28 +386,18 @@ class DynamicStore:
                     new_blocks: list[Block]) -> tuple[list[GroupElement], GroupElement]:
         """One blind-sign round for k blocks + the epoch-stamped root.
 
-        Blind (Eq. 2) each touched block's aggregate and H(root message),
-        obtain all k + 1 blind signatures from the SEM in one batch
-        (Eq. 3), verify the whole batch with a single Eq. 7 check
-        (2 pairings), and unblind without per-message checks.
+        The owner's signing pass with H(root message) riding along as one
+        more message: all k + 1 blind signatures come from the SEM in one
+        batch (Eq. 3) and pass one Eq. 7 check (2 pairings).
         """
-        owner = self.owner
-        states = [owner.blind_block(block) for block in new_blocks]
         root_msg = dyn_root_message(state.file_id, state.epoch, len(state.slots),
                                     state.tree.root)
-        states.append(blind(self.group, self.group.hash_to_g1(root_msg), owner._rng))
-        blinded = [s.blinded for s in states]
-        blind_signatures = self.sem.sign_blinded_batch(blinded, owner.credential)
-        if not batch_unblind_verify(
-            self.group, blinded, blind_signatures, owner.sem_pk, owner._rng,
-            pool=owner.pool,
-        ):
-            raise DynamicFileError(
-                "batch verification of blind signatures failed (Eq. 7)")
-        signatures = [
-            owner.unblind(s, bs, check=False, sem_pk_g1=self.sem_pk_g1)
-            for s, bs in zip(states, blind_signatures)
-        ]
+        try:
+            signatures = self.owner.sign_blocks(
+                self.sem, new_blocks, rng=self.owner._rng,
+                extra=[self.group.hash_to_g1(root_msg)], sem_pk_g1=self.sem_pk_g1)
+        except BlindSignatureError as exc:
+            raise DynamicFileError(str(exc)) from exc
         return signatures[:-1], signatures[-1]
 
     # -- cloud: challenge/response -------------------------------------------

@@ -243,22 +243,6 @@ class FleetStore:
                                                self.params.order)
         return self._codes[key]
 
-    def _sign_blocks(self, blocks: list[Block]):
-        """The SEM batch path: blind → batch-sign → batch-verify → unblind."""
-        from repro.crypto.blind_bls import batch_unblind_verify, unblind
-
-        states = [self.owner.blind_block(block) for block in blocks]
-        blinded = [s.blinded for s in states]
-        blind_signatures = self.sem.sign_blinded_batch(blinded, self.owner.credential)
-        if not batch_unblind_verify(
-            self.group, blinded, blind_signatures, self.owner.sem_pk, self._rng
-        ):
-            raise ValueError("batch verification of blind signatures failed")
-        return [
-            unblind(self.group, s, bs, self.owner.sem_pk, check=False)
-            for s, bs in zip(states, blind_signatures)
-        ]
-
     def _record_trip(self, index: int, round_: int, streak: int) -> None:
         if self.ledger is not None:
             self.ledger.append("cloud_quarantine", {
@@ -303,7 +287,7 @@ class FleetStore:
                     Block(block_id=make_block_id(slice_id, s), elements=word)
                     for s, word in enumerate(slot_words[slot])
                 )
-            signatures = self._sign_blocks(all_blocks)
+            signatures = self.owner.sign_blocks(self.sem, all_blocks, rng=self._rng)
             for slot in range(placement.width):
                 lo = slot * stripes
                 self.handles[self.active_names[slot]].store(SignedFile(
@@ -467,7 +451,7 @@ class FleetStore:
             Block(block_id=make_block_id(slice_id, s), elements=word)
             for s, word in enumerate(rebuilt)
         ]
-        signatures = self._sign_blocks(blocks)
+        signatures = self.owner.sign_blocks(self.sem, blocks, rng=self._rng)
         self.handles[task.target].store(SignedFile(
             file_id=slice_id, blocks=tuple(blocks), signatures=tuple(signatures)
         ))

@@ -73,7 +73,7 @@ class ResilientStore:
             Block(block_id=make_block_id(file_id, index), elements=elements)
             for index, elements in enumerate(coded_words)
         ]
-        signatures = self._sign_blocks(coded_blocks)
+        signatures = self.owner.sign_blocks(self.sem, coded_blocks, rng=self._rng)
         self.cloud.store(
             SignedFile(
                 file_id=file_id,
@@ -84,21 +84,6 @@ class ResilientStore:
         self._codes[file_id] = code
         self._data_blocks[file_id] = len(data_blocks)
         return len(coded_blocks)
-
-    def _sign_blocks(self, blocks: list[Block]):
-        from repro.crypto.blind_bls import batch_unblind_verify, unblind
-
-        states = [self.owner.blind_block(block) for block in blocks]
-        blinded = [s.blinded for s in states]
-        blind_signatures = self.sem.sign_blinded_batch(blinded, self.owner.credential)
-        if not batch_unblind_verify(
-            self.group, blinded, blind_signatures, self.owner.sem_pk, self._rng
-        ):
-            raise ValueError("batch verification of blind signatures failed")
-        return [
-            unblind(self.group, s, bs, self.owner.sem_pk, check=False)
-            for s, bs in zip(states, blind_signatures)
-        ]
 
     # -- audit / localize -----------------------------------------------------------
     def audit(self, file_id: bytes, sample_size: int | None = None) -> bool:
@@ -187,7 +172,8 @@ class ResilientStore:
             )
             for position in corrupt
         ]
-        replacement_signatures = self._sign_blocks(replacement_blocks)
+        replacement_signatures = self.owner.sign_blocks(
+            self.sem, replacement_blocks, rng=self._rng)
         for block, signature, position in zip(
             replacement_blocks, replacement_signatures, corrupt
         ):

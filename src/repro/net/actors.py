@@ -21,7 +21,7 @@ from repro.core.cloud import CloudServer
 from repro.core.owner import SignedFile
 from repro.core.params import SystemParams
 from repro.core.verifier import PublicVerifier
-from repro.crypto.blind_bls import batch_unblind_verify, blind, unblind
+from repro.crypto.blind_bls import batch_unblind_verify, blind_batch, unblind_batch
 from repro.net.channel import Channel
 from repro.net.message import Message
 from repro.net.node import Node
@@ -142,10 +142,8 @@ class OwnerNode(Node):
         if self._pending is not None:
             raise RuntimeError("an upload is already in flight")
         blocks = encode_data(data, self.params, file_id)
-        states = [
-            blind(self.group, aggregate_block(self.params, block), self._rng)
-            for block in blocks
-        ]
+        states = blind_batch(
+            self.group, [aggregate_block(self.params, b) for b in blocks], self._rng)
         round_ = SigningRound(self.group, self.endpoints, self.threshold,
                               [s.blinded for s in states],
                               config=self.failover_config, rng=self._rng)
@@ -204,10 +202,8 @@ class OwnerNode(Node):
                                     self.org_pk, self._rng):
             self._pending = None
             raise ValueError("batch verification failed at owner")
-        signatures = tuple(
-            unblind(self.group, s, bs, self.org_pk, pk1=self.org_pk_g1, check=False)
-            for s, bs in zip(pending.states, round_.result)
-        )
+        signatures = tuple(unblind_batch(self.group, pending.states, round_.result,
+                                         self.org_pk_g1))
         pending.signed = SignedFile(
             file_id=pending.file_id, blocks=tuple(pending.blocks), signatures=signatures
         )

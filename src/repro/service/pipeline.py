@@ -4,8 +4,9 @@ One batch = one pass over every pending request's items:
 
 1. **aggregate** all ``blocks``-kind items to G1 in-process,
    amortizing the u_1..u_k fixed-base tables across the whole batch;
-2. **blind** them (Eq. 2) through a fixed-base table for g1 — the blinding
-   base never changes, so each blinding costs table lookups;
+2. **blind** them (Eq. 2) with :func:`~repro.crypto.blind_bls.blind_batch`
+   through a fixed-base table for g1 — the blinding base never changes,
+   so each blinding costs table lookups;
 3. **sign** every blinded element of the batch in a *single*
    ``sign_blinded_batch`` transport call (one round trip to the SEM or the
    multi-SEM failover client instead of one per request);
@@ -13,8 +14,11 @@ One batch = one pass over every pending request's items:
    whole batch instead of 2 per signature, the paper's own "Our Scheme*"
    trick applied at the service layer (with per-item isolation when the
    batch check fails, so one bad signature cannot poison its batchmates);
-5. **unblind** (Eq. 5) through a fixed-base table for pk1 = g1^y — again a
-   fixed base, again amortized.
+5. **unblind** (Eq. 5) with :func:`~repro.crypto.blind_bls.unblind_batch`
+   through a fixed-base table for pk1 = g1^y — again a fixed base, again
+   amortized.  Both helpers are the ones
+   :meth:`~repro.core.owner.DataOwner.sign_blocks` uses, so a service pass
+   and an owner's own pass do the same per-item work.
 
 The sequential path (:meth:`SigningPipeline.sign_sequential`) is the
 baseline the service throughput benchmark compares against: per-request
@@ -30,6 +34,8 @@ from repro.core.params import SystemParams
 from repro.crypto.blind_bls import (
     BlindingState,
     batch_unblind_verify,
+    blind_batch,
+    unblind_batch,
     verify_blinded,
 )
 from repro.ec import fixed_base
@@ -129,7 +135,8 @@ class SigningPipeline:
                 aggregates = [
                     fixed_base.aggregate_with_tables(self.params, b, self._u_tables)
                     for b in all_blocks]
-            blindings = iter(self._blind(aggregates))
+            blindings = iter(
+                blind_batch(self.group, aggregates, self._rng, self._g1_table))
             blinded: list[GroupElement] = []
             states: list[BlindingState | None] = []  # None = already blinded
             for request in requests:
@@ -169,8 +176,9 @@ class SigningPipeline:
         unblind = [i for _, start, end, ok in spans if ok for i in range(start, end)
                    if prepared.states[i] is not None]
         signatures = list(blind_signatures)
-        unblinded = self._unblind([prepared.states[i] for i in unblind],
-                                  [blind_signatures[i] for i in unblind])
+        unblinded = unblind_batch(self.group, [prepared.states[i] for i in unblind],
+                                  [blind_signatures[i] for i in unblind],
+                                  self.org_pk_g1, self._pk1_table)
         for i, signature in zip(unblind, unblinded):
             signatures[i] = signature
         results: list[PipelineResult] = []
@@ -217,12 +225,9 @@ class SigningPipeline:
         signatures = []
         items: list[tuple[BlindingState | None, GroupElement]] = []
         if request.kind == "blocks":
-            for block in request.blocks:
-                state = BlindingState(
-                    r=(r := self.group.random_nonzero_scalar(self._rng)),
-                    blinded=aggregate_block(self.params, block) * self.group.g1() ** r,
-                )
-                items.append((state, state.blinded))
+            aggregates = [aggregate_block(self.params, b) for b in request.blocks]
+            items = [(state, state.blinded)
+                     for state in blind_batch(self.group, aggregates, self._rng)]
         else:
             items = [(None, element) for element in request.blinded]
         for state, element in items:
@@ -246,26 +251,6 @@ class SigningPipeline:
         )
 
     # -- internals ----------------------------------------------------------
-    def _blind(self, elements: list[GroupElement]) -> list[BlindingState]:
-        """Eq. 2 for every element: one g1-table batch for all the masks."""
-        rs = [self.group.random_nonzero_scalar(self._rng) for _ in elements]
-        if self._g1_table is not None:
-            masks = self._g1_table.powers(rs)
-        else:
-            masks = [self.group.g1() ** r for r in rs]
-        return [BlindingState(r=r, blinded=element * mask)
-                for r, element, mask in zip(rs, elements, masks)]
-
-    def _unblind(self, states, blind_signatures) -> list[GroupElement]:
-        """Eq. 5 for every item: one pk1-table batch for all the unmasks."""
-        exponents = [self.group.order - state.r % self.group.order for state in states]
-        if self._pk1_table is not None:
-            unmasks = self._pk1_table.powers(exponents)
-        else:
-            unmasks = [self.org_pk_g1**exponent for exponent in exponents]
-        return [signature * unmask
-                for signature, unmask in zip(blind_signatures, unmasks)]
-
     def _verify_or_isolate(self, blinded, blind_signatures) -> list[bool]:
         if batch_unblind_verify(self.group, blinded, blind_signatures, self.org_pk, self._rng):
             return [True] * len(blinded)
