@@ -64,7 +64,7 @@ def multi_sem_per_block_ms(
     owner = DataOwner(params, cluster.master_pk, rng=random.Random(seed + 2))
     data = dense_data(params, n_blocks)
     seconds = time_call(
-        lambda: owner.sign_file(data, b"f", client, batch=batch, sem_pk_g1=cluster.master_pk_g1),
+        lambda: owner.sign_file(data, b"f", client, batch=batch),
         repeats,
     )
     return seconds / n_blocks * 1000.0

@@ -50,13 +50,9 @@ def _requests(params, n: int) -> list[SignRequest]:
 def test_service_batched_vs_sequential_throughput(benchmark, fast_group):
     params = setup(fast_group, K)
     sem = SecurityMediator(fast_group, rng=random.Random(5), require_membership=False)
-    batched_pipeline = SigningPipeline(
-        params, sem, sem.pk, org_pk_g1=sem.pk_g1, rng=random.Random(6)
-    )
+    batched_pipeline = SigningPipeline(params, sem, sem.pk, rng=random.Random(6))
     sequential_pipeline = SigningPipeline(
-        params, sem, sem.pk, org_pk_g1=sem.pk_g1, use_fixed_base=False,
-        rng=random.Random(7),
-    )
+        params, sem, sem.pk, use_fixed_base=False, rng=random.Random(7))
 
     rows = {}
 
@@ -98,7 +94,7 @@ def test_service_batched_vs_sequential_throughput(benchmark, fast_group):
     # Tracing overhead: the same batched pass with live spans + op counting.
     obs = Observability.create()
     traced_pipeline = SigningPipeline(
-        params, sem, sem.pk, org_pk_g1=sem.pk_g1, rng=random.Random(6), obs=obs
+        params, sem, sem.pk, rng=random.Random(6), obs=obs
     )
     obs.observe_group(fast_group)
     requests_64 = _requests(params, 64)

@@ -48,7 +48,7 @@ def main() -> None:
     # Members stock up on tokens. The issuer authenticates WHO withdraws,
     # but blindness means it cannot recognize the tokens later.
     wallets = {
-        name: TokenWallet(group, name, issuer.pk, issuer_pk_g1=issuer.pk_g1, rng=rng)
+        name: TokenWallet(group, name, issuer.pk, rng=rng)
         for name in ("ana", "ben")
     }
     for wallet in wallets.values():

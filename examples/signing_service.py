@@ -42,7 +42,7 @@ def make_request(params, owner: str, tag: bytes) -> SignRequest:
 def batching_demo(params, rng) -> None:
     print("-- 1. batched signing pipeline " + "-" * 34)
     sem = SecurityMediator(params.group, rng=rng, require_membership=False)
-    pipeline = SigningPipeline(params, sem, sem.pk, org_pk_g1=sem.pk_g1, rng=rng)
+    pipeline = SigningPipeline(params, sem, sem.pk, rng=rng)
     service = BatchingSEMService(
         params, pipeline, config=BatchConfig(max_batch=8, queue_capacity=16)
     )
@@ -56,7 +56,7 @@ def batching_demo(params, rng) -> None:
     group = params.group
     for request, response in zip(requests, responses):
         for block, sig in zip(request.blocks, response.signatures):
-            assert group.pair(sig, group.g2()) == group.pair(
+            assert group.pair(sig, group.g1()) == group.pair(
                 aggregate_block(params, block), sem.pk
             )
     print("every returned signature verifies under the organizational key\n")
@@ -71,9 +71,7 @@ def failover_demo(params, rng) -> None:
     client = FailoverMultiSEMClient.from_cluster(
         cluster, config=FailoverConfig(max_attempts=2), rng=rng
     )
-    pipeline = SigningPipeline(
-        params, client, cluster.master_pk, org_pk_g1=cluster.master_pk_g1, rng=rng
-    )
+    pipeline = SigningPipeline(params, client, cluster.master_pk, rng=rng)
     (result,) = pipeline.sign_batch([make_request(params, "alice", b"F")])
     assert result.ok
     print(f"signed through the cluster anyway: {client.stats}\n")

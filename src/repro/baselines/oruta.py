@@ -50,7 +50,7 @@ class HARSRing:
         self.group = group
         self.d = d
         self._sks = [group.random_nonzero_scalar(rng) for _ in range(d)]
-        self.pks = [group.g2() ** sk for sk in self._sks]
+        self.pks = [group.g1() ** sk for sk in self._sks]
         self._rng = rng
 
     def sign(self, aggregate: GroupElement, signer: int) -> RingSignature:
@@ -59,15 +59,14 @@ class HARSRing:
             raise ValueError("signer index out of range")
         group = self.group
         components: list[GroupElement | None] = [None] * self.d
-        # g1 copies of the other members' public keys for the closing term.
+        # The other members' public keys enter the closing term.
         closing = aggregate
         for i in range(self.d):
             if i == signer:
                 continue
             a_i = group.random_nonzero_scalar(self._rng)
             components[i] = group.g1() ** a_i
-            pk_g1 = GroupElement(group, self.pks[i].point, "g1")
-            closing = closing / pk_g1**a_i
+            closing = closing / self.pks[i] ** a_i
         x_inv = inverse_mod(self._sks[signer], group.order)
         components[signer] = closing**x_inv
         return RingSignature(components=tuple(components))  # type: ignore[arg-type]
@@ -78,7 +77,7 @@ class HARSRing:
             return False
         group = self.group
         return group.pairing_check(
-            [(aggregate.inverse(), group.g2()), *zip(signature.components, self.pks)]
+            [(aggregate.inverse(), group.g1()), *zip(signature.components, self.pks)]
         )
 
 
@@ -159,7 +158,7 @@ class OrutaVerifier:
             if alpha_l:
                 acc = acc * u_l**alpha_l
         return group.pairing_check(
-            [(acc.inverse(), group.g2()), *zip(response.phis, self.ring_pks)]
+            [(acc.inverse(), group.g1()), *zip(response.phis, self.ring_pks)]
         )
 
 

@@ -51,7 +51,7 @@ class PandaGroup:
         self.group = params.group
         self._rng = rng
         self._sks = [self.group.random_nonzero_scalar(rng) for _ in range(d)]
-        self.pks = [self.group.g2() ** sk for sk in self._sks]
+        self.pks = [self.group.g1() ** sk for sk in self._sks]
         self.live = set(range(d))
         self._files: dict[bytes, tuple[list[Block], list[GroupElement], list[int]]] = {}
         self.resign_operations = 0
@@ -186,7 +186,7 @@ class PandaVerifier:
             if alpha_l:
                 chi = chi * u_l**alpha_l
         return group.pairing_check(
-            [(unit.response.sigma, group.g2()), (chi.inverse(), self.pks[unit.signer])]
+            [(unit.response.sigma, group.g1()), (chi.inverse(), self.pks[unit.signer])]
         )
 
     def verify_file(self, units: list[PandaAudit]) -> bool:

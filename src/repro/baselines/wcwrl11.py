@@ -90,7 +90,7 @@ class WCWRL11Verifier:
             return False
         group = self.group
         gamma = _mask_scalar(response.commitment, self.params.order)
-        lhs = response.commitment * group.pair(response.sigma**gamma, group.g2())
+        lhs = response.commitment * group.pair(response.sigma**gamma, group.g1())
         hash_acc = None
         for block_id, beta in zip(challenge.block_ids, challenge.betas):
             term = group.hash_to_g1(block_id) ** beta

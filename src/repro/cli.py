@@ -87,7 +87,7 @@ def _make_pool(args, root: Path, params, obs):
 
     Workers load the u_1..u_k tables from the deployment's precompute
     cache (``<state-dir>/precompute``) instead of rebuilding them per
-    process, and build their g1/pk1 blinding tables in memory.  An
+    process, and build their g and pk blinding tables in memory.  An
     owner given the same cache then signs with the same lookups at any
     worker count: results and raw op tallies are identical.
     """

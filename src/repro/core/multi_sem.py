@@ -49,12 +49,8 @@ class SEMCluster:
 
     @property
     def master_pk(self) -> GroupElement:
-        """pk = g2^y — what data owners and public verifiers use."""
+        """pk = g^y — what data owners and public verifiers use."""
         return self.key_shares.master_pk
-
-    @property
-    def master_pk_g1(self) -> GroupElement:
-        return self.key_shares.master_pk_g1
 
     def add_member(self, credential: MemberCredential) -> None:
         for sem in self.sems:

@@ -73,12 +73,12 @@ class DataOwner:
     Args:
         use_fixed_base: precompute window tables for the u_1..u_k bases so
             Bind's k exponentiations become table lookups, and for the
-            blinding bases g1 (Eq. 2) and pk1 = g1^y (Eq. 5), so blinding
-            and unblinding become lookups too (one-time cost amortized
-            across all blocks the owner ever signs).
+            blinding bases g (Eq. 2) and the SEM key pk = g^y (Eq. 5), so
+            blinding and unblinding become lookups too (one-time cost
+            amortized across all blocks the owner ever signs).
         table_cache_dir: load/persist the u_1..u_k tables via the
             :mod:`repro.ec.precompute` disk cache instead of rebuilding
-            (implies ``use_fixed_base``).  The g1 and pk1 tables are
+            (implies ``use_fixed_base``).  The g and pk tables are
             always built in memory: blindness never rests on a file.
         pool: a :class:`~repro.core.parallel.WorkerPool`; block
             aggregation/blinding, Eq. 7 batch verification, and unblinding
@@ -98,9 +98,8 @@ class DataOwner:
         self._rng = rng
         self.stats = OwnerStats()
         self.pool = pool
-        self._pk1 = GroupElement(self.group, sem_pk.point, "g1")
         self._tables = None
-        self._g1_table = self._pk1_table = None
+        self._g1_table = self._pk_table = None
         if table_cache_dir is not None or use_fixed_base:
             from repro.ec.precompute import build_tables_fast, load_or_build
 
@@ -110,8 +109,8 @@ class DataOwner:
                     table_cache_dir, self.group, list(params.u), bits)
             else:
                 self._tables = build_tables_fast(list(params.u), bits)
-            self._g1_table, self._pk1_table = build_tables_fast(
-                [self.group.g1(), self._pk1], bits)
+            self._g1_table, self._pk_table = build_tables_fast(
+                [self.group.g1(), sem_pk], bits)
 
     # -- single-block primitives (the paper's algorithms) -------------------
     def aggregate(self, block: Block) -> GroupElement:
@@ -131,22 +130,9 @@ class DataOwner:
         state: BlindingState,
         blind_signature: GroupElement,
         check: bool = True,
-        sem_pk_g1: GroupElement | None = None,
     ) -> GroupElement:
-        """Unblind (Eq. 4/5): verify then recover σ_i = M_i^y.
-
-        Raises:
-            ValueError: if ``sem_pk_g1`` is not the owner's key.
-        """
-        return unblind(self.group, state, blind_signature, self.sem_pk,
-                       pk1=self._checked_pk1(sem_pk_g1), check=check)
-
-    def _checked_pk1(self, sem_pk_g1: GroupElement | None) -> GroupElement:
-        """The key Eq. 5 unblinds with; a caller's copy must be the same
-        point, or σ would verify under no key."""
-        if sem_pk_g1 is not None and sem_pk_g1.point != self.sem_pk.point:
-            raise ValueError("sem_pk_g1 is not the SEM key this owner unblinds with")
-        return self._pk1
+        """Unblind (Eq. 4/5): verify then recover σ_i = M_i^y."""
+        return unblind(self.group, state, blind_signature, self.sem_pk, check=check)
 
     # -- the owner-side signing pass -------------------------------------------
     def sign_blocks(
@@ -157,7 +143,6 @@ class DataOwner:
         rng,
         extra: Sequence[GroupElement] = (),
         batch: bool = True,
-        sem_pk_g1: GroupElement | None = None,
     ) -> list[GroupElement]:
         """Blind → Sign → Eq. 7 → Unblind for every block, then ``extra``.
 
@@ -173,19 +158,14 @@ class DataOwner:
             rng: where Eq. 7's γ_i come from (the blinding factors always
                 come from the owner's rng).
             extra: G1 messages signed after the blocks, e.g. H(root message).
-            sem_pk_g1: the SEM key as a G1 element; when given it must be
-                the owner's ``sem_pk`` point.
 
         Returns:
             One signature per block, then one per ``extra`` message.
 
         Raises:
-            ValueError: if ``sem_pk_g1`` is not the owner's key (before
-                anything is signed).
             BlindSignatureError: if the SEM's reply has the wrong length
                 or fails Eq. 7 (Eq. 4).
         """
-        pk1 = self._checked_pk1(sem_pk_g1)
         states = self._blind_all(blocks, list(extra))
         blinded = [s.blinded for s in states]
         blind_signatures = sem.sign_blinded_batch(blinded, self.credential)
@@ -201,7 +181,7 @@ class DataOwner:
                      for m, s in zip(blinded, blind_signatures)):
             raise BlindSignatureError(
                 "blind signature failed verification (Eq. 4); re-request from SEM")
-        return self._unblind_all(states, blind_signatures, pk1)
+        return self._unblind_all(states, blind_signatures)
 
     def sign_file(
         self,
@@ -225,13 +205,20 @@ class DataOwner:
                 of per-signature Eq. 4 checks (2 pairings each).
             encrypt_key: when given, ChaCha20-encrypt the payload first
                 (data privacy, Section IV-C).
-            sem_pk_g1: the SEM key as a G1 element; a point other than
-                the owner's ``sem_pk`` raises ``ValueError``.
+            sem_pk_g1: kept for the benchmark harness (``perfbench``),
+                which still passes the SEM key under this name.  It is
+                only compared with ``sem_pk``, never used.
 
         Returns:
             A :class:`SignedFile` ready for
             :meth:`repro.core.cloud.CloudServer.store`.
+
+        Raises:
+            ValueError: if ``sem_pk_g1`` is given and is not ``sem_pk``
+                (before anything is signed).
         """
+        if sem_pk_g1 is not None and sem_pk_g1 != self.sem_pk:
+            raise ValueError("sem_pk_g1 is not the SEM key this owner unblinds with")
         nonce = None
         encrypted = False
         if encrypt_key is not None:
@@ -239,8 +226,7 @@ class DataOwner:
             data = chacha20_encrypt(encrypt_key, nonce, data)
             encrypted = True
         blocks = encode_data(data, self.params, file_id)
-        signatures = self.sign_blocks(sem, blocks, rng=self._rng, batch=batch,
-                                      sem_pk_g1=sem_pk_g1)
+        signatures = self.sign_blocks(sem, blocks, rng=self._rng, batch=batch)
         element_size = self.group.g1_element_bytes()
         self.stats.blocks += len(blocks)
         self.stats.bytes_to_sem += element_size * len(blocks)
@@ -269,11 +255,12 @@ class DataOwner:
                   for r, m in zip(rs, self.pool.blind_blocks(blocks, rs))]
         return states + blind_batch(self.group, extra, self._rng, self._g1_table)
 
-    def _unblind_all(self, states, blind_signatures, pk1) -> list[GroupElement]:
+    def _unblind_all(self, states, blind_signatures) -> list[GroupElement]:
         """Unblind every signature (Eq. 5), fanned out when pooled."""
         if self.pool is not None and self.pool.fans_out(len(states)):
-            return self.pool.unblind_batch(states, blind_signatures, pk1)
-        return unblind_batch(self.group, states, blind_signatures, pk1, self._pk1_table)
+            return self.pool.unblind_batch(states, blind_signatures, self.sem_pk)
+        return unblind_batch(self.group, states, blind_signatures, self.sem_pk,
+                             self._pk_table)
 
     @staticmethod
     def decrypt_file(data: bytes, key: bytes, nonce: bytes) -> bytes:

@@ -29,7 +29,7 @@ inherits the parent's imports cheaply) and receive the system parameters
 once via the pool initializer.  The u_1..u_k fixed-base tables are *not*
 rebuilt per process: when a ``table_cache_dir`` is configured each worker
 loads the serialized tables from :mod:`repro.ec.precompute`, and, like a
-table-enabled :class:`~repro.core.owner.DataOwner`, builds its g1 and pk1
+table-enabled :class:`~repro.core.owner.DataOwner`, builds its g and pk
 blinding tables in memory (on first use), so blinding and unblinding
 tally the same fixed-base lookups at any worker count.
 """
@@ -111,7 +111,7 @@ def _task_msm(payload):
     points, exponents = payload
     group = _WORKER["group"]
     before = _WORKER["counter"].snapshot()
-    elements = [GroupElement(group, pt, "g1") for pt in points]
+    elements = [GroupElement(group, pt) for pt in points]
     acc = group.multi_exp(elements, exponents)
     return acc.point, _delta_since(before)
 
@@ -151,7 +151,7 @@ def _task_blind(payload):
 
 
 def _base_table(base: GroupElement):
-    """The worker's table for a blinding base (g1, or one SEM key's pk1).
+    """The worker's table for a blinding base (g, or one SEM key pk).
 
     Only pools with a ``table_cache_dir`` use them, matching an owner
     with tables.  Built in memory on first use, once per base, and never
@@ -170,14 +170,14 @@ def _base_table(base: GroupElement):
 
 def _task_unblind(payload):
     """Unblind a chunk of blind signatures (Eq. 5, checks already done)."""
-    sig_pts, rs, pk1_pt = payload
+    sig_pts, rs, pk_pt = payload
     group = _WORKER["group"]
-    pk1 = GroupElement(group, pk1_pt, "g1")
-    table = _base_table(pk1)  # built before the snapshot: not this task's ops
+    pk = GroupElement(group, pk_pt)
+    table = _base_table(pk)  # built before the snapshot: not this task's ops
     before = _WORKER["counter"].snapshot()
     states = [BlindingState(r=r, blinded=None) for r in rs]  # Eq. 5 reads r only
-    signatures = [GroupElement(group, pt, "g1") for pt in sig_pts]
-    out = unblind_batch(group, states, signatures, pk1, table)
+    signatures = [GroupElement(group, pt) for pt in sig_pts]
+    out = unblind_batch(group, states, signatures, pk, table)
     return [sig.point for sig in out], _delta_since(before)
 
 
@@ -199,7 +199,7 @@ class WorkerPool:
         table_cache_dir: when given, workers load the u_1..u_k fixed-base
             tables from this :mod:`repro.ec.precompute` cache instead of
             rebuilding them per process, and aggregation uses them; they
-            also build g1 and pk1 tables in memory for blinding and
+            also build g and pk tables in memory for blinding and
             unblinding.
         window: fixed-base window width for the cached tables.
         tracer: an :class:`~repro.obs.tracer.Tracer`; each fan-out merges
@@ -262,8 +262,8 @@ class WorkerPool:
             with self.tracer.span(f"{task}.worker", worker=i):
                 if counter is not None:
                     counter.merge(delta)
-            acc = point if acc is None else self.group._add(acc, point, "g1")
-        return GroupElement(self.group, acc, "g1")
+            acc = point if acc is None else self.group._add(acc, point)
+        return GroupElement(self.group, acc)
 
     def _run(self, task_fn, payloads):
         pool = self._ensure_pool()
@@ -309,7 +309,7 @@ class WorkerPool:
         if not block_ids:
             raise ValueError("need at least one term")
         if not self.fans_out(len(block_ids)):
-            return GroupElement(self.group, self.group.raw_hash_msm(block_ids, betas), "g1")
+            return GroupElement(self.group, self.group.raw_hash_msm(block_ids, betas))
         payloads = [
             (list(block_ids[lo:hi]), list(betas[lo:hi]))
             for lo, hi in chunk_ranges(len(block_ids), self.workers)
@@ -340,7 +340,7 @@ class WorkerPool:
         self,
         states: list[BlindingState],
         signatures: list[GroupElement],
-        pk1: GroupElement,
+        pk: GroupElement,
     ) -> list[GroupElement]:
         """Unblind every signature (Eq. 5) across workers."""
         if len(states) != len(signatures):
@@ -349,7 +349,7 @@ class WorkerPool:
             (
                 [sig.point for sig in signatures[lo:hi]],
                 [s.r for s in states[lo:hi]],
-                pk1.point,
+                pk.point,
             )
             for lo, hi in chunk_ranges(len(states), self.workers)
         ]
@@ -363,5 +363,5 @@ class WorkerPool:
             with self.tracer.span(f"{task}.worker", worker=i):
                 if counter is not None:
                     counter.merge(delta)
-            out.extend(GroupElement(self.group, pt, "g1") for pt in points)
+            out.extend(GroupElement(self.group, pt) for pt in points)
         return out

@@ -1,6 +1,6 @@
 """Global system parameters (paper Setup, Section IV-B).
 
-Setup outputs (G1, G2, e, p, g, H, u_1..u_k): the pairing group supplies
+Setup outputs (G1, e, p, g, H, u_1..u_k): the pairing group supplies
 everything except the k random G1 elements u_1..u_k used to aggregate the k
 sector elements of each block.  The u elements are derived by hashing a
 public seed so that every party (owner, SEM, cloud, verifier) can recompute
@@ -21,7 +21,7 @@ class SystemParams:
     """Public parameters shared by all parties.
 
     Attributes:
-        group: the bilinear group (G1, G2, GT, e, p, g).
+        group: the symmetric bilinear group (G1, GT, e, p, g).
         k: number of Z_p elements aggregated per block (the paper's k).
         u: the k public G1 elements u_1..u_k.
         seed: the public seed the u elements were derived from.

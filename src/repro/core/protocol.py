@@ -165,10 +165,6 @@ class SemPdpSystem:
     def org_pk(self):
         return self.sem.pk if self.sem is not None else self.cluster.master_pk
 
-    @property
-    def org_pk_g1(self):
-        return self.sem.pk_g1 if self.sem is not None else self.cluster.master_pk_g1
-
     # -- membership -----------------------------------------------------------
     def enroll(self, member_id: str) -> DataOwner:
         """Enroll a member and hand back a ready-to-use :class:`DataOwner`.
@@ -215,7 +211,6 @@ class SemPdpSystem:
                     self._signing_service(),
                     batch=batch,
                     encrypt_key=encrypt_key,
-                    sem_pk_g1=self.org_pk_g1,
                 )
                 span.set(
                     n_blocks=len(signed.blocks),

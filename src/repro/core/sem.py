@@ -58,13 +58,18 @@ class SecurityMediator:
     ):
         self.group = group
         self._sk = sk if sk is not None else group.random_nonzero_scalar(rng)
-        self.pk = group.g2() ** self._sk
-        self.pk_g1 = group.g1() ** self._sk
+        self.pk = group.g1() ** self._sk
         self.require_membership = require_membership
         self._members: set[bytes] = set()
         self._revoked: set[bytes] = set()
         self.transcript: list[SigningTranscriptEntry] = []
         self.fail_mode: str | None = None  # None | "crash" | "byzantine"
+
+    @property
+    def pk_g1(self) -> GroupElement:
+        """``pk`` under its old G1-copy name, read only; kept for the
+        benchmark harness (``perfbench``), which still reads it."""
+        return self.pk
 
     # -- membership (driven by the GroupManager) ---------------------------
     def add_member(self, credential: MemberCredential) -> None:

@@ -34,12 +34,11 @@ class Contribution:
 class SharedFileBuilder:
     """Assembles a multi-owner file block by block."""
 
-    def __init__(self, params: SystemParams, file_id: bytes, sem, sem_pk_g1=None):
+    def __init__(self, params: SystemParams, file_id: bytes, sem):
         self.params = params
         self.group = params.group
         self.file_id = file_id
         self.sem = sem
-        self.sem_pk_g1 = sem_pk_g1
         self._blocks: list[Block] = []
         self._signatures: list = []
         self._authors: list[DataOwner] = []  # builder-local; NOT uploaded
@@ -76,8 +75,7 @@ class SharedFileBuilder:
             )
             for i, elements in enumerate(element_rows)
         ]
-        signatures = owner.sign_blocks(self.sem, blocks, rng=owner._rng,
-                                       sem_pk_g1=self.sem_pk_g1)
+        signatures = owner.sign_blocks(self.sem, blocks, rng=owner._rng)
         self._blocks.extend(blocks)
         self._signatures.extend(signatures)
         self._authors.extend([owner] * len(blocks))
@@ -108,10 +106,9 @@ def build_shared_file(
     file_id: bytes,
     sem,
     contributions: list[Contribution],
-    sem_pk_g1=None,
 ) -> SignedFile:
     """Convenience wrapper: assemble a shared file in one call."""
-    builder = SharedFileBuilder(params, file_id, sem, sem_pk_g1=sem_pk_g1)
+    builder = SharedFileBuilder(params, file_id, sem)
     for contribution in contributions:
         builder.append(contribution)
     return builder.build()

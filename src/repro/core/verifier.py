@@ -209,8 +209,7 @@ class PublicVerifier:
             id_exponents += [beta * weight for beta in challenge.betas]
             alphas += [alpha * weight for alpha in response.alphas]
         group = self.group
-        sigma = GroupElement(
-            group, group._msm([resp.sigma.point for _, resp in audits], weights, "g1"), "g1")
+        sigma = GroupElement(group, group._msm([resp.sigma.point for _, resp in audits], weights))
         if group.counter is not None:
             # The model still counts the unfolded form: each weight raised
             # as its own Exp on χ_i and σ_i, and the two L-fold products.

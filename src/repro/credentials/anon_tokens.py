@@ -50,8 +50,7 @@ class CredentialIssuer:
         self.group = group
         self._rng = rng
         self._sk = group.random_nonzero_scalar(rng)
-        self.pk = group.g2() ** self._sk
-        self.pk_g1 = group.g1() ** self._sk
+        self.pk = group.g1() ** self._sk
         self.epoch = 0
         self.quota_per_member = quota_per_member
         self._members: set[str] = set()
@@ -93,11 +92,10 @@ class TokenWallet:
     """Member-side: withdraws and holds unlinkable tokens."""
 
     def __init__(self, group: PairingGroup, member_id: str, issuer_pk: GroupElement,
-                 issuer_pk_g1: GroupElement | None = None, rng=None):
+                 rng=None):
         self.group = group
         self.member_id = member_id
         self.issuer_pk = issuer_pk
-        self.issuer_pk_g1 = issuer_pk_g1
         self._rng = rng
         self._tokens: list[AnonymousToken] = []
 
@@ -111,10 +109,7 @@ class TokenWallet:
             element = _token_element(self.group, epoch, serial)
             state = blind(self.group, element, self._rng)
             blind_signature = issuer.sign_withdrawal(self.member_id, state.blinded)
-            signature = unblind(
-                self.group, state, blind_signature, self.issuer_pk,
-                pk1=self.issuer_pk_g1, check=True,
-            )
+            signature = unblind(self.group, state, blind_signature, self.issuer_pk)
             self._tokens.append(AnonymousToken(epoch=epoch, serial=serial, signature=signature))
         return len(self._tokens)
 
@@ -151,7 +146,7 @@ class TokenVerifier:
             return False
         element = _token_element(self.group, token.epoch, token.serial)
         if not self.group.pairing_check(
-            [(token.signature, self.group.g2()), (element.inverse(), self.issuer_pk)]
+            [(token.signature, self.group.g1()), (element.inverse(), self.issuer_pk)]
         ):
             return False
         self._spent.add(token.serial)

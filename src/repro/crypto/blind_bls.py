@@ -6,7 +6,7 @@ Protocol between a message owner and the signer (the SEM):
    fresh random blinding factor r ∈ Z_p.   (Eq. 2 — M is the aggregate
    H(id)·∏ u_l^{m_l} in the PDP scheme.)
 2. **Sign** (signer):   σ̃ = m̃^y   with the signer's secret key y.  (Eq. 3)
-3. **Unblind** (owner): check e(σ̃, g2) == e(m̃, pk)  (Eq. 4), then
+3. **Unblind** (owner): check e(σ̃, g) == e(m̃, pk)  (Eq. 4), then
    σ = σ̃ · pk^{−r} = M^y.  (Eq. 5 — note pk^{−r} = (g^y)^{−r} cancels the
    blinding exactly.)
 
@@ -15,10 +15,10 @@ nothing about the message.  Unlinkability: for every (M, σ) there exists an
 r matching any transcript (m̃, σ̃), so transcripts cannot be linked to
 published signatures.
 
-Unblinding uses pk as an element of G1, ``pk1 = g1^y``: the pairing is
-symmetric, so pk1 and pk are the same point, as in the paper.
+The pairing is symmetric, so the one key pk = g^y both verifies (Eq. 4)
+and unblinds (Eq. 5), as in the paper.
 
-Both masks raise a *fixed* base — g1 in Eq. 2, pk1 in Eq. 5 — so a
+Both masks raise a *fixed* base — g in Eq. 2, pk in Eq. 5 — so a
 signer of many messages blinds and unblinds them in batches with
 :func:`blind_batch` and :func:`unblind_batch`.  Given a
 :class:`~repro.ec.fixed_base.FixedBaseTable` for the base, each batch
@@ -32,7 +32,7 @@ The full round trip, recovering exactly the plain BLS signature M^y:
 >>> group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
 >>> rng = random.Random(0)
 >>> y = group.random_nonzero_scalar(rng)          # the SEM's secret key
->>> pk = group.g2() ** y
+>>> pk = group.g1() ** y
 >>> M = group.random_g1(rng)                      # the aggregated block
 >>> state = blind(group, M, rng)                  # Eq. 2 (owner)
 >>> sigma_tilde = sign_blinded(state.blinded, y)  # Eq. 3 (SEM)
@@ -87,18 +87,18 @@ def unblind_batch(
     group: PairingGroup,
     states: list[BlindingState],
     blind_signatures: list[GroupElement],
-    pk1: GroupElement,
+    pk: GroupElement,
     table=None,
 ) -> list[GroupElement]:
     """Eq. 5 for every item, after the caller has checked Eq. 4 or Eq. 7.
 
     Args:
-        pk1: the signer's public key as a G1 element (g1^y).
+        pk: the signer's public key g^y.
         table: an optional :class:`~repro.ec.fixed_base.FixedBaseTable`
-            for ``pk1``; the unmasks pk1^{−r} then come from it.
+            for ``pk``; the unmasks pk^{−r} then come from it.
     """
     exponents = [group.order - state.r % group.order for state in states]
-    unmasks = fixed_base_powers(pk1, exponents, table)
+    unmasks = fixed_base_powers(pk, exponents, table)
     return [signature * unmask for signature, unmask in zip(blind_signatures, unmasks)]
 
 
@@ -132,8 +132,8 @@ def verify_blinded(
     blind_signature: GroupElement,
     pk: GroupElement,
 ) -> bool:
-    """Eq. 4: e(σ̃, g2) == e(m̃, pk)."""
-    return group.pairing_check([(blind_signature, group.g2()), (blinded.inverse(), pk)])
+    """Eq. 4: e(σ̃, g) == e(m̃, pk)."""
+    return group.pairing_check([(blind_signature, group.g1()), (blinded.inverse(), pk)])
 
 
 def unblind(
@@ -141,14 +141,9 @@ def unblind(
     state: BlindingState,
     blind_signature: GroupElement,
     pk: GroupElement,
-    pk1: GroupElement | None = None,
     check: bool = True,
 ) -> GroupElement:
-    """Eq. 5: σ = σ̃ · pk1^{−r}; optionally checks Eq. 4 first.
-
-    Args:
-        pk1: the signer's public key as a G1 element (g1^y).  Defaults
-            to ``pk`` tagged G1, the same point.
+    """Eq. 5: σ = σ̃ · pk^{−r}; optionally checks Eq. 4 first.
 
     Raises:
         ValueError: if ``check`` is set and the blind signature fails Eq. 4
@@ -156,9 +151,7 @@ def unblind(
     """
     if check and not verify_blinded(group, state.blinded, blind_signature, pk):
         raise ValueError("blind signature failed verification (Eq. 4); re-request from SEM")
-    if pk1 is None:
-        pk1 = GroupElement(group, pk.point, "g1")
-    return blind_signature * (pk1 ** (group.order - state.r % group.order))
+    return blind_signature * (pk ** (group.order - state.r % group.order))
 
 
 def batch_unblind_verify(
@@ -171,7 +164,7 @@ def batch_unblind_verify(
 ) -> bool:
     """Eq. 7: batch-verify n blind signatures with 2 pairings total.
 
-    Checks e(∏ σ̃_i^{γ_i}, g2) == e(∏ m̃_i^{γ_i}, pk) for random γ_i.
+    Checks e(∏ σ̃_i^{γ_i}, g) == e(∏ m̃_i^{γ_i}, pk) for random γ_i.
     This is the paper's headline optimization ("Our Scheme*"): it replaces
     2n pairings with 3n G1 exponentiations + 2 pairings.  The two products
     run as multi-scalar multiplications
@@ -199,4 +192,4 @@ def batch_unblind_verify(
     else:
         sig_acc = group.multi_exp(blind_signatures, gammas)
         msg_acc = group.multi_exp(blinded_messages, gammas)
-    return group.pairing_check([(sig_acc, group.g2()), (msg_acc.inverse(), pk)])
+    return group.pairing_check([(sig_acc, group.g1()), (msg_acc.inverse(), pk)])

@@ -6,8 +6,8 @@ The paper's verification metadata is exactly a BLS signature on the
 correctness reference for the blind variant.
 
 Written against the generic :class:`~repro.pairing.interface.PairingGroup`
-API: secret keys are scalars, public keys live in G2, signatures in G1.
-On the symmetric type-A backend G2 == G1, matching the paper's notation.
+API: secret keys are scalars; public keys and signatures are both
+elements of the one symmetric group G1, matching the paper's notation.
 
 >>> import random
 >>> from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
@@ -29,16 +29,16 @@ from repro.pairing.interface import GroupElement, PairingGroup
 
 @dataclass(frozen=True)
 class BLSKeyPair:
-    """A BLS key pair: sk = y in Z_r, pk = g2^y."""
+    """A BLS key pair: sk = y in Z_r, pk = g^y."""
 
     sk: int
     pk: GroupElement
 
 
 def bls_keygen(group: PairingGroup, rng=None) -> BLSKeyPair:
-    """Sample sk uniformly from Z_r* and derive pk = g2^sk."""
+    """Sample sk uniformly from Z_r* and derive pk = g^sk."""
     sk = group.random_nonzero_scalar(rng)
-    return BLSKeyPair(sk=sk, pk=group.g2() ** sk)
+    return BLSKeyPair(sk=sk, pk=group.g1() ** sk)
 
 
 def bls_sign(group: PairingGroup, sk: int, message: bytes) -> GroupElement:
@@ -58,13 +58,13 @@ def bls_sign_element(element: GroupElement, sk: int) -> GroupElement:
 def bls_verify(
     group: PairingGroup, pk: GroupElement, message: bytes, signature: GroupElement
 ) -> bool:
-    """Check e(sigma, g2) == e(H(message), pk).
+    """Check e(sigma, g) == e(H(message), pk).
 
     One :meth:`~repro.pairing.interface.PairingGroup.hashed_pairing_check`
     with H(message) taken as it is: on type-A, the raw hashed point pairs
     against the cached pk_h = [h mod r]·pk, so no cofactor clearing runs.
     Op-count cost: one ``hash_to_g1`` and 2 Pair.  σ = O is rejected, as
-    e(O, g2) = 1 ≠ e(H(message), pk).
+    e(O, g) = 1 ≠ e(H(message), pk).
     """
     return group.hashed_pairing_check(signature, pk, [message], None)
 
@@ -72,8 +72,8 @@ def bls_verify(
 def bls_verify_element(
     group: PairingGroup, pk: GroupElement, element: GroupElement, signature: GroupElement
 ) -> bool:
-    """Check e(sigma, g2) == e(element, pk) for a pre-aggregated element."""
-    return group.pairing_check([(signature, group.g2()), (element.inverse(), pk)])
+    """Check e(sigma, g) == e(element, pk) for a pre-aggregated element."""
+    return group.pairing_check([(signature, group.g1()), (element.inverse(), pk)])
 
 
 def bls_aggregate(signatures: list[GroupElement]) -> GroupElement:
@@ -95,7 +95,7 @@ def bls_batch_verify(
 ) -> bool:
     """Small-exponent batch verification of many signatures under one key.
 
-    Checks e(∏ sigma_i^gamma_i, g2) == e(∏ element_i^gamma_i, pk) for random
+    Checks e(∏ sigma_i^gamma_i, g) == e(∏ element_i^gamma_i, pk) for random
     gamma_i — the same randomization the paper applies in Eq. 7.  Sound except
     with probability ~1/r per run.  The two products run as multi-scalar
     multiplications; op-count cost is 2n Exp_G1 (as ``exp_g1_msm``) + 2 Pair.
@@ -110,4 +110,4 @@ def bls_batch_verify(
     gammas = [group.random_nonzero_scalar(rng) for _ in elements]
     sig_acc = group.multi_exp(signatures, gammas)
     elt_acc = group.multi_exp(elements, gammas)
-    return group.pairing_check([(sig_acc, group.g2()), (elt_acc.inverse(), pk)])
+    return group.pairing_check([(sig_acc, group.g1()), (elt_acc.inverse(), pk)])

@@ -80,14 +80,14 @@ class BBS04Group:
         self.h = group.random_g1(rng)
         self.u = self.h ** inverse_mod(self._xi1, p)
         self.v = self.h ** inverse_mod(self._xi2, p)
-        # Issuing key γ, group public key w = g2^γ.
+        # Issuing key γ, group public key w = g^γ.
         self._gamma = group.random_nonzero_scalar(rng)
-        self.w = group.g2() ** self._gamma
+        self.w = group.g1() ** self._gamma
         self._members: list[GroupMemberKey] = []
         # Precomputed pairings used by sign/verify.
         self._e_h_w = group.pair(self.h, self.w)
-        self._e_h_g2 = group.pair(self.h, group.g2())
-        self._e_g1_g2 = group.pair(group.g1(), group.g2())
+        self._e_h_g = group.pair(self.h, group.g1())
+        self._e_g_g = group.pair(group.g1(), group.g1())
 
     # -- enrolment -----------------------------------------------------------
     def issue_member_key(self) -> GroupMemberKey:
@@ -118,9 +118,9 @@ class BBS04Group:
         r1 = self.u**r_alpha
         r2 = self.v**r_beta
         r3 = (
-            group.pair(t3, group.g2()) ** r_x
+            group.pair(t3, group.g1()) ** r_x
             * self._e_h_w ** ((-r_alpha - r_beta) % p)
-            * self._e_h_g2 ** ((-r_d1 - r_d2) % p)
+            * self._e_h_g ** ((-r_d1 - r_d2) % p)
         )
         r4 = t1**r_x * self.u ** ((-r_d1) % p)
         r5 = t2**r_x * self.v ** ((-r_d2) % p)
@@ -145,11 +145,11 @@ class BBS04Group:
         c = sig.c
         r1 = self.u**sig.s_alpha / sig.t1**c
         r2 = self.v**sig.s_beta / sig.t2**c
-        ratio = group.pair(sig.t3, self.w) / self._e_g1_g2
+        ratio = group.pair(sig.t3, self.w) / self._e_g_g
         r3 = (
-            group.pair(sig.t3, group.g2()) ** sig.s_x
+            group.pair(sig.t3, group.g1()) ** sig.s_x
             * self._e_h_w ** ((-sig.s_alpha - sig.s_beta) % p)
-            * self._e_h_g2 ** ((-sig.s_delta1 - sig.s_delta2) % p)
+            * self._e_h_g ** ((-sig.s_delta1 - sig.s_delta2) % p)
             * ratio**c
         )
         r4 = sig.t1**sig.s_x * self.u ** ((-sig.s_delta1) % p)

@@ -26,9 +26,7 @@ from repro.pairing.interface import GroupElement, PairingGroup
 class ThresholdKeyShares:
     """Output of Setup′: per-SEM key shares and public verification keys.
 
-    ``share_pks[j]`` is pk_j = g2^{y_j}; ``share_pks_g1[j]`` is the same
-    key tagged as a G1 element (g1^{y_j}, the same point on the symmetric
-    type-A group), like ``master_pk_g1``.  The master public key pk = g2^y
+    ``share_pks[j]`` is pk_j = g^{y_j}.  The master public key pk = g^y
     is what public verifiers use; the master secret is *not* retained (the
     dealer goes offline, as the paper prescribes).
     """
@@ -36,10 +34,8 @@ class ThresholdKeyShares:
     w: int
     t: int
     master_pk: GroupElement
-    master_pk_g1: GroupElement
     shares: list[ShamirShare]
     share_pks: list[GroupElement] = field(default_factory=list)
-    share_pks_g1: list[GroupElement] = field(default_factory=list)
 
     def share_for(self, index: int) -> ShamirShare:
         """The key share of SEM ``index`` (0-based)."""
@@ -57,16 +53,13 @@ def distribute_key(
     if master_sk is None:
         master_sk = group.random_nonzero_scalar(rng)
     shares = split_secret(master_sk, w, t, group.order, rng=rng)
-    g2 = group.g2()
-    g1 = group.g1()
+    g = group.g1()
     return ThresholdKeyShares(
         w=w,
         t=t,
-        master_pk=g2**master_sk,
-        master_pk_g1=g1**master_sk,
+        master_pk=g**master_sk,
         shares=shares,
-        share_pks=[g2**s.y for s in shares],
-        share_pks_g1=[g1**s.y for s in shares],
+        share_pks=[g**s.y for s in shares],
     )
 
 
@@ -81,9 +74,9 @@ def verify_share(
     signature_share: GroupElement,
     share_pk: GroupElement,
 ) -> bool:
-    """Eq. 10: e(σ̃_{i,j}, g2) == e(m̃_i, pk_j)."""
+    """Eq. 10: e(σ̃_{i,j}, g) == e(m̃_i, pk_j)."""
     return group.pairing_check(
-        [(signature_share, group.g2()), (blinded.inverse(), share_pk)]
+        [(signature_share, group.g1()), (blinded.inverse(), share_pk)]
     )
 
 
@@ -122,11 +115,23 @@ def batch_verify_shares(
 ) -> bool:
     """Eq. 14 (randomized): verify all n·t signature shares with t + 1 pairings.
 
-    The paper's Eq. 14 multiplies everything together unweighted; we add
-    the standard small-exponent randomization per message so that errors in
-    distinct shares cannot cancel (same soundness rationale as Eq. 7 — the
-    unweighted variant accepts e.g. two shares swapped between messages).
-    Pairing count is unchanged: one per SEM plus one on the left.
+    The paper's Eq. 14 multiplies everything together unweighted.  We
+    weight SEM j's share of message i by γ_i·δ_j, with γ_i fresh per
+    message and δ_j fresh per SEM (δ = 1 for the first SEM), and check
+
+        e(∏_j ∏_i σ̃_{i,j}^{γ_i·δ_j}, g) == ∏_j e(M^{δ_j}, pk_j),
+        M = ∏_i m̃_i^{γ_i},
+
+    which is e(M, pk_j^{δ_j}) per SEM with the long-lived pk_j kept as
+    the pairing argument whose Miller lines are cached.  A wrong share
+    then passes with probability about 1/r.  Weighting by γ_i alone is
+    not enough with several SEMs: offsets in different SEMs' shares of
+    one message (Δ and Δ⁻¹, or keys y_0 + d and y_1 − d) cancel.
+
+    Op-count cost: (SEM count + 1)·n Exp for M and the per-SEM
+    aggregates, one more Exp for M^{δ_j} on every SEM after the first,
+    and 1 + (SEM count) pairings.  With one SEM this is the δ-free check,
+    drawing the same randomness.
 
     Args:
         blinded_messages: m̃_1..m̃_n.
@@ -139,6 +144,7 @@ def batch_verify_shares(
     if n == 0 or not shares_by_sem:
         return True
     gammas = [group.random_nonzero_scalar(rng) for _ in range(n)]
+    deltas = [1] + [group.random_nonzero_scalar(rng) for _ in range(len(shares_by_sem) - 1)]
     randomized_messages = [m**g for m, g in zip(blinded_messages, gammas)]
     msg_acc = randomized_messages[0]
     for m in randomized_messages[1:]:
@@ -146,10 +152,11 @@ def batch_verify_shares(
     msg_inv = msg_acc.inverse()
     lhs_acc: GroupElement | None = None
     pairs = []
-    for sem_index, sem_shares in shares_by_sem.items():
-        sem_acc = sem_shares[0] ** gammas[0]
-        for share, gamma in zip(sem_shares[1:], gammas[1:]):
-            sem_acc = sem_acc * share**gamma
+    for j, (sem_index, sem_shares) in enumerate(shares_by_sem.items()):
+        weights = [gamma * deltas[j] % group.order for gamma in gammas]
+        sem_acc = sem_shares[0] ** weights[0]
+        for share, weight in zip(sem_shares[1:], weights[1:]):
+            sem_acc = sem_acc * share**weight
         lhs_acc = sem_acc if lhs_acc is None else lhs_acc * sem_acc
-        pairs.append((msg_inv, share_pks[sem_index]))
-    return group.pairing_check([(lhs_acc, group.g2()), *pairs])
+        pairs.append((msg_inv**deltas[j] if j else msg_inv, share_pks[sem_index]))
+    return group.pairing_check([(lhs_acc, group.g1()), *pairs])

@@ -181,18 +181,15 @@ class DynamicStore:
             — a single :class:`~repro.core.sem.SecurityMediator` or a
             :class:`~repro.core.multi_sem.MultiSEMClient` cluster front.
         owner: the enrolled member whose credential signs the updates.
-        sem_pk_g1: optional G1 mirror of the SEM key (fixed-base paths).
         ledger: optional hash-chained ledger; when present every create
             and update batch is fenced with dyn_* records.
     """
 
-    def __init__(self, params: SystemParams, sem, owner: DataOwner,
-                 sem_pk_g1: GroupElement | None = None, ledger=None):
+    def __init__(self, params: SystemParams, sem, owner: DataOwner, ledger=None):
         self.params = params
         self.group = params.group
         self.sem = sem
         self.owner = owner
-        self.sem_pk_g1 = sem_pk_g1
         self.ledger = ledger
         self._files: dict[bytes, DynamicFile] = {}
 
@@ -395,7 +392,7 @@ class DynamicStore:
         try:
             signatures = self.owner.sign_blocks(
                 self.sem, new_blocks, rng=self.owner._rng,
-                extra=[self.group.hash_to_g1(root_msg)], sem_pk_g1=self.sem_pk_g1)
+                extra=[self.group.hash_to_g1(root_msg)])
         except BlindSignatureError as exc:
             raise DynamicFileError(str(exc)) from exc
         return signatures[:-1], signatures[-1]

@@ -104,9 +104,7 @@ class FixedBaseTable:
         Many short sums share one ``_sums`` call, so on the type-A backend
         they share every tree level's inversion.
         """
-        return _folds(
-            self.base.group, [self._entries(e) for e in exponents], self.base.which
-        )
+        return _folds(self.base.group, [self._entries(e) for e in exponents])
 
     def _entries(self, exponent: int) -> list:
         """The raw table points whose sum is base^exponent.
@@ -114,7 +112,7 @@ class FixedBaseTable:
         Tallies the one model-level Exp this power stands for.
         """
         group = self.base.group
-        if group.counter is not None and self.base.which == "g1":
+        if group.counter is not None:
             # One model-level Exp_G1 served from the table (Table I counts it).
             group.counter.exp_g1_fixed_base += 1
         exponent %= group.order
@@ -136,15 +134,15 @@ class FixedBaseTable:
         return self.digits * ((1 << self.window) - 1)
 
 
-def _folds(group, lists: list[list], which: str) -> list[GroupElement]:
+def _folds(group, lists: list[list]) -> list[GroupElement]:
     """Sum each list of raw points through the group's ``_sums`` hook.
 
     Tallies ``len(points) − 1`` ``mul_g1`` per list, the ``*`` count of
     folding it one at a time, whatever coordinates the hook adds in.
     """
-    if group.counter is not None and which == "g1":
+    if group.counter is not None:
         group.counter.mul_g1 += sum(len(points) - 1 for points in lists if points)
-    return [GroupElement(group, point, which) for point in group._sums(lists, which)]
+    return [GroupElement(group, point) for point in group._sums(lists)]
 
 
 def aggregate_with_tables(params, block, tables: list[FixedBaseTable]):
@@ -162,4 +160,4 @@ def aggregate_with_tables(params, block, tables: list[FixedBaseTable]):
             points += table._entries(m_l)
         elif group.counter is not None:
             group.counter.exp_g1_skipped += 1
-    return _folds(group, [points], "g1")[0]
+    return _folds(group, [points])[0]

@@ -131,10 +131,10 @@ def build_tables_fast(
         for _ in range(digits):
             row = [None] * radix
             for d in range(1, radix):
-                row[d] = GroupElement(group, next(it), base.which)
+                row[d] = GroupElement(group, next(it))
             rows.append(row)
         tables.append(FixedBaseTable.from_rows(base, exponent_bits, window, rows))
-        if group.counter is not None and base.which == "g1":
+        if group.counter is not None:
             # The same group operations as the generic constructor, so the
             # same tally: radix − 2 adds and ``window`` doublings per row.
             group.counter.mul_g1 += digits * (radix - 2 + window)
@@ -270,7 +270,7 @@ def load_tables(
                 raise PrecomputeCacheError("cache row width mismatch")
             row = [None]
             for raw_pt in raw_row:
-                row.append(GroupElement(group, _validate_point(raw_pt, q), base.which))
+                row.append(GroupElement(group, _validate_point(raw_pt, q)))
             rows.append(row)
         tables.append(FixedBaseTable.from_rows(base, exponent_bits, window, rows))
     return tables

@@ -61,7 +61,6 @@ class SEMNode(Node):
         super().__init__(name)
         self.group = group
         self._sk = sk
-        self.pk = group.g2() ** sk
         self.fail_mode: str | None = None  # None | "byzantine"
         self.service_delay_s = service_delay_s
         self.signed_batches = 0
@@ -105,7 +104,6 @@ class OwnerNode(Node):
         name: str,
         params: SystemParams,
         org_pk,
-        org_pk_g1,
         endpoints: list,
         threshold: int = 1,
         cloud_name: str = "cloud",
@@ -117,7 +115,6 @@ class OwnerNode(Node):
         self.params = params
         self.group = params.group
         self.org_pk = org_pk
-        self.org_pk_g1 = org_pk_g1
         self.endpoints = list(endpoints)
         self.sem_names = [endpoint.name for endpoint in self.endpoints]
         self.threshold = threshold
@@ -203,7 +200,7 @@ class OwnerNode(Node):
             self._pending = None
             raise ValueError("batch verification failed at owner")
         signatures = tuple(unblind_batch(self.group, pending.states, round_.result,
-                                         self.org_pk_g1))
+                                         self.org_pk))
         pending.signed = SignedFile(
             file_id=pending.file_id, blocks=tuple(pending.blocks), signatures=signatures
         )
@@ -295,14 +292,13 @@ def build_protocol_network(
 
     sim = Simulator()
     t = 1 if threshold is None else threshold
-    endpoints, org_pk, org_pk_g1 = add_sem_group(
+    endpoints, org_pk = add_sem_group(
         sim, params.group, [f"sem-{j}" for j in range(2 * t - 1)], t, rng)
     cloud = CloudNode("cloud", CloudServer(params, org_pk=org_pk, rng=rng))
     owner = OwnerNode(
         "owner",
         params,
         org_pk,
-        org_pk_g1,
         endpoints,
         threshold=t,
         rng=rng,

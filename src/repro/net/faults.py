@@ -368,8 +368,7 @@ def corrupt_payload(payload, rng: random.Random):
     from repro.pairing.interface import GroupElement
 
     if isinstance(payload, GroupElement):
-        generator = payload.group.g1() if payload.which == "g1" else payload.group.g2()
-        return payload * generator
+        return payload * payload.group.g1()
     if isinstance(payload, (bytes, bytearray)):
         if not payload:
             return b"\x01"

@@ -213,15 +213,15 @@ def _suite_table1(repeats: int, options: dict) -> tuple[list[dict], dict]:
         rng = random.Random(11)
         if t is None:
             sem = SecurityMediator(group, rng=rng, require_membership=False)
-            service, pk, pk1 = sem, sem.pk, sem.pk_g1
+            service, pk = sem, sem.pk
         else:
             cluster = SEMCluster(group, t=t, rng=rng, require_membership=False)
             service = MultiSEMClient(cluster, batch=optimized, rng=rng)
-            pk, pk1 = cluster.master_pk, cluster.master_pk_g1
+            pk = cluster.master_pk
         owner = DataOwner(params, pk, rng=rng)
         wall, ops = measure_ops_and_wall(
             group,
-            lambda: owner.sign_file(data, b"bench", service, batch=optimized, sem_pk_g1=pk1),
+            lambda: owner.sign_file(data, b"bench", service, batch=optimized),
             repeats,
         )
         phases.append(
@@ -310,13 +310,9 @@ def _suite_service(repeats: int, options: dict) -> tuple[list[dict], dict]:
     group = _toy_group()
     params = setup(group, k=4)
     sem = SecurityMediator(group, rng=random.Random(5), require_membership=False)
-    batched = SigningPipeline(
-        params, sem, sem.pk, org_pk_g1=sem.pk_g1, rng=random.Random(6)
-    )
+    batched = SigningPipeline(params, sem, sem.pk, rng=random.Random(6))
     sequential = SigningPipeline(
-        params, sem, sem.pk, org_pk_g1=sem.pk_g1, use_fixed_base=False,
-        rng=random.Random(7),
-    )
+        params, sem, sem.pk, use_fixed_base=False, rng=random.Random(7))
     blocks = encode_data(_dense(params, 64), params, b"bench")
     requests = [
         SignRequest(request_id=next_request_id(), owner="bench", blocks=(block,))
@@ -384,7 +380,7 @@ def _suite_chaos(repeats: int, options: dict) -> tuple[list[dict], dict]:
     for cluster in (clean, faulty):
         for m, sig in zip(blinded, round_over(cluster)):
             assert group.pairing_check(
-                [(sig, group.g2()), (m.inverse(), cluster.master_pk)]
+                [(sig, group.g1()), (m.inverse(), cluster.master_pk)]
             ), "chaos suite produced a signature that does not verify"
     n = len(blinded)
     phases = [

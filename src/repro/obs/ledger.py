@@ -388,14 +388,11 @@ class _AuditRecheck:
             self._flush(point)
 
     def _pin(self, body: dict) -> None:
-        # Type A is symmetric: G1 and G2 share the serialization, so the
-        # G2 key round-trips through deserialize_g1 plus a rewrap.
-        group = self.params.group
-        point = group.deserialize_g1(bytes.fromhex(body["pk"])).point
+        pk = self.params.group.deserialize_g1(bytes.fromhex(body["pk"]))
         previous = self.pks.get(body["verifier"])
-        if previous is not None and previous.point != point:
+        if previous is not None and previous.point != pk.point:
             self._flush(previous.point)
-        self.pks[body["verifier"]] = GroupElement(group, point, "g2")
+        self.pks[body["verifier"]] = pk
 
     def _flush(self, point) -> None:
         """One ``verify_batch`` over the PASS records queued under ``point``,
@@ -403,8 +400,7 @@ class _AuditRecheck:
         records = self.pending.pop(point, [])
         # No rng: the batch weights come from OS randomness, never from
         # anything written in the ledger.
-        verifier = PublicVerifier(
-            self.params, GroupElement(self.params.group, point, "g2"))
+        verifier = PublicVerifier(self.params, GroupElement(self.params.group, point))
 
         def check_range(lo: int, hi: int) -> bool:
             if hi - lo == 1:

@@ -27,8 +27,7 @@ from repro.analysis.calibrate import time_pairing
 from repro.obs.tracer import OP_KEYS, Span
 
 #: Operation-counter keys → the calibrated primitive that explains them.
-#: ``exp_g1_skipped`` costs nothing by construction; ``exp_g2`` runs on the
-#: same curve in the symmetric type-A setting, so it shares the G1 unit.
+#: ``exp_g1_skipped`` costs nothing by construction.
 #: ``exp_g1_msm`` is the amortized per-term cost inside a multi-scalar
 #: multiplication — far below a standalone exponentiation once Straus or
 #: Pippenger shares the doubling ladder across terms.
@@ -36,7 +35,6 @@ _PRIMITIVE_FOR_OP = {
     "exp_g1": "exp_g1",
     "exp_g1_fixed_base": "exp_g1_fixed_base",
     "exp_g1_msm": "exp_g1_msm",
-    "exp_g2": "exp_g1",
     "pairings": "pairing",
     "hash_to_g1": "hash_to_g1",
     "mul_g1": "mul_g1",
@@ -91,11 +89,11 @@ def calibrate_primitive_costs(group, repeats: int = 8, rng=None) -> PrimitiveCos
         g = group.random_g1(rng)
         h = group.random_g1(rng)
         scalar = group.random_nonzero_scalar(rng)
-        g2e = group.g2() ** group.random_nonzero_scalar(rng)
+        key = group.random_g1(rng)
         exp_g1 = _time_loop(lambda: g**scalar, repeats)
         table = FixedBaseTable(g, group.order.bit_length())
         exp_fixed = _time_loop(lambda: table.power(scalar), repeats)
-        pairing = time_pairing(group, g, g2e, max(repeats // 2, 2))
+        pairing = time_pairing(group, g, key, max(repeats // 2, 2))
         tick = [0]
 
         def _hash():

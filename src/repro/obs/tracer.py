@@ -31,7 +31,6 @@ OP_KEYS = (
     "exp_g1_fixed_base",
     "exp_g1_msm",
     "exp_g1_skipped",
-    "exp_g2",
     "exp_gt",
     "pairings",
     "mul_g1",

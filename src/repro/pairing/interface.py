@@ -1,4 +1,4 @@
-"""Abstract pairing-group API and multiplicative element wrappers.
+"""Pairing-group API and multiplicative element wrappers.
 
 The paper writes G1 multiplicatively (``u^m``, ``σ = m̃^y``); the wrappers
 here expose exactly that notation over additive curve arithmetic, so scheme
@@ -12,8 +12,7 @@ in G1 (``Exp_G1``) and pairings (``Pair``).
 from __future__ import annotations
 
 import secrets
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -41,7 +40,6 @@ class OperationCounter:
     """
 
     exp_g1: int = 0
-    exp_g2: int = 0
     exp_gt: int = 0
     pairings: int = 0
     mul_g1: int = 0
@@ -51,28 +49,11 @@ class OperationCounter:
     exp_g1_skipped: int = 0
 
     def reset(self) -> None:
-        self.exp_g1 = 0
-        self.exp_g2 = 0
-        self.exp_gt = 0
-        self.pairings = 0
-        self.mul_g1 = 0
-        self.hash_to_g1 = 0
-        self.exp_g1_fixed_base = 0
-        self.exp_g1_msm = 0
-        self.exp_g1_skipped = 0
+        for f in fields(self):
+            setattr(self, f.name, 0)
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "exp_g1": self.exp_g1,
-            "exp_g2": self.exp_g2,
-            "exp_gt": self.exp_gt,
-            "pairings": self.pairings,
-            "mul_g1": self.mul_g1,
-            "hash_to_g1": self.hash_to_g1,
-            "exp_g1_fixed_base": self.exp_g1_fixed_base,
-            "exp_g1_msm": self.exp_g1_msm,
-            "exp_g1_skipped": self.exp_g1_skipped,
-        }
+        return dict(vars(self))  # the fields, in declaration order
 
     def merge(self, delta: dict[str, int]) -> None:
         """Add a snapshot/diff of another counter into this one.
@@ -100,28 +81,26 @@ class OperationCounter:
 
 
 class GroupElement:
-    """Multiplicative wrapper around a source-group (G1/G2) point.
+    """Multiplicative wrapper around a point of the group G1.
 
     ``a * b`` is the group operation, ``a ** n`` is exponentiation,
     ``a.inverse()`` the group inverse — matching the paper's notation.
+    ``point`` is the backend's raw affine point, ``None`` for the identity.
     """
 
-    __slots__ = ("group", "point", "which")
+    __slots__ = ("group", "point")
 
-    def __init__(self, group: "PairingGroup", point, which: str):
+    def __init__(self, group: "PairingGroup", point):
         self.group = group
         self.point = point
-        self.which = which  # "g1" or "g2"
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if not isinstance(other, GroupElement) or other.which != self.which:
+        if not isinstance(other, GroupElement):
             return NotImplemented
         counter = self.group.counter
-        if counter is not None and self.which == "g1":
+        if counter is not None:
             counter.mul_g1 += 1
-        return GroupElement(
-            self.group, self.group._add(self.point, other.point, self.which), self.which
-        )
+        return GroupElement(self.group, self.group._add(self.point, other.point))
 
     def __truediv__(self, other: "GroupElement") -> "GroupElement":
         return self * other.inverse()
@@ -129,39 +108,33 @@ class GroupElement:
     def __pow__(self, exponent: int) -> "GroupElement":
         counter = self.group.counter
         if counter is not None:
-            if self.which == "g1":
-                counter.exp_g1 += 1
-            else:
-                counter.exp_g2 += 1
+            counter.exp_g1 += 1
         exponent %= self.group.order
-        return GroupElement(
-            self.group, self.group._scalar_mul(self.point, exponent, self.which), self.which
-        )
+        return GroupElement(self.group, self.group._scalar_mul(self.point, exponent))
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, self.group._neg(self.point, self.which), self.which)
+        return GroupElement(self.group, self.group._neg(self.point))
 
     def is_identity(self) -> bool:
-        return self.group._is_identity(self.point, self.which)
+        return self.point is None
 
     def to_bytes(self) -> bytes:
         """Canonical serialization (used for byte accounting and hashing)."""
-        return self.group._serialize(self.point, self.which)
+        return self.group._serialize(self.point)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
         return (
-            self.which == other.which
-            and (self.group is other.group or self.group == other.group)
-            and self.group._eq(self.point, other.point, self.which)
+            (self.group is other.group or self.group == other.group)
+            and self.point == other.point
         )
 
     def __hash__(self):
-        return hash((self.which, self.to_bytes()))
+        return hash(self.to_bytes())
 
     def __repr__(self):
-        return f"<{self.which} element {self.to_bytes()[:8].hex()}...>"
+        return f"<G1 element {self.to_bytes()[:8].hex()}...>"
 
 
 class GTElement:
@@ -206,14 +179,15 @@ class GTElement:
         return "<GT element>"
 
 
-class PairingGroup(ABC):
-    """A bilinear group (G1, G2, GT, e) of prime order ``order``.
+class PairingGroup:
+    """A symmetric bilinear group (G1, GT, e) of prime order ``order``.
 
-    The API keeps the paper's (G1, G2) argument order: elements carry a
-    ``"g1"``/``"g2"`` tag, public keys are tagged G2, and :meth:`pair`
-    takes (G1, G2).  The one backend,
-    :class:`~repro.pairing.type_a.TypeAPairingGroup`, is symmetric: its G2
-    is an alias of G1 over the same points.
+    The paper's setting: one group G1 with one generator g, and
+    e : G1 × G1 → GT.  Elements are untagged, every public key is one
+    G1 element pk = g^y, and :meth:`pair` takes any two of them.  The
+    curve arithmetic, hashing and pairing live in the one backend,
+    :class:`~repro.pairing.type_a.TypeAPairingGroup`; this base holds
+    the counted entry points they share.
     """
 
     order: int
@@ -241,16 +215,10 @@ class PairingGroup(ABC):
                 return s
 
     def pair(self, p: GroupElement, q: GroupElement) -> GTElement:
-        """The bilinear map e(p, q) with p in G1 and q in G2."""
-        if p.which != "g1" or q.which != "g2":
-            raise ValueError("pair() expects (G1, G2) arguments")
+        """The bilinear map e(p, q)."""
         if self.counter is not None:
             self.counter.pairings += 1
         return GTElement(self, self._pair(p.point, q.point))
-
-    @abstractmethod
-    def multi_pair(self, pairs: list[tuple[GroupElement, GroupElement]]) -> GTElement:
-        """Product of pairings  prod e(p_i, q_i)."""
 
     def pairing_check(self, pairs: list[tuple[GroupElement, GroupElement]]) -> bool:
         """True iff  prod e(p_i, q_i) = 1.
@@ -273,15 +241,14 @@ class PairingGroup(ABC):
         multiplication (:func:`repro.ec.jacobian.jac_msm` on type-A).
 
         Op-count cost: one ``exp_g1_msm`` per nonzero exponent and one
-        ``exp_g1_skipped`` per zero exponent (for G1 inputs), so the
-        model-equivalent Exp total is identical to exponentiating each term
-        separately; the internal merge additions are not tallied as
-        ``mul_g1``.  Counting is per-term, which makes the tallies invariant
-        under any chunking of the input — the parallel fan-out relies on
-        this.
+        ``exp_g1_skipped`` per zero exponent, so the model-equivalent Exp
+        total is identical to exponentiating each term separately; the
+        internal merge additions are not tallied as ``mul_g1``.  Counting
+        is per-term, which makes the tallies invariant under any chunking
+        of the input — the parallel fan-out relies on this.
 
         Args:
-            elements: group elements, all from the same source group.
+            elements: group elements.
             exponents: one integer per element (reduced mod the group
                 order; zeros and negatives fine).
 
@@ -289,66 +256,22 @@ class PairingGroup(ABC):
             The aggregated :class:`GroupElement`.
 
         Raises:
-            ValueError: on empty input, length mismatch, or elements drawn
-                from different source groups.
+            ValueError: on empty input or a length mismatch.
         """
         if len(elements) != len(exponents):
             raise ValueError("elements and exponents must have equal length")
         if not elements:
             raise ValueError("need at least one term")
-        which = elements[0].which
-        if any(el.which != which for el in elements):
-            raise ValueError("multi_exp terms must share one source group")
         reduced = [e % self.order for e in exponents]
-        counter = self.counter
-        if counter is not None:
-            if which == "g1":
-                self._tally_msm_terms(reduced)
-            else:
-                counter.exp_g2 += len(reduced)
-        point = self._msm([el.point for el in elements], reduced, which)
-        return GroupElement(self, point, which)
-
-    @abstractmethod
-    def hashed_pairing_check(
-        self,
-        sigma: GroupElement,
-        pk: GroupElement,
-        ids: list[bytes],
-        id_exponents: list[int] | None,
-        elements: list[GroupElement] = (),
-        exponents: list[int] = (),
-        pool=None,
-    ) -> bool:
-        """``e(σ, g2) == e(χ, pk)`` for χ = ∏ H(ids[i])^{id_exponents[i]} ·
-        ∏ elements[l]^{exponents[l]}: Eq. 6 and BLS verification."""
-
-    @abstractmethod
-    def g1(self) -> GroupElement:
-        """A fixed generator of G1."""
-
-    @abstractmethod
-    def g2(self) -> GroupElement:
-        """A fixed generator of G2 (same as g1 for symmetric groups)."""
-
-    @abstractmethod
-    def hash_to_g1(self, data: bytes) -> GroupElement:
-        """Full-domain hash H : {0,1}* -> G1."""
+        if self.counter is not None:
+            self._tally_msm_terms(reduced)
+        return GroupElement(self, self._msm([el.point for el in elements], reduced))
 
     def random_g1(self, rng=None) -> GroupElement:
         return self.g1() ** self.random_nonzero_scalar(rng)
 
-    def random_g2(self, rng=None) -> GroupElement:
-        return self.g2() ** self.random_nonzero_scalar(rng)
-
     def g1_identity(self) -> GroupElement:
-        return GroupElement(self, self._identity("g1"), "g1")
-
-    def g2_identity(self) -> GroupElement:
-        return GroupElement(self, self._identity("g2"), "g2")
-
-    def gt_one(self) -> GTElement:
-        return GTElement(self, self._gt_one())
+        return GroupElement(self, None)
 
     def g1_element_bytes(self) -> int:
         """Serialized size of a G1 element (for communication accounting)."""
@@ -358,7 +281,7 @@ class PairingGroup(ABC):
         """Serialized size of a Z_r scalar."""
         return (self.order.bit_length() + 7) // 8
 
-    # -- backend primitives -------------------------------------------------
+    # -- shared checks and tallies -------------------------------------------
     @staticmethod
     def _check_hash_terms(ids, id_exponents, elements, exponents) -> None:
         """Argument checks every :meth:`hashed_pairing_check` runs first."""
@@ -368,63 +291,13 @@ class PairingGroup(ABC):
             raise ValueError("elements and exponents must have equal length")
         if not ids and not elements:
             raise ValueError("need at least one term")
-        if any(el.which != "g1" for el in elements):
-            raise ValueError("hashed_pairing_check elements must lie in G1")
 
     def _tally_msm_terms(self, reduced: list[int]) -> None:
         """One ``exp_g1_msm`` per nonzero and one ``exp_g1_skipped`` per
-        zero (already reduced) G1 exponent."""
+        zero (already reduced) exponent."""
         counter = self.counter
         for e in reduced:
             if e:
                 counter.exp_g1_msm += 1
             else:
                 counter.exp_g1_skipped += 1
-
-    @abstractmethod
-    def _add(self, a, b, which: str): ...
-
-    @abstractmethod
-    def _neg(self, a, which: str): ...
-
-    @abstractmethod
-    def _scalar_mul(self, a, n: int, which: str): ...
-
-    @abstractmethod
-    def _msm(self, points, exponents, which: str): ...
-
-    @abstractmethod
-    def _sums(self, lists, which: str) -> list: ...
-
-    @abstractmethod
-    def _identity(self, which: str): ...
-
-    @abstractmethod
-    def _is_identity(self, a, which: str) -> bool: ...
-
-    @abstractmethod
-    def _eq(self, a, b, which: str) -> bool: ...
-
-    @abstractmethod
-    def _serialize(self, a, which: str) -> bytes: ...
-
-    @abstractmethod
-    def _pair(self, p, q): ...
-
-    @abstractmethod
-    def _gt_mul(self, a, b): ...
-
-    @abstractmethod
-    def _gt_pow(self, a, n: int): ...
-
-    @abstractmethod
-    def _gt_inv(self, a): ...
-
-    @abstractmethod
-    def _gt_one(self): ...
-
-    @abstractmethod
-    def _gt_is_one(self, a) -> bool: ...
-
-    @abstractmethod
-    def _gt_eq(self, a, b) -> bool: ...

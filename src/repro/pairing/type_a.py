@@ -9,7 +9,7 @@ The pairing is the *modified Tate pairing*
     e(P, Q) = f_{r,Q}(φ(P)) ^ ((q² − 1) / r),
 
 where φ(x, y) = (−x, i·y) is the distortion map (i² = −1 in F_q²).  The
-pairing is symmetric, so Miller's algorithm runs on the G2 argument Q —
+pairing is symmetric, so Miller's algorithm runs on the second argument Q —
 in every verification equation the long-lived ``g`` or a public key —
 and its lines are computed once per Q and cached on the group.  Because
 φ(P) has an F_q x-coordinate negation and a purely imaginary y-coordinate,
@@ -32,7 +32,7 @@ from repro.mathkit.ntheory import sqrt_mod
 from repro.pairing.interface import GroupElement, GTElement, PairingGroup
 from repro.pairing.params import TypeAParams
 
-#: Most G2 points whose Miller lines a group keeps (~60 KB each at
+#: Most second-argument points whose Miller lines a group keeps (~60 KB each at
 #: paper-160); a full cache is emptied and refills with the points in use.
 _LINE_CACHE_SIZE = 32
 
@@ -52,7 +52,7 @@ class TypeAPairingGroup(PairingGroup):
         self._final_exp_h = params.h
         # α·h⁻¹ folds G1 terms into the raw χ MSM (hashed_pairing_check).
         self._h_inv = pow(params.h, -1, params.r)
-        # G2 point -> its Miller lines (see _miller_loop).
+        # Second pairing argument -> its Miller lines (see _miller_loop).
         self._lines: dict = {}
         # Public key -> pk_h = [h mod r]·pk (see _cleared_key).
         self._pk_h: dict = {}
@@ -65,10 +65,7 @@ class TypeAPairingGroup(PairingGroup):
     # Generators and hashing
     # ------------------------------------------------------------------
     def g1(self):
-        return GroupElement(self, self._generator, "g1")
-
-    def g2(self):
-        return GroupElement(self, self._generator, "g2")
+        return GroupElement(self, self._generator)
 
     def hash_to_g1(self, data: bytes):
         if self.counter is not None:
@@ -78,7 +75,7 @@ class TypeAPairingGroup(PairingGroup):
             # Probability h/q ~ 2^-160: the hashed point was in the small
             # subgroup.  Retry with a domain-separated suffix.
             return self.hash_to_g1(data + b"\x00retry")
-        return GroupElement(self, point, "g1")
+        return GroupElement(self, point)
 
     def hashed_pairing_check(self, sigma, pk, ids, id_exponents, elements=(),
                              exponents=(), pool=None):
@@ -119,18 +116,17 @@ class TypeAPairingGroup(PairingGroup):
         tallying its hash but no Exp, as a plain BLS check does.
 
         Args:
-            sigma: the G1 left-hand element.
-            pk: the G2 public key.
+            sigma: the left-hand element.
+            pk: the public key.
             ids: byte strings hashed into G1.
             id_exponents: one integer per id, or ``None`` for all ones.
-            elements: further G1 elements in the order-r subgroup.
+            elements: further elements in the order-r subgroup.
             exponents: one integer per element.
             pool: an optional :class:`~repro.core.parallel.WorkerPool`
                 to fan the id terms out to.
 
         Raises:
-            ValueError: on no terms at all, a length mismatch, or a
-                non-G1 element.
+            ValueError: on no terms at all or a length mismatch.
         """
         r = self.order
         self._check_hash_terms(
@@ -145,13 +141,13 @@ class TypeAPairingGroup(PairingGroup):
         if pool is None or id_exponents is None:
             chi = self.raw_hash_msm(ids, id_exponents, points, scalars)
         else:
-            chi = affine_add(self._msm(points, scalars, "g1"),
+            chi = affine_add(self._msm(points, scalars),
                              pool.hash_msm(ids, id_exponents).point, self.q)
         if chi == (0, 0):
             chi = None
-        pk_h = GroupElement(self, self._cleared_key(pk.point), "g2")
+        pk_h = GroupElement(self, self._cleared_key(pk.point))
         return self.pairing_check(
-            [(sigma, self.g2()), (GroupElement(self, self._neg(chi, "g1"), "g1"), pk_h)])
+            [(sigma, self.g1()), (GroupElement(self, self._neg(chi)), pk_h)])
 
     def raw_hash_msm(self, ids, id_exponents, points=(), scalars=()):
         """Σ β_i·P_i + Σ s_j·Q_j over the raw try-and-increment points P_i.
@@ -171,7 +167,7 @@ class TypeAPairingGroup(PairingGroup):
             if id_exponents is not None:
                 self._tally_msm_terms(reduced)
         hashed = [self._hash_to_curve(data) for data in ids]
-        return self._msm(hashed + list(points), reduced + list(scalars), "g1")
+        return self._msm(hashed + list(points), reduced + list(scalars))
 
     def _cleared_key(self, pk_point):
         """pk_h = [h mod r]·pk, cached per key like the Miller lines."""
@@ -194,18 +190,18 @@ class TypeAPairingGroup(PairingGroup):
     # ------------------------------------------------------------------
     # PairingGroup backend primitives (G1 arithmetic: repro.ec.jacobian)
     # ------------------------------------------------------------------
-    def _add(self, a, b, which):
+    def _add(self, a, b):
         return affine_add(a, b, self.q)
 
-    def _neg(self, a, which):
+    def _neg(self, a):
         if a is None:
             return None
         return (a[0], (-a[1]) % self.q)
 
-    def _scalar_mul(self, a, n, which):
+    def _scalar_mul(self, a, n):
         return self._raw_scalar_mul(a, n)
 
-    def _sums(self, lists, which):
+    def _sums(self, lists):
         """Raw sum of each list of raw points (behind fixed-base lookups).
 
         One affine tree for all lists (:func:`batch_affine_sums`).  It does
@@ -214,7 +210,7 @@ class TypeAPairingGroup(PairingGroup):
         """
         return batch_affine_sums(lists, self.q)
 
-    def _msm(self, points, exponents, which):
+    def _msm(self, points, exponents):
         """Raw multi-scalar multiplication behind :meth:`multi_exp`.
 
         Runs with Jacobian chains and batch-affine Pippenger buckets
@@ -223,16 +219,7 @@ class TypeAPairingGroup(PairingGroup):
         """
         return jac_msm(points, exponents, self.q)
 
-    def _identity(self, which):
-        return None
-
-    def _is_identity(self, a, which):
-        return a is None
-
-    def _eq(self, a, b, which):
-        return a == b
-
-    def _serialize(self, a, which):
+    def _serialize(self, a):
         if a is None:
             return b"\x00" * (self._qbytes + 1)
         x, y = a
@@ -248,7 +235,7 @@ class TypeAPairingGroup(PairingGroup):
         if len(data) != self._qbytes + 1:
             raise ValueError("bad element encoding length")
         if data == b"\x00" * (self._qbytes + 1):
-            return GroupElement(self, None, "g1")
+            return GroupElement(self, None)
         x = int.from_bytes(data[:-1], "big")
         sign = data[-1]
         if sign not in (2, 3):
@@ -261,7 +248,7 @@ class TypeAPairingGroup(PairingGroup):
             raise ValueError("x is not on the curve")
         if y & 1 != sign & 1:
             y = self.q - y
-        return GroupElement(self, (x, y), "g1")
+        return GroupElement(self, (x, y))
 
     # ------------------------------------------------------------------
     # Pairing
@@ -273,7 +260,7 @@ class TypeAPairingGroup(PairingGroup):
         return self._final_exponentiation(f)
 
     def _miller_loop(self, p, q_point):
-        """f_{r,Q}(φ(P)) from the cached lines of the G2 argument Q.
+        """f_{r,Q}(φ(P)) from the cached lines of the second argument Q.
 
         The pairing is symmetric, so running Miller's algorithm on Q and
         evaluating at φ(P) gives the same pairing value, after the final
@@ -304,7 +291,7 @@ class TypeAPairingGroup(PairingGroup):
     def _miller_lines(self, q_point):
         """The (lam, c, doubling?) line of every Miller step for base point Q.
 
-        One field inversion per step, paid once per G2 point.  Vertical
+        One field inversion per step, paid once per second-argument point.  Vertical
         lines are left out: they evaluate into F_q, which the final
         exponentiation kills since (q² − 1)/r is a multiple of q − 1.
         """
@@ -374,9 +361,6 @@ class TypeAPairingGroup(PairingGroup):
         inv_norm = pow(norm, -1, q)
         return (x[0] * inv_norm % q, (-x[1]) * inv_norm % q)
 
-    def _gt_one(self):
-        return (1, 0)
-
     def _gt_is_one(self, x):
         return x == (1, 0)
 
@@ -386,16 +370,10 @@ class TypeAPairingGroup(PairingGroup):
     def multi_pair(self, pairs):
         """Product pairing with a single shared final exponentiation.
 
-        Op-count cost: one pairing per (G1, G2) pair, identity terms
-        included.
-
-        Raises:
-            ValueError: on a pair not of the form (G1, G2).
+        Op-count cost: one pairing per pair, identity terms included.
         """
         acc = (1, 0)
         for p, q_el in pairs:
-            if p.which != "g1" or q_el.which != "g2":
-                raise ValueError("multi_pair expects (G1, G2) pairs")
             if self.counter is not None:
                 self.counter.pairings += 1
             if p.point is None or q_el.point is None:

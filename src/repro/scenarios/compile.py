@@ -354,7 +354,7 @@ def compile_scenario(scenario: Scenario, obs=None, ledger=None,
     group_pks: dict[str, object] = {}
     for spec in scenario.topology.sem_groups:
         service_name = f"svc-{spec.name}"
-        endpoints, org_pk, org_pk_g1 = add_sem_group(
+        endpoints, org_pk = add_sem_group(
             sim, group, [f"sem-{spec.name}-{j}" for j in range(spec.w)], spec.t,
             derive_rng(seed, "group", spec.name))
         service = SEMServiceNode(
@@ -363,7 +363,6 @@ def compile_scenario(scenario: Scenario, obs=None, ledger=None,
             endpoints,
             spec.t,
             org_pk,
-            org_pk_g1=org_pk_g1,
             batch_config=batch_config,
             failover_config=failover_config,
             rng=derive_rng(seed, "service", spec.name),

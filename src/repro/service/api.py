@@ -112,7 +112,7 @@ class SignRequest:
                     f"block {block.block_id!r} has elements outside Z_p"
                 )
         for element in self.blinded:
-            if not isinstance(element, GroupElement) or element.which != "g1":
+            if not isinstance(element, GroupElement):
                 raise RequestValidationError("blinded elements must live in G1")
             if element.group is not params.group and element.group != params.group:
                 raise RequestValidationError("blinded element from a foreign group")

@@ -61,7 +61,7 @@ class SEMEndpoint:
 
     name: str
     x: int  # Shamir abscissa of this SEM's key share
-    share_pk: GroupElement  # pk_j = g2^{y_j}
+    share_pk: GroupElement  # pk_j = g^{y_j}
     transport: object | None = None
 
 

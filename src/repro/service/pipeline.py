@@ -5,7 +5,7 @@ One batch = one pass over every pending request's items:
 1. **aggregate** all ``blocks``-kind items to G1 in-process,
    amortizing the u_1..u_k fixed-base tables across the whole batch;
 2. **blind** them (Eq. 2) with :func:`~repro.crypto.blind_bls.blind_batch`
-   through a fixed-base table for g1 — the blinding base never changes,
+   through a fixed-base table for g — the blinding base never changes,
    so each blinding costs table lookups;
 3. **sign** every blinded element of the batch in a *single*
    ``sign_blinded_batch`` transport call (one round trip to the SEM or the
@@ -15,7 +15,7 @@ One batch = one pass over every pending request's items:
    trick applied at the service layer (with per-item isolation when the
    batch check fails, so one bad signature cannot poison its batchmates);
 5. **unblind** (Eq. 5) with :func:`~repro.crypto.blind_bls.unblind_batch`
-   through a fixed-base table for pk1 = g1^y — again a fixed base, again
+   through a fixed-base table for the key pk = g^y — again a fixed base, again
    amortized.  Both helpers are the ones
    :meth:`~repro.core.owner.DataOwner.sign_blocks` uses, so a service pass
    and an owner's own pass do the same per-item work.
@@ -82,13 +82,18 @@ class SigningPipeline:
             :class:`~repro.core.sem.SecurityMediator`, a
             :class:`~repro.core.multi_sem.MultiSEMClient`, or a
             :class:`~repro.service.failover.FailoverMultiSEMClient`.
-        org_pk: the organizational public key pk = g2^y.
-        org_pk_g1: the SEM key as a G1 element, g1^y.  Defaults to
-            ``org_pk`` tagged G1, the same point.
+        org_pk: the organizational public key pk = g^y; Eq. 4/7 check
+            against it and Eq. 5 unblinds with it.
         credential: the credential forwarded on transport calls; services
             enforce membership at admission and call a trusted SEM.
-        use_fixed_base: precompute tables for u_1..u_k, g1, and pk1.
+        use_fixed_base: precompute tables for u_1..u_k, g, and pk.
         rng: randomness source for blinding factors and Eq. 7 coefficients.
+        org_pk_g1: kept for the benchmark harness (``perfbench``), which
+            still passes the key under this name.  It is only compared
+            with ``org_pk``, never used.
+
+    Raises:
+        ValueError: if ``org_pk_g1`` is given and is not ``org_pk``.
     """
 
     def __init__(
@@ -96,13 +101,15 @@ class SigningPipeline:
         params: SystemParams,
         sem,
         org_pk: GroupElement,
-        org_pk_g1: GroupElement | None = None,
         credential=None,
         use_fixed_base: bool = True,
         window: int = 4,
         rng=None,
         obs=None,
+        org_pk_g1: GroupElement | None = None,
     ):
+        if org_pk_g1 is not None and org_pk_g1 != org_pk:
+            raise ValueError("org_pk_g1 is not the key this pipeline unblinds with")
         self.obs = obs if obs is not None else NULL_OBS
         self.params = params
         self.group = params.group
@@ -110,21 +117,18 @@ class SigningPipeline:
         self.org_pk = org_pk
         self.credential = credential
         self._rng = rng
-        if org_pk_g1 is None:
-            org_pk_g1 = GroupElement(self.group, org_pk.point, "g1")
-        self.org_pk_g1 = org_pk_g1
         bits = self.group.order.bit_length()
         self._u_tables = None
         self._g1_table = None
-        self._pk1_table = None
+        self._pk_table = None
         if use_fixed_base:
-            *self._u_tables, self._g1_table, self._pk1_table = build_tables_fast(
-                [*params.u, self.group.g1(), org_pk_g1], bits, window=window
+            *self._u_tables, self._g1_table, self._pk_table = build_tables_fast(
+                [*params.u, self.group.g1(), org_pk], bits, window=window
             )
 
     # -- the batched pass ---------------------------------------------------
     def prepare_batch(self, requests: list[SignRequest]) -> PreparedBatch:
-        """Stages 1–2: aggregate (u-tables) and blind (g1 table)."""
+        """Stages 1–2: aggregate (u-tables) and blind (g table)."""
         all_blocks = [b for r in requests for b in r.blocks]
         with self.obs.tracer.span(
             "batch.prepare", n_requests=len(requests), n_blocks=len(all_blocks)
@@ -178,7 +182,7 @@ class SigningPipeline:
         signatures = list(blind_signatures)
         unblinded = unblind_batch(self.group, [prepared.states[i] for i in unblind],
                                   [blind_signatures[i] for i in unblind],
-                                  self.org_pk_g1, self._pk1_table)
+                                  self.org_pk, self._pk_table)
         for i, signature in zip(unblind, unblinded):
             signatures[i] = signature
         results: list[PipelineResult] = []
@@ -244,7 +248,7 @@ class SigningPipeline:
             else:
                 signatures.append(
                     blind_signature
-                    * self.org_pk_g1 ** (self.group.order - state.r % self.group.order)
+                    * self.org_pk ** (self.group.order - state.r % self.group.order)
                 )
         return PipelineResult(
             request_id=request.request_id, signatures=tuple(signatures), ok=True

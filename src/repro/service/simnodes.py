@@ -73,7 +73,6 @@ class SEMServiceNode(Node):
         endpoints: list[SEMEndpoint],
         t: int,
         org_pk,
-        org_pk_g1=None,
         batch_config: BatchConfig | None = None,
         failover_config: FailoverConfig | None = None,
         membership=None,
@@ -106,7 +105,6 @@ class SEMServiceNode(Node):
             params,
             sem=_RaiseTransport(),
             org_pk=org_pk,
-            org_pk_g1=org_pk_g1,
             use_fixed_base=use_fixed_base,
             rng=rng,
             obs=obs,
@@ -441,21 +439,22 @@ def add_sem_group(sim: Simulator, group, names: list[str], t: int, rng):
 
     One name with ``t = 1`` is the paper's single SEM holding y itself;
     otherwise the ``w = len(names)`` SEMs hold Shamir shares of y with
-    threshold ``t`` (Eq. 8).  Returns ``(endpoints, org_pk, org_pk_g1)``.
+    threshold ``t`` (Eq. 8).  Returns ``(endpoints, org_pk)``; each key is
+    computed once, here or by the dealer.
     """
     from repro.net.actors import SEMNode
 
     if len(names) == 1 and t == 1:
         sk = group.random_nonzero_scalar(rng)
-        sem = SEMNode(names[0], group, sk)
-        sim.add_node(sem)
-        return [SEMEndpoint(name=sem.name, x=1, share_pk=sem.pk)], sem.pk, group.g1() ** sk
+        pk = group.g1() ** sk
+        sim.add_node(SEMNode(names[0], group, sk))
+        return [SEMEndpoint(name=names[0], x=1, share_pk=pk)], pk
     shares = distribute_key(group, len(names), t, rng=rng)
     endpoints = []
     for name, share, share_pk in zip(names, shares.shares, shares.share_pks):
         sim.add_node(SEMNode(name, group, share.y))
         endpoints.append(SEMEndpoint(name=name, x=share.x, share_pk=share_pk))
-    return endpoints, shares.master_pk, shares.master_pk_g1
+    return endpoints, shares.master_pk
 
 
 def build_service_network(
@@ -492,7 +491,7 @@ def build_service_network(
         obs.tracer.clock = lambda: sim.now
         sim.tracer = obs.tracer  # message deliveries become causal spans
     t = 1 if threshold is None else threshold
-    endpoints, org_pk, org_pk_g1 = add_sem_group(
+    endpoints, org_pk = add_sem_group(
         sim, group, [f"sem-{j}" for j in range(2 * t - 1)], t, rng)
     service = SEMServiceNode(
         "service",
@@ -500,7 +499,6 @@ def build_service_network(
         endpoints,
         t,
         org_pk,
-        org_pk_g1=org_pk_g1,
         batch_config=batch_config,
         failover_config=failover_config,
         rng=rng,

@@ -101,8 +101,8 @@ class TestRevocation:
         fresh = group.hash_to_g1(b"fresh block never signed")
         forged = fresh**rk
         # Fails under both keys.
-        assert group.pair(forged, group.g2()) != group.pair(fresh, panda.pks[0])
-        assert group.pair(forged, group.g2()) != group.pair(fresh, panda.pks[1])
+        assert group.pair(forged, group.g1()) != group.pair(fresh, panda.pks[0])
+        assert group.pair(forged, group.g1()) != group.pair(fresh, panda.pks[1])
 
 
 class TestIdentityLeak:

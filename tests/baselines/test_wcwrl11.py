@@ -63,7 +63,7 @@ class TestWCWRL11:
         bad = MaskedProofResponse(
             sigma=proof.sigma,
             alphas=proof.alphas,
-            commitment=proof.commitment * group.pair(group.g1(), group.g2()),
+            commitment=proof.commitment * group.pair(group.g1(), group.g1()),
         )
         assert not verifier.verify(ch, bad)
 

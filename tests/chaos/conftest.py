@@ -66,7 +66,7 @@ class ChaosRun:
                 blocks = encode_data(data, params, file_id)
                 assert len(response.signatures) == len(blocks)
                 for block, signature in zip(blocks, response.signatures):
-                    lhs = group.pair(signature, group.g2())
+                    lhs = group.pair(signature, group.g1())
                     rhs = group.pair(aggregate_block(params, block), org_pk)
                     assert lhs == rhs, f"bad signature for request {request_id}"
                     checked += 1

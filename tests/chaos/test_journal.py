@@ -171,7 +171,7 @@ class TestKillRestart:
                 for block, signature in zip(
                     encode_data(data, params_k4, file_id), response.signatures
                 ):
-                    assert group_.pair(signature, group_.g2()) == group_.pair(
+                    assert group_.pair(signature, group_.g1()) == group_.pair(
                         aggregate_block(params_k4, block), org_pk
                     )
 

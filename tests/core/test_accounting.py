@@ -70,9 +70,7 @@ class TestSigningCounts:
         client = MultiSEMClient(cluster, batch=True, rng=rng)
         owner = DataOwner(params_k4, cluster.master_pk, rng=rng)
         with CostTracker(group) as tracker:
-            owner.sign_file(
-                b"multi sem counting " * 4, b"f", client, sem_pk_g1=cluster.master_pk_g1
-            )
+            owner.sign_file(b"multi sem counting " * 4, b"f", client)
         # t per-SEM batch checks (2 pairings each, incremental validation)
         # + final Eq. 7 check (2): bounded by 2(t + 1).
         assert tracker.pairings <= 2 * (t + 1)

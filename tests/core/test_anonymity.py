@@ -52,7 +52,7 @@ class TestVerifierSideAnonymity:
         for fid in (b"fa", b"fb"):
             stored = system.cloud.retrieve(fid)
             for block, sig in zip(stored.blocks, stored.signatures):
-                lhs = group.pair(sig, group.g2())
+                lhs = group.pair(sig, group.g1())
                 rhs = group.pair(aggregate_block(system.params, block), system.org_pk)
                 assert lhs == rhs  # only the ORG key appears
 

@@ -39,7 +39,7 @@ class TestSigning:
     def _sign(self, params, cluster, rng, batch=True, data=b"multi-sem data " * 5):
         client = MultiSEMClient(cluster, batch=batch, rng=rng)
         owner = DataOwner(params, cluster.master_pk, rng=rng)
-        return owner.sign_file(data, b"f", client, sem_pk_g1=cluster.master_pk_g1)
+        return owner.sign_file(data, b"f", client)
 
     def test_signatures_verify_under_master_key(self, params_k4, cluster, rng):
         signed = self._sign(params_k4, cluster, rng)
@@ -58,9 +58,7 @@ class TestSigning:
         single = SecurityMediator(group, sk=master_sk, rng=rng, require_membership=False)
         data = b"same data either way"
         owner1 = DataOwner(params_k4, cluster.master_pk, rng=rng)
-        multi_signed = owner1.sign_file(
-            data, b"f", MultiSEMClient(cluster, rng=rng), sem_pk_g1=cluster.master_pk_g1
-        )
+        multi_signed = owner1.sign_file(data, b"f", MultiSEMClient(cluster, rng=rng))
         owner2 = DataOwner(params_k4, single.pk, rng=rng)
         single_signed = owner2.sign_file(data, b"f", single)
         assert multi_signed.signatures == single_signed.signatures

@@ -3,7 +3,7 @@
 Every signing caller — ``sign_file``, the dynamic store, the resilient
 store, the fleet, and the multi-owner builder — runs the same pass:
 Blind (Eq. 2) → one SEM batch (Eq. 3) → Eq. 7 → Unblind (Eq. 5).  A
-table-enabled owner blinds and unblinds through g1/pk1 fixed-base tables,
+table-enabled owner blinds and unblinds through g/pk fixed-base tables,
 so the only scalar multiplications left are the SEM's.
 """
 
@@ -59,7 +59,7 @@ class TestFixedBaseOwnerCost:
             for tables in (True, False):
                 owner = _owner(params_k4, sem, tables)
                 before = counter.snapshot()
-                signed = owner.sign_file(PAYLOAD, b"f", sem, sem_pk_g1=sem.pk_g1)
+                signed = owner.sign_file(PAYLOAD, b"f", sem)
                 deltas[tables] = counter.diff(before)
         finally:
             group.detach_counter()
@@ -90,8 +90,7 @@ class TestSameSignaturesWithAndWithoutTables:
         sem = _sem(group)
         states = []
         for tables in (True, False):
-            store = DynamicStore(params_k4, sem, _owner(params_k4, sem, tables),
-                                 sem_pk_g1=sem.pk_g1)
+            store = DynamicStore(params_k4, sem, _owner(params_k4, sem, tables))
             store.create(b"d", [b"chunk-%d" % i for i in range(6)])
             store.update(b"d", [UpdateOp("modify", 1, b"edit"),
                                 UpdateOp("append", payload=b"tail")])
@@ -129,7 +128,7 @@ class TestSameSignaturesWithAndWithoutTables:
         sem = _sem(group)
         built = []
         for tables in (True, False):
-            builder = SharedFileBuilder(params_k4, b"s", sem, sem_pk_g1=sem.pk_g1)
+            builder = SharedFileBuilder(params_k4, b"s", sem)
             for seed, payload in ((7, b"alice " * 20), (8, b"bob " * 30)):
                 builder.append(Contribution(_owner(params_k4, sem, tables, seed), payload))
             built.append(builder.build().signatures)
@@ -168,15 +167,18 @@ class TestFailClosed:
             owner.sign_file(PAYLOAD, b"f", sem, sem_pk_g1=other.pk_g1)
         assert sem.transcript == []
 
-    def test_single_block_unblind_rejects_a_mismatched_key(self, group, params_k4):
+    def test_matching_sem_pk_g1_signs_as_without_it(self, group, params_k4):
         sem = _sem(group)
-        owner = _owner(params_k4, sem, False)
-        state = owner.blind_block(_blocks(params_k4, 1)[0])
-        (blind_signature,) = sem.sign_blinded_batch([state.blinded], None)
-        with pytest.raises(ValueError):
-            owner.unblind(state, blind_signature, sem_pk_g1=_sem(group, seed=99).pk_g1)
-        assert owner.unblind(state, blind_signature, sem_pk_g1=sem.pk_g1) == \
-            owner.unblind(state, blind_signature)
+        signed = [_owner(params_k4, sem, False).sign_file(PAYLOAD, b"f", sem, **kwargs)
+                  for kwargs in ({}, {"sem_pk_g1": sem.pk_g1})]
+        assert _points(signed[0].signatures) == _points(signed[1].signatures)
+
+    def test_sem_pk_g1_is_the_one_key(self, group):
+        sem = _sem(group)
+        assert sem.pk_g1 is sem.pk
+        assert sem.pk_g1 == group.g1() ** sem._sk
+        with pytest.raises(AttributeError):
+            sem.pk_g1 = group.g1()
 
     def test_short_reply_raises(self, group, params_k4):
         sem = _sem(group)
@@ -265,7 +267,7 @@ def _pooled_upload_ops(workers, cache_dir):
 
 
 def test_pooled_upload_raw_tallies_equal_at_any_worker_count(tmp_path):
-    """Workers blind and unblind through the same g1/pk1 tables as the
+    """Workers blind and unblind through the same g/pk tables as the
     owner, so even the raw counter (not only the model-equivalent rows)
     is the same at 1, 2 and 3 workers."""
     runs = [_pooled_upload_ops(workers, tmp_path) for workers in (1, 2, 3)]

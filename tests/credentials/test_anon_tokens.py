@@ -19,7 +19,7 @@ def verifier(group, issuer):
 
 
 def _wallet(group, issuer, name, rng):
-    return TokenWallet(group, name, issuer.pk, issuer_pk_g1=issuer.pk_g1, rng=rng)
+    return TokenWallet(group, name, issuer.pk, rng=rng)
 
 
 class TestWithdrawSpend:

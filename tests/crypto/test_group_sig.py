@@ -56,8 +56,8 @@ class TestSignVerify:
     def test_member_keys_are_sdh_pairs(self, bbs, members, group):
         # e(A, w·g2^x) == e(g1, g2).
         for member in members:
-            lhs = group.pair(member.A, bbs.w * group.g2() ** member.x)
-            assert lhs == group.pair(group.g1(), group.g2())
+            lhs = group.pair(member.A, bbs.w * group.g1() ** member.x)
+            assert lhs == group.pair(group.g1(), group.g1())
 
 
 class TestAnonymityAndOpening:

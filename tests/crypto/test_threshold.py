@@ -1,5 +1,6 @@
 """Tests for threshold blind BLS (paper Section V, Eq. 8–14)."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -23,13 +24,12 @@ def keys(group, rng):
 class TestDistribution:
     def test_share_pks_match_shares(self, group, keys):
         for share, pk in zip(keys.shares, keys.share_pks):
-            assert group.g2() ** share.y == pk
+            assert group.g1() ** share.y == pk
 
     def test_master_pk_consistency(self, group, rng):
         sk = 123456789 % group.order
         keys = distribute_key(group, 5, 3, rng=rng, master_sk=sk)
-        assert keys.master_pk == group.g2() ** sk
-        assert keys.master_pk_g1 == group.g1() ** sk
+        assert keys.master_pk == group.g1() ** sk
 
     def test_share_for(self, keys):
         assert keys.share_for(2) == keys.shares[2]
@@ -147,6 +147,68 @@ class TestShareVerification:
         finally:
             group.detach_counter()
         assert counter.pairings == t + 1
+
+    def _two_sem_check(self, group, seed, shares_for):
+        """Eq. 14 over SEMs 0 and 1 of a (3, 2) deal, 4 blinded messages,
+        with SEM j's share of message i given by ``shares_for(j, i, m, y_j)``."""
+        rng = random.Random(seed)
+        keys = distribute_key(group, w=3, t=2, rng=rng)
+        blinded = [group.random_g1(rng) for _ in range(4)]
+        shares_by_sem = {
+            j: [shares_for(j, i, m, keys.shares[j].y) for i, m in enumerate(blinded)]
+            for j in (0, 1)
+        }
+        pks = {j: keys.share_pks[j] for j in (0, 1)}
+        return batch_verify_shares(group, blinded, shares_by_sem, pks, rng)
+
+    def test_eq14_rejects_offsets_cancelling_across_sems(self, group):
+        """SEMs 0 and 1 add Δ and Δ⁻¹ to their shares of message 0.  The
+        product over SEMs is unchanged, but the Lagrange-combined
+        signature is wrong (the coefficients differ), so Eq. 14 must
+        weight each SEM independently and reject."""
+        delta = group.hash_to_g1(b"collusion offset")
+
+        def shares_for(j, i, m, y):
+            share = m**y
+            if i == 0:
+                share = share * (delta if j == 0 else delta.inverse())
+            return share
+
+        for seed in range(20):
+            assert not self._two_sem_check(group, seed, shares_for)
+            # Control: the same deal and messages pass when honest.
+            assert self._two_sem_check(group, seed, lambda j, i, m, y: m**y)
+
+    def test_eq14_rejects_key_shift_across_sems(self, group):
+        """SEM 0 signs with y_0 + d and SEM 1 with y_1 − d: every message's
+        share product is m̃^{y_0 + y_1}, as if both were honest."""
+        d = 987654321
+
+        def shares_for(j, i, m, y):
+            return m ** ((y + d) if j == 0 else (y - d))
+
+        for seed in range(20):
+            assert not self._two_sem_check(group, seed, shares_for)
+
+    def test_eq14_single_sem_draws_only_message_weights(self, group, keys):
+        """With one SEM, δ = 1: the check draws n weights and costs 2n Exp,
+        as the per-SEM calls of SigningRound always have."""
+        from repro.pairing.interface import OperationCounter
+
+        rng = random.Random(4)
+        blinded = [group.random_g1(rng) for _ in range(5)]
+        shares = {0: [sign_share(m, keys.shares[0]) for m in blinded]}
+        rng, twin = random.Random(5), random.Random(5)
+        counter = OperationCounter()
+        group.attach_counter(counter)
+        try:
+            assert batch_verify_shares(group, blinded, shares, {0: keys.share_pks[0]}, rng)
+        finally:
+            group.detach_counter()
+        for _ in blinded:
+            group.random_nonzero_scalar(twin)
+        assert rng.getstate() == twin.getstate()
+        assert (counter.exp_g1, counter.mul_g1, counter.pairings) == (10, 8, 2)
 
     def test_eq14_empty(self, group, rng):
         assert batch_verify_shares(group, [], {}, {}, rng)

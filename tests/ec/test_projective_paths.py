@@ -28,7 +28,7 @@ _SETS = ["toy-64", "test-80", pytest.param("paper-160", marks=pytest.mark.slow)]
 def _oracle_power(table: FixedBaseTable, exponent: int):
     """The affine fold: one ``*`` per looked-up entry after the first."""
     group = table.base.group
-    if group.counter is not None and table.base.which == "g1":
+    if group.counter is not None:
         group.counter.exp_g1_fixed_base += 1
     exponent %= group.order
     acc = None
@@ -41,7 +41,7 @@ def _oracle_power(table: FixedBaseTable, exponent: int):
         exponent >>= table.window
         j += 1
     if acc is None:
-        return group.g1_identity() if table.base.which == "g1" else group.g2_identity()
+        return group.g1_identity()
     return acc
 
 

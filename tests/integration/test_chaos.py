@@ -48,7 +48,7 @@ class TestChaos:
             group = params_k4.group
             org_pk = verifier.verifier.org_pk
             for block, sig in zip(stored.blocks, stored.signatures):
-                assert group.pair(sig, group.g2()) == group.pair(
+                assert group.pair(sig, group.g1()) == group.pair(
                     aggregate_block(params_k4, block), org_pk
                 )
             # And audits agree.

@@ -96,7 +96,7 @@ class TestOrganizationScenario:
         for fid in (b"doc-0", b"doc-1", b"doc-3"):
             stored = org.cloud.retrieve(fid)
             for block, sig in zip(stored.blocks, stored.signatures):
-                assert g.pair(sig, g.g2()) == g.pair(
+                assert g.pair(sig, g.g1()) == g.pair(
                     aggregate_block(org.params, block), org.org_pk
                 )
 

@@ -65,7 +65,7 @@ class TestAuditService:
 
     def test_requires_simulator(self, params_k4, rng):
         auditor = AuditServiceNode(
-            "a", PublicVerifier(params_k4, params_k4.group.g2(), rng=rng)
+            "a", PublicVerifier(params_k4, params_k4.group.g1(), rng=rng)
         )
         with pytest.raises(RuntimeError):
             auditor.start()

@@ -39,7 +39,7 @@ def build_scenario() -> Observability:
     obs = Observability.create(clock=FakeClock())
     c = obs.counter
     with obs.tracer.span("keygen", k=2, threshold=0):
-        c.exp_g2 += 1
+        c.exp_g1 += 1
     with obs.tracer.span("sign", n_blocks=2, optimized=True):
         c.exp_g1 += 14  # n(k+5) = 2 * 7
         c.pairings += 2

@@ -41,20 +41,20 @@ def _oracle_hash_multi_exp(group, ids, id_exponents, elements=(), exponents=()):
 
 def _oracle_hashed_pairing_check(group, sigma, pk, ids, id_exponents, elements=(),
                                  exponents=()):
-    """e(σ, g2) == e(χ, pk) with χ from :func:`_oracle_hash_multi_exp`;
+    """e(σ, g) == e(χ, pk) with χ from :func:`_oracle_hash_multi_exp`;
     ``id_exponents=None`` adds each H(id) once, tallying no Exp for it."""
     if id_exponents is not None:
         chi = _oracle_hash_multi_exp(group, ids, id_exponents, elements, exponents)
     else:
         group._check_hash_terms(ids, [1] * len(ids), elements, exponents)
         # Plain hashes join uncounted, like multi_exp's internal merges.
-        point = group._identity("g1")
+        point = None
         for data in ids:
-            point = group._add(point, group.hash_to_g1(data).point, "g1")
+            point = group._add(point, group.hash_to_g1(data).point)
         if elements:
-            point = group._add(point, group.multi_exp(list(elements), list(exponents)).point, "g1")
-        chi = GroupElement(group, point, "g1")
-    return group.pairing_check([(sigma, group.g2()), (chi.inverse(), pk)])
+            point = group._add(point, group.multi_exp(list(elements), list(exponents)).point)
+        chi = GroupElement(group, point)
+    return group.pairing_check([(sigma, group.g1()), (chi.inverse(), pk)])
 
 
 def _edge_exponents(rng, order, n, edges):
@@ -99,7 +99,7 @@ def _assert_same_as_default(group, ids, betas, elements, alphas, seed=0):
     reject — with the oracle's verdict and tallies every time."""
     rng = random.Random(seed)
     sk = group.random_nonzero_scalar(rng)
-    pk = group.g2() ** sk
+    pk = group.g1() ** sk
     chi = _oracle_hash_multi_exp(group, ids, betas, elements, alphas)
     sigma = chi ** sk
     assert _check_both(group, sigma, pk, ids, betas, elements, alphas)
@@ -133,7 +133,7 @@ def test_all_zero_exponents_give_identity():
     ids, _, elements, _ = _case(group, 99, 8, 2)
     zero = [0] * 8, [0, 0]
     assert _oracle_hash_multi_exp(group, ids, zero[0], elements, zero[1]).is_identity()
-    pk = group.g2() ** 5
+    pk = group.g1() ** 5
     assert _check_both(group, group.g1_identity(), pk, ids, zero[0], elements, zero[1])
     assert not _check_both(group, group.g1(), pk, ids, zero[0], elements, zero[1])
 
@@ -162,7 +162,7 @@ def test_chi_raw_at_order_two_point_is_identity(monkeypatch):
     monkeypatch.setattr(group, "_hash_to_curve",
                         lambda data: (0, 0) if data == b"zero" else raw(group, data))
     assert group.raw_hash_msm([b"zero"], [3]) == (0, 0)
-    pk = group.g2() ** 7
+    pk = group.g1() ** 7
     for exps in ([1], [3], None):
         assert group.hashed_pairing_check(group.g1_identity(), pk, [b"zero"], exps)
         assert not group.hashed_pairing_check(group.g1(), pk, [b"zero"], exps)
@@ -177,13 +177,12 @@ def test_matches_default_body_at_paper_160(paper_group):
     lambda g: ([b"a"], [1, 2], [], []),          # ids / exponents mismatch
     lambda g: ([b"a"], [1], [g.g1()], []),       # elements / exponents mismatch
     lambda g: ([], [], [], []),                  # no terms
-    lambda g: ([b"a"], [1], [g.g2()], [1]),      # element outside G1
 ])
 def test_rejects_bad_arguments(make_args):
     group = _GROUPS["toy-64"]
     for method in (TypeAPairingGroup.hashed_pairing_check, _oracle_hashed_pairing_check):
         with pytest.raises(ValueError):
-            method(group, group.g1(), group.g2(), *make_args(group))
+            method(group, group.g1(), group.g1(), *make_args(group))
     with pytest.raises(ValueError):
         _oracle_hash_multi_exp(group, *make_args(group))
 
@@ -192,7 +191,7 @@ def test_pooled_matches_default_body():
     group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
     params = setup(group, 4)
     ids, betas, elements, alphas = _case(group, 11, 40, 4)
-    pk = group.g2() ** 9
+    pk = group.g1() ** 9
     sigma = _oracle_hash_multi_exp(group, ids, betas, elements, alphas) ** 9
     with WorkerPool(params, 2) as pool:
         assert pool.hash_msm(ids, betas).point == group.raw_hash_msm(ids, betas)
@@ -205,15 +204,15 @@ class TestClearedKeyCache:
         group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
         sigma = group.g1()
         for i in range(type_a._LINE_CACHE_SIZE + 3):
-            group.hashed_pairing_check(sigma, group.g2() ** (i + 2), [b"m"], None)
+            group.hashed_pairing_check(sigma, group.g1() ** (i + 2), [b"m"], None)
             assert 0 < len(group._pk_h) <= type_a._LINE_CACHE_SIZE
-        pk = group.g2() ** 5
+        pk = group.g1() ** 5
         group.hashed_pairing_check(sigma, pk, [b"m"], None)
         assert group._pk_h[pk.point] == (pk ** group.params.h).point
 
     def test_not_pickled(self):
         group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
-        group.hashed_pairing_check(group.g1(), group.g2() ** 3, [b"m"], None)
+        group.hashed_pairing_check(group.g1(), group.g1() ** 3, [b"m"], None)
         assert group._pk_h
         clone = pickle.loads(pickle.dumps(group))
         assert clone._pk_h == {} and clone._lines == {}

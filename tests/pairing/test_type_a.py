@@ -9,7 +9,7 @@ import pytest
 
 from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
 from repro.pairing import type_a
-from repro.pairing.interface import GroupElement, OperationCounter
+from repro.pairing.interface import GTElement, OperationCounter
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,8 @@ class TestGroupStructure:
         assert not (g.g1() ** 1).is_identity()
 
     def test_symmetric(self, g):
-        assert g.g1().point == g.g2().point
+        p, q = g.random_g1(), g.random_g1()
+        assert g.pair(p, q) == g.pair(q, p)
 
     def test_identity_element(self, g):
         e = g.g1_identity()
@@ -55,39 +56,39 @@ class TestGroupStructure:
 
 class TestPairing:
     def test_bilinearity(self, g):
-        p, q = g.g1(), g.g2()
+        p, q = g.g1(), g.g1()
         a, b = 1234567, 7654321
         assert g.pair(p**a, q**b) == g.pair(p, q) ** ((a * b) % g.order)
 
     def test_bilinearity_left(self, g):
-        p, q = g.random_g1(), g.random_g2()
+        p, q = g.random_g1(), g.random_g1()
         a = 999983
         assert g.pair(p**a, q) == g.pair(p, q) ** a
 
     def test_bilinearity_right(self, g):
-        p, q = g.random_g1(), g.random_g2()
+        p, q = g.random_g1(), g.random_g1()
         b = 424243
         assert g.pair(p, q**b) == g.pair(p, q) ** b
 
     def test_non_degenerate(self, g):
-        assert not g.pair(g.g1(), g.g2()).is_identity()
+        assert not g.pair(g.g1(), g.g1()).is_identity()
 
     def test_identity_pairs_to_one(self, g):
-        assert g.pair(g.g1_identity(), g.g2()).is_identity()
-        assert g.pair(g.g1(), g.g2_identity()).is_identity()
+        assert g.pair(g.g1_identity(), g.g1()).is_identity()
+        assert g.pair(g.g1(), g.g1_identity()).is_identity()
 
     def test_gt_has_order_r(self, g):
-        e = g.pair(g.g1(), g.g2())
+        e = g.pair(g.g1(), g.g1())
         assert (e**g.order).is_identity()
 
     def test_pairing_product(self, g):
         p1, p2 = g.random_g1(), g.random_g1()
-        q = g.g2()
+        q = g.g1()
         assert g.pair(p1 * p2, q) == g.pair(p1, q) * g.pair(p2, q)
 
     def test_multi_pair_matches_product(self, g):
-        pairs = [(g.random_g1(), g.random_g2()) for _ in range(4)]
-        product = g.gt_one()
+        pairs = [(g.random_g1(), g.random_g1()) for _ in range(4)]
+        product = GTElement(g, (1, 0))
         for p, q in pairs:
             product = product * g.pair(p, q)
         assert g.multi_pair(pairs) == product
@@ -95,14 +96,10 @@ class TestPairing:
     def test_multi_pair_empty(self, g):
         assert g.multi_pair([]).is_identity()
 
-    def test_pair_wrong_sides_raises(self, g):
-        with pytest.raises(ValueError):
-            g.pair(g.g2(), g.g1())  # both are g1/g2-tagged wrappers
-
     def test_gt_division(self, g):
-        e = g.pair(g.g1(), g.g2())
+        e = g.pair(g.g1(), g.g1())
         assert (e / e).is_identity()
-        assert e * e.inverse() == g.gt_one()
+        assert e * e.inverse() == GTElement(g, (1, 0))
 
 
 class TestHashAndSerialization:
@@ -165,7 +162,7 @@ class TestOperationCounter:
         try:
             p = g.g1() ** 5
             _ = p * p
-            g.pair(p, g.g2())
+            g.pair(p, g.g1())
             g.hash_to_g1(b"x")
         finally:
             g.detach_counter()
@@ -184,7 +181,7 @@ class TestOperationCounter:
         counter.reset()
         assert counter.snapshot() == {
             "exp_g1": 0, "exp_g1_fixed_base": 0, "exp_g1_msm": 0,
-            "exp_g1_skipped": 0, "exp_g2": 0, "exp_gt": 0,
+            "exp_g1_skipped": 0, "exp_gt": 0,
             "pairings": 0, "mul_g1": 0, "hash_to_g1": 0,
         }
 
@@ -200,19 +197,19 @@ class TestAcrossParamSets:
     @pytest.mark.parametrize("name", ["toy-64", "test-80"])
     def test_bilinearity(self, name):
         g = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[name])
-        p, q = g.g1(), g.g2()
+        p, q = g.g1(), g.g1()
         assert g.pair(p**3, q**5) == g.pair(p, q) ** 15
 
     @pytest.mark.slow
     def test_paper_params_bilinearity(self):
         g = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["paper-160"])
-        p, q = g.g1(), g.g2()
+        p, q = g.g1(), g.g1()
         a = 0xDEADBEEFCAFEBABE
         assert g.pair(p**a, q) == g.pair(p, q) ** a
 
 
 def _affine_miller_loop(g, p, q_point):
-    """Oracle: f_{r,P}(φ(Q)) by the textbook affine Miller loop on the G1
+    """Oracle: f_{r,P}(φ(Q)) by the textbook affine Miller loop on the first
     argument, one field inversion per step and no precomputation."""
     q = g.q
     xp, yp = p
@@ -255,8 +252,8 @@ def _oracle_pair(g, p, q):
 
 
 class TestCachedLinePairing:
-    """The line-cached Miller loop on the G2 argument is bit-identical to the
-    affine loop on the G1 argument, in both argument orders."""
+    """The line-cached Miller loop on the second argument is bit-identical
+    to the affine loop on the first, in both argument orders."""
 
     @pytest.mark.parametrize("name", [
         "toy-64", "test-80", pytest.param("paper-160", marks=pytest.mark.slow),
@@ -265,13 +262,12 @@ class TestCachedLinePairing:
         g = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[name])
         rng = random.Random(name)
         for _ in range(3):
-            p, q = g.random_g1(rng), g.random_g2(rng)
+            p, q = g.random_g1(rng), g.random_g1(rng)
             expected = _oracle_pair(g, p, q)
             assert g.pair(p, q).value == expected
-            swapped = (GroupElement(g, q.point, "g1"), GroupElement(g, p.point, "g2"))
-            assert g.pair(*swapped).value == expected
-        assert g.pair(g.g1_identity(), g.g2()).value == (1, 0)
-        assert g.pair(g.g1(), g.g2_identity()).value == (1, 0)
+            assert g.pair(q, p).value == expected
+        assert g.pair(g.g1_identity(), g.g1()).value == (1, 0)
+        assert g.pair(g.g1(), g.g1_identity()).value == (1, 0)
 
 
 class TestPairingCheck:
@@ -280,27 +276,27 @@ class TestPairingCheck:
         rng = random.Random(11)
         sk = g.random_nonzero_scalar(rng)
         message = g.hash_to_g1(b"pairing-check")
-        return g.g2() ** sk, message, message**sk
+        return g.g1() ** sk, message, message**sk
 
     def test_accepts_true_bls_relation(self, g, bls):
         pk, message, sigma = bls
-        assert g.pairing_check([(sigma, g.g2()), (message.inverse(), pk)])
+        assert g.pairing_check([(sigma, g.g1()), (message.inverse(), pk)])
 
     def test_rejects_tampered_signature(self, g, bls):
         pk, message, sigma = bls
-        assert not g.pairing_check([(sigma * g.g1(), g.g2()), (message.inverse(), pk)])
+        assert not g.pairing_check([(sigma * g.g1(), g.g1()), (message.inverse(), pk)])
 
     def test_rejects_swapped_roles(self, g, bls):
         pk, message, sigma = bls
-        assert not g.pairing_check([(sigma, pk), (message.inverse(), g.g2())])
+        assert not g.pairing_check([(sigma, pk), (message.inverse(), g.g1())])
 
     def test_counts_one_pairing_per_term(self, g, bls):
         pk, message, sigma = bls
         counter = OperationCounter()
         g.attach_counter(counter)
         try:
-            g.pairing_check([(sigma, g.g2()), (message.inverse(), pk)])
-            g.pairing_check([(sigma, g.g2()), (g.g1_identity(), pk), (message, pk)])
+            g.pairing_check([(sigma, g.g1()), (message.inverse(), pk)])
+            g.pairing_check([(sigma, g.g1()), (g.g1_identity(), pk), (message, pk)])
         finally:
             g.detach_counter()
         assert counter.pairings == 5
@@ -311,7 +307,7 @@ class TestLineCache:
         g = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
         rng = random.Random(7)
         p = g.random_g1(rng)
-        keys = [g.random_g2(rng) for _ in range(type_a._LINE_CACHE_SIZE + 5)]
+        keys = [g.random_g1(rng) for _ in range(type_a._LINE_CACHE_SIZE + 5)]
         for q in keys:
             assert g.pair(p, q).value == _oracle_pair(g, p, q)
             assert len(g._lines) <= type_a._LINE_CACHE_SIZE
@@ -325,7 +321,7 @@ class TestLineCache:
         g = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
         rng = random.Random(9)
         p = g.random_g1(rng)
-        keys = [g.random_g2(rng) for _ in range(type_a._LINE_CACHE_SIZE * 2)]
+        keys = [g.random_g1(rng) for _ in range(type_a._LINE_CACHE_SIZE * 2)]
         expected = [_oracle_pair(g, p, q) for q in keys]
         threads_n = 6
         results: dict = {}
@@ -354,10 +350,10 @@ class TestLineCache:
 
     def test_pickle_drops_cache_and_keeps_equality(self):
         g = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
-        e = g.pair(g.g1(), g.g2())
+        e = g.pair(g.g1(), g.g1())
         assert g._lines
         clone = pickle.loads(pickle.dumps(g))
         assert clone == g and hash(clone) == hash(g)
         assert clone._lines == {}
         assert g._lines
-        assert clone.pair(clone.g1(), clone.g2()) == e
+        assert clone.pair(clone.g1(), clone.g1()) == e

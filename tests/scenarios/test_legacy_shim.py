@@ -122,16 +122,16 @@ class TestParity:
     counts, fault counts and quarantine trips of the historical wiring."""
 
     MODEL_EXP = ("exp_g1", "exp_g1_fixed_base", "exp_g1_msm",
-                 "exp_g1_skipped", "exp_g2")
+                 "exp_g1_skipped")
 
     @pytest.mark.parametrize("flags, counts, exp, pairs, hashes, faults, trips", [
         (dict(threshold=2, clients=2, requests=2, round_deadline=3.0,
               chaos=str(PLANS / "byzantine_quarantine.json")),
-         (4, 4, 0), (136, 64, 24, 8, 7), 8, 12, {"byzantine": 1}, (1, 1)),
+         (4, 4, 0), (136, 64, 24, 8), 8, 12, {"byzantine": 1}, (1, 1)),
         (dict(threshold=2, crash=1, clients=2, requests=1, seed=5),
-         (2, 2, 0), (52, 32, 12, 4, 7), 6, 6, {}, (0, 0)),
+         (2, 2, 0), (52, 32, 12, 4), 6, 6, {}, (0, 0)),
         (dict(clients=2, requests=1),
-         (2, 2, 0), (25, 32, 12, 4, 1), 4, 6, {}, (0, 0)),
+         (2, 2, 0), (25, 32, 12, 4), 4, 6, {}, (0, 0)),
     ], ids=["ci-chaos", "threshold-crash", "single-sem"])
     def test_flag_runs_match_the_pinned_counts(self, flags, counts, exp, pairs,
                                                hashes, faults, trips):

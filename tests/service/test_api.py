@@ -74,7 +74,8 @@ class TestSignRequestValidation:
 
     def test_blinded_must_live_in_g1(self, group, params_k4):
         request = SignRequest(
-            request_id=next_request_id(), owner="alice", blinded=(group.g2(),)
+            request_id=next_request_id(), owner="alice",
+            blinded=(group.pair(group.g1(), group.g1()),)
         )
         with pytest.raises(RequestValidationError, match="G1"):
             request.validate(params_k4)

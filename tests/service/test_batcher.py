@@ -22,7 +22,7 @@ def clock():
 
 @pytest.fixture()
 def service(params_k4, sem, rng, clock):
-    pipeline = SigningPipeline(params_k4, sem, sem.pk, org_pk_g1=sem.pk_g1, rng=rng)
+    pipeline = SigningPipeline(params_k4, sem, sem.pk, rng=rng)
     return BatchingSEMService(
         params_k4,
         pipeline,
@@ -40,7 +40,7 @@ class TestAdmission:
         assert service.metrics.rejected == 1
 
     def test_membership_gate(self, params_k4, sem, rng, clock, make_request):
-        pipeline = SigningPipeline(params_k4, sem, sem.pk, org_pk_g1=sem.pk_g1, rng=rng)
+        pipeline = SigningPipeline(params_k4, sem, sem.pk, rng=rng)
         service = BatchingSEMService(
             params_k4, pipeline, membership=lambda credential: False, clock=clock
         )
@@ -62,7 +62,7 @@ class TestAdmission:
     def test_drop_oldest_fails_evicted_request_loudly(
         self, params_k4, sem, rng, clock, make_request
     ):
-        pipeline = SigningPipeline(params_k4, sem, sem.pk, org_pk_g1=sem.pk_g1, rng=rng)
+        pipeline = SigningPipeline(params_k4, sem, sem.pk, rng=rng)
         service = BatchingSEMService(
             params_k4,
             pipeline,

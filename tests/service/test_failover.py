@@ -68,7 +68,7 @@ class TestSigningRound:
         # Combined result equals signing under the master key.
         group = cluster.group
         for m, sig in zip(blinded, round_.result):
-            assert group.pair(sig, group.g2()) == group.pair(m, cluster.master_pk)
+            assert group.pair(sig, group.g1()) == group.pair(m, cluster.master_pk)
 
     def test_straggler_responses_are_ignored_after_completion(self, cluster, blinded, rng):
         round_ = make_round(cluster, blinded, rng)
@@ -259,7 +259,7 @@ class TestSynchronousClient:
         result = client.sign_blinded_batch(blinded)
         group = cluster.group
         for m, sig in zip(blinded, result):
-            assert group.pair(sig, group.g2()) == group.pair(m, cluster.master_pk)
+            assert group.pair(sig, group.g1()) == group.pair(m, cluster.master_pk)
         assert client.stats.rounds == 1
         assert client.stats.rounds_with_failover == 0
 
@@ -282,7 +282,7 @@ class TestSynchronousClient:
         result = client.sign_blinded_batch(blinded)
         group = cluster.group
         for m, sig in zip(blinded, result):
-            assert group.pair(sig, group.g2()) == group.pair(m, cluster.master_pk)
+            assert group.pair(sig, group.g1()) == group.pair(m, cluster.master_pk)
         assert client.stats.invalid_endpoints == 1
 
     def test_fails_beyond_tolerance(self, cluster, blinded, rng):

@@ -10,14 +10,14 @@ from repro.service.pipeline import PipelineError, SigningPipeline
 
 @pytest.fixture()
 def pipeline(params_k4, sem, rng):
-    return SigningPipeline(params_k4, sem, sem.pk, org_pk_g1=sem.pk_g1, rng=rng)
+    return SigningPipeline(params_k4, sem, sem.pk, rng=rng)
 
 
 def assert_final_signatures(params, org_pk, request, signatures):
-    """Every σ_i must satisfy e(σ_i, g2) == e(H(id)·∏u^m, pk) (Eq. 6)."""
+    """Every σ_i must satisfy e(σ_i, g) == e(H(id)·∏u^m, pk) (Eq. 6)."""
     group = params.group
     for block, signature in zip(request.blocks, signatures):
-        lhs = group.pair(signature, group.g2())
+        lhs = group.pair(signature, group.g1())
         rhs = group.pair(aggregate_block(params, block), org_pk)
         assert lhs == rhs
 
@@ -79,7 +79,7 @@ class TestBatchPass:
 
     def test_no_fixed_base_matches(self, params_k4, sem, rng, make_request):
         plain = SigningPipeline(
-            params_k4, sem, sem.pk, org_pk_g1=sem.pk_g1, use_fixed_base=False, rng=rng
+            params_k4, sem, sem.pk, use_fixed_base=False, rng=rng
         )
         request = make_request(b"q", n_blocks=2)
         (result,) = plain.sign_batch([request])
@@ -105,7 +105,6 @@ class TestFaultIsolation:
             params_k4,
             CorruptingTransport(sem, params_k4.group),
             sem.pk,
-            org_pk_g1=sem.pk_g1,
             rng=rng,
         )
         victim = make_request(b"v", n_blocks=2)
@@ -159,3 +158,21 @@ class TestSequentialBaseline:
         sem.fail_mode = "byzantine"
         result = pipeline.sign_sequential(make_request(b"t", n_blocks=1))
         assert not result.ok and "Eq. 4" in result.error
+
+
+class TestBenchmarkKeyword:
+    """``org_pk_g1`` survives only as a checked alias of ``org_pk``."""
+
+    def test_mismatched_org_pk_g1_raises_at_construction(self, params_k4, sem, rng):
+        from repro.core.sem import SecurityMediator
+
+        other = SecurityMediator(params_k4.group, rng=rng, require_membership=False)
+        with pytest.raises(ValueError):
+            SigningPipeline(params_k4, sem, sem.pk, org_pk_g1=other.pk, rng=rng)
+
+    def test_matching_org_pk_g1_is_accepted(self, params_k4, sem, rng, make_request):
+        pipeline = SigningPipeline(params_k4, sem, sem.pk, org_pk_g1=sem.pk_g1, rng=rng)
+        request = make_request(b"k", n_blocks=2)
+        (result,) = pipeline.sign_batch([request])
+        assert result.ok
+        assert_final_signatures(params_k4, sem.pk, request, result.signatures)

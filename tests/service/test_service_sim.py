@@ -20,7 +20,7 @@ def verify_response(params, org_pk, data, file_id, response):
     blocks = encode_data(data, params, file_id)
     assert len(response.signatures) == len(blocks)
     for block, signature in zip(blocks, response.signatures):
-        lhs = group.pair(signature, group.g2())
+        lhs = group.pair(signature, group.g1())
         rhs = group.pair(aggregate_block(params, block), org_pk)
         assert lhs == rhs
 
