@@ -401,6 +401,9 @@ def cmd_audit(args) -> int:
     cloud.store(signed)
     obs = _make_obs()
     obs.observe_group(params.group)
+    from repro.obs import bind_verifier_cache
+
+    bind_verifier_cache(obs.registry, verifier)
     pool = _make_pool(args, root, params, obs)
     cloud.pool = pool
     verifier.pool = pool

@@ -117,11 +117,14 @@ def _task_msm(payload):
 
 
 def _task_hash_msm(payload):
-    """Partial Σ β_i·P_i of Eq. 6's raw χ (no cofactor clearing)."""
+    """Partial Σ β_i·P_i of Eq. 6's raw χ (no cofactor clearing), with the
+    raw P_i: returns (point, raw points, op-delta)."""
     block_ids, betas = payload
+    group = _WORKER["group"]
     before = _WORKER["counter"].snapshot()
-    point = _WORKER["group"].raw_hash_msm(block_ids, betas)
-    return point, _delta_since(before)
+    hashed = [group._hash_to_curve(data) for data in block_ids]
+    point = group.raw_hash_msm(block_ids, betas, hashed=hashed)
+    return point, hashed, _delta_since(before)
 
 
 def _task_blind(payload):
@@ -293,7 +296,7 @@ class WorkerPool:
         ]
         return self._merge_partials("msm", self._run(_task_msm, payloads))
 
-    def hash_msm(self, block_ids: list[bytes], betas: list[int]) -> GroupElement:
+    def hash_msm(self, block_ids: list[bytes], betas: list[int], cache=None) -> GroupElement:
         """Σ β_i·P_i over the raw try-and-increment points — hash-to-curve
         fanned out too.
 
@@ -302,19 +305,23 @@ class WorkerPool:
         and the partials merge uncleared: the result wraps the raw point
         that :meth:`~repro.pairing.type_a.TypeAPairingGroup.hashed_pairing_check`
         pairs against pk_h, with the same point and op tallies as that
-        call on the whole input.
+        call on the whole input.  Workers send their raw P_i back with the
+        partial sum, and the parent keeps them in ``cache`` when given one.
         """
         if len(block_ids) != len(betas):
             raise ValueError("block_ids and betas must have equal length")
         if not block_ids:
             raise ValueError("need at least one term")
         if not self.fans_out(len(block_ids)):
-            return GroupElement(self.group, self.group.raw_hash_msm(block_ids, betas))
-        payloads = [
-            (list(block_ids[lo:hi]), list(betas[lo:hi]))
-            for lo, hi in chunk_ranges(len(block_ids), self.workers)
-        ]
-        return self._merge_partials("hash_msm", self._run(_task_hash_msm, payloads))
+            return GroupElement(self.group, self.group.raw_hash_msm(block_ids, betas, cache=cache))
+        ranges = chunk_ranges(len(block_ids), self.workers)
+        payloads = [(list(block_ids[lo:hi]), list(betas[lo:hi])) for lo, hi in ranges]
+        results = self._run(_task_hash_msm, payloads)
+        if cache is not None:
+            for (lo, hi), (_, hashed, _) in zip(ranges, results):
+                for data, point in zip(block_ids[lo:hi], hashed):
+                    cache.put(data, point)
+        return self._merge_partials("hash_msm", [(point, delta) for point, _, delta in results])
 
     def blind_blocks(self, blocks: list[Block], rs: list[int]) -> list[GroupElement]:
         """Aggregate + blind every block across workers, with parent-drawn

@@ -24,6 +24,7 @@ from collections.abc import Callable
 from repro.core.blocks import make_block_id
 from repro.core.challenge import Challenge, ProofResponse
 from repro.core.params import SystemParams
+from repro.ec.hash_to_curve import HashCache
 from repro.pairing.interface import GroupElement
 
 
@@ -78,7 +79,13 @@ def bisect_failures(n: int, check_range: Callable[[int, int], bool]) -> list[int
 
 
 class PublicVerifier:
-    """Anyone auditing cloud data: a data user, a TPA, or the cloud itself."""
+    """Anyone auditing cloud data: a data user, a TPA, or the cloud itself.
+
+    A verifier keeps the raw H(id) points of the blocks it has checked in
+    its own bounded :class:`~repro.ec.hash_to_curve.HashCache`, so auditing
+    the same blocks again skips their try-and-increment hashing.  The
+    cache starts empty, is never shared, and is not pickled.
+    """
 
     def __init__(self, params: SystemParams, org_pk: GroupElement, rng=None, pool=None):
         self.params = params
@@ -86,6 +93,7 @@ class PublicVerifier:
         self.org_pk = org_pk
         self._rng = rng
         self.pool = pool
+        self.hash_cache = HashCache()
 
     # -- Challenge -----------------------------------------------------------
     def generate_challenge(
@@ -142,7 +150,9 @@ class PublicVerifier:
         clearing.  With a :class:`~repro.core.parallel.WorkerPool`
         attached, the c hash-to-curve evaluations and their MSM terms fan
         out across workers, which return raw partial sums; the verdict and
-        the op tallies are identical either way.  Op-count cost: (c + k)
+        the op tallies are identical either way.  Ids whose raw points
+        are in :attr:`hash_cache` are not hashed again; they still tally
+        their ``hash_to_g1``.  Op-count cost: (c + k)
         Exp_G1 (``exp_g1_msm`` for nonzero exponents, ``exp_g1_skipped``
         for zero α_l — Section VI-A2 counts (c + k) Exp unconditionally),
         c ``hash_to_g1`` and 2 Pair.
@@ -157,7 +167,7 @@ class PublicVerifier:
         return self.group.hashed_pairing_check(
             response.sigma, self.org_pk, list(challenge.block_ids),
             list(challenge.betas), list(self.params.u), list(response.alphas),
-            pool=self.pool,
+            pool=self.pool, cache=self.hash_cache,
         )
 
     def verify_batch(
@@ -217,5 +227,5 @@ class PublicVerifier:
             group.counter.mul_g1 += 2 * (len(audits) - 1)
         return group.hashed_pairing_check(
             sigma, self.org_pk, ids, id_exponents, list(self.params.u) * len(audits), alphas,
-            pool=self.pool,
+            pool=self.pool, cache=self.hash_cache,
         )

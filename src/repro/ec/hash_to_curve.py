@@ -11,8 +11,14 @@ the cofactor to land in the order-r subgroup.
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 
 from repro.mathkit.ntheory import sqrt_mod
+
+#: Most raw points one :class:`HashCache` keeps.  At paper-160 an entry is
+#: about 370 bytes (two 512-bit coordinates, a 16-byte block id, the LRU
+#: bookkeeping), so a full cache holds about 1.5 MB.
+HASH_CACHE_SIZE = 4096
 
 
 def _hash_to_int(message: bytes, counter: int, bits: int, domain: bytes) -> int:
@@ -58,3 +64,52 @@ def hash_to_curve_try_increment(
             y = p - y
         return x, y
     raise RuntimeError("hash_to_curve failed: no quadratic residue found")
+
+
+class HashCache:
+    """A bounded LRU of raw try-and-increment points, keyed on the exact
+    hash-input bytes.
+
+    The map is deterministic and its inputs (block ids) are public, so a
+    verifier that audits the same blocks again can keep their raw points
+    instead of re-running the square roots.  Each
+    :class:`~repro.core.verifier.PublicVerifier` owns one; it never lives
+    on the group, which the owner and the cloud may share.  ``hits``
+    counts lookups served from the cache and ``misses`` the points hashed
+    into it.  Not safe for concurrent use.  A cache pickles as an empty
+    one: its points are derived data.
+    """
+
+    def __init__(self):
+        self._points: OrderedDict = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __reduce__(self):
+        return (HashCache, ())
+
+    def get(self, data: bytes):
+        """The point cached for ``data`` (now most recently used), or None."""
+        point = self._points.get(data)
+        if point is not None:
+            self._points.move_to_end(data)
+            self.hits += 1
+        return point
+
+    def put(self, data: bytes, point) -> None:
+        """Keep a freshly hashed point, evicting the least recently used."""
+        self.misses += 1
+        self._points[data] = point
+        if len(self._points) > HASH_CACHE_SIZE:
+            self._points.popitem(last=False)
+
+    def lookup(self, data: bytes, hash_fn):
+        """The raw point of ``data``: cached, or ``hash_fn(data)`` kept."""
+        point = self.get(data)
+        if point is None:
+            point = hash_fn(data)
+            self.put(data, point)
+        return point

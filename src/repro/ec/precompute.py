@@ -10,8 +10,7 @@ worker* under the parallel fan-out.  Two fixes live here:
 * :func:`build_tables_fast` — constructs the same rows in Jacobian
   coordinates and flattens them with **one** Montgomery batch inversion
   (:func:`repro.ec.jacobian.batch_normalize`) instead of one inversion per
-  point, for any group whose raw points are affine integer pairs (both
-  type-A parameter sets; generic fallback otherwise).
+  point.
 * a JSON-on-disk cache — :func:`load_or_build` keys a cache file by group,
   bases, and table geometry under the CLI state dir, so worker processes
   deserialize coordinates instead of redoing the group math.  Points are
@@ -19,8 +18,8 @@ worker* under the parallel fan-out.  Two fixes live here:
   square root, which at ~600 points per base would rival the rebuild.
 
 Cache integrity is belt-and-braces: a SHA-256 checksum over the payload,
-shape validation against the requested geometry, and (for type-A groups) an
-on-curve check per point.  Any failure raises
+shape validation against the requested geometry, and an on-curve check per
+point.  Any failure raises
 :class:`PrecomputeCacheError`; :func:`load_or_build` then falls back to a
 rebuild — a corrupt cache can cost time, never correctness.
 """
@@ -50,21 +49,6 @@ class PrecomputeCacheError(Exception):
     """A cache file failed validation (missing, corrupt, or mismatched)."""
 
 
-def _raw_affine_points(group: PairingGroup, bases: list[GroupElement]) -> bool:
-    """True when the backend's raw points are affine ``(x, y)`` int pairs."""
-    if not hasattr(group, "q"):
-        return False
-    return all(
-        el.point is None
-        or (
-            isinstance(el.point, tuple)
-            and len(el.point) == 2
-            and all(isinstance(c, int) for c in el.point)
-        )
-        for el in bases
-    )
-
-
 def build_tables_fast(
     bases: list[GroupElement], exponent_bits: int, window: int = 4
 ) -> list[FixedBaseTable]:
@@ -75,8 +59,7 @@ def build_tables_fast(
     each row in Jacobian coordinates and normalizes *all* points of a
     base's table with a single shared field inversion.  It runs the same
     group operations as that constructor, so it tallies the same
-    ``mul_g1``.  Groups whose raw points are not affine integer pairs fall
-    back to the generic constructor.
+    ``mul_g1``.  An identity base gets the generic constructor's table.
 
     Args:
         bases: the fixed bases (e.g. the u_1..u_k system parameters).
@@ -97,8 +80,6 @@ def build_tables_fast(
     if not bases:
         return []
     group = bases[0].group
-    if not _raw_affine_points(group, bases):
-        return [FixedBaseTable(base, exponent_bits, window) for base in bases]
     q = group.q
     tables = []
     digits = (exponent_bits + window - 1) // window
@@ -174,17 +155,10 @@ def save_tables(
     tables: list[FixedBaseTable],
     exponent_bits: int,
 ) -> Path:
-    """Serialize fixed-base tables to ``path`` (uncompressed coordinates).
-
-    Raises:
-        PrecomputeCacheError: if the tables' points are not raw affine
-            integer pairs (nothing sensible to persist).
-    """
+    """Serialize fixed-base tables to ``path`` (uncompressed coordinates)."""
     path = Path(path)
     serialized = []
     for table in tables:
-        if not _raw_affine_points(group, [table.base]):
-            raise PrecomputeCacheError("group points are not cacheable")
         rows = []
         for row in table._table:
             entries = []
@@ -252,7 +226,7 @@ def load_tables(
     entries = document.get("tables")
     if not isinstance(entries, list) or len(entries) != len(bases):
         raise PrecomputeCacheError("cache base count mismatch")
-    q = getattr(group, "q", None)
+    q = group.q
     digits = (exponent_bits + window - 1) // window
     radix = 1 << window
     tables = []
@@ -285,11 +259,10 @@ def _validate_point(raw, q):
     x, y = raw
     if not (isinstance(x, int) and isinstance(y, int)):
         raise PrecomputeCacheError("non-integer stored coordinate")
-    if q is not None:
-        if not (0 <= x < q and 0 <= y < q):
-            raise PrecomputeCacheError("stored coordinate out of range")
-        if (y * y - (x * x * x + x)) % q != 0:
-            raise PrecomputeCacheError("stored point is not on the curve")
+    if not (0 <= x < q and 0 <= y < q):
+        raise PrecomputeCacheError("stored coordinate out of range")
+    if (y * y - (x * x * x + x)) % q != 0:
+        raise PrecomputeCacheError("stored point is not on the curve")
     return (x, y)
 
 
@@ -310,7 +283,7 @@ def load_or_build(
         ``(tables, status)`` with status one of ``"hit"`` (loaded from
         disk), ``"rebuilt"`` (cache existed but failed validation),
         ``"miss"`` (no cache file; built and saved), or ``"uncached"``
-        (no cache dir, or the group's points cannot be persisted).
+        (no cache dir).
     """
     if cache_dir is None:
         return build_tables_fast(bases, exponent_bits, window), "uncached"
@@ -323,8 +296,5 @@ def load_or_build(
         except PrecomputeCacheError:
             pass
     tables = build_tables_fast(bases, exponent_bits, window)
-    try:
-        save_tables(path, group, tables, exponent_bits)
-    except PrecomputeCacheError:
-        return tables, "uncached"
+    save_tables(path, group, tables, exponent_bits)
     return tables, "rebuilt" if existed else "miss"

@@ -35,6 +35,7 @@ from repro.obs.adapters import (
     bind_sim_run,
     bind_simulator,
     bind_tracer_spans,
+    bind_verifier_cache,
 )
 from repro.obs.bench import (
     BenchSchemaError,
@@ -211,6 +212,7 @@ __all__ = [
     "bind_simulator",
     "bind_sli_sources",
     "bind_tracer_spans",
+    "bind_verifier_cache",
     "bucket_quantile",
     "build_profile",
     "calibrate_primitive_costs",

@@ -173,6 +173,33 @@ def bind_ledger(registry: MetricsRegistry, ledger) -> None:
     registry.register_collector(collect)
 
 
+def bind_verifier_cache(registry: MetricsRegistry, verifier) -> None:
+    """Mirror a :class:`~repro.core.verifier.PublicVerifier`'s hash cache:
+    ``verifier_hash_cache_hits_total`` (ids served from the cache),
+    ``verifier_hash_cache_misses_total`` (ids hashed into it) and the
+    ``verifier_hash_cache_entries`` gauge.  The op counter still tallies
+    every logical ``hash_to_g1``; these say how many were really run."""
+    hits = registry.counter(
+        "verifier_hash_cache_hits_total",
+        help="Block-id hashes the verifier served from its cache",
+    )
+    misses = registry.counter(
+        "verifier_hash_cache_misses_total",
+        help="Block ids the verifier hashed (try-and-increment) into its cache",
+    )
+    entries = registry.gauge(
+        "verifier_hash_cache_entries", help="Raw H(id) points the verifier's cache holds"
+    )
+
+    def collect() -> None:
+        cache = verifier.hash_cache
+        hits.set(float(cache.hits))
+        misses.set(float(cache.misses))
+        entries.set(float(len(cache)))
+
+    registry.register_collector(collect)
+
+
 def bind_failover_health(registry: MetricsRegistry, health) -> None:
     """Mirror a :class:`~repro.service.failover.HealthScoreboard` as
     ``failover_health_<key>`` gauges (rounds, quarantined, trips, probes,

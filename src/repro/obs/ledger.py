@@ -334,7 +334,10 @@ class _AuditRecheck:
     records, which get the same plain :meth:`PublicVerifier.verify` — and
     the same error text — as a FAIL.  A queued record's problem list is
     returned empty by :meth:`check` and filled when its queue is flushed.
-    With ``enabled=False`` the checker owns no kinds.
+    Both paths run through one :class:`PublicVerifier` per pinned key, so
+    its hash cache serves every record under that key; it is dropped when
+    the key is re-pinned or a genesis resets the context.  With
+    ``enabled=False`` the checker owns no kinds.
     """
 
     def __init__(self, enabled: bool = True):
@@ -342,6 +345,8 @@ class _AuditRecheck:
                       if enabled else ())
         self.params = None
         self.pks: dict[str, object] = {}
+        #: pk point -> the one verifier rechecking records under that key.
+        self.verifiers: dict[object, PublicVerifier] = {}
         #: pk point -> queued PASS records (challenge, response, problems).
         self.pending: dict[object, list[tuple]] = {}
         self.rechecked = 0
@@ -372,7 +377,7 @@ class _AuditRecheck:
             if len(queue) >= MAX_RECHECK_BATCH:
                 self._flush(pk.point)
         else:
-            problems += self._recheck_one(PublicVerifier(self.params, pk),
+            problems += self._recheck_one(self._verifier(pk.point),
                                           challenge, response, body.get("ok"))
         return problems
 
@@ -392,15 +397,23 @@ class _AuditRecheck:
         previous = self.pks.get(body["verifier"])
         if previous is not None and previous.point != pk.point:
             self._flush(previous.point)
+            self.verifiers.pop(previous.point, None)
         self.pks[body["verifier"]] = pk
+
+    def _verifier(self, point) -> PublicVerifier:
+        verifier = self.verifiers.get(point)
+        if verifier is None:
+            # No rng: the batch weights come from OS randomness, never
+            # from anything written in the ledger.
+            verifier = PublicVerifier(self.params, GroupElement(self.params.group, point))
+            self.verifiers[point] = verifier
+        return verifier
 
     def _flush(self, point) -> None:
         """One ``verify_batch`` over the PASS records queued under ``point``,
         bisected down to plain rechecks of single records if it fails."""
         records = self.pending.pop(point, [])
-        # No rng: the batch weights come from OS randomness, never from
-        # anything written in the ledger.
-        verifier = PublicVerifier(self.params, GroupElement(self.params.group, point))
+        verifier = self._verifier(point)
 
         def check_range(lo: int, hi: int) -> bool:
             if hi - lo == 1:
@@ -438,6 +451,7 @@ class _AuditRecheck:
         from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
 
         self.pks = {}
+        self.verifiers = {}
         self.params = None
         if not {"param_set", "k", "setup_seed"} <= set(body):
             # A chain-only genesis (no crypto pins): rechecking is simply

@@ -78,7 +78,7 @@ class TypeAPairingGroup(PairingGroup):
         return GroupElement(self, point)
 
     def hashed_pairing_check(self, sigma, pk, ids, id_exponents, elements=(),
-                             exponents=(), pool=None):
+                             exponents=(), pool=None, cache=None):
         """e(σ, g) == e(χ, pk) with no cofactor clearing of χ.
 
         The one check behind Eq. 6 (χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l},
@@ -106,8 +106,11 @@ class TypeAPairingGroup(PairingGroup):
         when some [h]P_i = O: ``hash_to_g1`` retries with a suffix there,
         while this contributes O.  That happens with probability about c/r
         and can only turn an honest check into a reject, never a forgery
-        into an accept.  With a ``pool``, its workers hash the ids and
-        return raw partial sums (:meth:`raw_hash_msm`).
+        into an accept.  With a ``cache`` (the verifier's
+        :class:`~repro.ec.hash_to_curve.HashCache`), only the ids it does
+        not hold are hashed; with a ``pool``, workers hash those and return
+        raw partial sums (:meth:`raw_hash_msm`).  Neither changes the
+        verdict or the tallies.
 
         Op-count cost: one ``hash_to_g1`` per id, one ``exp_g1_msm`` per
         nonzero and one ``exp_g1_skipped`` per zero exponent (ids and
@@ -124,6 +127,8 @@ class TypeAPairingGroup(PairingGroup):
             exponents: one integer per element.
             pool: an optional :class:`~repro.core.parallel.WorkerPool`
                 to fan the id terms out to.
+            cache: an optional :class:`~repro.ec.hash_to_curve.HashCache`
+                of raw H(id) points, owned by the caller.
 
         Raises:
             ValueError: on no terms at all or a length mismatch.
@@ -137,37 +142,54 @@ class TypeAPairingGroup(PairingGroup):
         folded: dict = {}
         for el, e in zip(elements, exponents):
             folded[el.point] = (folded.get(el.point, 0) + e * self._h_inv) % r
-        points, scalars = list(folded), list(folded.values())
-        if pool is None or id_exponents is None:
-            chi = self.raw_hash_msm(ids, id_exponents, points, scalars)
-        else:
-            chi = affine_add(self._msm(points, scalars),
-                             pool.hash_msm(ids, id_exponents).point, self.q)
+        chi = self.raw_hash_msm(ids, id_exponents, list(folded), list(folded.values()),
+                                cache=cache, pool=pool)
         if chi == (0, 0):
             chi = None
         pk_h = GroupElement(self, self._cleared_key(pk.point))
         return self.pairing_check(
             [(sigma, self.g1()), (GroupElement(self, self._neg(chi)), pk_h)])
 
-    def raw_hash_msm(self, ids, id_exponents, points=(), scalars=()):
+    def raw_hash_msm(self, ids, id_exponents, points=(), scalars=(), cache=None,
+                     pool=None, hashed=None):
         """Σ β_i·P_i + Σ s_j·Q_j over the raw try-and-increment points P_i.
 
         No cofactor clearing: this is the raw sum each worker-pool chunk
         returns, and what :meth:`hashed_pairing_check` pairs against pk_h.
         The raw ``points`` Q_j ride in the same MSM untallied (the caller
-        tallies them); ``id_exponents=None`` takes every P_i once.
+        tallies them); ``id_exponents=None`` takes every P_i once.  A
+        ``cache`` serves the P_i it holds and keeps the ones hashed here;
+        ``hashed`` gives the P_i at hand directly (``None`` where not).
+        With a ``pool``, when enough P_i are left to hash, workers hash
+        them and sum their terms
+        (:meth:`~repro.core.parallel.WorkerPool.hash_msm`, which hands the
+        fresh points to the cache) and the parent sums the rest.
 
         Op-count cost: one ``hash_to_g1`` per id and, unless
         ``id_exponents`` is None, one ``exp_g1_msm``/``exp_g1_skipped``
-        per id term.
+        per id term — however P_i was found, in whichever process.
         """
         reduced = [1] * len(ids) if id_exponents is None else [e % self.order for e in id_exponents]
+        if hashed is None:
+            hashed = [None] * len(ids) if cache is None else [cache.get(data) for data in ids]
+        else:
+            hashed = list(hashed)
+        todo = [i for i, point in enumerate(hashed) if point is None]
+        partial = None
+        if pool is not None and id_exponents is not None and pool.fans_out(len(todo)):
+            partial = pool.hash_msm([ids[i] for i in todo], [reduced[i] for i in todo],
+                                    cache=cache).point
+            kept = [i for i, point in enumerate(hashed) if point is not None]
+            hashed, reduced, todo = [hashed[i] for i in kept], [reduced[i] for i in kept], []
         if self.counter is not None:
-            self.counter.hash_to_g1 += len(ids)
+            self.counter.hash_to_g1 += len(hashed)
             if id_exponents is not None:
                 self._tally_msm_terms(reduced)
-        hashed = [self._hash_to_curve(data) for data in ids]
-        return self._msm(hashed + list(points), reduced + list(scalars))
+        for i in todo:
+            hashed[i] = (self._hash_to_curve(ids[i]) if cache is None
+                         else cache.lookup(ids[i], self._hash_to_curve))
+        chi = self._msm(hashed + list(points), reduced + list(scalars))
+        return chi if partial is None else affine_add(chi, partial, self.q)
 
     def _cleared_key(self, pk_point):
         """pk_h = [h mod r]·pk, cached per key like the Miller lines."""

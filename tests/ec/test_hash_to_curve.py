@@ -3,7 +3,6 @@
 import pytest
 
 from repro.ec.hash_to_curve import _hash_to_int, hash_to_curve_try_increment
-from repro.mathkit.ntheory import sqrt_mod
 
 # y² = x³ + x over a 3-mod-4 prime (the type-A curve shape).
 P = 10007
