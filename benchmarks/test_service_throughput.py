@@ -51,8 +51,7 @@ def test_service_batched_vs_sequential_throughput(benchmark, fast_group):
     params = setup(fast_group, K)
     sem = SecurityMediator(fast_group, rng=random.Random(5), require_membership=False)
     batched_pipeline = SigningPipeline(params, sem, sem.pk, rng=random.Random(6))
-    sequential_pipeline = SigningPipeline(
-        params, sem, sem.pk, use_fixed_base=False, rng=random.Random(7))
+    sequential_pipeline = SigningPipeline(params, sem, sem.pk, rng=random.Random(7))
 
     rows = {}
 

@@ -35,10 +35,16 @@ def test_audit_time_scales_linearly_in_c(benchmark, paper_group, paper_params_fa
         sem = SecurityMediator(paper_group, rng=rng, require_membership=False)
         owner = DataOwner(params, sem.pk, rng=rng)
         cloud = CloudServer(params, rng=rng)
-        verifier = PublicVerifier(params, sem.pk, rng=rng)
         data = bytes((i % 255) + 1 for i in range(params.block_bytes() * N_BLOCKS - 8))
         cloud.store(owner.sign_file(data, b"f", sem))
+        # One untimed audit warms the group's per-key pairing state (pk_h
+        # and the Miller lines), which every later audit under pk reuses.
+        warm = PublicVerifier(params, sem.pk, rng=rng)
+        ch = warm.generate_challenge(b"f", N_BLOCKS, sample_size=1)
+        assert warm.verify(ch, cloud.generate_proof(b"f", ch))
         for c in CS:
+            # A fresh verifier per c: no c reads ids an earlier one hashed.
+            verifier = PublicVerifier(params, sem.pk, rng=rng)
             ch = verifier.generate_challenge(b"f", N_BLOCKS, sample_size=c)
             proof = cloud.generate_proof(b"f", ch)
             start = time.perf_counter()

@@ -473,12 +473,13 @@ def cmd_tamper(args) -> int:
 # Dynamic files (rank-authenticated updates, batched re-signing)
 # ---------------------------------------------------------------------------
 
-def _dynamic_owner(params, sem, state: dict, member: str) -> DataOwner:
+def _dynamic_owner(root: Path, params, sem, state: dict, member: str) -> DataOwner:
     token = state["members"].get(member)
     if token is None:
         raise CliError(f"member {member!r} is not enrolled")
     credential = MemberCredential(token=bytes.fromhex(token))
-    return DataOwner(params, sem.pk, credential=credential)
+    return DataOwner(params, sem.pk, credential=credential,
+                     table_cache_dir=root / PRECOMPUTE_DIR)
 
 
 def _pin_dynamic(state: dict, file_id: str, receipt) -> None:
@@ -506,7 +507,7 @@ def cmd_dynamic_create(args) -> int:
     chunks = [data[i:i + chunk_bytes] for i in range(0, len(data), chunk_bytes)]
     if not chunks:
         raise CliError(f"{args.path} is empty")
-    owner = _dynamic_owner(params, sem, state, args.member)
+    owner = _dynamic_owner(root, params, sem, state, args.member)
     ledger = _deployment_ledger(root, state, sem.pk)
     store = DynamicStore(params, sem, owner, ledger=ledger)
     receipt = store.create(args.file_id.encode(), chunks)
@@ -566,7 +567,7 @@ def cmd_update(args) -> int:
     state = load_state(root)
     params, sem, _, _ = build_runtime(state)
     ops = _parse_update_ops(args)
-    owner = _dynamic_owner(params, sem, state, args.member)
+    owner = _dynamic_owner(root, params, sem, state, args.member)
     ledger = _deployment_ledger(root, state, sem.pk)
     store = DynamicStore(params, sem, owner, ledger=ledger)
     store.adopt(_load_dynamic(root, params, args.file_id))
@@ -596,7 +597,7 @@ def cmd_dynamic_audit(args) -> int:
         raise CliError(f"no dynamic file {args.file_id!r}")
     obs = _make_obs()
     obs.observe_group(params.group)
-    store = DynamicStore(params, sem, DataOwner(params, sem.pk))
+    store = DynamicStore(params, sem, owner=None)  # answers challenges, signs nothing
     store.adopt(_load_dynamic(root, params, args.file_id))
     auditor = DynamicAuditor(params, sem.pk)
     file_id = args.file_id.encode()

@@ -6,8 +6,8 @@ For each block the owner (1) aggregates the k elements into one G1 value,
 and unblinds it (Eq. 4/5).  With ``batch=True`` step (4) verifies all n
 blind signatures at once (Eq. 7) — the "Our Scheme*" optimization that
 Figure 4(a) shows closes the gap with SW08.  :meth:`DataOwner.sign_blocks`
-is that one pass; with fixed-base tables its blinding (g^r) and
-unblinding (pk^{−r}) are table lookups, so the only Exp a block costs
+is that one pass; its aggregation (∏u^m), blinding (g^r) and unblinding
+(pk^{−r}) are fixed-base table lookups, so the only Exp a block costs
 is the SEM's Eq. 3 (hashing H(id) still clears its cofactor).
 
 The optional data-privacy layer (Section IV-C) encrypts the payload with
@@ -21,19 +21,19 @@ import secrets
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.blocks import Block, aggregate_block, encode_data
+from repro.core.blocks import Block, encode_data
 from repro.core.params import SystemParams
 from repro.crypto.blind_bls import (
     BlindingState,
     BlindSignatureError,
     batch_unblind_verify,
-    blind,
     blind_batch,
-    unblind,
     unblind_batch,
     verify_blinded,
 )
 from repro.crypto.symmetric import chacha20_decrypt, chacha20_encrypt
+from repro.ec import fixed_base
+from repro.ec.precompute import build_tables_fast, load_or_build
 from repro.pairing.interface import GroupElement
 
 
@@ -66,31 +66,39 @@ class OwnerStats:
 class DataOwner:
     """A group member who signs (via the SEM) and uploads shared data.
 
-    Every signing caller — :meth:`sign_file`, the dynamic, resilient and
-    fleet stores, and the multi-owner builder — runs the same
-    :meth:`sign_blocks` pass: Blind, one SEM batch, Eq. 7, Unblind.
+    Every signer blinds with :meth:`blind_all` and unblinds with
+    :meth:`unblind_all`: :meth:`sign_file`, the dynamic, resilient and
+    fleet stores and the multi-owner builder inside :meth:`sign_blocks`
+    (Blind, one SEM batch, Eq. 7, Unblind), the batching service's
+    :class:`~repro.service.pipeline.SigningPipeline` and the simulator's
+    ``OwnerNode`` directly.  The owner raises three fixed bases and holds
+    a table for each, built once: u_1..u_k in the aggregate, g in Blind
+    (Eq. 2) and the SEM key pk = g^y in Unblind (Eq. 5), so the only Exp
+    a signed block costs is the SEM's Eq. 3.  The paper's plain
+    :func:`~repro.core.blocks.aggregate_block`,
+    :func:`~repro.crypto.blind_bls.blind` and
+    :func:`~repro.crypto.blind_bls.unblind` are the reference.
 
     Args:
-        use_fixed_base: precompute window tables for the u_1..u_k bases so
-            Bind's k exponentiations become table lookups, and for the
-            blinding bases g (Eq. 2) and the SEM key pk = g^y (Eq. 5), so
-            blinding and unblinding become lookups too (one-time cost
-            amortized across all blocks the owner ever signs).
         table_cache_dir: load/persist the u_1..u_k tables via the
-            :mod:`repro.ec.precompute` disk cache instead of rebuilding
-            (implies ``use_fixed_base``).  The g and pk tables are
-            always built in memory: blindness never rests on a file.
+            :mod:`repro.ec.precompute` disk cache instead of building
+            them.  The g and pk tables are always built in memory:
+            blindness never rests on a file.
         pool: a :class:`~repro.core.parallel.WorkerPool`; block
             aggregation/blinding, Eq. 7 batch verification, and unblinding
-            then fan out across its workers.  Configure the pool with the
-            same ``table_cache_dir`` so workers blind and unblind through
-            the same tables as the owner, keeping the raw op tallies equal
-            at any worker count.
+            then fan out across its workers, which build the same tables,
+            so the raw op tallies are equal at any worker count.
+        use_fixed_base: kept for the benchmark harness (``perfbench``),
+            which still passes ``True``; any other value raises
+            ``ValueError`` before a table is built.
     """
 
     def __init__(self, params: SystemParams, sem_pk: GroupElement, credential=None,
-                 rng=None, use_fixed_base: bool = False,
+                 rng=None, use_fixed_base: bool = True,
                  table_cache_dir=None, pool=None):
+        if use_fixed_base is not True:
+            raise ValueError("every owner signs through fixed-base tables; "
+                             "use_fixed_base can only be True")
         self.params = params
         self.group = params.group
         self.sem_pk = sem_pk
@@ -98,41 +106,32 @@ class DataOwner:
         self._rng = rng
         self.stats = OwnerStats()
         self.pool = pool
-        self._tables = None
-        self._g1_table = self._pk_table = None
-        if table_cache_dir is not None or use_fixed_base:
-            from repro.ec.precompute import build_tables_fast, load_or_build
+        bits = params.order.bit_length()
+        self._u_tables, _ = load_or_build(table_cache_dir, self.group, list(params.u), bits)
+        self._g1_table, self._pk_table = build_tables_fast([self.group.g1(), sem_pk], bits)
 
-            bits = params.order.bit_length()
-            if table_cache_dir is not None:
-                self._tables, _ = load_or_build(
-                    table_cache_dir, self.group, list(params.u), bits)
-            else:
-                self._tables = build_tables_fast(list(params.u), bits)
-            self._g1_table, self._pk_table = build_tables_fast(
-                [self.group.g1(), sem_pk], bits)
-
-    # -- single-block primitives (the paper's algorithms) -------------------
+    # -- single-block primitives (the paper's algorithms, through tables) -----
     def aggregate(self, block: Block) -> GroupElement:
-        """H(id)·∏u^m — via fixed-base tables when enabled."""
-        if self._tables is not None:
-            from repro.ec.fixed_base import aggregate_with_tables
-
-            return aggregate_with_tables(self.params, block, self._tables)
-        return aggregate_block(self.params, block)
+        """H(id)·∏u^m, from the u-tables."""
+        # Through the module, so per-layer tracing sees every call.
+        return fixed_base.aggregate_with_tables(self.params, block, self._u_tables)
 
     def blind_block(self, block: Block) -> BlindingState:
         """Blind (Eq. 2): aggregate the block, then blind the aggregate."""
-        return blind(self.group, self.aggregate(block), self._rng)
+        return self.blind_all([block])[0]
 
-    def unblind(
-        self,
-        state: BlindingState,
-        blind_signature: GroupElement,
-        check: bool = True,
-    ) -> GroupElement:
-        """Unblind (Eq. 4/5): verify then recover σ_i = M_i^y."""
-        return unblind(self.group, state, blind_signature, self.sem_pk, check=check)
+    def unblind(self, state: BlindingState, blind_signature: GroupElement,
+                check: bool = True) -> GroupElement:
+        """Unblind (Eq. 4/5): verify then recover σ_i = M_i^y.
+
+        Raises:
+            BlindSignatureError: if ``check`` is set and Eq. 4 fails.
+        """
+        if check and not verify_blinded(self.group, state.blinded, blind_signature,
+                                        self.sem_pk):
+            raise BlindSignatureError(
+                "blind signature failed verification (Eq. 4); re-request from SEM")
+        return self.unblind_all([state], [blind_signature])[0]
 
     # -- the owner-side signing pass -------------------------------------------
     def sign_blocks(
@@ -150,8 +149,8 @@ class DataOwner:
         message, gets all blind signatures from ``sem`` in one
         ``sign_blinded_batch`` call (Eq. 3), checks them with one Eq. 7
         (or each with Eq. 4 when ``batch`` is off), and unblinds (Eq. 5).
-        With tables, the blinding masks and unmasks are fixed-base
-        lookups, so the pass runs no Exp of its own.
+        The blinding masks and unmasks are fixed-base lookups, so the
+        pass runs no Exp of its own.
 
         Args:
             sem: anything exposing ``sign_blinded_batch(blinded, credential)``.
@@ -166,7 +165,7 @@ class DataOwner:
             BlindSignatureError: if the SEM's reply has the wrong length
                 or fails Eq. 7 (Eq. 4).
         """
-        states = self._blind_all(blocks, list(extra))
+        states = self.blind_all(blocks, extra)
         blinded = [s.blinded for s in states]
         blind_signatures = sem.sign_blinded_batch(blinded, self.credential)
         if len(blind_signatures) != len(blinded):
@@ -181,7 +180,7 @@ class DataOwner:
                      for m, s in zip(blinded, blind_signatures)):
             raise BlindSignatureError(
                 "blind signature failed verification (Eq. 4); re-request from SEM")
-        return self._unblind_all(states, blind_signatures)
+        return self.unblind_all(states, blind_signatures)
 
     def sign_file(
         self,
@@ -239,9 +238,11 @@ class DataOwner:
             nonce=nonce,
         )
 
-    # -- parallel fan-out helpers ------------------------------------------
-    def _blind_all(self, blocks: list[Block], extra: list) -> list[BlindingState]:
-        """Blind every block, then every extra message, fanned out when pooled.
+    # -- the blind and unblind steps -------------------------------------------
+    def blind_all(self, blocks: list[Block],
+                  extra: Sequence[GroupElement] = ()) -> list[BlindingState]:
+        """Blind (Eq. 2) every block's aggregate, then every ``extra`` G1
+        message, fanned out when pooled.
 
         The blinding factors are always drawn here, sequentially, so a
         seeded run consumes the rng stream identically at any worker count
@@ -255,12 +256,12 @@ class DataOwner:
                   for r, m in zip(rs, self.pool.blind_blocks(blocks, rs))]
         return states + blind_batch(self.group, extra, self._rng, self._g1_table)
 
-    def _unblind_all(self, states, blind_signatures) -> list[GroupElement]:
-        """Unblind every signature (Eq. 5), fanned out when pooled."""
+    def unblind_all(self, states, blind_signatures) -> list[GroupElement]:
+        """Unblind (Eq. 5) every signature, fanned out when pooled; the
+        caller has checked Eq. 4 or Eq. 7."""
         if self.pool is not None and self.pool.fans_out(len(states)):
             return self.pool.unblind_batch(states, blind_signatures, self.sem_pk)
-        return unblind_batch(self.group, states, blind_signatures, self.sem_pk,
-                             self._pk_table)
+        return unblind_batch(self.group, states, blind_signatures, self._pk_table)
 
     @staticmethod
     def decrypt_file(data: bytes, key: bytes, nonce: bytes) -> bytes:

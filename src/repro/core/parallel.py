@@ -26,12 +26,13 @@ additions either.
 
 Workers are started with the ``fork`` context where available (Linux —
 inherits the parent's imports cheaply) and receive the system parameters
-once via the pool initializer.  The u_1..u_k fixed-base tables are *not*
-rebuilt per process: when a ``table_cache_dir`` is configured each worker
-loads the serialized tables from :mod:`repro.ec.precompute`, and, like a
-table-enabled :class:`~repro.core.owner.DataOwner`, builds its g and pk
-blinding tables in memory (on first use), so blinding and unblinding
-tally the same fixed-base lookups at any worker count.
+once via the pool initializer.  Like a
+:class:`~repro.core.owner.DataOwner`, a worker aggregates, blinds and
+unblinds through fixed-base tables for u_1..u_k, g and pk, so it tallies
+the same lookups at any worker count.  It builds them on its first blind
+or unblind task, outside the task's op delta (an audit-only pool builds
+none): the u-tables from the pool's ``table_cache_dir``
+(:mod:`repro.ec.precompute`) when one is set, g and pk always in memory.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 
-from repro.core.blocks import Block, aggregate_block
+from repro.core.blocks import Block
 from repro.core.params import SystemParams
 from repro.crypto.blind_bls import BlindingState, fixed_base_powers, unblind_batch
+from repro.ec.fixed_base import aggregate_with_tables
+from repro.ec.precompute import build_tables_fast, load_or_build
 from repro.obs.tracer import NULL_TRACER
 from repro.pairing.interface import GroupElement, OperationCounter
 
@@ -86,20 +89,39 @@ def default_workers() -> int:
 # Worker-side task functions (must be module-level for pickling)
 # ---------------------------------------------------------------------------
 
-def _init_worker(params: SystemParams, table_cache_dir, window: int) -> None:
+def _init_worker(params: SystemParams, table_cache_dir) -> None:
     group = params.group
     counter = OperationCounter()
     group.attach_counter(counter)
-    tables = None
-    if table_cache_dir is not None:
-        from repro.ec.precompute import load_or_build
-
-        tables, _ = load_or_build(
-            table_cache_dir, group, list(params.u), params.order.bit_length(), window
-        )
     _WORKER.clear()
-    _WORKER.update(params=params, group=group, counter=counter, tables=tables,
-                   window=window, base_tables={})
+    _WORKER.update(params=params, group=group, counter=counter,
+                   table_cache_dir=table_cache_dir, tables={})
+
+
+def _table(key, build):
+    """The worker's table(s) under ``key``, built on first use."""
+    tables = _WORKER["tables"]
+    if key not in tables:
+        tables[key] = build()
+    return tables[key]
+
+
+def _u_tables():
+    """The u_1..u_k tables, from the pool's cache directory if it has one."""
+    params = _WORKER["params"]
+    return _table("u", lambda: load_or_build(
+        _WORKER["table_cache_dir"], params.group, list(params.u),
+        params.order.bit_length())[0])
+
+
+def _base_table(base: GroupElement):
+    """The table for a blinding base (g, or one SEM key pk).
+
+    Always built in memory, never loaded from the cache: blindness must
+    not rest on a file.
+    """
+    bits = _WORKER["params"].order.bit_length()
+    return _table(base.point, lambda: build_tables_fast([base], bits)[0])
 
 
 def _delta_since(before):
@@ -128,59 +150,29 @@ def _task_hash_msm(payload):
 
 
 def _task_blind(payload):
-    """Aggregate + blind a chunk of blocks with parent-drawn factors.
-
-    Uses the cached u-tables and the worker's g1 table when the pool was
-    configured with a ``table_cache_dir`` (matching a parent owner built
-    from the same cache), the plain aggregate and g^r otherwise.
-    """
+    """Aggregate + blind a chunk of blocks with parent-drawn factors."""
     raw_blocks, rs = payload
     params = _WORKER["params"]
-    tables = _WORKER["tables"]
-    g1 = _WORKER["group"].g1()
-    g1_table = _base_table(g1)  # built before the snapshot: not this task's ops
+    # Built before the snapshot: not this task's ops.
+    u_tables = _u_tables()
+    g1_table = _base_table(_WORKER["group"].g1())
     before = _WORKER["counter"].snapshot()
-    aggregates = []
-    for block_id, elements in raw_blocks:
-        block = Block(block_id=block_id, elements=elements)
-        if tables is not None:
-            from repro.ec.fixed_base import aggregate_with_tables
-
-            aggregates.append(aggregate_with_tables(params, block, tables))
-        else:
-            aggregates.append(aggregate_block(params, block))
-    masks = fixed_base_powers(g1, rs, g1_table)
+    aggregates = [
+        aggregate_with_tables(params, Block(block_id=block_id, elements=elements), u_tables)
+        for block_id, elements in raw_blocks]
+    masks = fixed_base_powers(g1_table, rs)
     return [(m * mask).point for m, mask in zip(aggregates, masks)], _delta_since(before)
-
-
-def _base_table(base: GroupElement):
-    """The worker's table for a blinding base (g, or one SEM key pk).
-
-    Only pools with a ``table_cache_dir`` use them, matching an owner
-    with tables.  Built in memory on first use, once per base, and never
-    loaded from the cache: blindness must not rest on a file.
-    """
-    if _WORKER["tables"] is None:
-        return None
-    cache = _WORKER["base_tables"]
-    if base.point not in cache:
-        from repro.ec.precompute import build_tables_fast
-
-        (cache[base.point],) = build_tables_fast(
-            [base], _WORKER["params"].order.bit_length(), _WORKER["window"])
-    return cache[base.point]
 
 
 def _task_unblind(payload):
     """Unblind a chunk of blind signatures (Eq. 5, checks already done)."""
     sig_pts, rs, pk_pt = payload
     group = _WORKER["group"]
-    pk = GroupElement(group, pk_pt)
-    table = _base_table(pk)  # built before the snapshot: not this task's ops
+    table = _base_table(GroupElement(group, pk_pt))  # built before the snapshot
     before = _WORKER["counter"].snapshot()
     states = [BlindingState(r=r, blinded=None) for r in rs]  # Eq. 5 reads r only
     signatures = [GroupElement(group, pt) for pt in sig_pts]
-    out = unblind_batch(group, states, signatures, pk, table)
+    out = unblind_batch(group, states, signatures, table)
     return [sig.point for sig in out], _delta_since(before)
 
 
@@ -201,10 +193,7 @@ class WorkerPool:
             the parent (identical results and op counts, no processes).
         table_cache_dir: when given, workers load the u_1..u_k fixed-base
             tables from this :mod:`repro.ec.precompute` cache instead of
-            rebuilding them per process, and aggregation uses them; they
-            also build g and pk tables in memory for blinding and
-            unblinding.
-        window: fixed-base window width for the cached tables.
+            building them per process.
         tracer: an :class:`~repro.obs.tracer.Tracer`; each fan-out merges
             every worker's op delta inside a ``<task>.worker`` span so
             traces show per-worker cost.
@@ -215,14 +204,12 @@ class WorkerPool:
         params: SystemParams,
         workers: int,
         table_cache_dir=None,
-        window: int = 4,
         tracer=None,
     ):
         self.params = params
         self.group = params.group
         self.workers = max(1, int(workers))
         self.table_cache_dir = table_cache_dir
-        self.window = window
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._pool = None
 
@@ -236,7 +223,7 @@ class WorkerPool:
             self._pool = ctx.Pool(
                 processes=self.workers,
                 initializer=_init_worker,
-                initargs=(self.params, self.table_cache_dir, self.window),
+                initargs=(self.params, self.table_cache_dir),
             )
         return self._pool
 

@@ -20,10 +20,12 @@ and unblinds (Eq. 5), as in the paper.
 
 Both masks raise a *fixed* base — g in Eq. 2, pk in Eq. 5 — so a
 signer of many messages blinds and unblinds them in batches with
-:func:`blind_batch` and :func:`unblind_batch`.  Given a
-:class:`~repro.ec.fixed_base.FixedBaseTable` for the base, each batch
-sums table entries in chunks of :data:`POWERS_CHUNK` exponents instead
-of running one scalar multiplication per message.
+:func:`blind_batch` and :func:`unblind_batch`, each through a
+:class:`~repro.ec.fixed_base.FixedBaseTable` for its base: a batch sums
+table entries in chunks of :data:`POWERS_CHUNK` exponents instead of
+running one scalar multiplication per message.  :func:`blind` and
+:func:`unblind` are the paper's per-message algorithms, kept as the
+reference the batches are tested against.
 
 The full round trip, recovering exactly the plain BLS signature M^y:
 
@@ -69,16 +71,17 @@ def blind(group: PairingGroup, message_element: GroupElement, rng=None) -> Blind
 
 
 def blind_batch(
-    group: PairingGroup, message_elements: list[GroupElement], rng=None, table=None
+    group: PairingGroup, message_elements: list[GroupElement], rng, table
 ) -> list[BlindingState]:
     """Eq. 2 for every element, one fresh r each, drawn in input order.
 
     Args:
-        table: an optional :class:`~repro.ec.fixed_base.FixedBaseTable`
-            for ``group.g1()``; the masks g^r then come from it.
+        rng: where the blinding factors come from (``None``: the OS).
+        table: a :class:`~repro.ec.fixed_base.FixedBaseTable` for
+            ``group.g1()``; the masks g^r come from it.
     """
     rs = [group.random_nonzero_scalar(rng) for _ in message_elements]
-    masks = fixed_base_powers(group.g1(), rs, table)
+    masks = fixed_base_powers(table, rs)
     return [BlindingState(r=r, blinded=element * mask)
             for r, element, mask in zip(rs, message_elements, masks)]
 
@@ -87,18 +90,16 @@ def unblind_batch(
     group: PairingGroup,
     states: list[BlindingState],
     blind_signatures: list[GroupElement],
-    pk: GroupElement,
-    table=None,
+    table,
 ) -> list[GroupElement]:
     """Eq. 5 for every item, after the caller has checked Eq. 4 or Eq. 7.
 
     Args:
-        pk: the signer's public key g^y.
-        table: an optional :class:`~repro.ec.fixed_base.FixedBaseTable`
-            for ``pk``; the unmasks pk^{−r} then come from it.
+        table: a :class:`~repro.ec.fixed_base.FixedBaseTable` for the
+            signer's public key pk = g^y; the unmasks pk^{−r} come from it.
     """
     exponents = [group.order - state.r % group.order for state in states]
-    unmasks = fixed_base_powers(pk, exponents, table)
+    unmasks = fixed_base_powers(table, exponents)
     return [signature * unmask for signature, unmask in zip(blind_signatures, unmasks)]
 
 
@@ -108,13 +109,9 @@ def unblind_batch(
 POWERS_CHUNK = 32
 
 
-def fixed_base_powers(
-    base: GroupElement, exponents: list[int], table=None
-) -> list[GroupElement]:
-    """``[base ** e for e in exponents]``; with ``table`` (a table for
-    ``base``), summed from it :data:`POWERS_CHUNK` exponents at a time."""
-    if table is None:
-        return [base**e for e in exponents]
+def fixed_base_powers(table, exponents: list[int]) -> list[GroupElement]:
+    """``[table.base ** e for e in exponents]``, summed from ``table``
+    :data:`POWERS_CHUNK` exponents at a time."""
     powers: list[GroupElement] = []
     for lo in range(0, len(exponents), POWERS_CHUNK):
         powers += table.powers(exponents[lo : lo + POWERS_CHUNK])

@@ -180,12 +180,13 @@ class DynamicStore:
         sem: anything exposing ``sign_blinded_batch(blinded, credential)``
             — a single :class:`~repro.core.sem.SecurityMediator` or a
             :class:`~repro.core.multi_sem.MultiSEMClient` cluster front.
-        owner: the enrolled member whose credential signs the updates.
+        owner: the enrolled member whose credential signs the updates
+            (``None`` for a store that only answers challenges).
         ledger: optional hash-chained ledger; when present every create
             and update batch is fenced with dyn_* records.
     """
 
-    def __init__(self, params: SystemParams, sem, owner: DataOwner, ledger=None):
+    def __init__(self, params: SystemParams, sem, owner: DataOwner | None, ledger=None):
         self.params = params
         self.group = params.group
         self.sem = sem

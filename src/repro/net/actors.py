@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.blocks import Block, aggregate_block, encode_data
+from repro.core.blocks import Block, encode_data
 from repro.core.cloud import CloudServer
-from repro.core.owner import SignedFile
+from repro.core.owner import DataOwner, SignedFile
 from repro.core.params import SystemParams
 from repro.core.verifier import PublicVerifier
-from repro.crypto.blind_bls import batch_unblind_verify, blind_batch, unblind_batch
+from repro.crypto.blind_bls import batch_unblind_verify
 from repro.net.channel import Channel
 from repro.net.message import Message
 from repro.net.node import Node
@@ -85,6 +85,9 @@ class SEMNode(Node):
 class OwnerNode(Node):
     """A data owner: blinds blocks, collects signatures, uploads.
 
+    Blinding and unblinding are its :class:`~repro.core.owner.DataOwner`'s
+    steps, through that owner's fixed-base tables.
+
     ``endpoints`` name each SEM with its Shamir abscissa and share public
     key (:class:`~repro.service.failover.SEMEndpoint`).  Each upload runs
     one :class:`~repro.service.failover.SigningRound`: share batches are
@@ -120,6 +123,7 @@ class OwnerNode(Node):
         self.threshold = threshold
         self.cloud_name = cloud_name
         self._rng = rng
+        self.owner = DataOwner(params, org_pk, rng=rng)
         self.retry_timeout_s = retry_timeout_s
         self.max_retries = max_retries
         # A fixed re-ask cadence: no backoff, no jitter.
@@ -139,8 +143,7 @@ class OwnerNode(Node):
         if self._pending is not None:
             raise RuntimeError("an upload is already in flight")
         blocks = encode_data(data, self.params, file_id)
-        states = blind_batch(
-            self.group, [aggregate_block(self.params, b) for b in blocks], self._rng)
+        states = self.owner.blind_all(blocks)
         round_ = SigningRound(self.group, self.endpoints, self.threshold,
                               [s.blinded for s in states],
                               config=self.failover_config, rng=self._rng)
@@ -199,8 +202,7 @@ class OwnerNode(Node):
                                     self.org_pk, self._rng):
             self._pending = None
             raise ValueError("batch verification failed at owner")
-        signatures = tuple(unblind_batch(self.group, pending.states, round_.result,
-                                         self.org_pk))
+        signatures = tuple(self.owner.unblind_all(pending.states, round_.result))
         pending.signed = SignedFile(
             file_id=pending.file_id, blocks=tuple(pending.blocks), signatures=signatures
         )

@@ -2,11 +2,11 @@
 
 One batch = one pass over every pending request's items:
 
-1. **aggregate** all ``blocks``-kind items to G1 in-process,
-   amortizing the u_1..u_k fixed-base tables across the whole batch;
-2. **blind** them (Eq. 2) with :func:`~repro.crypto.blind_bls.blind_batch`
-   through a fixed-base table for g — the blinding base never changes,
-   so each blinding costs table lookups;
+1-2. **aggregate** all ``blocks``-kind items to G1 and **blind** them
+   (Eq. 2) with the pipeline's :class:`~repro.core.owner.DataOwner`
+   (:meth:`~repro.core.owner.DataOwner.blind_all`), through its
+   fixed-base tables for u_1..u_k and g — the bases never change, so
+   each aggregate and each blinding costs table lookups;
 3. **sign** every blinded element of the batch in a *single*
    ``sign_blinded_batch`` transport call (one round trip to the SEM or the
    multi-SEM failover client instead of one per request);
@@ -14,15 +14,16 @@ One batch = one pass over every pending request's items:
    whole batch instead of 2 per signature, the paper's own "Our Scheme*"
    trick applied at the service layer (with per-item isolation when the
    batch check fails, so one bad signature cannot poison its batchmates);
-5. **unblind** (Eq. 5) with :func:`~repro.crypto.blind_bls.unblind_batch`
-   through a fixed-base table for the key pk = g^y — again a fixed base, again
-   amortized.  Both helpers are the ones
-   :meth:`~repro.core.owner.DataOwner.sign_blocks` uses, so a service pass
-   and an owner's own pass do the same per-item work.
+5. **unblind** (Eq. 5) with the owner's
+   :meth:`~repro.core.owner.DataOwner.unblind_all`, through its table for
+   the key pk = g^y.  A service pass and an owner's own
+   :meth:`~repro.core.owner.DataOwner.sign_blocks` pass do the same
+   per-item work with the same tables.
 
 The sequential path (:meth:`SigningPipeline.sign_sequential`) is the
 baseline the service throughput benchmark compares against: per-request
-transport calls, no tables, per-signature Eq. 4 checks.
+transport calls, the paper's per-item Blind/Unblind with no tables,
+per-signature Eq. 4 checks.
 """
 
 from __future__ import annotations
@@ -30,16 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.blocks import aggregate_block
+from repro.core.owner import DataOwner
 from repro.core.params import SystemParams
 from repro.crypto.blind_bls import (
     BlindingState,
     batch_unblind_verify,
-    blind_batch,
-    unblind_batch,
+    blind,
+    unblind,
     verify_blinded,
 )
-from repro.ec import fixed_base
-from repro.ec.precompute import build_tables_fast
 from repro.obs import NULL_OBS
 from repro.pairing.interface import GroupElement
 from repro.service.api import SignRequest
@@ -75,6 +75,11 @@ class PreparedBatch:
 class SigningPipeline:
     """Vectorized aggregate → blind → sign → verify → unblind.
 
+    Aggregating, blinding and unblinding are the steps of :attr:`owner`,
+    a :class:`~repro.core.owner.DataOwner` for ``org_pk``, through its
+    fixed-base tables; the pipeline adds the batching, the Eq. 7 check
+    with per-item isolation, and pre-blinded items.
+
     Args:
         params: system parameters.
         sem: the signing transport — anything exposing
@@ -86,7 +91,6 @@ class SigningPipeline:
             against it and Eq. 5 unblinds with it.
         credential: the credential forwarded on transport calls; services
             enforce membership at admission and call a trusted SEM.
-        use_fixed_base: precompute tables for u_1..u_k, g, and pk.
         rng: randomness source for blinding factors and Eq. 7 coefficients.
         org_pk_g1: kept for the benchmark harness (``perfbench``), which
             still passes the key under this name.  It is only compared
@@ -102,8 +106,6 @@ class SigningPipeline:
         sem,
         org_pk: GroupElement,
         credential=None,
-        use_fixed_base: bool = True,
-        window: int = 4,
         rng=None,
         obs=None,
         org_pk_g1: GroupElement | None = None,
@@ -117,14 +119,7 @@ class SigningPipeline:
         self.org_pk = org_pk
         self.credential = credential
         self._rng = rng
-        bits = self.group.order.bit_length()
-        self._u_tables = None
-        self._g1_table = None
-        self._pk_table = None
-        if use_fixed_base:
-            *self._u_tables, self._g1_table, self._pk_table = build_tables_fast(
-                [*params.u, self.group.g1(), org_pk], bits, window=window
-            )
+        self.owner = DataOwner(params, org_pk, rng=rng)
 
     # -- the batched pass ---------------------------------------------------
     def prepare_batch(self, requests: list[SignRequest]) -> PreparedBatch:
@@ -133,14 +128,7 @@ class SigningPipeline:
         with self.obs.tracer.span(
             "batch.prepare", n_requests=len(requests), n_blocks=len(all_blocks)
         ):
-            if self._u_tables is None:
-                aggregates = [aggregate_block(self.params, b) for b in all_blocks]
-            else:  # via the module, so per-layer tracing sees every call
-                aggregates = [
-                    fixed_base.aggregate_with_tables(self.params, b, self._u_tables)
-                    for b in all_blocks]
-            blindings = iter(
-                blind_batch(self.group, aggregates, self._rng, self._g1_table))
+            blindings = iter(self.owner.blind_all(all_blocks))
             blinded: list[GroupElement] = []
             states: list[BlindingState | None] = []  # None = already blinded
             for request in requests:
@@ -180,9 +168,8 @@ class SigningPipeline:
         unblind = [i for _, start, end, ok in spans if ok for i in range(start, end)
                    if prepared.states[i] is not None]
         signatures = list(blind_signatures)
-        unblinded = unblind_batch(self.group, [prepared.states[i] for i in unblind],
-                                  [blind_signatures[i] for i in unblind],
-                                  self.org_pk, self._pk_table)
+        unblinded = self.owner.unblind_all([prepared.states[i] for i in unblind],
+                                           [blind_signatures[i] for i in unblind])
         for i, signature in zip(unblind, unblinded):
             signatures[i] = signature
         results: list[PipelineResult] = []
@@ -229,9 +216,9 @@ class SigningPipeline:
         signatures = []
         items: list[tuple[BlindingState | None, GroupElement]] = []
         if request.kind == "blocks":
-            aggregates = [aggregate_block(self.params, b) for b in request.blocks]
-            items = [(state, state.blinded)
-                     for state in blind_batch(self.group, aggregates, self._rng)]
+            items = [(state, state.blinded) for state in (
+                blind(self.group, aggregate_block(self.params, b), self._rng)
+                for b in request.blocks)]
         else:
             items = [(None, element) for element in request.blinded]
         for state, element in items:
@@ -247,9 +234,7 @@ class SigningPipeline:
                 signatures.append(blind_signature)
             else:
                 signatures.append(
-                    blind_signature
-                    * self.org_pk ** (self.group.order - state.r % self.group.order)
-                )
+                    unblind(self.group, state, blind_signature, self.org_pk, check=False))
         return PipelineResult(
             request_id=request.request_id, signatures=tuple(signatures), ok=True
         )

@@ -77,7 +77,6 @@ class SEMServiceNode(Node):
         failover_config: FailoverConfig | None = None,
         membership=None,
         rng=None,
-        use_fixed_base: bool = True,
         journal=None,
         obs=None,
         ledger=None,
@@ -105,7 +104,6 @@ class SEMServiceNode(Node):
             params,
             sem=_RaiseTransport(),
             org_pk=org_pk,
-            use_fixed_base=use_fixed_base,
             rng=rng,
             obs=obs,
         )

@@ -77,14 +77,15 @@ class TestBatchPass:
     def test_empty_batch(self, pipeline):
         assert pipeline.sign_batch([]) == []
 
-    def test_no_fixed_base_matches(self, params_k4, sem, rng, make_request):
-        plain = SigningPipeline(
-            params_k4, sem, sem.pk, use_fixed_base=False, rng=rng
-        )
+    def test_no_fixed_base_matches(self, params_k4, sem, pipeline, make_request):
+        """The table-backed batch pass, the per-item sequential path (the
+        paper's Blind/Unblind, no tables) and the plain σ = M^y agree."""
         request = make_request(b"q", n_blocks=2)
-        (result,) = plain.sign_batch([request])
-        assert result.ok
-        assert_final_signatures(params_k4, sem.pk, request, result.signatures)
+        (batched,) = pipeline.sign_batch([request])
+        sequential = pipeline.sign_sequential(request)
+        assert batched.ok and sequential.ok
+        assert batched.signatures == sequential.signatures == tuple(
+            aggregate_block(params_k4, block) ** sem._sk for block in request.blocks)
 
 
 class TestFaultIsolation:
