@@ -18,8 +18,8 @@ its properties:
   files striped across a fleet, including the derived per-slice SEM-PDP
   file ids;
 * :mod:`repro.erasure.fleet` — the multi-cloud fleet store: stripes
-  coded slots across many servers, audits them concurrently with
-  cross-server proof aggregation, quarantines failing servers via the
+  coded slots across many servers, settles each audit round's proofs in
+  one batched Eq. 6 check (split only when it rejects), quarantines failing servers via the
   :class:`~repro.service.cloud_health.CloudScoreboard`, and repairs lost
   slots by reconstruct → re-sign → re-upload, ledger-recorded.
 """

@@ -18,10 +18,13 @@ The audit loop is the paper's protocol, fleet-wide:
   :class:`~repro.core.parallel.WorkerPool` fans each challenge's
   hash-MSM and each proof's signature-MSM across workers, with op
   tallies invariant under the worker count;
-* proofs from every responding server additionally combine into one
-  random-weight cross-server check
+* every slice is signed under the one organization key, so a round's L
+  answered proofs are verified together in one random-weight check
   (:meth:`~repro.core.verifier.PublicVerifier.verify_batch`, 2 pairings
-  total) — the cheap fleet-is-healthy fast path;
+  per round).  Only a rejected round is split, by
+  :func:`~repro.core.verifier.bisect_failures`, down to the slices that
+  fail on their own: f invalid slices among L cost at most
+  2·(2f·⌈log₂ L⌉ + 1) pairings;
 * a server that fails Eq. 6 **or cannot answer** feeds the
   :class:`~repro.service.cloud_health.CloudScoreboard`; a streak trips
   the breaker and quarantines the server with half-open probes, exactly
@@ -43,6 +46,7 @@ from dataclasses import dataclass, field
 
 from repro.core.blocks import Block, encode_data, make_block_id
 from repro.core.owner import SignedFile
+from repro.core.verifier import bisect_failures
 from repro.erasure.placement import PlacementMap, StripePlacement
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.obs import NULL_OBS
@@ -122,7 +126,7 @@ class FleetAuditReport:
     round: int
     verdicts: list[SliceVerdict] = field(default_factory=list)
     skipped_servers: tuple[str, ...] = ()    # quarantined, not contacted
-    aggregate_ok: bool | None = None         # cross-server combined check
+    aggregate_ok: bool | None = None         # the round's batch verdict
 
     @property
     def checks(self) -> int:
@@ -303,44 +307,69 @@ class FleetStore:
         self.handles[name].online = online
 
     def audit_round(self, sample_size: int | None = None) -> FleetAuditReport:
-        """One concurrent per-server audit round with cross-server
-        aggregation; quarantined servers are skipped (until their window
-        lapses into a half-open probe)."""
+        """One audit round over every contactable server; quarantined
+        servers are skipped (until their window lapses into a half-open
+        probe).
+
+        The round challenges each server's slices in contact order, then
+        settles every answered proof at once (:meth:`_invalid_proofs`).
+        Verdicts, ``audit`` ledger records and scoreboard outcomes follow
+        afterwards, server by server in the same order, so quarantine
+        trips land on the ledger exactly where a slice-by-slice check
+        would put them.  ``aggregate_ok`` is the round's batch verdict:
+        True iff no answered slice is invalid, None when none answered.
+        """
         self.scoreboard.begin_round()
         healthy, quarantined = self.scoreboard.contact_order()
         report = FleetAuditReport(
             round=self.scoreboard.round,
             skipped_servers=tuple(self.scoreboard.name_of(i) for i in quarantined),
         )
-        aggregable = []
         with self.obs.tracer.span("fleet.audit", servers=len(healthy)) as span:
-            for index in healthy:
+            answers = [(index, *self._challenge_server(self.scoreboard.name_of(index),
+                                                       sample_size))
+                       for index in healthy]
+            audits = [(challenge, proof) for _, answered, _ in answers
+                      for *_, challenge, proof in answered]
+            invalid = set(self._invalid_proofs(audits))
+            if audits:
+                report.aggregate_ok = not invalid
+            position = 0
+            for index, answered, missed in answers:
                 name = self.scoreboard.name_of(index)
-                outcome = self._audit_server(name, sample_size, report, aggregable)
+                outcome = "ok" if answered else None
+                for file_id, slot, slice_id, challenge, proof in answered:
+                    ok = position not in invalid
+                    position += 1
+                    self._record_audit(slice_id, challenge, proof, ok)
+                    report.verdicts.append(
+                        SliceVerdict(name, file_id, slot, "ok" if ok else "invalid"))
+                    if not ok:
+                        outcome = "invalid"
+                if missed is not None:
+                    report.verdicts.append(SliceVerdict(name, *missed, "timeout"))
+                    outcome = "timeout"
                 if outcome == "ok":
                     self.scoreboard.record_success(index)
                 elif outcome == "invalid":
                     self.scoreboard.record_invalid(index)
                 elif outcome == "timeout":
                     self.scoreboard.record_timeout(index)
-            if aggregable:
-                report.aggregate_ok = self.verifier.verify_batch(aggregable)
             span.set(checks=report.checks, failures=report.failures,
                      timeouts=report.timeouts)
         return report
 
-    def _audit_server(self, name: str, sample_size, report: FleetAuditReport,
-                      aggregable: list) -> str | None:
-        """Audit every slice on one server; returns the round outcome."""
+    def _challenge_server(self, name: str, sample_size) -> tuple[list, tuple | None]:
+        """Challenge every slice on one server until it stops answering.
+
+        Returns the answered ``(file_id, slot, slice_id, challenge,
+        proof)`` in placement order and the ``(file_id, slot)`` that
+        timed out, if one did; a server that times out is not asked for
+        its later slices.
+        """
         handle = self.handles[name]
-        slices = [
-            (file_id, slot)
-            for file_id, slot in self.placements.slots_on(name)
-        ]
-        if not slices:
-            return None
-        outcome = "ok"
-        for file_id, slot in slices:
+        answered = []
+        for file_id, slot in self.placements.slots_on(name):
             placement = self.placements.get(file_id)
             slice_id = placement.slice_id(slot)
             challenge = self.verifier.generate_challenge(
@@ -349,18 +378,26 @@ class FleetStore:
             try:
                 proof = handle.generate_proof(slice_id, challenge)
             except (ConnectionError, TimeoutError):
-                report.verdicts.append(SliceVerdict(name, file_id, slot, "timeout"))
-                return "timeout"
-            ok = self.verifier.verify(challenge, proof)
-            self._record_audit(slice_id, challenge, proof, ok)
-            report.verdicts.append(
-                SliceVerdict(name, file_id, slot, "ok" if ok else "invalid")
-            )
-            if ok:
-                aggregable.append((challenge, proof))
-            else:
-                outcome = "invalid"
-        return outcome
+                return answered, (file_id, slot)
+            answered.append((file_id, slot, slice_id, challenge, proof))
+        return answered, None
+
+    def _invalid_proofs(self, audits: list) -> list[int]:
+        """The positions in ``audits`` whose proofs fail Eq. 6.
+
+        One :meth:`~repro.core.verifier.PublicVerifier.verify_batch` over
+        the whole round; only when it rejects does
+        :func:`~repro.core.verifier.bisect_failures` split it, with
+        ``verify_batch`` on ranges and plain ``verify`` on single slices.
+        """
+        def check_range(lo: int, hi: int) -> bool:
+            # A one-slice round is still settled by verify_batch, so every
+            # round draws its batch weights from the verifier's rng.
+            if hi - lo == 1 and len(audits) > 1:
+                return self.verifier.verify(*audits[lo])
+            return self.verifier.verify_batch(audits[lo:hi])
+
+        return bisect_failures(len(audits), check_range)
 
     def _record_audit(self, slice_id: bytes, challenge, proof, ok: bool) -> None:
         if self.ledger is None:

@@ -82,6 +82,7 @@ from repro.obs.ledger import (
     Ledger,
     LedgerError,
     LedgerVerification,
+    iter_ledger,
     ledger_head,
     read_ledger,
     verify_ledger,
@@ -226,6 +227,7 @@ __all__ = [
     "error_budget_report",
     "exemplar_buckets",
     "fraction_over",
+    "iter_ledger",
     "ledger_head",
     "load_trace",
     "load_trajectory",

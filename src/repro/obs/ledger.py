@@ -35,6 +35,7 @@ count, head-so-far) so an auditor can spot-check long chains.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -208,34 +209,55 @@ def _is_record(record) -> bool:
     )
 
 
-def read_ledger(path) -> tuple[list[dict], bool]:
-    """Parse a ledger file; returns (entries, torn_tail).
+def iter_ledger(path):
+    """Yield a ledger file's records one line at a time; returns torn_tail.
 
-    A torn final line (crash mid-append) is tolerated and reported; a
-    malformed line anywhere else — and any line that parses but is not
-    shaped like a ledger record — raises :class:`LedgerError`: the chain
-    behind it is unusable.
+    The generator's return value (``StopIteration.value``) is True when
+    the final line is torn (crash mid-append): it is tolerated, reported,
+    and not yielded.  A malformed line anywhere else — and any line that
+    parses but is not shaped like a ledger record — raises
+    :class:`LedgerError`: the chain behind it is unusable.  Only one line
+    is held at a time, plus one line of lookahead to tell the final line
+    from the rest.
+    """
+    with open(path, "rb") as handle:
+        # Iterating splits after each b"\n"; splitlines() then splits the
+        # pieces further exactly as bytes.splitlines() splits the file.
+        lines = (line for chunk in handle for line in chunk.splitlines())
+        lineno, raw = 0, next(lines, None)
+        while raw is not None:
+            lineno, upcoming = lineno + 1, next(lines, None)
+            if raw.strip():
+                try:
+                    record = json.loads(raw.decode("utf-8"))
+                except (json.JSONDecodeError, UnicodeDecodeError):
+                    # A flipped bit can break UTF-8 just as easily as JSON;
+                    # both are tamper unless it is the torn final line of a
+                    # crash.
+                    if upcoming is None:
+                        return True
+                    raise LedgerError(f"corrupt ledger record at line {lineno}")
+                if not _is_record(record):
+                    # A torn write never parses, so this is tamper on any line.
+                    raise LedgerError(f"malformed ledger record at line {lineno}: "
+                                      "not a sealed entry")
+                yield record
+            raw = upcoming
+    return False
+
+
+def read_ledger(path) -> tuple[list[dict], bool]:
+    """Parse a whole ledger file; returns (entries, torn_tail).
+
+    The list form of :func:`iter_ledger`, with the same rules.
     """
     entries: list[dict] = []
-    with open(path, "rb") as handle:
-        lines = handle.read().splitlines()
-    for lineno, raw in enumerate(lines):
-        if not raw.strip():
-            continue
+    walk = iter_ledger(path)
+    while True:
         try:
-            record = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            # A flipped bit can break UTF-8 just as easily as JSON; both
-            # are tamper unless it is the torn final line of a crash.
-            if lineno == len(lines) - 1:
-                return entries, True
-            raise LedgerError(f"corrupt ledger record at line {lineno + 1}")
-        if not _is_record(record):
-            # A torn write never parses, so this is tamper on any line.
-            raise LedgerError(f"malformed ledger record at line {lineno + 1}: "
-                              "not a sealed entry")
-        entries.append(record)
-    return entries, False
+            entries.append(next(walk))
+        except StopIteration as stop:
+            return entries, stop.value
 
 
 def ledger_head(path) -> dict | None:
@@ -387,6 +409,11 @@ class _AuditRecheck:
         report.audit_mismatches = self.mismatches
         report.audit_batches = self.batches
 
+    def queued(self) -> set[int]:
+        """The ids of the problem lists still waiting in a queue."""
+        return {id(problems) for queue in self.pending.values()
+                for _, _, problems in queue}
+
     def flush(self) -> None:
         """Recheck every queued PASS record."""
         for point in list(self.pending):
@@ -524,8 +551,11 @@ def verify_ledger(path, expect_head: str | None = None,
                   recheck: bool = True) -> LedgerVerification:
     """Re-walk a ledger chain offline and fail loudly on any tamper.
 
-    Every line must parse into a record (torn tail tolerated) that extends
-    the chain (:func:`_chain_break`).  Every other record kind is
+    The file is streamed through :func:`iter_ledger`, one record at a
+    time, so memory stays flat however long the chain is.  Every line
+    must parse into a record (torn tail tolerated) that extends the chain
+    (:func:`_chain_break`); an unreadable line reports that one error and
+    nothing else.  Every other record kind is
     re-derived by the checker of the module that writes it: metering
     totals re-add from their deltas (:class:`repro.obs.meter.MeterChecker`),
     fleet repairs form begin → slice* → complete/failed lifecycles
@@ -548,25 +578,32 @@ def verify_ledger(path, expect_head: str | None = None,
     from repro.obs.meter import MeterChecker
 
     report = LedgerVerification(path=os.fspath(path))
-    try:
-        entries, torn = read_ledger(path)
-    except (OSError, LedgerError) as exc:
-        report.errors.append(str(exc))
-        return report
-    report.torn_tail = torn
     audits = _AuditRecheck(enabled=recheck)
     checkers = (audits, MeterChecker(), RepairChecker(), DynamicChecker())
     dispatch = {kind: checker for checker in checkers for kind in checker.kinds}
-    # (position, problems) per checked entry; a list may still be filled
-    # when the audit recheck flushes the batch the entry was queued in.
+    # (position, problems) per checked entry that has a problem or may
+    # still get one: a queued audit's list is filled when the recheck
+    # flushes its batch.  Settled clean entries are dropped as the walk
+    # goes, so memory stays bounded however long the chain is.
     found: list[tuple[int, list[str]]] = []
 
     def labelled() -> list[str]:
         return [f"entry {position}: {p}" for position, problems in found
                 for p in problems]
 
+    keep = 2 * MAX_RECHECK_BATCH       # prune ``found`` when it grows past this
+    walk = iter_ledger(path)
     prev = GENESIS_PREV
-    for position, entry in enumerate(entries):
+    for position in itertools.count():
+        try:
+            entry = next(walk)
+        except StopIteration as stop:
+            report.torn_tail = stop.value
+            break
+        except (OSError, LedgerError) as exc:
+            # An unreadable chain reports that one error and nothing else,
+            # whatever was walked before it.
+            return LedgerVerification(path=report.path, errors=[str(exc)])
         problem = _chain_break(entry, position, prev)
         if problem is not None:
             audits.flush()
@@ -583,6 +620,11 @@ def verify_ledger(path, expect_head: str | None = None,
         except Exception as exc:
             problems = [f"malformed {kind} record: {exc!r}"]
         found.append((position, problems))
+        if len(found) >= keep:
+            queued = audits.queued()
+            found = [(at, problems) for at, problems in found
+                     if problems or id(problems) in queued]
+            keep = max(keep, 2 * len(found))
     report.head = prev
     for checker in checkers:
         checker.finish(report)

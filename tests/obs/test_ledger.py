@@ -22,6 +22,7 @@ from repro.obs.ledger import (
     Ledger,
     LedgerError,
     entry_hash,
+    iter_ledger,
     ledger_head,
     read_ledger,
     verify_ledger,
@@ -719,3 +720,87 @@ class TestMalformedRecords:
         report = verify_ledger(path)
         assert len(report.errors) == 1
         assert report.errors[0].startswith(f"entry {entry['seq']}: malformed {kind} record:")
+
+
+class TestStreamingWalk:
+    """``verify_ledger`` walks the file one record at a time through
+    ``iter_ledger``; ``read_ledger`` is the same parser as a list."""
+
+    def test_verify_never_reads_the_whole_chain(self, chain, monkeypatch):
+        import repro.obs.ledger as ledger_module
+
+        def whole_file(path):
+            raise AssertionError("verify_ledger must stream, not read_ledger")
+
+        monkeypatch.setattr(ledger_module, "read_ledger", whole_file)
+        path, head = chain
+        report = verify_ledger(path, expect_head=head)
+        assert report.ok, report.errors
+        assert report.entries == CHAIN_LEN and report.head == head
+
+    def test_iter_ledger_yields_the_list_and_returns_the_torn_flag(self, chain, tmp_path):
+        path, _ = chain
+        entries, torn = read_ledger(path)
+        torn_copy = _mutate(path, tmp_path, lambda data: data + b'{"seq": 10')
+        for source, expect_torn in ((path, False), (torn_copy, True)):
+            walk = iter_ledger(source)
+            walked = []
+            with pytest.raises(StopIteration) as stop:
+                while True:
+                    walked.append(next(walk))
+            assert walked == entries and stop.value.value is expect_torn
+        assert torn is False
+
+    def test_unreadable_line_reports_only_itself(self, tmp_path):
+        """Problems already found before the bad line are not reported:
+        the chain behind an unreadable line is unusable as a whole."""
+        path = tmp_path / "spliced.jsonl"
+        ledger = Ledger(path)
+        ledger.ensure_genesis({"scenario": "stream", "seed": 0})
+        ledger.append("repair_slice", {"repair": "r.1", "stripes": 1})
+        for i in range(100):
+            ledger.append("round", {"round": i})
+        assert "spliced" in verify_ledger(path).errors[0]
+        lines = path.read_bytes().splitlines()
+        lines[50] = b"not json"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        report = verify_ledger(path)
+        assert report.errors == ["corrupt ledger record at line 51"]
+        assert report.entries == 0 and report.head == GENESIS_PREV
+        assert report.counts == {} and not report.torn_tail
+
+    def test_early_problem_survives_a_long_walk(self, tmp_path):
+        path = tmp_path / "long.jsonl"
+        ledger = Ledger(path)
+        ledger.ensure_genesis({"scenario": "stream", "seed": 0})
+        ledger.append("repair_slice", {"repair": "r.1", "stripes": 1})
+        for i in range(300):
+            ledger.append("repair_begin", {"repair": f"ok.{i}", "file": "aa", "slot": 0,
+                                           "from": "a", "to": "b", "stripes": 1})
+            ledger.append("repair_failed", {"repair": f"ok.{i}", "reason": "none"})
+        report = verify_ledger(path)
+        assert len(report.errors) == 1
+        assert report.errors[0].startswith("entry 1: repair_slice references")
+        assert report.repairs_checked == 601
+
+    def test_queued_forgery_survives_a_long_walk(self, tmp_path):
+        """A PASS queued under one key stays queued while hundreds of
+        records under another key are rechecked and dropped; its error is
+        still reported, labelled with its own entry."""
+        from repro.core.params import setup
+        from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
+
+        group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
+        params = setup(group, 2, seed=b"ledger-stream")
+        busy, quiet = _Org(params, 1, b"fa"), _Org(params, 2, b"fb")
+        ledger = Ledger(tmp_path / "queued.jsonl")
+        ledger.ensure_genesis({"param_set": "toy-64", "k": params.k,
+                               "setup_seed": params.seed.hex()})
+        ledger.pin_verifier("busy", busy.sem.pk)
+        ledger.pin_verifier("quiet", quiet.sem.pk)
+        forged_at = ledger.append(*quiet.forged("quiet"))["seq"]
+        for _ in range(3 * MAX_RECHECK_BATCH):
+            ledger.append(*busy.audit("busy"))
+        report = verify_ledger(ledger.path)
+        assert report.errors == [f"entry {forged_at}: {TestBatchedRecheck.FORGED}"]
+        assert report.audits_rechecked == 3 * MAX_RECHECK_BATCH + 1
