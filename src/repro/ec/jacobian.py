@@ -19,13 +19,17 @@ Only the curve family the type-A pairing uses is supported:
 nothing here touches :class:`~repro.pairing.interface.GroupElement` or the
 operation counters — callers account for operations at the API boundary.
 
-:func:`jac_msm` picks Straus interleaving (:func:`jac_straus`) below
-:data:`PIPPENGER_THRESHOLD` terms and Pippenger bucketing
-(:func:`jac_pippenger`: signed window digits, each window's buckets summed
-by one :func:`batch_affine_sums` call, the suffix sums of all windows run
-side by side) at or above it.  The same tree kernel sums the fixed-base
-table entries.  :func:`jac_scalar_mul` is the single-point multiplication
-(width-4 NAF), and :func:`affine_add` is the one-inversion affine add.
+:func:`jac_msm` picks interleaved w-NAF Straus (:func:`jac_straus`: every
+term's odd multiples P, 3P, 5P, 7P normalized together, one shared doubling
+chain, one mixed add per nonzero digit) below :data:`PIPPENGER_THRESHOLD`
+terms and Pippenger bucketing (:func:`jac_pippenger`: signed window
+digits, each window's buckets summed by one :func:`batch_affine_sums`
+call, the suffix sums of all windows run side by side) at or above it.
+The threshold and the Pippenger window come from one cost model in field
+multiplications.  The same tree kernel sums the fixed-base table entries.
+:func:`jac_scalar_mul` is the single-point multiplication (the same
+width-4 NAF and odd multiples as Straus, in a one-row loop), and
+:func:`affine_add` is the one-inversion affine add.
 """
 
 from __future__ import annotations
@@ -159,16 +163,38 @@ def _wnaf_digits(scalar, width):
     return digits
 
 
-#: NAF width of :func:`jac_scalar_mul`: digits are odd and in (−8, 8).
+#: NAF width of :func:`jac_scalar_mul` and Straus: digits are odd and in
+#: (−8, 8), so every point needs the odd multiples P, 3P, 5P, 7P.
 _NAF_WIDTH = 4
+
+
+def _odd_multiples(points, q):
+    """The odd multiples P, 3P, …, (2^(w−1) − 1)·P of every affine point
+    (w = :data:`_NAF_WIDTH`), built in Jacobian and normalized for all
+    points with one :func:`batch_normalize`.
+
+    A multiple that is infinity (P of order 3, 5 or 7) comes back as
+    ``None``; (0, 0) gives ``(0, 0)`` for every odd multiple.
+    """
+    jacobians = []
+    for x, y in points:
+        two = jac_double(x, y, 1, q)
+        prev = (x, y, 1)
+        jacobians.append(prev)
+        for _ in range((1 << (_NAF_WIDTH - 2)) - 1):
+            prev = jac_add(prev[0], prev[1], prev[2], two[0], two[1], two[2], q)
+            jacobians.append(prev)
+    flat = batch_normalize(jacobians, q)
+    size = 1 << (_NAF_WIDTH - 2)
+    return [flat[i:i + size] for i in range(0, len(flat), size)]
 
 
 def jac_scalar_mul(point, n, q):
     """``n·point`` for an affine point by width-4 NAF (``None`` = infinity).
 
-    Precomputes P, 3P, 5P, 7P (normalized with one shared inversion), then
-    runs one doubling per digit plus one mixed add of ± a table entry per
-    nonzero digit — about ``bits/5`` adds against ``bits/2`` for binary
+    Precomputes P, 3P, 5P, 7P (:func:`_odd_multiples`), then runs one
+    doubling per digit plus one mixed add of ± a table entry per nonzero
+    digit — about ``bits/5`` adds against ``bits/2`` for binary
     double-and-add.  Correct for any point on the curve, including points
     outside the order-r subgroup: a table entry that is infinity (a point
     of order 3, 5 or 7) is simply skipped.
@@ -178,12 +204,7 @@ def jac_scalar_mul(point, n, q):
     x, y = point
     if n < 0:
         y, n = (-y) % q, -n
-    two = jac_double(x, y, 1, q)
-    odd = [(x, y, 1)]
-    for _ in range((1 << (_NAF_WIDTH - 2)) - 1):
-        prev = odd[-1]
-        odd.append(jac_add(prev[0], prev[1], prev[2], two[0], two[1], two[2], q))
-    plus = batch_normalize(odd, q)
+    plus = _odd_multiples([(x, y)], q)[0]
     minus = [None if pt is None else (pt[0], (-pt[1]) % q) for pt in plus]
     ax, ay, az = JAC_INFINITY
     for digit in reversed(_wnaf_digits(n, _NAF_WIDTH)):
@@ -326,49 +347,72 @@ def batch_affine_sums(lists, q):
 #: Scalar size the dispatch threshold is modeled at: the paper's |r| = 160.
 _MODEL_BITS = 160
 
+# The dispatch model prices each kernel in field multiplications (a
+# squaring counts as one), counted in the kernels above.
+_DOUBLE_MULS = 9  # jac_double
+_ADD_MULS = 16  # jac_add, which builds the odd multiples
+_MIXED_ADD_MULS = 11  # jac_add_mixed
+_NORMALIZE_MULS = 7  # per point of batch_normalize: 3 in batch_inverse, 4 to scale
+_AFFINE_ADD_MULS = 6  # per add of _add_pairs: 3 in batch_inverse, 3 for the sum
+#: One ``pow(z, -1, q)`` in multiplications: 37–46 measured with CPython
+#: on x86-64 at the paper's 512-bit q.  Every batch-affine step shares one.
+_INVERSION_MULS = 40
 
-def _pippenger_op_estimate(n_terms, bits, window):
-    # Signed digits: at most bits // window + 1 windows (the top one takes
-    # the carry), 2^(window−1) buckets, and 2·2^(window−1) collapse adds.
+
+def _pippenger_mul_estimate(n_terms, bits, window):
+    # Signed digits: bits // window + 1 windows (the top one takes the
+    # carry), 2^(window−1) buckets each.  Per window the bucket tree adds
+    # about n_terms points affinely, with one shared inversion for each of
+    # its ~log2(n_terms / 2^(window−1)) + 1 levels; the suffix sums take
+    # 2^window affine steps, each run for all windows with one inversion;
+    # the Horner pass doubles bits times and adds one sum per window.
     windows = bits // window + 1
-    return windows * (n_terms + (1 << window)) + bits
+    levels = max(1, (n_terms >> (window - 1)).bit_length())
+    return (windows * (n_terms * _AFFINE_ADD_MULS + levels * _INVERSION_MULS)
+            + (1 << window) * (windows * _AFFINE_ADD_MULS + _INVERSION_MULS)
+            + bits * _DOUBLE_MULS + windows * _MIXED_ADD_MULS)
 
 
-def _straus_op_estimate(n_terms, bits):
-    # bits doublings + one add per set scalar bit (density 1/2 on average).
-    return bits + (n_terms * bits) // 2
+def _straus_mul_estimate(n_terms, bits):
+    # One shared chain of bits doublings.  Per term: its odd multiples (a
+    # doubling, 2^(w−2) − 1 adds, 2^(w−2) normalized points) and one
+    # mixed add per nonzero w-NAF digit (density 1/(w+1) on average).
+    odd = 1 << (_NAF_WIDTH - 2)
+    per_term = (_DOUBLE_MULS + (odd - 1) * _ADD_MULS + odd * _NORMALIZE_MULS
+                + bits * _MIXED_ADD_MULS // (_NAF_WIDTH + 1))
+    return bits * _DOUBLE_MULS + n_terms * per_term
 
 
 def pippenger_window(n_terms, bits=_MODEL_BITS):
-    """The bucket width minimizing the modeled group-op count for ``n_terms``.
+    """The bucket width minimizing the modeled Pippenger cost for ``n_terms``.
 
-    Per signed window of width ``c`` Pippenger pays ~``n`` bucket
-    insertions plus ``2·2^(c−1)`` collapse additions; there are
-    ``bits // c + 1`` windows plus the shared ``bits`` doublings.  The
-    optimum grows like ``log2(n) − log2(log2(n))``; this just evaluates
-    the model directly.
+    Per signed window of width ``c`` Pippenger pays ~``n`` affine bucket
+    adds plus ``2·2^(c−1)`` suffix-sum adds, and one shared inversion per
+    tree level and per suffix step; there are ``bits // c + 1`` windows
+    plus the shared ``bits`` doublings.  The optimum grows like
+    ``log2(n) − log2(log2(n))``; this just evaluates the model directly.
     """
     if n_terms < 1:
         return 1
     best_c, best_cost = 1, None
     for c in range(1, max(2, bits.bit_length() + 8)):
-        cost = _pippenger_op_estimate(n_terms, bits, c)
+        cost = _pippenger_mul_estimate(n_terms, bits, c)
         if best_cost is None or cost < best_cost:
             best_c, best_cost = c, cost
     return best_c
 
 
 def _modeled_threshold(bits):
-    """Smallest term count where the Pippenger op model beats Straus."""
+    """Smallest term count where the Pippenger model beats Straus."""
     n = 2
-    while (_pippenger_op_estimate(n, bits, pippenger_window(n, bits))
-           >= _straus_op_estimate(n, bits)):
+    while (_pippenger_mul_estimate(n, bits, pippenger_window(n, bits))
+           >= _straus_mul_estimate(n, bits)):
         n += 1
     return n
 
 
 #: Nonzero-term count at or above which :func:`jac_msm` runs Pippenger
-#: (17 at 160 bits; measured wall times cross within a few terms of it).
+#: (45 at 160 bits; measured wall times tie from about 32 to 56 terms).
 PIPPENGER_THRESHOLD = _modeled_threshold(_MODEL_BITS)
 
 
@@ -389,17 +433,29 @@ def _msm_terms(points, scalars, q):
 
 
 def _straus(terms, q):
-    """Straus interleaving: one shared doubling chain, one mixed add per
-    set scalar bit."""
+    """Interleaved width-4 NAF Straus: one shared doubling chain over the
+    longest digit string, one mixed add of ± an odd multiple per nonzero
+    digit of every term.
+
+    The adds are scheduled per digit position first, so the chain itself
+    only walks a list; an odd multiple that is infinity adds nothing.
+    """
     if not terms:
         return None
-    max_bits = max(sc.bit_length() for _, _, sc in terms)
+    tables = _odd_multiples([(x, y) for x, y, _ in terms], q)
+    rows = [_wnaf_digits(sc, _NAF_WIDTH) for _, _, sc in terms]
+    schedule = [[] for _ in range(max(map(len, rows)))]
+    for row, plus in zip(rows, tables):
+        for i, digit in enumerate(row):
+            if digit:
+                pt = plus[abs(digit) >> 1]
+                if pt is not None:
+                    schedule[i].append(pt if digit > 0 else (pt[0], (-pt[1]) % q))
     rx, ry, rz = JAC_INFINITY
-    for bit in range(max_bits - 1, -1, -1):
+    for adds in reversed(schedule):
         rx, ry, rz = jac_double(rx, ry, rz, q)
-        for x, y, sc in terms:
-            if (sc >> bit) & 1:
-                rx, ry, rz = jac_add_mixed(rx, ry, rz, x, y, q)
+        for x, y in adds:
+            rx, ry, rz = jac_add_mixed(rx, ry, rz, x, y, q)
     return jac_to_affine((rx, ry, rz), q)
 
 
@@ -463,7 +519,7 @@ def _pippenger(terms, q, window=None):
 
 
 def jac_straus(points, scalars, q):
-    """``Σ scalars[i]·points[i]`` by Straus interleaving, whatever the size.
+    """``Σ scalars[i]·points[i]`` by w-NAF Straus, whatever the size.
 
     Same arguments and result as :func:`jac_msm`.
     """

@@ -18,6 +18,8 @@ from repro.dynamic import (
     dyn_root_message,
 )
 from repro.dynamic.persist import decode_dynamic_file, encode_dynamic_file
+from repro.ec import jacobian
+from tests.ec.test_msm_property import _binary_straus, spy_msm_kernels
 
 FID = b"doc/alpha"
 
@@ -88,15 +90,20 @@ class TestLifecycle:
 
 
 class TestAdversarial:
-    def test_stale_root_replay_fails(self, tier):
+    def test_stale_root_replay_fails(self, tier, monkeypatch):
         """A proof captured before an update cannot satisfy an auditor
-        whose pin has advanced — epoch, root, and count all moved."""
+        whose pin has advanced — epoch, root, and count all moved — and
+        it dies on the pin: the Eq. 6 check never runs."""
         store, auditor = tier
         challenge = auditor.generate_challenge(FID, sample_size=4)
         stale = store.generate_proof(FID, challenge)
         receipt = store.update(FID, [UpdateOp("modify", 0, b"new")])
         auditor.pin_receipt(receipt)
+        eq6 = []
+        monkeypatch.setattr(auditor.verifier, "verify",
+                            lambda *a: eq6.append(a) or True)
         assert auditor.verify(FID, challenge, stale) is False
+        assert eq6 == []
 
     def test_stale_pin_rejects_fresh_state(self, tier):
         """The dual direction: a cloud that applied an update the TPA
@@ -162,6 +169,24 @@ class TestAdversarial:
         proof = store.generate_proof(FID, challenge)
         assert auditor.verify(FID, challenge, proof) is False
 
+    def test_shifted_alpha_rejected_by_eq6(self, tier, monkeypatch):
+        """A real proof with one α_l + 1 keeps its root signature and rank
+        paths, so it reaches Eq. 6, and Eq. 6 rejects it."""
+        store, auditor = tier
+        challenge = auditor.generate_challenge(FID, sample_size=4)
+        proof = store.generate_proof(FID, challenge)
+        alphas = list(proof.response.alphas)
+        alphas[1] = (alphas[1] + 1) % auditor.params.order
+        shifted = dataclasses.replace(proof, response=dataclasses.replace(
+            proof.response, alphas=tuple(alphas)))
+        eq6 = []
+        real = auditor.verifier.verify
+        monkeypatch.setattr(auditor.verifier, "verify",
+                            lambda *a: eq6.append(real(*a)) or eq6[-1])
+        assert auditor.verify(FID, challenge, proof) is True
+        assert auditor.verify(FID, challenge, shifted) is False
+        assert eq6 == [True, False]
+
     def test_forged_root_signature_fails(self, tier, params_k4, rng):
         store, auditor = tier
         challenge = auditor.generate_challenge(FID, sample_size=2)
@@ -187,6 +212,39 @@ class TestAdversarial:
         seen = {entry.blinded.to_bytes() for entry in store.sem.transcript}
         assert seen
         assert not unblinded & seen
+
+
+class TestAuditKernels:
+    """A c = 8 dynamic audit stays below ``PIPPENGER_THRESHOLD``: its
+    ProofGen σ and its Eq. 6 χ run the w-NAF Straus kernel, and they give
+    what the binary Straus kernel it replaced gave."""
+
+    def test_c8_audit_runs_straus(self, tier, monkeypatch):
+        store, auditor = tier
+        challenge = auditor.generate_challenge(FID, sample_size=8)
+        calls = spy_msm_kernels(monkeypatch)
+        proof = store.generate_proof(FID, challenge)
+        assert calls == [("_straus", 8)]
+        calls.clear()
+        assert auditor.verify(FID, challenge, proof) is True
+        assert calls and {name for name, _ in calls} == {"_straus"}
+        assert max(terms for _, terms in calls) >= 8
+
+    def test_same_proofs_and_verdicts_as_binary_straus(self, tier, monkeypatch):
+        store, auditor = tier
+        bad = b"doc/beta"
+        auditor.pin_receipt(store.create(bad, [b"other-%02d" % i for i in range(8)]))
+        store.tamper_block(bad, 5)
+        audits = [(fid, auditor.generate_challenge(fid, sample_size=8))
+                  for fid in (FID, bad)]
+        runs = []
+        for kernel in (jacobian._straus, _binary_straus):
+            monkeypatch.setattr(jacobian, "_straus", kernel)
+            proofs = [store.generate_proof(fid, ch) for fid, ch in audits]
+            runs.append((proofs, [auditor.verify(fid, ch, proof) for (fid, ch), proof
+                                  in zip(audits, proofs)]))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == [True, False]
 
 
 class TestPersist:

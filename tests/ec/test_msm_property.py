@@ -1,5 +1,5 @@
-"""Property tests: Straus, Pippenger and the ``jac_msm`` dispatch agree
-with a per-term double-and-add oracle on every input.
+"""Property tests: w-NAF Straus, Pippenger and the ``jac_msm`` dispatch
+agree with a per-term double-and-add oracle on every input.
 
 Points are on the type-A toy-64 curve y² = x³ + x: order-r G1 points and
 points outside G1 — (0, 0) of order 2 and raw try-and-increment points
@@ -7,8 +7,12 @@ with no cofactor clearing, which ``hashed_pairing_check`` feeds in.  Inputs
 cover negative and zero scalars, identity points, a single term,
 duplicated points, explicit windows, all-max-digit scalars, term counts
 on both sides of :data:`~repro.ec.jacobian.PIPPENGER_THRESHOLD` and the
-audit's 460.  The tree kernel ``batch_affine_sums`` under Pippenger and
-the fixed-base sums is checked against an ``affine_add`` fold.
+audit's 460.  Straus also meets every size below the threshold, scalars
+of mixed lengths, a test-80 point of order 3 (whose 3P is infinity) and
+the binary Straus kernel it replaced (``_binary_straus``, which the
+protocol-level tests swap in to show unchanged proofs and verdicts).
+The tree kernel ``batch_affine_sums`` under Pippenger and the fixed-base
+sums is checked against an ``affine_add`` fold.
 """
 
 import random
@@ -231,19 +235,121 @@ class TestValidation:
             jac_pippenger(points, [3], Q, window=0)
 
 
+def _binary_straus(terms, q):
+    """The binary Straus kernel that the w-NAF one replaced, kept as an
+    oracle with ``_straus``'s signature: one mixed add per set bit."""
+    if not terms:
+        return None
+    rx, ry, rz = jacobian.JAC_INFINITY
+    for bit in range(max(sc.bit_length() for _, _, sc in terms) - 1, -1, -1):
+        rx, ry, rz = jacobian.jac_double(rx, ry, rz, q)
+        for x, y, sc in terms:
+            if (sc >> bit) & 1:
+                rx, ry, rz = jacobian.jac_add_mixed(rx, ry, rz, x, y, q)
+    return jacobian.jac_to_affine((rx, ry, rz), q)
+
+
+def spy_msm_kernels(monkeypatch):
+    """Record ``(kernel, nonzero terms)`` for every ``_straus`` and
+    ``_pippenger`` call that ``jac_msm`` makes from now on."""
+    calls = []
+    for name in ("_straus", "_pippenger"):
+        real = getattr(jacobian, name)
+        monkeypatch.setattr(jacobian, name, lambda t, q, *a, _r=real, _n=name:
+                            calls.append((_n, len(t))) or _r(t, q, *a))
+    return calls
+
+
+class TestWnafStraus:
+    """The interleaved width-4 NAF Straus kernel below the threshold."""
+
+    def test_every_size_below_threshold(self):
+        rng = random.Random(25)
+        points = _points(PIPPENGER_THRESHOLD - 1, rng)
+        scalars = [rng.randrange(-R, R) for _ in points]
+        expected = None
+        for n in range(1, PIPPENGER_THRESHOLD):
+            expected = affine_add(
+                expected, _oracle_scalar_mul(Q, points[n - 1], scalars[n - 1]), Q)
+            assert jac_straus(points[:n], scalars[:n], Q) == expected, n
+            assert jac_pippenger(points[:n], scalars[:n], Q) == expected, n
+
+    def test_mixed_scalar_lengths(self):
+        """1-bit, 2-bit, 64-bit, full-size, unreduced (up to q) and
+        negative scalars in one call: the digit strings differ in length."""
+        rng = random.Random(26)
+        scalars = [1, 3, 2, -2, rng.getrandbits(64), R - 1, rng.randrange(R, Q),
+                   Q, -rng.getrandbits(64), -(R - 1), -1, (1 << 64) - 1]
+        points = _points(len(scalars), rng)
+        _assert_all_agree(points, scalars)
+        assert (jac_straus(points, scalars, Q)
+                == _binary_straus(jacobian._msm_terms(points, scalars, Q), Q))
+
+    def test_odd_multiples_at_infinity(self):
+        """A point of order 3 (test-80 has one) makes 3P infinity and (0, 0)
+        makes every odd multiple itself; the skipped entries add nothing."""
+        group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["test-80"])
+        q, r, h = group.q, group.order, group.params.h
+        order3 = next(pt for pt in (
+            _oracle_scalar_mul(q, group._hash_to_curve(b"order-3 %d" % i), h * r // 3)
+            for i in range(20)) if pt is not None)
+        assert _oracle_scalar_mul(q, order3, 3) is None
+        plus = jacobian._odd_multiples([order3, (0, 0)], q)
+        assert plus[0] == [order3, None, _oracle_scalar_mul(q, order3, 5), order3]
+        assert plus[1] == [(0, 0)] * 4
+        raw = group._hash_to_curve(b"order-3 raw")
+        points = [order3, (0, 0), raw, order3, group.g1().point, (0, 0)]
+        rng = random.Random(27)
+        for scalars in ([3, 3, 3, 3, 3, 3], [5, 7, -3, 13, 3, 9],
+                        [rng.randrange(-r, h * r) for _ in points]):
+            expected = None
+            for pt, sc in zip(points, scalars):
+                expected = affine_add(expected, _oracle_scalar_mul(q, pt, sc), q)
+            assert jac_straus(points, scalars, q) == expected, scalars
+            for pt, sc in zip(points, scalars):
+                assert jac_straus([pt], [sc], q) == _oracle_scalar_mul(q, pt, sc)
+
+    def test_equal_and_opposite_points(self):
+        """P twice and P next to −P in one call: the shared chain meets a
+        doubling and a cancellation inside its mixed adds."""
+        rng = random.Random(28)
+        p = GROUP.random_g1(rng).point
+        minus_p = (p[0], (-p[1]) % Q)
+        raw = GROUP._hash_to_curve(b"twins")
+        points = [p, p, minus_p, raw, raw, (0, 0)]
+        for scalars in ([5, 5, 5, 1, 2, 3], [7, -7, 7, 3, -3, 1],
+                        [R - 1, 1, R - 1, 1 << 40, (1 << 40) + 1, 2],
+                        [rng.randrange(R) for _ in points]):
+            _assert_all_agree(points, scalars)
+        assert jac_straus([p, minus_p], [9, 9], Q) is None
+        assert jac_straus([p, p], [3, 5], Q) == _oracle_scalar_mul(Q, p, 8)
+
+    @pytest.mark.slow
+    def test_paper_160_cell(self, paper_group):
+        """One 12-term cell at the paper's parameters, a raw point included."""
+        rng = random.Random(29)
+        q = paper_group.q
+        points = [paper_group.random_g1(rng).point for _ in range(11)]
+        points.append(paper_group._hash_to_curve(b"paper-160 raw"))
+        scalars = [paper_group.random_nonzero_scalar(rng) for _ in points]
+        scalars[3] = -scalars[3]
+        expected = None
+        for pt, sc in zip(points, scalars):
+            expected = affine_add(expected, _oracle_scalar_mul(q, pt, sc), q)
+        assert jac_straus(points, scalars, q) == expected
+        assert jac_pippenger(points, scalars, q) == expected
+        assert jac_msm(points, scalars, q) == expected
+
+
 class TestCrossoverDispatch:
     def test_modeled_crossover_is_sane(self):
-        assert PIPPENGER_THRESHOLD == 17  # the op-count model at 160 bits
+        assert PIPPENGER_THRESHOLD == 45  # the field-multiplication model at 160 bits
         assert jacobian._modeled_threshold(160) == PIPPENGER_THRESHOLD
 
     def test_dispatch_agrees_on_both_sides(self, monkeypatch):
-        """Nonzero terms decide: 16 run Straus, 17 run Pippenger, also when
+        """Nonzero terms decide: 44 run Straus, 45 run Pippenger, also when
         zero-scalar and identity terms pad the input past the threshold."""
-        calls = []
-        for name in ("_straus", "_pippenger"):
-            real = getattr(jacobian, name)
-            monkeypatch.setattr(jacobian, name, lambda t, q, *a, _r=real, _n=name:
-                                calls.append((_n, len(t))) or _r(t, q, *a))
+        calls = spy_msm_kernels(monkeypatch)
         rng = random.Random(16)
         for nonzero, padding, algorithm in (
             (PIPPENGER_THRESHOLD - 1, 0, "_straus"),
@@ -262,6 +368,7 @@ class TestCrossoverDispatch:
         for n in (1, 10, 100, 1000, 10000):
             assert pippenger_window(n) >= 1
         assert pippenger_window(10000) >= pippenger_window(10)
+        assert pippenger_window(460) == 7  # the paper's c, the audit workload
 
 
 class TestJacobianBackend:

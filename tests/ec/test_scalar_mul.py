@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from repro.ec.jacobian import _wnaf_digits, affine_add, jac_msm, jac_scalar_mul
+from repro.ec.jacobian import (
+    _wnaf_digits,
+    affine_add,
+    jac_msm,
+    jac_scalar_mul,
+    jac_straus,
+)
 from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
 from tests.ec.test_projective_paths import _oracle_scalar_mul
 
@@ -61,6 +67,17 @@ class TestWnafMul:
 
     def test_negative(self):
         assert jac_scalar_mul(P_BASE, -17, Q) == _mul(-17)
+
+    def test_matches_one_term_straus(self):
+        """The single-row loop and the interleaved kernel share the odd
+        multiples and the digits, so one term gives the same point."""
+        rng = random.Random(4)
+        for point in (P_BASE, GROUP._hash_to_curve(b"one-term"), (0, 0)):
+            for n in (1, -1, 2, 3, 7, 8, -9, 255, GROUP.order - 1, GROUP.order,
+                      GROUP.q, rng.getrandbits(64), -rng.getrandbits(40)):
+                want = _mul(n, point)
+                assert jac_scalar_mul(point, n, Q) == want, (point, n)
+                assert jac_straus([point], [n], Q) == want, (point, n)
 
     @pytest.mark.parametrize("width", [2, 3, 4, 6])
     def test_widths(self, width):

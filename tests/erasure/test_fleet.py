@@ -15,7 +15,9 @@ import pytest
 from repro.erasure.fleet import ServerUnavailable, SliceVerdict, build_demo_fleet
 from repro.erasure.placement import slice_file_id
 from repro.obs.ledger import Ledger, audit_record, verify_ledger
+from repro.ec import jacobian
 from repro.pairing.interface import OperationCounter
+from tests.ec.test_msm_property import _binary_straus, spy_msm_kernels
 
 PAYLOAD = b"fleet payload shared across coded slots " * 6
 FILE = b"fleet-file"
@@ -161,6 +163,39 @@ class TestRepair:
         assert len(report.completed) == 1 and len(report.unrecoverable) == 1
         servers = fleet.placements.get(FILE).servers
         assert len(set(servers)) == len(servers)  # never doubled up
+
+
+class TestRepairKernels:
+    """The re-audit of a rebuilt 5-block slice stays below
+    ``PIPPENGER_THRESHOLD``: it runs the w-NAF Straus kernel and records
+    what the binary Straus kernel it replaced recorded."""
+
+    @staticmethod
+    def _lose_one_server(path):
+        ledger = Ledger(path=path)
+        fleet = _fleet(ledger=ledger)
+        fleet.set_online("cloud-s1", False)
+        fleet.audit_round()
+        return fleet, ledger
+
+    def test_five_block_reaudit_runs_straus(self, tmp_path, monkeypatch):
+        fleet, _ = self._lose_one_server(tmp_path / "fleet.jsonl")
+        assert fleet.placements.get(FILE).stripes == 5
+        calls = spy_msm_kernels(monkeypatch)
+        report = fleet.repair()
+        assert report.reaudits_passed == 1
+        assert ("_straus", 5) in calls  # the re-audit's ProofGen σ
+        assert {name for name, _ in calls} == {"_straus"}
+
+    def test_same_ledger_as_binary_straus(self, tmp_path, monkeypatch):
+        heads = []
+        for kernel in (jacobian._straus, _binary_straus):
+            monkeypatch.setattr(jacobian, "_straus", kernel)
+            path = tmp_path / ("%s.jsonl" % kernel.__name__)
+            fleet, ledger = self._lose_one_server(path)
+            assert fleet.repair().reaudits_passed == 1
+            heads.append((ledger.head()["hash"], path.read_bytes()))
+        assert heads[0] == heads[1]
 
 
 class TestCrashResume:
