@@ -895,18 +895,6 @@ def _bench_suites(args) -> list[str]:
     return [args.suite]
 
 
-def _term_counts(text: str) -> list[int]:
-    """``--msm-terms``: one term count or a comma-separated list of them."""
-    try:
-        counts = [int(part) for part in text.split(",")]
-    except ValueError:
-        counts = []
-    if not counts or min(counts) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected positive term counts like 5,12,32, got {text!r}")
-    return counts
-
-
 def _bench_options(args) -> dict:
     """Suite scaling knobs from the command line (unset flags omitted)."""
     options = {}
@@ -1643,9 +1631,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="challenge size for the audit suite")
         bp.add_argument("--blocks", type=int, default=None, metavar="N",
                         help="blocks to sign for the audit suite")
-        bp.add_argument("--msm-terms", type=_term_counts, default=None,
-                        metavar="N[,N...]",
-                        help="extra term counts to probe in the msm suite")
+        bp.add_argument("--msm-terms", type=int, default=None, metavar="N",
+                        help="extra term count to probe in the msm suite")
         bp.add_argument("--bench-param-set", default=None, metavar="NAME",
                         help="override the suite's curve parameter set")
 

@@ -27,9 +27,8 @@ digits, each window's buckets summed by one :func:`batch_affine_sums`
 call, the suffix sums of all windows run side by side) at or above it.
 The threshold and the Pippenger window come from one cost model in field
 multiplications.  The same tree kernel sums the fixed-base table entries.
-:func:`jac_scalar_mul` is the single-point multiplication (the same
-width-4 NAF and odd multiples as Straus, in a one-row loop), and
-:func:`affine_add` is the one-inversion affine add.
+:func:`jac_scalar_mul` is one-term Straus, and :func:`affine_add` is the
+one-inversion affine add.
 """
 
 from __future__ import annotations
@@ -192,28 +191,14 @@ def _odd_multiples(points, q):
 def jac_scalar_mul(point, n, q):
     """``n·point`` for an affine point by width-4 NAF (``None`` = infinity).
 
-    Precomputes P, 3P, 5P, 7P (:func:`_odd_multiples`), then runs one
-    doubling per digit plus one mixed add of ± a table entry per nonzero
-    digit — about ``bits/5`` adds against ``bits/2`` for binary
-    double-and-add.  Correct for any point on the curve, including points
-    outside the order-r subgroup: a table entry that is infinity (a point
-    of order 3, 5 or 7) is simply skipped.
+    The one-term case of :func:`jac_straus`: P, 3P, 5P, 7P
+    (:func:`_odd_multiples`), then one doubling per digit plus one mixed
+    add of ± a table entry per nonzero digit — about ``bits/5`` adds
+    against ``bits/2`` for binary double-and-add.  Correct for any point on
+    the curve, including points outside the order-r subgroup: a table
+    entry that is infinity (a point of order 3, 5 or 7) is simply skipped.
     """
-    if point is None or n == 0:
-        return None
-    x, y = point
-    if n < 0:
-        y, n = (-y) % q, -n
-    plus = _odd_multiples([(x, y)], q)[0]
-    minus = [None if pt is None else (pt[0], (-pt[1]) % q) for pt in plus]
-    ax, ay, az = JAC_INFINITY
-    for digit in reversed(_wnaf_digits(n, _NAF_WIDTH)):
-        ax, ay, az = jac_double(ax, ay, az, q)
-        if digit:
-            pt = plus[digit >> 1] if digit > 0 else minus[-digit >> 1]
-            if pt is not None:
-                ax, ay, az = jac_add_mixed(ax, ay, az, pt[0], pt[1], q)
-    return jac_to_affine((ax, ay, az), q)
+    return jac_straus([point], [n], q)
 
 
 def batch_inverse(values, q):

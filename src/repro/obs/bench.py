@@ -399,12 +399,11 @@ def _suite_chaos(repeats: int, options: dict) -> tuple[list[dict], dict]:
 
 
 def _suite_msm(repeats: int, options: dict) -> tuple[list[dict], dict]:
-    """Straus vs Pippenger head-to-head at the sizes the protocol runs.
+    """Straus vs Pippenger head-to-head at small and audit-scale term counts.
 
-    5 and 12 terms are a repair re-audit and a c = 8 dynamic audit, 32 is
-    the upload's Eq. 7 and 460 the audit's; one term either side of
-    :data:`~repro.ec.jacobian.PIPPENGER_THRESHOLD` covers both sides of
-    the ``jac_msm`` dispatch.
+    Every cell times both kernels directly, whichever side of
+    :data:`~repro.ec.jacobian.PIPPENGER_THRESHOLD` (modeled at 160-bit
+    scalars; the default toy-64 has 64-bit ones) ``jac_msm`` would put it.
 
     One phase per (algorithm, size) cell; the Pippenger phases carry a
     ``speedup_x`` scalar relative to Straus at the same size.  Each cell
@@ -413,8 +412,8 @@ def _suite_msm(repeats: int, options: dict) -> tuple[list[dict], dict]:
     tallies are identical by construction and the regression gate only
     watches the wall-clock trend.
 
-    Options: ``param_set`` (default ``toy-64``), ``msm_terms`` (a list
-    of extra sizes to probe on top of the defaults).
+    Options: ``param_set`` (default ``toy-64``), ``msm_terms`` (a single
+    extra size to probe on top of the defaults).
     """
     import random
 
@@ -422,8 +421,11 @@ def _suite_msm(repeats: int, options: dict) -> tuple[list[dict], dict]:
     from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
 
     param_set = str(options.get("param_set") or "toy-64")
-    sizes = sorted({5, 12, 24, 32, 64, 460, 1000, PIPPENGER_THRESHOLD - 1,
-                    PIPPENGER_THRESHOLD + 1, *(options.get("msm_terms") or ())})
+    sizes = [24, 64, 460, 1000]
+    extra = options.get("msm_terms")
+    if extra and int(extra) not in sizes:
+        sizes.append(int(extra))
+    sizes.sort()
     group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[param_set])
     rng = random.Random(47)
     points = [group.random_g1(rng).point for _ in range(max(sizes))]

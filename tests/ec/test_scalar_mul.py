@@ -69,8 +69,9 @@ class TestWnafMul:
         assert jac_scalar_mul(P_BASE, -17, Q) == _mul(-17)
 
     def test_matches_one_term_straus(self):
-        """The single-row loop and the interleaved kernel share the odd
-        multiples and the digits, so one term gives the same point."""
+        """``jac_scalar_mul`` is one-term Straus: both land on the
+        double-and-add point for raw points, (0, 0) and unreduced or
+        negative scalars."""
         rng = random.Random(4)
         for point in (P_BASE, GROUP._hash_to_curve(b"one-term"), (0, 0)):
             for n in (1, -1, 2, 3, 7, 8, -9, 255, GROUP.order - 1, GROUP.order,

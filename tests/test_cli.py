@@ -282,18 +282,6 @@ class TestBench:
                      "--results-dir", str(tmp_path / "results"),
                      "--baseline", str(run_file)]) == 0
 
-    def test_msm_terms_takes_a_list(self, tmp_path):
-        assert main(["bench", "run", "--suite", "msm", "--repeats", "1",
-                     "--msm-terms", "3,7,12",
-                     "--trajectory-dir", str(tmp_path),
-                     "--results-dir", str(tmp_path / "results")]) == 0
-        run = json.loads((tmp_path / "BENCH_msm.json").read_text())["runs"][-1]
-        assert {3, 7, 12} <= set(run["config"]["sizes"])
-        assert "straus.7" in {phase["name"] for phase in run["phases"]}
-        for bad in ("3,x", "0", ""):
-            with pytest.raises(SystemExit):
-                main(["bench", "run", "--suite", "msm", "--msm-terms", bad])
-
     def test_unknown_suite_is_a_usage_error(self, tmp_path):
         assert main(["bench", "run", "--suite", "bogus",
                      "--trajectory-dir", str(tmp_path),
