@@ -37,7 +37,6 @@ from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
 STATE_FILE = "state.json"
 CLOUD_DIR = "cloud"
 OBS_DIR = "obs"
-PRECOMPUTE_DIR = "precompute"
 LAST_RUN_FILE = "last_run.json"
 LAST_SLO_FILE = "last_slo.json"
 LEDGER_FILE = "ledger.jsonl"
@@ -82,26 +81,19 @@ def build_runtime(state: dict):
     return params, sem, cloud, verifier
 
 
-def _make_pool(args, root: Path, params, obs):
+def _make_pool(args, params, obs):
     """A worker pool for ``--workers N`` (N > 1), or ``None``.
 
-    Workers load the u_1..u_k tables from the deployment's precompute
-    cache (``<state-dir>/precompute``) instead of rebuilding them per
-    process, and build their g and pk blinding tables in memory.  An
-    owner given the same cache then signs with the same lookups at any
-    worker count: results and raw op tallies are identical.
+    Each worker builds its u_1..u_k, g and pk tables in memory, as the
+    owner does, so the owner signs with the same lookups at any worker
+    count: results and raw op tallies are identical.
     """
     workers = getattr(args, "workers", 1) or 1
     if workers <= 1:
         return None
     from repro.core.parallel import WorkerPool
 
-    return WorkerPool(
-        params,
-        workers,
-        table_cache_dir=root / PRECOMPUTE_DIR,
-        tracer=obs.tracer if obs.enabled else None,
-    )
+    return WorkerPool(params, workers, tracer=obs.tracer if obs.enabled else None)
 
 
 def _blob_path(root: Path, file_id: str) -> Path:
@@ -355,9 +347,8 @@ def cmd_upload(args) -> int:
     data = Path(args.path).read_bytes()
     obs = _make_obs()
     obs.observe_group(params.group)
-    pool = _make_pool(args, root, params, obs)
-    owner = DataOwner(params, sem.pk, credential=credential, pool=pool,
-                      table_cache_dir=root / PRECOMPUTE_DIR)
+    pool = _make_pool(args, params, obs)
+    owner = DataOwner(params, sem.pk, credential=credential, pool=pool)
     try:
         with obs.tracer.span("upload", bytes=len(data)):
             with obs.tracer.span("sign", optimized=not args.no_batch) as span:
@@ -404,7 +395,7 @@ def cmd_audit(args) -> int:
     from repro.obs import bind_verifier_cache
 
     bind_verifier_cache(obs.registry, verifier)
-    pool = _make_pool(args, root, params, obs)
+    pool = _make_pool(args, params, obs)
     cloud.pool = pool
     verifier.pool = pool
     ledger = _deployment_ledger(root, state, sem.pk)
@@ -473,13 +464,12 @@ def cmd_tamper(args) -> int:
 # Dynamic files (rank-authenticated updates, batched re-signing)
 # ---------------------------------------------------------------------------
 
-def _dynamic_owner(root: Path, params, sem, state: dict, member: str) -> DataOwner:
+def _dynamic_owner(params, sem, state: dict, member: str) -> DataOwner:
     token = state["members"].get(member)
     if token is None:
         raise CliError(f"member {member!r} is not enrolled")
     credential = MemberCredential(token=bytes.fromhex(token))
-    return DataOwner(params, sem.pk, credential=credential,
-                     table_cache_dir=root / PRECOMPUTE_DIR)
+    return DataOwner(params, sem.pk, credential=credential)
 
 
 def _pin_dynamic(state: dict, file_id: str, receipt) -> None:
@@ -507,7 +497,7 @@ def cmd_dynamic_create(args) -> int:
     chunks = [data[i:i + chunk_bytes] for i in range(0, len(data), chunk_bytes)]
     if not chunks:
         raise CliError(f"{args.path} is empty")
-    owner = _dynamic_owner(root, params, sem, state, args.member)
+    owner = _dynamic_owner(params, sem, state, args.member)
     ledger = _deployment_ledger(root, state, sem.pk)
     store = DynamicStore(params, sem, owner, ledger=ledger)
     receipt = store.create(args.file_id.encode(), chunks)
@@ -567,7 +557,7 @@ def cmd_update(args) -> int:
     state = load_state(root)
     params, sem, _, _ = build_runtime(state)
     ops = _parse_update_ops(args)
-    owner = _dynamic_owner(root, params, sem, state, args.member)
+    owner = _dynamic_owner(params, sem, state, args.member)
     ledger = _deployment_ledger(root, state, sem.pk)
     store = DynamicStore(params, sem, owner, ledger=ledger)
     store.adopt(_load_dynamic(root, params, args.file_id))

@@ -33,7 +33,7 @@ from repro.crypto.blind_bls import (
 )
 from repro.crypto.symmetric import chacha20_decrypt, chacha20_encrypt
 from repro.ec import fixed_base
-from repro.ec.precompute import build_tables_fast, load_or_build
+from repro.ec.fixed_base import FixedBaseTable
 from repro.pairing.interface import GroupElement
 
 
@@ -80,10 +80,6 @@ class DataOwner:
     :func:`~repro.crypto.blind_bls.unblind` are the reference.
 
     Args:
-        table_cache_dir: load/persist the u_1..u_k tables via the
-            :mod:`repro.ec.precompute` disk cache instead of building
-            them.  The g and pk tables are always built in memory:
-            blindness never rests on a file.
         pool: a :class:`~repro.core.parallel.WorkerPool`; block
             aggregation/blinding, Eq. 7 batch verification, and unblinding
             then fan out across its workers, which build the same tables,
@@ -94,8 +90,7 @@ class DataOwner:
     """
 
     def __init__(self, params: SystemParams, sem_pk: GroupElement, credential=None,
-                 rng=None, use_fixed_base: bool = True,
-                 table_cache_dir=None, pool=None):
+                 rng=None, use_fixed_base: bool = True, pool=None):
         if use_fixed_base is not True:
             raise ValueError("every owner signs through fixed-base tables; "
                              "use_fixed_base can only be True")
@@ -107,8 +102,9 @@ class DataOwner:
         self.stats = OwnerStats()
         self.pool = pool
         bits = params.order.bit_length()
-        self._u_tables, _ = load_or_build(table_cache_dir, self.group, list(params.u), bits)
-        self._g1_table, self._pk_table = build_tables_fast([self.group.g1(), sem_pk], bits)
+        self._u_tables = [FixedBaseTable(u, bits) for u in params.u]
+        self._g1_table = FixedBaseTable(self.group.g1(), bits)
+        self._pk_table = FixedBaseTable(sem_pk, bits)
 
     # -- single-block primitives (the paper's algorithms, through tables) -----
     def aggregate(self, block: Block) -> GroupElement:

@@ -29,10 +29,9 @@ inherits the parent's imports cheaply) and receive the system parameters
 once via the pool initializer.  Like a
 :class:`~repro.core.owner.DataOwner`, a worker aggregates, blinds and
 unblinds through fixed-base tables for u_1..u_k, g and pk, so it tallies
-the same lookups at any worker count.  It builds them on its first blind
-or unblind task, outside the task's op delta (an audit-only pool builds
-none): the u-tables from the pool's ``table_cache_dir``
-(:mod:`repro.ec.precompute`) when one is set, g and pk always in memory.
+the same lookups at any worker count.  It builds them in memory on its
+first blind or unblind task, outside the task's op delta (an audit-only
+pool builds none).
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ import os
 from repro.core.blocks import Block
 from repro.core.params import SystemParams
 from repro.crypto.blind_bls import BlindingState, fixed_base_powers, unblind_batch
-from repro.ec.fixed_base import aggregate_with_tables
-from repro.ec.precompute import build_tables_fast, load_or_build
+from repro.ec.fixed_base import FixedBaseTable, aggregate_with_tables
 from repro.obs.tracer import NULL_TRACER
 from repro.pairing.interface import GroupElement, OperationCounter
 
@@ -89,13 +87,12 @@ def default_workers() -> int:
 # Worker-side task functions (must be module-level for pickling)
 # ---------------------------------------------------------------------------
 
-def _init_worker(params: SystemParams, table_cache_dir) -> None:
+def _init_worker(params: SystemParams) -> None:
     group = params.group
     counter = OperationCounter()
     group.attach_counter(counter)
     _WORKER.clear()
-    _WORKER.update(params=params, group=group, counter=counter,
-                   table_cache_dir=table_cache_dir, tables={})
+    _WORKER.update(params=params, group=group, counter=counter, tables={})
 
 
 def _table(key, build):
@@ -107,21 +104,16 @@ def _table(key, build):
 
 
 def _u_tables():
-    """The u_1..u_k tables, from the pool's cache directory if it has one."""
+    """The u_1..u_k tables."""
     params = _WORKER["params"]
-    return _table("u", lambda: load_or_build(
-        _WORKER["table_cache_dir"], params.group, list(params.u),
-        params.order.bit_length())[0])
+    bits = params.order.bit_length()
+    return _table("u", lambda: [FixedBaseTable(u, bits) for u in params.u])
 
 
 def _base_table(base: GroupElement):
-    """The table for a blinding base (g, or one SEM key pk).
-
-    Always built in memory, never loaded from the cache: blindness must
-    not rest on a file.
-    """
+    """The table for a blinding base (g, or one SEM key pk)."""
     bits = _WORKER["params"].order.bit_length()
-    return _table(base.point, lambda: build_tables_fast([base], bits)[0])
+    return _table(base.point, lambda: FixedBaseTable(base, bits))
 
 
 def _delta_since(before):
@@ -191,9 +183,6 @@ class WorkerPool:
         params: the system parameters every worker needs.
         workers: process count; ``<= 1`` makes every method run inline in
             the parent (identical results and op counts, no processes).
-        table_cache_dir: when given, workers load the u_1..u_k fixed-base
-            tables from this :mod:`repro.ec.precompute` cache instead of
-            building them per process.
         tracer: an :class:`~repro.obs.tracer.Tracer`; each fan-out merges
             every worker's op delta inside a ``<task>.worker`` span so
             traces show per-worker cost.
@@ -203,13 +192,11 @@ class WorkerPool:
         self,
         params: SystemParams,
         workers: int,
-        table_cache_dir=None,
         tracer=None,
     ):
         self.params = params
         self.group = params.group
         self.workers = max(1, int(workers))
-        self.table_cache_dir = table_cache_dir
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._pool = None
 
@@ -223,7 +210,7 @@ class WorkerPool:
             self._pool = ctx.Pool(
                 processes=self.workers,
                 initializer=_init_worker,
-                initargs=(self.params, self.table_cache_dir),
+                initargs=(self.params,),
             )
         return self._pool
 

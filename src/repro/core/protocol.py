@@ -66,7 +66,6 @@ class SemPdpSystem:
         self.obs = obs if obs is not None else NULL_OBS
         self.obs.observe_group(params.group)
         self.pool = None
-        self.table_cache_dir = None
 
     def close(self) -> None:
         """Release the shared worker pool, if any (idempotent)."""
@@ -91,7 +90,6 @@ class SemPdpSystem:
         rng=None,
         obs=None,
         workers: int = 1,
-        table_cache_dir=None,
     ) -> "SemPdpSystem":
         """Stand up a full deployment.
 
@@ -112,9 +110,6 @@ class SemPdpSystem:
                 proofs stay bit-identical and op tallies exactly equal to a
                 single-process run.  Call :meth:`close` (or use the system
                 as a context manager) to release the processes.
-            table_cache_dir: persist the u_1..u_k fixed-base tables via
-                :mod:`repro.ec.precompute` here; owners and pool workers
-                load them instead of rebuilding.
         """
         obs = obs if obs is not None else NULL_OBS
         obs.observe_group(group)
@@ -136,12 +131,7 @@ class SemPdpSystem:
             if workers > 1:
                 from repro.core.parallel import WorkerPool
 
-                pool = WorkerPool(
-                    params,
-                    workers,
-                    table_cache_dir=table_cache_dir,
-                    tracer=obs.tracer,
-                )
+                pool = WorkerPool(params, workers, tracer=obs.tracer)
             cloud = CloudServer(
                 params, org_pk=org_pk, verify_on_upload=verify_on_upload,
                 rng=rng, pool=pool,
@@ -158,7 +148,6 @@ class SemPdpSystem:
             obs=obs,
         )
         system.pool = pool
-        system.table_cache_dir = table_cache_dir
         return system
 
     @property
@@ -169,9 +158,8 @@ class SemPdpSystem:
     def enroll(self, member_id: str) -> DataOwner:
         """Enroll a member and hand back a ready-to-use :class:`DataOwner`.
 
-        The owner shares the system's worker pool and fixed-base table
-        cache, so uploads parallelize whenever the system was created with
-        ``workers > 1``.
+        The owner shares the system's worker pool, so uploads parallelize
+        whenever the system was created with ``workers > 1``.
         """
         credential = self.manager.join(member_id)
         return DataOwner(
@@ -179,7 +167,6 @@ class SemPdpSystem:
             self.org_pk,
             credential=credential,
             rng=self._rng,
-            table_cache_dir=self.table_cache_dir,
             pool=self.pool,
         )
 

@@ -17,8 +17,9 @@ on the type-A backend that is pairwise affine adds with one shared field
 inversion per tree level.  :func:`aggregate_with_tables` sums the hashed
 point and every table's entries for a block in one call, and
 :meth:`FixedBaseTable.powers` sums many powers' entries in one call, so
-the tree levels are shared.  Works on any
-:class:`~repro.pairing.interface.GroupElement`; see the
+the tree levels are shared.  Both the build (:mod:`repro.ec.jacobian`
+formulas) and the sums (the ``_sums`` hook) are type-A G1 arithmetic, so
+the bases must be type-A G1 elements; see the
 ``test_ablation_fixed_base`` benchmark for the measured speedup.
 
 >>> import random
@@ -32,67 +33,50 @@ True
 
 from __future__ import annotations
 
+from repro.ec.jacobian import batch_normalize, jac_add, jac_double, jac_from_affine
 from repro.pairing.interface import GroupElement
 
 
+#: Radix-2^w window width: 40 rows of 15 points per base at 160 bits.
+WINDOW = 4
+
+
 class FixedBaseTable:
-    """Precomputed radix-2^w table for one fixed base."""
+    """Precomputed radix-2^w table for one fixed base.
 
-    __slots__ = ("base", "window", "digits", "_table")
+    Row ``j`` holds the affine points ``d · 2^(w·j) · P`` for
+    ``d = 1..2^w − 1``.  The rows are built in Jacobian coordinates and the
+    whole table is normalized by one :func:`~repro.ec.jacobian.batch_normalize`,
+    so a table costs one field inversion, not one per point.  Any base on
+    the curve works: the identity, and bases outside the order-r subgroup.
+    """
 
-    def __init__(self, base: GroupElement, exponent_bits: int, window: int = 4):
-        if window < 1:
-            raise ValueError("window must be >= 1")
+    __slots__ = ("base", "digits", "_table")
+
+    def __init__(self, base: GroupElement, exponent_bits: int):
+        group = base.group
+        q = group.q
+        radix = 1 << WINDOW
         self.base = base
-        self.window = window
-        self.digits = (exponent_bits + window - 1) // window
-        radix = 1 << window
-        table = []
-        # running = base^(2^(w*j)); row j holds its multiples 1..radix-1.
-        running = base
+        self.digits = (exponent_bits + WINDOW - 1) // WINDOW
+        jacobians = []
+        # running = 2^(w·j) · P; row j holds its multiples 1..radix−1.
+        running = jac_from_affine(base.point)
         for _ in range(self.digits):
-            row = [None] * radix
-            row[1] = running
-            for d in range(2, radix):
-                row[d] = row[d - 1] * running
-            table.append(row)
-            # Advance running to running^(2^w) by repeated squaring.
-            for _ in range(window):
-                running = running * running
-        self._table = table
-
-    @classmethod
-    def from_rows(
-        cls,
-        base: GroupElement,
-        exponent_bits: int,
-        window: int,
-        rows: list[list[GroupElement | None]],
-    ) -> "FixedBaseTable":
-        """Assemble a table from already-computed rows.
-
-        Used by the precompute cache (:mod:`repro.ec.precompute`) and the
-        batch-affine builder, which produce the rows without paying the
-        per-entry group multiplications of ``__init__``.  Each of the
-        ``ceil(exponent_bits / window)`` rows must hold ``2^window`` entries
-        with index ``d`` equal to ``base^(d · 2^(window·j))`` (index 0 is
-        ignored).
-
-        Raises:
-            ValueError: if the row/entry shape doesn't match the geometry.
-        """
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        digits = (exponent_bits + window - 1) // window
-        radix = 1 << window
-        if len(rows) != digits or any(len(row) != radix for row in rows):
-            raise ValueError("row shape does not match exponent_bits/window")
-        table = cls.__new__(cls)
-        table.base = base
-        table.window = window
-        table.digits = digits
-        table._table = rows
-        return table
+            entry = running
+            jacobians.append(entry)
+            for _ in range(2, radix):
+                entry = jac_add(*entry, *running, q)
+                jacobians.append(entry)
+            for _ in range(WINDOW):
+                running = jac_double(*running, q)
+        flat = batch_normalize(jacobians, q)
+        step = radix - 1
+        self._table = [[None, *flat[i:i + step]] for i in range(0, len(flat), step)]
+        if group.counter is not None:
+            # The group operations of building each row with ``*``:
+            # radix − 2 adds and WINDOW doublings per row.
+            group.counter.mul_g1 += self.digits * (radix - 2 + WINDOW)
 
     def power(self, exponent: int) -> GroupElement:
         """base^exponent: the table entries for its digits, summed once."""
@@ -116,7 +100,7 @@ class FixedBaseTable:
             # One model-level Exp_G1 served from the table (Table I counts it).
             group.counter.exp_g1_fixed_base += 1
         exponent %= group.order
-        mask = (1 << self.window) - 1
+        mask = (1 << WINDOW) - 1
         entries = []
         j = 0
         while exponent:
@@ -124,14 +108,14 @@ class FixedBaseTable:
             if digit:
                 if j >= self.digits:
                     raise ValueError("exponent exceeds the precomputed range")
-                entries.append(self._table[j][digit].point)
-            exponent >>= self.window
+                entries.append(self._table[j][digit])
+            exponent >>= WINDOW
             j += 1
         return entries
 
     def storage_points(self) -> int:
         """Number of precomputed group elements held."""
-        return self.digits * ((1 << self.window) - 1)
+        return self.digits * ((1 << WINDOW) - 1)
 
 
 def _folds(group, lists: list[list]) -> list[GroupElement]:

@@ -40,8 +40,8 @@ def _sem(group, seed=1):
     return SecurityMediator(group, rng=random.Random(seed), require_membership=False)
 
 
-def _owner(params, sem, seed=2, cache_dir=None):
-    return DataOwner(params, sem.pk, rng=random.Random(seed), table_cache_dir=cache_dir)
+def _owner(params, sem, seed=2):
+    return DataOwner(params, sem.pk, rng=random.Random(seed))
 
 
 def _blocks(params, n, file_id=b"f"):
@@ -266,8 +266,7 @@ class TestFailClosed:
         def no_tables(*args, **kwargs):
             raise AssertionError("a table was built")
 
-        monkeypatch.setattr("repro.core.owner.load_or_build", no_tables)
-        monkeypatch.setattr("repro.core.owner.build_tables_fast", no_tables)
+        monkeypatch.setattr("repro.core.owner.FixedBaseTable", no_tables)
         with pytest.raises(ValueError, match="use_fixed_base"):
             DataOwner(params_k4, _sem(group).pk, use_fixed_base=False)
 
@@ -304,26 +303,19 @@ class TestFailClosed:
             owner.sign_blocks(ShortSEM(), _blocks(params_k4, 4), rng=None)
 
 
-@pytest.fixture
-def cache_dir(cached, tmp_path):
-    """Where the owner's u-tables come from: a disk cache, or built in memory."""
-    return tmp_path if cached else None
-
-
-@pytest.mark.parametrize("cached", [True, False])
 class TestByzantineSEM:
-    def test_sign_file(self, group, params_k4, cache_dir):
+    def test_sign_file(self, group, params_k4):
         sem = _sem(group)
         sem.fail_mode = "byzantine"
-        owner = _owner(params_k4, sem, cache_dir=cache_dir)
+        owner = _owner(params_k4, sem)
         for batch in (True, False):
             with pytest.raises(ValueError):
                 owner.sign_file(PAYLOAD, b"f", sem, batch=batch)
         assert owner.stats.blocks == 0
 
-    def test_dynamic_store(self, group, params_k4, cache_dir):
+    def test_dynamic_store(self, group, params_k4):
         sem = _sem(group)
-        store = DynamicStore(params_k4, sem, _owner(params_k4, sem, cache_dir=cache_dir))
+        store = DynamicStore(params_k4, sem, _owner(params_k4, sem))
         store.create(b"d", [b"chunk-%d" % i for i in range(4)])
         state = store.file_state(b"d")
         before = (state.epoch, list(state.slots), dict(state.signatures),
@@ -338,44 +330,42 @@ class TestByzantineSEM:
         with pytest.raises(DynamicFileError):
             store.file_state(b"e")
 
-    def test_resilient_store(self, group, params_k4, cache_dir):
+    def test_resilient_store(self, group, params_k4):
         sem = _sem(group)
         sem.fail_mode = "byzantine"
         cloud = CloudServer(params_k4)
-        store = ResilientStore(params_k4, _owner(params_k4, sem, cache_dir=cache_dir), sem,
+        store = ResilientStore(params_k4, _owner(params_k4, sem), sem,
                                cloud, PublicVerifier(params_k4, sem.pk), parity=2)
         with pytest.raises(ValueError):
             store.store(PAYLOAD, b"r")
         assert not cloud.has_file(b"r")
 
-    def test_fleet(self, cache_dir):
+    def test_fleet(self):
         fleet = build_demo_fleet(servers=4, parity=2, spares=0, seed=5)
-        fleet.owner = DataOwner(fleet.params, fleet.owner.sem_pk,
-                                rng=random.Random(6), table_cache_dir=cache_dir)
+        fleet.owner = DataOwner(fleet.params, fleet.owner.sem_pk, rng=random.Random(6))
         fleet.sem.fail_mode = "byzantine"
         with pytest.raises(ValueError):
             fleet.store(PAYLOAD, b"fleet")
         assert b"fleet" not in fleet.placements
         assert all(h.server.stored_files == 0 for h in fleet.handles.values())
 
-    def test_shared_file_builder(self, group, params_k4, cache_dir):
+    def test_shared_file_builder(self, group, params_k4):
         sem = _sem(group)
         builder = SharedFileBuilder(params_k4, b"s", sem)
-        builder.append(Contribution(_owner(params_k4, sem, cache_dir=cache_dir),
-                                    b"alice " * 10))
+        builder.append(Contribution(_owner(params_k4, sem), b"alice " * 10))
         n_blocks = builder.n_blocks
         sem.fail_mode = "byzantine"
         with pytest.raises(ValueError):
-            builder.append(Contribution(_owner(params_k4, sem, 3, cache_dir), b"bob " * 10))
+            builder.append(Contribution(_owner(params_k4, sem, 3), b"bob " * 10))
         assert builder.n_blocks == n_blocks
 
 
-def _pooled_upload_ops(workers, cache_dir):
+def _pooled_upload_ops(workers):
     group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS["toy-64"])
     counter = OperationCounter()
     group.attach_counter(counter)
-    with SemPdpSystem.create(group, k=4, rng=random.Random(11), workers=workers,
-                             table_cache_dir=cache_dir) as system:
+    with SemPdpSystem.create(group, k=4, rng=random.Random(11),
+                             workers=workers) as system:
         owner = system.enroll("alice")
         before = counter.snapshot()
         system.upload(owner, PAYLOAD * 3, b"file-1")
@@ -385,15 +375,13 @@ def _pooled_upload_ops(workers, cache_dir):
     return ops, signatures
 
 
-def test_pooled_upload_raw_tallies_equal_at_any_worker_count(tmp_path):
+def test_pooled_upload_raw_tallies_equal_at_any_worker_count():
     """Workers aggregate, blind and unblind through the same u/g/pk tables
     as the owner, so even the raw counter (not only the model-equivalent
-    rows) is the same at 1, 2 and 3 workers, whether the u-tables come
-    from a cache directory or are built in memory."""
-    for cache_dir in (tmp_path, None):
-        runs = [_pooled_upload_ops(workers, cache_dir) for workers in (1, 2, 3)]
-        (ops1, sigs1), (ops2, sigs2), (ops3, sigs3) = runs
-        assert sigs1 == sigs2 == sigs3
-        assert ops1 == ops2 == ops3
-        assert ops1["exp_g1"] == len(sigs1)  # the SEM's Eq. 3 only
-        assert ops1["exp_g1_fixed_base"] > 0
+    rows) is the same at 1, 2 and 3 workers."""
+    runs = [_pooled_upload_ops(workers) for workers in (1, 2, 3)]
+    (ops1, sigs1), (ops2, sigs2), (ops3, sigs3) = runs
+    assert sigs1 == sigs2 == sigs3
+    assert ops1 == ops2 == ops3
+    assert ops1["exp_g1"] == len(sigs1)  # the SEM's Eq. 3 only
+    assert ops1["exp_g1_fixed_base"] > 0

@@ -16,11 +16,10 @@ import pytest
 
 from repro.core.blocks import Block
 from repro.core.params import setup
-from repro.ec.fixed_base import FixedBaseTable, aggregate_with_tables
+from repro.ec.fixed_base import WINDOW, FixedBaseTable, aggregate_with_tables
 from repro.ec.jacobian import jac_add, jac_double
-from repro.ec.precompute import build_tables_fast
 from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
-from repro.pairing.interface import OperationCounter
+from repro.pairing.interface import GroupElement, OperationCounter
 
 _SETS = ["toy-64", "test-80", pytest.param("paper-160", marks=pytest.mark.slow)]
 
@@ -34,11 +33,11 @@ def _oracle_power(table: FixedBaseTable, exponent: int):
     acc = None
     j = 0
     while exponent:
-        digit = exponent & ((1 << table.window) - 1)
+        digit = exponent & ((1 << WINDOW) - 1)
         if digit:
-            term = table._table[j][digit]
+            term = GroupElement(group, table._table[j][digit])
             acc = term if acc is None else acc * term
-        exponent >>= table.window
+        exponent >>= WINDOW
         j += 1
     if acc is None:
         return group.g1_identity()
@@ -101,7 +100,7 @@ def _same(group, new, oracle, *args):
 def setting(request):
     group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[request.param])
     params = setup(group, k=4)
-    tables = build_tables_fast(list(params.u), group.order.bit_length())
+    tables = [FixedBaseTable(u, group.order.bit_length()) for u in params.u]
     return group, params, tables
 
 
