@@ -102,17 +102,20 @@ class TestBuild:
                 for d in range(1, 1 << WINDOW):
                     assert row[d] == (base ** (d << (WINDOW * j))).point
 
-    def test_tally(self, group, bases):
+    @pytest.mark.parametrize("bits", [1, 4, 5, BITS])
+    def test_tally(self, group, bases, bits):
         """digits·(radix − 2 + w) mul_g1 per table: a ``*`` per row entry
-        past the first and w squarings per row; no Exp."""
+        past the first and w squarings per row; no Exp. The widths 1, 4
+        and 5 straddle a digit boundary: digits = ⌈bits / w⌉."""
         counter = OperationCounter()
         group.attach_counter(counter)
         try:
             for base in bases:
-                FixedBaseTable(base, BITS)
+                FixedBaseTable(base, bits)
         finally:
             group.detach_counter()
-        expected = len(bases) * (BITS // WINDOW) * ((1 << WINDOW) - 2 + WINDOW)
+        digits = -(-bits // WINDOW)
+        expected = len(bases) * digits * ((1 << WINDOW) - 2 + WINDOW)
         assert counter.mul_g1 == expected
         assert counter.exp_g1 == 0
 
