@@ -14,7 +14,7 @@ import time
 
 from repro.baselines.oruta import OrutaGroup
 from repro.baselines.sw08 import SW08Owner
-from repro.core.multi_sem import MultiSEMClient, SEMCluster
+from repro.core.multi_sem import SEMCluster
 from repro.core.owner import DataOwner
 from repro.core.sem import SecurityMediator
 from repro.obs.bench import (
@@ -25,6 +25,7 @@ from repro.obs.bench import (
     write_run_file,
 )
 from repro.pairing.interface import OperationCounter
+from repro.service.failover import FailoverMultiSEMClient
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -60,7 +61,8 @@ def multi_sem_per_block_ms(
 ) -> float:
     """Measured per-block signing cost in the multi-SEM mode (ms)."""
     cluster = SEMCluster(group, t=t, rng=random.Random(seed), require_membership=False)
-    client = MultiSEMClient(cluster, batch=batch, rng=random.Random(seed + 1))
+    client = FailoverMultiSEMClient.from_cluster(cluster, batch_verify=batch,
+                                                 rng=random.Random(seed + 1))
     owner = DataOwner(params, cluster.master_pk, rng=random.Random(seed + 2))
     data = dense_data(params, n_blocks)
     seconds = time_call(

@@ -49,15 +49,19 @@ class TestOperationCounts:
                 f"{label:>18}: measured {exp_g1:>4} Exp {pairings:>3} Pair"
                 f" | Table I {formula.exp_g1:>4} Exp {formula.pair:>3} Pair"
             )
-            # Measured counts track the paper's closed forms; our multi-SEM
-            # client additionally runs the final Eq. 7 owner-side check
-            # (+2n Exp) that the paper's accounting folds into share
-            # verification, hence the +3n slack.
-            assert exp_g1 <= formula.exp_g1 + 3 * n
-            if optimized:
-                assert pairings <= 2 * ((t or 0) + 1) + 2
-            else:
-                assert pairings >= 2 * n
+            # Measured counts equal the paper's closed forms, with no
+            # owner-side Eq. 7 after a multi-SEM round (the round's Eq. 14
+            # share checks are final), except in two cells:
+            # - multi basic pays n(k+2t+2) Exp, n more than n(k+2t+1):
+            #   the owner both blinds (g^r) and unblinds (pk^-r) each
+            #   block, which the single-SEM rows count as k+3 and the
+            #   paper's multi-SEM basic row counts only once;
+            # - multi optimized pays 2 pairings per SEM, 2t, against t+1:
+            #   the round checks each SEM's batch on its own, and checking
+            #   the first t as one product is not implemented.
+            expected_exp = formula.exp_g1 + (n if t and not optimized else 0)
+            expected_pair = 2 * t if t and optimized else formula.pair
+            assert (exp_g1, pairings) == (expected_exp, expected_pair)
 
         record_report(f"Table I: operation counts (n={n} blocks, k={k})", results)
         record_suite_run("table1", doc["phases"], doc["config"])

@@ -26,8 +26,8 @@ from repro.core import (
     CloudServer,
     CostTracker,
     DataOwner,
+    FailoverMultiSEMClient,
     GroupManager,
-    MultiSEMClient,
     ProofResponse,
     PublicVerifier,
     SEMCluster,
@@ -54,7 +54,7 @@ __all__ = [
     "DataOwner",
     "SecurityMediator",
     "SEMCluster",
-    "MultiSEMClient",
+    "FailoverMultiSEMClient",
     "CloudServer",
     "PublicVerifier",
     "GroupManager",

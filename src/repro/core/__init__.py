@@ -27,7 +27,8 @@ from repro.core.blocks import Block, encode_data, decode_data, aggregate_block
 from repro.core.challenge import Challenge, ProofResponse
 from repro.core.owner import DataOwner, SignedFile
 from repro.core.sem import SecurityMediator, RevokedMemberError, UnknownMemberError
-from repro.core.multi_sem import SEMCluster, MultiSEMClient, InsufficientSharesError
+from repro.core.multi_sem import SEMCluster, InsufficientSharesError
+from repro.service.failover import FailoverMultiSEMClient
 from repro.core.cloud import CloudServer, StoredFile
 from repro.core.verifier import PublicVerifier, detection_probability, blocks_needed_for_detection
 from repro.core.group_mgmt import GroupManager, MemberCredential
@@ -50,7 +51,7 @@ __all__ = [
     "RevokedMemberError",
     "UnknownMemberError",
     "SEMCluster",
-    "MultiSEMClient",
+    "FailoverMultiSEMClient",
     "InsufficientSharesError",
     "CloudServer",
     "StoredFile",

@@ -1,13 +1,13 @@
 """Multi-SEM deployment (paper Section V).
 
 :class:`SEMCluster` is the server side: w mediators, each holding one
-Shamir share of the signing key (Setup′).  :class:`MultiSEMClient` is the
-owner-side combiner over it: the
-:class:`~repro.service.failover.FailoverMultiSEMClient` built from the
-cluster's endpoints, which fans a blinded message out, verifies the
-returned signature shares (Eq. 10 / Eq. 14), and interpolates any t valid
-shares into the blind signature (Eq. 11–12), which the regular
-:class:`~repro.core.owner.DataOwner` then unblinds (Eq. 13).
+Shamir share of the signing key (Setup′).  The owner-side combiner over it
+is :meth:`FailoverMultiSEMClient.from_cluster
+<repro.service.failover.FailoverMultiSEMClient.from_cluster>`, which fans a
+blinded message out, verifies the returned signature shares (Eq. 10 /
+Eq. 14), and interpolates any t valid shares into the blind signature
+(Eq. 11–12), which the regular :class:`~repro.core.owner.DataOwner` then
+unblinds (Eq. 13) with no further check.
 
 Fault tolerance: with w = 2t − 1 SEMs, up to t − 1 may be crashed or even
 byzantine (returning wrong shares) and signing still succeeds — exercised
@@ -20,13 +20,9 @@ from repro.core.group_mgmt import MemberCredential
 from repro.core.sem import SecurityMediator
 from repro.crypto.threshold import ThresholdKeyShares, distribute_key
 from repro.pairing.interface import GroupElement, PairingGroup
-from repro.service.failover import (
-    FailoverMultiSEMClient,
-    InsufficientSharesError,
-    SEMEndpoint,
-)
+from repro.service.failover import InsufficientSharesError, SEMEndpoint
 
-__all__ = ["InsufficientSharesError", "MultiSEMClient", "SEMCluster"]
+__all__ = ["InsufficientSharesError", "SEMCluster"]
 
 
 class SEMCluster:
@@ -88,25 +84,3 @@ class SEMCluster:
 
     def heal(self, index: int) -> None:
         self.sems[index].fail_mode = None
-
-
-class MultiSEMClient(FailoverMultiSEMClient):
-    """Owner-side façade over a :class:`SEMCluster`.
-
-    Exposes the same ``sign_blinded_batch`` interface as a single
-    :class:`~repro.core.sem.SecurityMediator`, so a
-    :class:`~repro.core.owner.DataOwner` works against either transparently
-    (the final signatures are identical either way — Section V's point that
-    Challenge/Response/Verify are unchanged).  Signing runs one
-    :class:`~repro.service.failover.SigningRound` per batch under the
-    default failover policy.
-
-    Args:
-        cluster: the SEM cluster to talk to.
-        batch: verify collected shares with Eq. 14 (t + 1 pairings for the
-            whole batch) instead of Eq. 10 per share (2·n·t pairings).
-    """
-
-    def __init__(self, cluster: SEMCluster, batch: bool = True, rng=None):
-        super().__init__(cluster.group, cluster.endpoints(), cluster.t,
-                         rng=rng, batch_verify=batch)

@@ -130,6 +130,22 @@ class DataOwner:
         return self.unblind_all([state], [blind_signature])[0]
 
     # -- the owner-side signing pass -------------------------------------------
+    def trusts(self, signer) -> bool:
+        """Whether ``signer``'s replies need no Eq. 7 (Eq. 4) here: a signer
+        driving signing rounds names as ``verified_pk`` the key its Eq. 14
+        share checks make its results final for.
+
+        Raises:
+            BlindSignatureError: if the signer checks for a key other than
+                the one this owner unblinds with.
+        """
+        verified_pk = getattr(signer, "verified_pk", None)
+        if verified_pk is None:
+            return False
+        if verified_pk != self.sem_pk:
+            raise BlindSignatureError("the signer's rounds sign for another key")
+        return True
+
     def sign_blocks(
         self,
         sem,
@@ -144,9 +160,10 @@ class DataOwner:
         Blinds (Eq. 2) each block's aggregate and each ``extra`` G1
         message, gets all blind signatures from ``sem`` in one
         ``sign_blinded_batch`` call (Eq. 3), checks them with one Eq. 7
-        (or each with Eq. 4 when ``batch`` is off), and unblinds (Eq. 5).
-        The blinding masks and unmasks are fixed-base lookups, so the
-        pass runs no Exp of its own.
+        (or each with Eq. 4 when ``batch`` is off) unless :meth:`trusts`
+        says ``sem`` already has, and unblinds (Eq. 5).  The blinding
+        masks and unmasks are fixed-base lookups, so the pass runs no Exp
+        of its own.
 
         Args:
             sem: anything exposing ``sign_blinded_batch(blinded, credential)``.
@@ -159,21 +176,23 @@ class DataOwner:
 
         Raises:
             BlindSignatureError: if the SEM's reply has the wrong length
-                or fails Eq. 7 (Eq. 4).
+                or fails Eq. 7 (Eq. 4), or, before anything is signed, if
+                ``sem`` checks for another key.
         """
+        checked = self.trusts(sem)
         states = self.blind_all(blocks, extra)
         blinded = [s.blinded for s in states]
         blind_signatures = sem.sign_blinded_batch(blinded, self.credential)
         if len(blind_signatures) != len(blinded):
             raise BlindSignatureError(
                 f"SEM returned {len(blind_signatures)} signatures for {len(blinded)} messages")
-        if batch:
+        if not checked and batch:
             if not batch_unblind_verify(self.group, blinded, blind_signatures, self.sem_pk,
                                         rng, pool=self.pool):
                 raise BlindSignatureError(
                     "batch verification of blind signatures failed (Eq. 7)")
-        elif not all(verify_blinded(self.group, m, s, self.sem_pk)
-                     for m, s in zip(blinded, blind_signatures)):
+        elif not checked and not all(verify_blinded(self.group, m, s, self.sem_pk)
+                                     for m, s in zip(blinded, blind_signatures)):
             raise BlindSignatureError(
                 "blind signature failed verification (Eq. 4); re-request from SEM")
         return self.unblind_all(states, blind_signatures)
@@ -194,8 +213,8 @@ class DataOwner:
             file_id: unique file identifier (block ids derive from it).
             sem: anything exposing ``sign_blinded_batch(blinded, credential)``
                 (a :class:`~repro.core.sem.SecurityMediator`, a
-                :class:`~repro.core.multi_sem.MultiSEMClient`, or a network
-                proxy).
+                :class:`~repro.service.failover.FailoverMultiSEMClient`, or a
+                network proxy).
             batch: use Eq. 7 batch verification (2 pairings total) instead
                 of per-signature Eq. 4 checks (2 pairings each).
             encrypt_key: when given, ChaCha20-encrypt the payload first
@@ -253,8 +272,8 @@ class DataOwner:
         return states + blind_batch(self.group, extra, self._rng, self._g1_table)
 
     def unblind_all(self, states, blind_signatures) -> list[GroupElement]:
-        """Unblind (Eq. 5) every signature, fanned out when pooled; the
-        caller has checked Eq. 4 or Eq. 7."""
+        """Unblind (Eq. 5) every signature, fanned out when pooled, once
+        the signatures are checked."""
         if self.pool is not None and self.pool.fans_out(len(states)):
             return self.pool.unblind_batch(states, blind_signatures, self.sem_pk)
         return unblind_batch(self.group, states, blind_signatures, self._pk_table)

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 from repro.core.cloud import CloudServer
 from repro.core.group_mgmt import GroupManager
-from repro.core.multi_sem import MultiSEMClient, SEMCluster
+from repro.core.multi_sem import SEMCluster
 from repro.core.owner import DataOwner, SignedFile
 from repro.core.params import SystemParams, setup
 from repro.core.sem import SecurityMediator
 from repro.core.verifier import PublicVerifier
 from repro.obs import NULL_OBS
 from repro.pairing.interface import PairingGroup
+from repro.service.failover import FailoverMultiSEMClient
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ class SemPdpSystem:
     def _signing_service(self):
         if self.sem is not None:
             return self.sem
-        return MultiSEMClient(self.cluster, rng=self._rng)
+        return FailoverMultiSEMClient.from_cluster(self.cluster, rng=self._rng)
 
     def upload(
         self,

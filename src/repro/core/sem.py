@@ -17,6 +17,7 @@ such a log too, and the scheme's privacy must hold *even against* it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.group_mgmt import MemberCredential
 from repro.crypto.blind_bls import sign_blinded
@@ -58,12 +59,16 @@ class SecurityMediator:
     ):
         self.group = group
         self._sk = sk if sk is not None else group.random_nonzero_scalar(rng)
-        self.pk = group.g1() ** self._sk
         self.require_membership = require_membership
         self._members: set[bytes] = set()
         self._revoked: set[bytes] = set()
         self.transcript: list[SigningTranscriptEntry] = []
         self.fail_mode: str | None = None  # None | "crash" | "byzantine"
+
+    @cached_property
+    def pk(self) -> GroupElement:
+        """pk = g^y on first read (a cluster's SEMs never need theirs)."""
+        return self.group.g1() ** self._sk
 
     @property
     def pk_g1(self) -> GroupElement:

@@ -47,12 +47,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.crypto.threshold import batch_verify_shares, verify_share
 from repro.pairing.interface import GroupElement, PairingGroup
 
 
 class BlindSignatureError(ValueError):
-    """The signer's blind signatures failed Eq. 4 or Eq. 7, or did not
-    answer every blinded message."""
+    """The signer's blind signatures failed Eq. 4 or Eq. 7, did not
+    answer every blinded message, or were checked for another key."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def unblind_batch(
     blind_signatures: list[GroupElement],
     table,
 ) -> list[GroupElement]:
-    """Eq. 5 for every item, after the caller has checked Eq. 4 or Eq. 7.
+    """Eq. 5 for every item, once the signatures are checked.
 
     Args:
         table: a :class:`~repro.ec.fixed_base.FixedBaseTable` for the
@@ -123,14 +124,8 @@ def sign_blinded(blinded: GroupElement, sk: int) -> GroupElement:
     return blinded**sk
 
 
-def verify_blinded(
-    group: PairingGroup,
-    blinded: GroupElement,
-    blind_signature: GroupElement,
-    pk: GroupElement,
-) -> bool:
-    """Eq. 4: e(σ̃, g) == e(m̃, pk)."""
-    return group.pairing_check([(blind_signature, group.g1()), (blinded.inverse(), pk)])
+#: Eq. 4: e(σ̃, g) == e(m̃, pk) — Eq. 10 with one SEM holding the whole key.
+verify_blinded = verify_share
 
 
 def unblind(
@@ -161,32 +156,16 @@ def batch_unblind_verify(
 ) -> bool:
     """Eq. 7: batch-verify n blind signatures with 2 pairings total.
 
-    Checks e(∏ σ̃_i^{γ_i}, g) == e(∏ m̃_i^{γ_i}, pk) for random γ_i.
-    This is the paper's headline optimization ("Our Scheme*"): it replaces
-    2n pairings with 3n G1 exponentiations + 2 pairings.  The two products
-    run as multi-scalar multiplications
-    (:meth:`~repro.pairing.interface.PairingGroup.multi_exp`).
-
-    Args:
-        pool: optional :class:`~repro.core.parallel.WorkerPool`; the two
-            MSMs then fan out across its workers.  The γ_i are always
-            drawn in this process, so results match the serial run
-            bit-for-bit.
+    Checks e(∏ σ̃_i^{γ_i}, g) == e(∏ m̃_i^{γ_i}, pk) for random γ_i: the
+    paper's headline optimization ("Our Scheme*"), replacing 2n pairings
+    with 2n G1 exponentiations + 2 pairings.  It is Eq. 14
+    (:func:`~repro.crypto.threshold.batch_verify_shares`) with one SEM
+    holding the whole key, and runs as exactly that call.
 
     Op-count cost: 2n Exp_G1 (as ``exp_g1_msm``) + 2 Pair.
 
     Raises:
         ValueError: if the message and signature counts differ.
     """
-    if len(blinded_messages) != len(blind_signatures):
-        raise ValueError("message and signature counts differ")
-    if not blinded_messages:
-        return True
-    gammas = [group.random_nonzero_scalar(rng) for _ in blinded_messages]
-    if pool is not None:
-        sig_acc = pool.msm(blind_signatures, gammas)
-        msg_acc = pool.msm(blinded_messages, gammas)
-    else:
-        sig_acc = group.multi_exp(blind_signatures, gammas)
-        msg_acc = group.multi_exp(blinded_messages, gammas)
-    return group.pairing_check([(sig_acc, group.g1()), (msg_acc.inverse(), pk)])
+    return batch_verify_shares(group, blinded_messages, {0: blind_signatures}, {0: pk},
+                               rng, pool)

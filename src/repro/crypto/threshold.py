@@ -9,8 +9,9 @@ values L_j(0) (Eq. 11–12):
 
     σ̃_i = ∏_j σ̃_{i,j}^{L_j(0)} = m̃_i^{Σ L_j(0)·y_j} = m̃_i^{f(0)} = m̃_i^y,
 
-then unblinds exactly as in the single-SEM scheme (Eq. 13).  Batch share
-verification (Eq. 14) reduces n·t pairings to t + 1.
+then unblinds exactly as in the single-SEM scheme (Eq. 13), with no second
+check.  Batch share verification (Eq. 14) reduces n·t pairings to t + 1;
+Eq. 4 and Eq. 7 are Eq. 10 and Eq. 14 with one SEM holding the whole key.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def verify_share(
     signature_share: GroupElement,
     share_pk: GroupElement,
 ) -> bool:
-    """Eq. 10: e(σ̃_{i,j}, g) == e(m̃_i, pk_j)."""
+    """Eq. 10: e(σ̃_{i,j}, g) == e(m̃_i, pk_j); Eq. 4 with pk_j for pk."""
     return group.pairing_check(
         [(signature_share, group.g1()), (blinded.inverse(), share_pk)]
     )
@@ -92,6 +93,8 @@ def combine_shares(
             the contributing SEM and its signature share.
         basis: optional precomputed Lagrange basis (Eq. 11) for exactly
             these abscissae in this order; computed on the fly otherwise.
+
+    Op-count cost: one Exp per coefficient other than 1 (none at t = 1).
     """
     if not signature_shares:
         raise ValueError("need at least one signature share")
@@ -100,9 +103,10 @@ def combine_shares(
         basis = lagrange_basis_at_zero(xs, group.order)
     if len(basis) != len(signature_shares):
         raise ValueError("basis length must match share count")
-    acc = signature_shares[0][1] ** basis[0]
-    for (_, sig), coeff in zip(signature_shares[1:], basis[1:]):
-        acc = acc * sig**coeff
+    acc = None
+    for (_, sig), coeff in zip(signature_shares, basis):
+        term = sig if coeff == 1 else sig**coeff
+        acc = term if acc is None else acc * term
     return acc
 
 
@@ -112,12 +116,16 @@ def batch_verify_shares(
     shares_by_sem: dict[int, list[GroupElement]],
     share_pks: dict[int, GroupElement],
     rng=None,
+    pool=None,
 ) -> bool:
     """Eq. 14 (randomized): verify all n·t signature shares with t + 1 pairings.
 
-    The paper's Eq. 14 multiplies everything together unweighted.  We
-    weight SEM j's share of message i by γ_i·δ_j, with γ_i fresh per
-    message and δ_j fresh per SEM (δ = 1 for the first SEM), and check
+    The one randomized blind-signature check: Eq. 7
+    (:func:`~repro.crypto.blind_bls.batch_unblind_verify`) is this check
+    with one SEM holding the whole key.  The paper's Eq. 14 multiplies
+    everything together unweighted.  We weight SEM j's share of message i
+    by γ_i·δ_j, with γ_i fresh per message and δ_j fresh per SEM (δ = 1
+    for the first SEM), and check
 
         e(∏_j ∏_i σ̃_{i,j}^{γ_i·δ_j}, g) == ∏_j e(M^{δ_j}, pk_j),
         M = ∏_i m̃_i^{γ_i},
@@ -128,15 +136,20 @@ def batch_verify_shares(
     not enough with several SEMs: offsets in different SEMs' shares of
     one message (Δ and Δ⁻¹, or keys y_0 + d and y_1 − d) cancel.
 
-    Op-count cost: (SEM count + 1)·n Exp for M and the per-SEM
-    aggregates, one more Exp for M^{δ_j} on every SEM after the first,
-    and 1 + (SEM count) pairings.  With one SEM this is the δ-free check,
-    drawing the same randomness.
+    Op-count cost: (SEM count + 1)·n ``exp_g1_msm`` (an MSM per SEM and
+    one for M), one Exp for M^{δ_j} on every SEM after the first, and
+    1 + (SEM count) pairings.  With one SEM: n draws, 2n MSM terms, 2 Pair.
 
     Args:
         blinded_messages: m̃_1..m̃_n.
         shares_by_sem: SEM index -> [σ̃_{1,j}, ..., σ̃_{n,j}].
         share_pks: SEM index -> pk_j.
+        pool: optional :class:`~repro.core.parallel.WorkerPool`; the MSMs
+            then fan out across its workers.  The weights are always drawn
+            in this process, so results match the serial run bit-for-bit.
+
+    Raises:
+        ValueError: if some SEM's share count differs from the message count.
     """
     n = len(blinded_messages)
     if any(len(v) != n for v in shares_by_sem.values()):
@@ -145,18 +158,13 @@ def batch_verify_shares(
         return True
     gammas = [group.random_nonzero_scalar(rng) for _ in range(n)]
     deltas = [1] + [group.random_nonzero_scalar(rng) for _ in range(len(shares_by_sem) - 1)]
-    randomized_messages = [m**g for m, g in zip(blinded_messages, gammas)]
-    msg_acc = randomized_messages[0]
-    for m in randomized_messages[1:]:
-        msg_acc = msg_acc * m
-    msg_inv = msg_acc.inverse()
+    msm = group.multi_exp if pool is None else pool.msm
     lhs_acc: GroupElement | None = None
-    pairs = []
-    for j, (sem_index, sem_shares) in enumerate(shares_by_sem.items()):
-        weights = [gamma * deltas[j] % group.order for gamma in gammas]
-        sem_acc = sem_shares[0] ** weights[0]
-        for share, weight in zip(sem_shares[1:], weights[1:]):
-            sem_acc = sem_acc * share**weight
+    for delta, sem_shares in zip(deltas, shares_by_sem.values()):
+        weights = gammas if delta == 1 else [gamma * delta % group.order for gamma in gammas]
+        sem_acc = msm(sem_shares, weights)
         lhs_acc = sem_acc if lhs_acc is None else lhs_acc * sem_acc
-        pairs.append((msg_inv**deltas[j] if j else msg_inv, share_pks[sem_index]))
+    msg_inv = msm(blinded_messages, gammas).inverse()
+    pairs = [(msg_inv if delta == 1 else msg_inv**delta, share_pks[sem_index])
+             for delta, sem_index in zip(deltas, shares_by_sem)]
     return group.pairing_check([(lhs_acc, group.g1()), *pairs])

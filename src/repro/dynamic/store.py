@@ -17,12 +17,12 @@ the block's BLS signature — one string binds *content* (Eq. 6),
 Update batches are the whole point: an update of k blocks blinds the k
 new block aggregates plus one epoch-stamped root message and pushes all
 k + 1 through a **single** ``sem.sign_blinded_batch`` round (Eq. 3),
-verifies the batch with one Eq. 7 check (2 pairings total), and
-unblinds without per-message pairings — exactly k block re-signatures
-per batch, never n.  Every batch is fenced on the hash-chained ledger
-with a ``dyn_update_begin`` / ``dyn_update_commit`` pair so
-``repro-pdp ledger verify`` can replay the root transitions offline
-(:class:`DynamicChecker`).
+verifies the batch with one Eq. 7 check (2 pairings total; a cluster
+front's round checks it instead), and unblinds without per-message
+pairings — exactly k block re-signatures per batch, never n.  Every
+batch is fenced on the hash-chained ledger with a ``dyn_update_begin`` /
+``dyn_update_commit`` pair so ``repro-pdp ledger verify`` can replay the
+root transitions offline (:class:`DynamicChecker`).
 
 The auditor pins ``(epoch, root, count)`` per file and checks four
 things together: the pin (stale-root replay dies here), the root
@@ -179,7 +179,7 @@ class DynamicStore:
         params: system parameters (group, k, u-vector).
         sem: anything exposing ``sign_blinded_batch(blinded, credential)``
             — a single :class:`~repro.core.sem.SecurityMediator` or a
-            :class:`~repro.core.multi_sem.MultiSEMClient` cluster front.
+            :class:`~repro.service.failover.FailoverMultiSEMClient` cluster front.
         owner: the enrolled member whose credential signs the updates
             (``None`` for a store that only answers challenges).
         ledger: optional hash-chained ledger; when present every create
@@ -386,7 +386,8 @@ class DynamicStore:
 
         The owner's signing pass with H(root message) riding along as one
         more message: all k + 1 blind signatures come from the SEM in one
-        batch (Eq. 3) and pass one Eq. 7 check (2 pairings).
+        batch (Eq. 3) and pass one Eq. 7 check (2 pairings), or the cluster
+        front's Eq. 14 share checks.
         """
         root_msg = dyn_root_message(state.file_id, state.epoch, len(state.slots),
                                     state.tree.root)

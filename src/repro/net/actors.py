@@ -21,12 +21,11 @@ from repro.core.cloud import CloudServer
 from repro.core.owner import DataOwner, SignedFile
 from repro.core.params import SystemParams
 from repro.core.verifier import PublicVerifier
-from repro.crypto.blind_bls import batch_unblind_verify
 from repro.net.channel import Channel
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.simulator import Simulator
-from repro.service.failover import ArmTimer, FailoverConfig, SendRequest, SigningRound
+from repro.service.failover import ArmTimer, FailoverConfig, SendRequest, SigningRound, round_key
 
 
 @dataclass
@@ -93,6 +92,8 @@ class OwnerNode(Node):
     one :class:`~repro.service.failover.SigningRound`: share batches are
     checked with Eq. 14 as they arrive and the first ``threshold`` valid
     ones are interpolated (with one SEM, t = 1 and the basis is [1]).
+    The result is final (no Eq. 7); a round key other than ``org_pk``
+    raises :class:`~repro.crypto.blind_bls.BlindSignatureError` here.
 
     With ``retry_timeout_s`` set, an unanswered SEM is re-asked every
     ``retry_timeout_s`` up to ``max_retries`` times, and an upload whose
@@ -117,13 +118,14 @@ class OwnerNode(Node):
         super().__init__(name)
         self.params = params
         self.group = params.group
-        self.org_pk = org_pk
         self.endpoints = list(endpoints)
         self.sem_names = [endpoint.name for endpoint in self.endpoints]
         self.threshold = threshold
         self.cloud_name = cloud_name
         self._rng = rng
         self.owner = DataOwner(params, org_pk, rng=rng)
+        self.verified_pk = round_key(self.group, self.endpoints, threshold)
+        self.owner.trusts(self)
         self.retry_timeout_s = retry_timeout_s
         self.max_retries = max_retries
         # A fixed re-ask cadence: no backoff, no jitter.
@@ -187,7 +189,7 @@ class OwnerNode(Node):
                              pending.round.on_response(endpoint_index, message.payload))
 
     def _advance(self, pending: _PendingUpload, actions):
-        """Send the round's actions; on completion check Eq. 7 and upload."""
+        """Send the round's actions; on completion unblind and upload."""
         out = self._perform(pending, actions)
         round_ = pending.round
         if round_.done and pending.signed is None:
@@ -198,10 +200,6 @@ class OwnerNode(Node):
             raise ValueError(f"signing round failed at owner: {round_.failed_reason}")
         if round_.result is None or pending.signed is not None:
             return out or None
-        if not batch_unblind_verify(self.group, round_.blinded, round_.result,
-                                    self.org_pk, self._rng):
-            self._pending = None
-            raise ValueError("batch verification failed at owner")
         signatures = tuple(self.owner.unblind_all(pending.states, round_.result))
         pending.signed = SignedFile(
             file_id=pending.file_id, blocks=tuple(pending.blocks), signatures=signatures

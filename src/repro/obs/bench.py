@@ -194,10 +194,11 @@ def _suite_table1(repeats: int, options: dict) -> tuple[list[dict], dict]:
     """The four Table I cells at toy scale (k=6, n=8 dense blocks)."""
     import random
 
-    from repro.core.multi_sem import MultiSEMClient, SEMCluster
+    from repro.core.multi_sem import SEMCluster
     from repro.core.owner import DataOwner
     from repro.core.params import setup
     from repro.core.sem import SecurityMediator
+    from repro.service.failover import FailoverMultiSEMClient
 
     group = _toy_group()
     params = setup(group, k=6)
@@ -216,7 +217,8 @@ def _suite_table1(repeats: int, options: dict) -> tuple[list[dict], dict]:
             service, pk = sem, sem.pk
         else:
             cluster = SEMCluster(group, t=t, rng=rng, require_membership=False)
-            service = MultiSEMClient(cluster, batch=optimized, rng=rng)
+            service = FailoverMultiSEMClient.from_cluster(cluster, rng=rng,
+                                                          batch_verify=optimized)
             pk = cluster.master_pk
         owner = DataOwner(params, pk, rng=rng)
         wall, ops = measure_ops_and_wall(

@@ -101,15 +101,16 @@ class DynamicDrill:
         """The signing side the DynamicSpec's ``target`` group declares:
         a single mediator for w = 1, a threshold cluster front otherwise
         (Section V — the update path is unchanged either way)."""
-        from repro.core.multi_sem import MultiSEMClient, SEMCluster
+        from repro.core.multi_sem import SEMCluster
         from repro.core.sem import SecurityMediator
+        from repro.service.failover import FailoverMultiSEMClient
 
         target = next(g for g in self.scenario.topology.sem_groups
                       if g.name == self.spec.target)
         if target.w > 1:
             cluster = SEMCluster(group, t=target.t, w=target.w, rng=rng,
                                  require_membership=False)
-            return MultiSEMClient(cluster, rng=rng), cluster.master_pk
+            return FailoverMultiSEMClient.from_cluster(cluster, rng=rng), cluster.master_pk
         sem = SecurityMediator(group, rng=rng, require_membership=False)
         return sem, sem.pk
 

@@ -15,8 +15,12 @@ module holds the one owner-side share check and combine:
   :mod:`repro.net.actors`.
 * :class:`FailoverMultiSEMClient` — a drop-in ``sign_blinded_batch``
   transport over callable per-SEM endpoints, for direct library use
-  (:class:`~repro.core.multi_sem.MultiSEMClient` is this client built
-  from a :class:`~repro.core.multi_sem.SEMCluster`).
+  (:meth:`FailoverMultiSEMClient.from_cluster` builds it over a
+  :class:`~repro.core.multi_sem.SEMCluster`).
+
+A round's result is final: every batch it combined passed Eq. 14 (or
+Eq. 10), so no driver runs Eq. 7 on it.  Each driver checks once, before
+signing, that :func:`round_key` is its owner's key.
 
 Endpoint lifecycle within a round::
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.crypto.threshold import batch_verify_shares, combine_shares, verify_share
 from repro.mathkit.poly import lagrange_basis_at_zero
@@ -63,6 +68,13 @@ class SEMEndpoint:
     x: int  # Shamir abscissa of this SEM's key share
     share_pk: GroupElement  # pk_j = g^{y_j}
     transport: object | None = None
+
+
+def round_key(group: PairingGroup, endpoints: list[SEMEndpoint], t: int) -> GroupElement:
+    """The key a :class:`SigningRound` over ``endpoints`` signs for:
+    ∏ pk_j^{L_j(0)} over any t of them (Setup′ puts every pk_j on one
+    polynomial), here the first t.  Op-count cost: t Exp, none at t = 1."""
+    return combine_shares(group, [(e.x, e.share_pk) for e in endpoints[:t]])
 
 
 @dataclass(frozen=True)
@@ -268,7 +280,7 @@ class SigningRound:
         self.config = config or FailoverConfig()
         self._rng = rng
         # Jitter draws come from a derived stream so backoff randomness and
-        # Eq. 7/14 verification coefficients never perturb each other.
+        # Eq. 14 weights never perturb each other.
         self._jitter_rng = random.Random(
             rng.getrandbits(64) if rng is not None else 0x6A177E12
         )
@@ -521,20 +533,19 @@ class FailoverMultiSEMClient:
         # quarantined so later rounds stop contacting them up front.
         self.health = HealthScoreboard.from_config(len(endpoints), self.config)
 
+    @cached_property
+    def verified_pk(self) -> GroupElement:
+        """The key its results are final for (:func:`round_key`)."""
+        return round_key(self.group, self.endpoints, self.t)
+
     @classmethod
     def from_cluster(cls, cluster, config: FailoverConfig | None = None, rng=None,
                      batch_verify: bool = True, sleep=None, obs=None) -> "FailoverMultiSEMClient":
         """Build over an in-memory :class:`~repro.core.multi_sem.SEMCluster`."""
-        return cls(
-            cluster.group,
-            cluster.endpoints(),
-            cluster.t,
-            config=config,
-            rng=rng,
-            batch_verify=batch_verify,
-            sleep=sleep,
-            obs=obs,
-        )
+        client = cls(cluster.group, cluster.endpoints(), cluster.t, config=config, rng=rng,
+                     batch_verify=batch_verify, sleep=sleep, obs=obs)
+        client.verified_pk = cluster.master_pk  # the dealer's pk = g^y
+        return client
 
     def sign_blinded_batch(
         self, blinded_messages: list[GroupElement], credential=None

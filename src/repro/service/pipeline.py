@@ -13,7 +13,8 @@ One batch = one pass over every pending request's items:
 4. **verify** all blind signatures at once with Eq. 7 — 2 pairings for the
    whole batch instead of 2 per signature, the paper's own "Our Scheme*"
    trick applied at the service layer (with per-item isolation when the
-   batch check fails, so one bad signature cannot poison its batchmates);
+   batch check fails, so one bad signature cannot poison its batchmates),
+   unless the owner :meth:`~repro.core.owner.DataOwner.trusts` the signer;
 5. **unblind** (Eq. 5) with the owner's
    :meth:`~repro.core.owner.DataOwner.unblind_all`, through its table for
    the key pk = g^y.  A service pass and an owner's own
@@ -84,8 +85,7 @@ class SigningPipeline:
         params: system parameters.
         sem: the signing transport — anything exposing
             ``sign_blinded_batch(blinded, credential)``: a
-            :class:`~repro.core.sem.SecurityMediator`, a
-            :class:`~repro.core.multi_sem.MultiSEMClient`, or a
+            :class:`~repro.core.sem.SecurityMediator` or a
             :class:`~repro.service.failover.FailoverMultiSEMClient`.
         org_pk: the organizational public key pk = g^y; Eq. 4/7 check
             against it and Eq. 5 unblinds with it.
@@ -98,6 +98,7 @@ class SigningPipeline:
 
     Raises:
         ValueError: if ``org_pk_g1`` is given and is not ``org_pk``.
+        BlindSignatureError: if ``sem``'s rounds sign for another key.
     """
 
     def __init__(
@@ -120,6 +121,7 @@ class SigningPipeline:
         self.credential = credential
         self._rng = rng
         self.owner = DataOwner(params, org_pk, rng=rng)
+        self._checked = self.owner.trusts(sem)
 
     # -- the batched pass ---------------------------------------------------
     def prepare_batch(self, requests: list[SignRequest]) -> PreparedBatch:
@@ -153,7 +155,8 @@ class SigningPipeline:
                 f"for {len(prepared.blinded)} messages"
             )
         with self.obs.tracer.span("batch.finish", n_items=len(prepared.blinded)) as span:
-            item_ok = self._verify_or_isolate(prepared.blinded, blind_signatures)
+            item_ok = ([True] * len(blind_signatures) if self._checked
+                       else self._verify_or_isolate(prepared.blinded, blind_signatures))
             span.set(n_invalid=item_ok.count(False))
             return self._regroup(prepared, blind_signatures, item_ok)
 
@@ -223,7 +226,8 @@ class SigningPipeline:
             items = [(None, element) for element in request.blinded]
         for state, element in items:
             (blind_signature,) = self.sem.sign_blinded_batch([element], self.credential)
-            if not verify_blinded(self.group, element, blind_signature, self.org_pk):
+            if not self._checked and not verify_blinded(self.group, element,
+                                                        blind_signature, self.org_pk):
                 return PipelineResult(
                     request_id=request.request_id,
                     signatures=None,

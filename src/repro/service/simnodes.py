@@ -40,6 +40,7 @@ from repro.service.failover import (
     SEMEndpoint,
     SendRequest,
     SigningRound,
+    round_key,
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.pipeline import SigningPipeline
@@ -98,15 +99,11 @@ class SEMServiceNode(Node):
         if ledger is not None:
             self.health.on_invalid.append(self._ledger_invalid)
             self.health.on_trip.append(self._ledger_quarantine)
-        # The pipeline's transport is replaced per round by the message
-        # fan-out below; it still does aggregation/blinding/unblinding.
-        self._pipeline = SigningPipeline(
-            params,
-            sem=_RaiseTransport(),
-            org_pk=org_pk,
-            rng=rng,
-            obs=obs,
-        )
+        # The pipeline's signer is this node: its message fan-out rounds
+        # are final for verified_pk (no Eq. 7; another key than org_pk
+        # raises here).  The pipeline aggregates, blinds and unblinds.
+        self.verified_pk = round_key(self.group, endpoints, t)
+        self._pipeline = SigningPipeline(params, sem=self, org_pk=org_pk, rng=rng, obs=obs)
         self.obs = self._pipeline.obs
         self.service = BatchingSEMService(
             params,
@@ -373,13 +370,6 @@ class SEMServiceNode(Node):
         if replayed:
             self._arm_flush_timer()
         return replayed
-
-
-class _RaiseTransport:
-    """The simulator pipeline never calls its transport directly."""
-
-    def sign_blinded_batch(self, blinded, credential=None):  # pragma: no cover
-        raise RuntimeError("simulator service signs via message fan-out")
 
 
 class ServiceClientNode(Node):

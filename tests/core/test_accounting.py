@@ -56,19 +56,19 @@ class TestSigningCounts:
         assert tracker.pairings == 2
 
     def test_multi_sem_optimized_pairings(self, group, params_k4, rng):
-        """Eq. 14 budget: t + 1 pairings for share verification plus the
-        final Eq. 7 batch check (2 more)."""
-        from repro.core.multi_sem import MultiSEMClient, SEMCluster
+        """Eq. 14 budget: one 2-pairing check per SEM used, and no owner-side
+        Eq. 7 on the round's combined result."""
+        from repro.core.multi_sem import SEMCluster
+        from repro.service.failover import FailoverMultiSEMClient
 
         t = 3
         cluster = SEMCluster(group, t=t, rng=rng, require_membership=False)
-        client = MultiSEMClient(cluster, batch=True, rng=rng)
+        client = FailoverMultiSEMClient.from_cluster(cluster, rng=rng)
         owner = DataOwner(params_k4, cluster.master_pk, rng=rng)
         with CostTracker(group) as tracker:
             owner.sign_file(b"multi sem counting " * 4, b"f", client)
-        # t per-SEM batch checks (2 pairings each, incremental validation)
-        # + final Eq. 7 check (2): bounded by 2(t + 1).
-        assert tracker.pairings <= 2 * (t + 1)
+        # t per-SEM batch checks (2 pairings each, incremental validation).
+        assert tracker.pairings == 2 * t
 
 
 class TestVerificationCounts:

@@ -4,9 +4,10 @@ tolerance, and equality with the single-SEM signatures."""
 import pytest
 
 from repro.core.blocks import aggregate_block
-from repro.core.multi_sem import InsufficientSharesError, MultiSEMClient, SEMCluster
+from repro.core.multi_sem import InsufficientSharesError, SEMCluster
 from repro.core.owner import DataOwner
 from repro.crypto.bls import bls_verify_element
+from repro.service.failover import FailoverMultiSEMClient
 
 
 @pytest.fixture()
@@ -37,7 +38,7 @@ class TestClusterSetup:
 
 class TestSigning:
     def _sign(self, params, cluster, rng, batch=True, data=b"multi-sem data " * 5):
-        client = MultiSEMClient(cluster, batch=batch, rng=rng)
+        client = FailoverMultiSEMClient.from_cluster(cluster, batch_verify=batch, rng=rng)
         owner = DataOwner(params, cluster.master_pk, rng=rng)
         return owner.sign_file(data, b"f", client)
 
@@ -58,7 +59,8 @@ class TestSigning:
         single = SecurityMediator(group, sk=master_sk, rng=rng, require_membership=False)
         data = b"same data either way"
         owner1 = DataOwner(params_k4, cluster.master_pk, rng=rng)
-        multi_signed = owner1.sign_file(data, b"f", MultiSEMClient(cluster, rng=rng))
+        multi_signed = owner1.sign_file(
+            data, b"f", FailoverMultiSEMClient.from_cluster(cluster, rng=rng))
         owner2 = DataOwner(params_k4, single.pk, rng=rng)
         single_signed = owner2.sign_file(data, b"f", single)
         assert multi_signed.signatures == single_signed.signatures

@@ -13,6 +13,8 @@ from repro.crypto.blind_bls import (
     verify_blinded,
 )
 from repro.crypto.bls import bls_keygen, bls_verify_element
+from repro.crypto.threshold import batch_verify_shares
+from repro.pairing.interface import OperationCounter
 
 
 class TestProtocolCorrectness:
@@ -154,3 +156,55 @@ class TestBatchUnblindVerify:
         finally:
             group.detach_counter()
         assert counter.pairings == 2  # Eq. 7's whole point
+
+
+def _eq7_own_body(group, blinded_messages, blind_signatures, pk, rng):
+    """Eq. 7 as its own two-MSM body: the reference the one-SEM case of
+    Eq. 14 is held to, in verdict, weight draws and tallies."""
+    if len(blinded_messages) != len(blind_signatures):
+        raise ValueError("message and signature counts differ")
+    if not blinded_messages:
+        return True
+    gammas = [group.random_nonzero_scalar(rng) for _ in blinded_messages]
+    sig_acc = group.multi_exp(blind_signatures, gammas)
+    msg_acc = group.multi_exp(blinded_messages, gammas)
+    return group.pairing_check([(sig_acc, group.g1()), (msg_acc.inverse(), pk)])
+
+
+class TestEq7IsEq14WithOneSEM:
+    """One body computes the randomized check; Eq. 7 is its one-SEM case."""
+
+    CHECKS = {
+        "eq7-own-body": _eq7_own_body,
+        "batch_unblind_verify": batch_unblind_verify,
+        "batch_verify_shares": lambda group, blinded, sigs, pk, rng: batch_verify_shares(
+            group, blinded, {0: sigs}, {0: pk}, rng),
+    }
+
+    def _run(self, group, check, blinded, tildes, pk):
+        rng = random.Random(99)
+        counter = OperationCounter()
+        group.attach_counter(counter)
+        try:
+            verdict = check(group, blinded, tildes, pk, rng)
+        finally:
+            group.detach_counter()
+        return verdict, rng.getstate(), counter
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["valid", "flipped"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_same_verdict_draws_and_tallies(self, group, n, flip):
+        rng = random.Random(n)
+        kp = bls_keygen(group, rng)
+        blinded = [blind(group, group.random_g1(rng), rng).blinded for _ in range(n)]
+        tildes = [sign_blinded(b, kp.sk) for b in blinded]
+        if flip and n:
+            tildes[n // 2] = tildes[n // 2] * group.g1()
+        runs = {name: self._run(group, check, blinded, tildes, kp.pk)
+                for name, check in self.CHECKS.items()}
+        reference = runs.pop("eq7-own-body")
+        assert all(run == reference for run in runs.values())
+        verdict, _, counter = reference
+        assert verdict is not (flip and n > 0)
+        if n:
+            assert (counter.exp_g1, counter.exp_g1_msm, counter.pairings) == (0, 2 * n, 2)

@@ -191,8 +191,8 @@ class TestShareVerification:
             assert not self._two_sem_check(group, seed, shares_for)
 
     def test_eq14_single_sem_draws_only_message_weights(self, group, keys):
-        """With one SEM, δ = 1: the check draws n weights and costs 2n Exp,
-        as the per-SEM calls of SigningRound always have."""
+        """With one SEM, δ = 1: the check draws n weights and costs 2n Exp
+        (two n-term MSMs), as the per-SEM calls of SigningRound always have."""
         from repro.pairing.interface import OperationCounter
 
         rng = random.Random(4)
@@ -208,7 +208,8 @@ class TestShareVerification:
         for _ in blinded:
             group.random_nonzero_scalar(twin)
         assert rng.getstate() == twin.getstate()
-        assert (counter.exp_g1, counter.mul_g1, counter.pairings) == (10, 8, 2)
+        assert (counter.exp_g1, counter.exp_g1_msm, counter.mul_g1, counter.pairings) == (
+            0, 10, 0, 2)
 
     def test_eq14_empty(self, group, rng):
         assert batch_verify_shares(group, [], {}, {}, rng)

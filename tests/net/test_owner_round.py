@@ -1,9 +1,9 @@
 """The owner node's signing round: Eq. 14 share checks, one combiner.
 
 Every upload runs one :class:`~repro.service.failover.SigningRound`, so a
-threshold upload costs one Eq. 14 check per contacted-and-used SEM plus
-the final Eq. 7 check, a byzantine SEM within t − 1 is outvoted, and a
-round lost to invalid shares fails loudly instead of stalling.
+threshold upload costs one Eq. 14 check per contacted-and-used SEM and no
+owner-side Eq. 7, a byzantine SEM within t − 1 is outvoted, and a round
+lost to invalid shares fails loudly instead of stalling.
 """
 
 import pytest
@@ -28,8 +28,8 @@ class TestOwnerRound:
         with CostTracker(group) as tracker:
             _upload(sim, owner)
         assert owner.completed_uploads == [b"f"]
-        # t = 2 share batches by Eq. 14 (2 pairings each) + Eq. 7 (2).
-        assert tracker.pairings == 6
+        # t = 2 share batches by Eq. 14 (2 pairings each); no Eq. 7.
+        assert tracker.pairings == 4
 
     def test_one_byzantine_sem_is_outvoted(self, params_k4, rng, group):
         sim, owner, verifier = build_protocol_network(params_k4, threshold=2, rng=rng)
