@@ -41,25 +41,6 @@ def _time_it(fn, repeats: int) -> float:
     return (time.perf_counter() - start) / repeats
 
 
-def time_pairing(group: PairingGroup, p, q, repeats: int) -> float:
-    """Seconds per Pair as the protocol pays it.
-
-    Every verification equation is a two-term
-    :meth:`~repro.pairing.interface.PairingGroup.pairing_check` against
-    long-lived points (g or a key), so one Pair is half of a warm
-    (line-cached) ``pairing_check([(p, g), (p⁻¹, q)])``.  The group's operation counter
-    is detached while timing.
-    """
-    pairs = [(p, group.g1()), (p.inverse(), q)]
-    previous = group.counter
-    group.counter = None
-    try:
-        group.pairing_check(pairs)
-        return _time_it(lambda: group.pairing_check(pairs), repeats) / 2
-    finally:
-        group.counter = previous
-
-
 def calibrate(group: PairingGroup, repeats: int = 20, rng=None) -> UnitCosts:
     """Measure unit costs for ``group``.
 
@@ -74,7 +55,16 @@ def calibrate(group: PairingGroup, repeats: int = 20, rng=None) -> UnitCosts:
     p = group.order
 
     exp_g1 = _time_it(lambda: g1**scalar, repeats)
-    pair = time_pairing(group, g1, key, max(repeats // 2, 3))
+    # One Pair as the protocol pays it: half of a warm (line-cached)
+    # two-term pairing_check against long-lived points, untallied.
+    pairs = [(g1, group.g1()), (g1.inverse(), key)]
+    previous = group.counter
+    group.counter = None
+    try:
+        group.pairing_check(pairs)
+        pair = _time_it(lambda: group.pairing_check(pairs), max(repeats // 2, 3)) / 2
+    finally:
+        group.counter = previous
     mul_g1 = _time_it(lambda: g1 * other, repeats * 10)
     counter = [0]
 

@@ -254,14 +254,13 @@ def _persist_last_slo(args, scenario, result) -> None:
     )
 
 
-def _maybe_profile(args, obs, group) -> None:
-    """Print the calibrated hot-path profile of this run's spans."""
+def _maybe_profile(args, obs) -> None:
+    """Print the measured hot-path profile of this run's spans."""
     if not getattr(args, "profile", False):
         return
-    from repro.obs import calibrate_primitive_costs, render_profile
+    from repro.obs import render_profile
 
-    costs = calibrate_primitive_costs(group)
-    print(render_profile(obs.tracer, costs))
+    print(render_profile(obs.tracer))
 
 
 def _persist_last_run(root: Path, command: str, obs) -> None:
@@ -380,7 +379,7 @@ def cmd_upload(args) -> int:
     _write_obs_outputs(args, obs)
     _persist_last_run(root, "upload", obs)
     print(f"stored {args.file_id!r}: {len(data)} bytes as {len(signed.blocks)} blocks")
-    _maybe_profile(args, obs, params.group)
+    _maybe_profile(args, obs)
     return 0
 
 
@@ -437,7 +436,7 @@ def cmd_audit(args) -> int:
         from repro.obs import cost_table
 
         print(cost_table(obs.tracer, params.k))
-    _maybe_profile(args, obs, params.group)
+    _maybe_profile(args, obs)
     return 0 if ok else 1
 
 
@@ -1348,7 +1347,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(identical signatures and op counts at any N)")
     _add_obs_flags(p)
     p.add_argument("--profile", action="store_true",
-                   help="print a calibrated hot-path profile of this run")
+                   help="print a measured hot-path profile of this run")
     p.set_defaults(fn=cmd_upload)
 
     p = sub.add_parser("audit", help="run a public integrity audit")
@@ -1359,7 +1358,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "processes (identical proofs and op counts at any N)")
     _add_obs_flags(p)
     p.add_argument("--profile", action="store_true",
-                   help="print a calibrated hot-path profile of this run")
+                   help="print a measured hot-path profile of this run")
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser(

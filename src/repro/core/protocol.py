@@ -63,6 +63,10 @@ class SemPdpSystem:
         self.verifier = verifier
         self.sem = sem
         self.cluster = cluster
+        # One signer for every upload, so a cluster client's health
+        # scoreboard (quarantine of byzantine SEMs) spans uploads.
+        self._signer = sem if cluster is None else FailoverMultiSEMClient.from_cluster(
+            cluster, rng=rng)
         self._rng = rng
         self.obs = obs if obs is not None else NULL_OBS
         self.obs.observe_group(params.group)
@@ -176,11 +180,6 @@ class SemPdpSystem:
         self.manager.revoke(member_id)
 
     # -- data path ---------------------------------------------------------------
-    def _signing_service(self):
-        if self.sem is not None:
-            return self.sem
-        return FailoverMultiSEMClient.from_cluster(self.cluster, rng=self._rng)
-
     def upload(
         self,
         owner: DataOwner,
@@ -196,7 +195,7 @@ class SemPdpSystem:
                 signed: SignedFile = owner.sign_file(
                     data,
                     file_id,
-                    self._signing_service(),
+                    self._signer,
                     batch=batch,
                     encrypt_key=encrypt_key,
                 )

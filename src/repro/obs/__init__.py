@@ -98,12 +98,7 @@ from repro.obs.slo import (
     default_windows,
     error_budget_report,
 )
-from repro.obs.profiler import (
-    PrimitiveCosts,
-    build_profile,
-    calibrate_primitive_costs,
-    render_profile,
-)
+from repro.obs.profiler import build_profile, render_profile
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -191,7 +186,6 @@ __all__ = [
     "PHASE_PROOF_GEN",
     "PHASE_PROOF_VERIFY",
     "PHASE_SIGN",
-    "PrimitiveCosts",
     "RegressionConfig",
     "RegressionReport",
     "SCHEMA_VERSION",
@@ -216,7 +210,6 @@ __all__ = [
     "bind_verifier_cache",
     "bucket_quantile",
     "build_profile",
-    "calibrate_primitive_costs",
     "compare_runs",
     "compile_rules",
     "cost_table",

@@ -24,11 +24,12 @@ to the single records that mismatch.
 This module owns those records (:func:`audit_record`); every other kind
 is checked by the module that writes it (see :func:`verify_ledger`).
 
-Crash semantics follow the signing journal's discipline
-(:mod:`repro.service.journal`): appends are flushed line-writes, a torn
-final line (the write that was racing the crash) is truncated away on
-reopen, and anything torn *before* the final line is corruption and
-raises.  Epoch ``checkpoint`` entries every N appends pin (epoch, entry
+Crash semantics are shared with the signing journal
+(:mod:`repro.service.journal`), in :func:`truncate_torn_tail`: appends
+are flushed line-writes, a record exists once its newline is written,
+whatever follows the last newline (the write that was racing the crash)
+is truncated away on reopen, and a bad line *before* it is corruption
+and raises.  Epoch ``checkpoint`` entries every N appends pin (epoch, entry
 count, head-so-far) so an auditor can spot-check long chains.
 """
 
@@ -65,6 +66,33 @@ class LedgerError(Exception):
     """Corrupt, unreadable, or tampered ledger."""
 
 
+def truncate_torn_tail(path) -> bool:
+    """Cut an append-only JSONL file back to its last newline.
+
+    The crash rule of the ledger and the signing journal: a record exists
+    once its newline is written, so whatever follows the last newline is
+    the torn tail of an append that raced a crash, even when it parses.
+    Cutting it on reopen lets the next append start a line of its own.
+
+    Returns:
+        True when a torn tail was cut.
+    """
+    with open(path, "r+b") as handle:
+        end = position = handle.seek(0, os.SEEK_END)
+        while position:
+            step = min(position, 1 << 16)
+            position -= step
+            handle.seek(position)
+            newline = handle.read(step).rfind(b"\n")
+            if newline >= 0:
+                position += newline + 1
+                break
+        if position == end:
+            return False
+        handle.truncate(position)
+        return True
+
+
 def _canonical(record: dict) -> bytes:
     return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
 
@@ -81,8 +109,7 @@ class Ledger:
     Args:
         path: JSONL file to append to; ``None`` keeps the chain in memory
             only (tests, benches).  Reopening an existing file resumes the
-            chain from its head — after truncating a torn final line, the
-            same recovery the signing journal performs.
+            chain from its head, after :func:`truncate_torn_tail`.
         clock: zero-argument callable stamping each entry's virtual time
             (``lambda: sim.now`` under the simulator; defaults to 0.0 so
             CLI-side entries stay deterministic).
@@ -108,14 +135,8 @@ class Ledger:
 
     # -- recovery ------------------------------------------------------------
     def _resume(self) -> None:
-        entries, torn = read_ledger(self.path)
-        self.torn_tail = torn
-        if torn:
-            # Drop the torn tail so the next append re-extends a clean chain.
-            with open(self.path, "r+b") as handle:
-                data = handle.read()
-                keep = data.rfind(b"\n") + 1
-                handle.truncate(keep)
+        self.torn_tail = truncate_torn_tail(self.path)
+        entries, _ = read_ledger(self.path)
         for position, entry in enumerate(entries):
             problem = _chain_break(entry, position, self._prev)
             if problem is not None:
@@ -213,36 +234,32 @@ def iter_ledger(path):
     """Yield a ledger file's records one line at a time; returns torn_tail.
 
     The generator's return value (``StopIteration.value``) is True when
-    the final line is torn (crash mid-append): it is tolerated, reported,
-    and not yielded.  A malformed line anywhere else — and any line that
-    parses but is not shaped like a ledger record — raises
-    :class:`LedgerError`: the chain behind it is unusable.  Only one line
-    is held at a time, plus one line of lookahead to tell the final line
-    from the rest.
+    the file ends in a torn tail (bytes after the last newline, see
+    :func:`truncate_torn_tail`): it is tolerated, reported, and not
+    yielded.  A malformed line anywhere else — and any line that parses
+    but is not shaped like a ledger record — raises :class:`LedgerError`:
+    the chain behind it is unusable.  Only one line is held at a time.
     """
+    lineno = 0
     with open(path, "rb") as handle:
         # Iterating splits after each b"\n"; splitlines() then splits the
         # pieces further exactly as bytes.splitlines() splits the file.
-        lines = (line for chunk in handle for line in chunk.splitlines())
-        lineno, raw = 0, next(lines, None)
-        while raw is not None:
-            lineno, upcoming = lineno + 1, next(lines, None)
-            if raw.strip():
+        for chunk in handle:
+            if not chunk.endswith(b"\n"):
+                return True
+            for raw in chunk.splitlines():
+                lineno += 1
+                if not raw.strip():
+                    continue
                 try:
                     record = json.loads(raw.decode("utf-8"))
                 except (json.JSONDecodeError, UnicodeDecodeError):
-                    # A flipped bit can break UTF-8 just as easily as JSON;
-                    # both are tamper unless it is the torn final line of a
-                    # crash.
-                    if upcoming is None:
-                        return True
+                    # A flipped bit can break UTF-8 just as easily as JSON.
                     raise LedgerError(f"corrupt ledger record at line {lineno}")
                 if not _is_record(record):
-                    # A torn write never parses, so this is tamper on any line.
                     raise LedgerError(f"malformed ledger record at line {lineno}: "
                                       "not a sealed entry")
                 yield record
-            raw = upcoming
     return False
 
 

@@ -5,7 +5,9 @@ ProofGen, ProofVerify, blind-sign round trips, failover rounds, …).  Spans
 nest through a stack, carry attributes, and — when the tracer holds an
 :class:`~repro.pairing.interface.OperationCounter` — automatically record
 the Exp/Pair operations performed while they were open, so every span's
-cost is expressed in the same units as the paper's Table I.
+cost is expressed in the same units as the paper's Table I, and the wall
+seconds the group's kernels ran while they were open (``Span.layers``,
+kept off the attributes so serialized traces do not change).
 
 The clock is injected: ``lambda: sim.now`` inside the discrete-event
 simulator (deterministic, virtual seconds), ``time.perf_counter`` in real
@@ -41,7 +43,7 @@ OP_KEYS = (
 class Span:
     """One finished-or-open phase: timing, attributes, tree position."""
 
-    __slots__ = ("name", "span_id", "parent_id", "start", "end", "attributes")
+    __slots__ = ("name", "span_id", "parent_id", "start", "end", "attributes", "layers")
 
     def __init__(self, name: str, span_id: int, parent_id: int | None, start: float):
         self.name = name
@@ -50,6 +52,8 @@ class Span:
         self.start = start
         self.end: float | None = None
         self.attributes: dict = {}
+        # Kernel name -> wall seconds spent in it while open (inclusive).
+        self.layers: dict[str, float] = {}
 
     @property
     def duration(self) -> float:
@@ -116,8 +120,9 @@ class Tracer:
         clock: zero-argument callable returning the current time in seconds
             (virtual or monotonic).  Defaults to ``time.perf_counter``.
         counter: when given, each span snapshots it on entry and records the
-            operation deltas (``exp_g1``, ``pairings``, …) as attributes on
-            exit.  Deltas are *inclusive* of child spans, like durations.
+            operation deltas (``exp_g1``, ``pairings``, …) as attributes and
+            the kernel-seconds deltas as ``layers`` on exit.  Deltas are
+            *inclusive* of child spans, like durations.
     """
 
     enabled = True
@@ -134,19 +139,26 @@ class Tracer:
         parent_id = self._stack[-1].span_id if self._stack else None
         span = Span(name, next(self._ids), parent_id, self.clock())
         span.attributes.update(attributes)
-        before = self.counter.snapshot() if self.counter is not None else None
+        counter = self.counter
+        if counter is not None:
+            before = counter.snapshot()
+            kernels_before = dict(counter.kernel_s)
         self._stack.append(span)
         try:
             yield span
         finally:
             self._stack.pop()
             span.end = self.clock()
-            if before is not None:
-                after = self.counter.snapshot()
+            if counter is not None:
+                after = counter.snapshot()
                 for key in OP_KEYS:
                     delta = after.get(key, 0) - before.get(key, 0)
                     if delta:
                         span.attributes[key] = span.attributes.get(key, 0) + delta
+                for kernel, seconds in counter.kernel_s.items():
+                    delta = seconds - kernels_before.get(kernel, 0.0)
+                    if delta:
+                        span.layers[kernel] = delta
             self.spans.append(span)
 
     def record(self, name: str, start: float, end: float | None = None,

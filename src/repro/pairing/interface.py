@@ -37,6 +37,12 @@ class OperationCounter:
 
     The model-equivalent total is the sum of all four; the observability
     cost table uses it to check measured runs against Table I *exactly*.
+
+    ``kernel_s`` is not a tally: it holds the wall seconds the group spent
+    in each of its timed kernels (:mod:`repro.pairing.type_a`) while this
+    counter was attached.  Tracer spans record its deltas for the
+    profiler; :meth:`snapshot`, :meth:`diff`, :meth:`merge` and
+    :meth:`reset` leave it out, so op tallies stay exact integers.
     """
 
     exp_g1: int = 0
@@ -48,12 +54,15 @@ class OperationCounter:
     exp_g1_msm: int = 0
     exp_g1_skipped: int = 0
 
+    def __post_init__(self) -> None:
+        self.kernel_s: dict[str, float] = {}
+
     def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        for name in _TALLIES:
+            setattr(self, name, 0)
 
     def snapshot(self) -> dict[str, int]:
-        return dict(vars(self))  # the fields, in declaration order
+        return {name: getattr(self, name) for name in _TALLIES}
 
     def merge(self, delta: dict[str, int]) -> None:
         """Add a snapshot/diff of another counter into this one.
@@ -78,6 +87,10 @@ class OperationCounter:
             for key in current
             if current[key] != before.get(key, 0)
         }
+
+
+#: The tally fields of :class:`OperationCounter`, in declaration order.
+_TALLIES = tuple(f.name for f in fields(OperationCounter))
 
 
 class GroupElement:

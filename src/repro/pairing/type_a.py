@@ -26,6 +26,9 @@ object-level API is provided by :class:`repro.pairing.interface`.
 
 from __future__ import annotations
 
+import functools
+from time import perf_counter
+
 from repro.ec.hash_to_curve import hash_to_curve_try_increment
 from repro.ec.jacobian import affine_add, batch_affine_sums, jac_msm, jac_scalar_mul
 from repro.mathkit.ntheory import sqrt_mod
@@ -35,6 +38,30 @@ from repro.pairing.params import TypeAParams
 #: Most second-argument points whose Miller lines a group keeps (~60 KB each at
 #: paper-160); a full cache is emptied and refills with the points in use.
 _LINE_CACHE_SIZE = 32
+
+
+def _timed(kernel: str):
+    """Add the method's wall seconds to the attached counter's ``kernel_s``.
+
+    Applied to the seven kernels below, none of which calls another, so
+    the seconds a span records per kernel never overlap and their sum is
+    at most the span's own wall time.  Without a counter the method runs
+    untimed.
+    """
+    def wrap(method):
+        @functools.wraps(method)
+        def timed(self, *args):
+            counter = self.counter
+            if counter is None:
+                return method(self, *args)
+            start = perf_counter()
+            try:
+                return method(self, *args)
+            finally:
+                seconds = counter.kernel_s
+                seconds[kernel] = seconds.get(kernel, 0.0) + (perf_counter() - start)
+        return timed
+    return wrap
 
 
 class TypeAPairingGroup(PairingGroup):
@@ -201,10 +228,12 @@ class TypeAPairingGroup(PairingGroup):
             self._pk_h[pk_point] = pk_h
         return pk_h
 
+    @_timed("hash")
     def _hash_to_curve(self, data: bytes):
         """Try-and-increment onto E(F_q); the caller clears the cofactor."""
         return hash_to_curve_try_increment(data, self.q)
 
+    @_timed("scalar_mul")
     def _raw_scalar_mul(self, point, n: int):
         """Width-4 NAF in Jacobian coordinates; returns affine or None."""
         return jac_scalar_mul(point, n, self.q)
@@ -223,6 +252,7 @@ class TypeAPairingGroup(PairingGroup):
     def _scalar_mul(self, a, n):
         return self._raw_scalar_mul(a, n)
 
+    @_timed("sums")
     def _sums(self, lists):
         """Raw sum of each list of raw points (behind fixed-base lookups).
 
@@ -232,6 +262,7 @@ class TypeAPairingGroup(PairingGroup):
         """
         return batch_affine_sums(lists, self.q)
 
+    @_timed("msm")
     def _msm(self, points, exponents):
         """Raw multi-scalar multiplication behind :meth:`multi_exp`.
 
@@ -248,6 +279,7 @@ class TypeAPairingGroup(PairingGroup):
         sign = 2 | (y & 1)
         return x.to_bytes(self._qbytes, "big") + bytes([sign])
 
+    @_timed("decode")
     def deserialize_g1(self, data: bytes):
         """Inverse of element serialization (compressed form).
 
@@ -281,6 +313,7 @@ class TypeAPairingGroup(PairingGroup):
         f = self._miller_loop(p, q_point)
         return self._final_exponentiation(f)
 
+    @_timed("miller")
     def _miller_loop(self, p, q_point):
         """f_{r,Q}(φ(P)) from the cached lines of the second argument Q.
 
@@ -340,6 +373,7 @@ class TypeAPairingGroup(PairingGroup):
                 tx = nx
         return tuple(lines)
 
+    @_timed("final_exp")
     def _final_exponentiation(self, f):
         """f ^ ((q²−1)/r)  =  (f^(q−1)) ^ h,  with f^q = conj(f)."""
         q = self.q

@@ -22,10 +22,13 @@ the queue, since admission (validation + membership) already passed before
 the ``accepted`` record existed.  Replay is idempotent: dedupe is by
 request id, so zero requests are lost and zero are signed twice.
 
-The final line of the file may be truncated (the crash happened mid-
-append); it is treated as if never written, which is safe in both cases —
-a torn ``accepted`` means the client never got an admission acknowledgment
-(it retries), a torn ``done`` merely re-signs one batch after restart.
+A record exists once its newline is written: whatever follows the last
+newline is the torn tail of an append the crash interrupted, and reopening
+truncates it (:func:`~repro.obs.ledger.truncate_torn_tail`, the ledger's
+rule too).  It is treated as if never written, which is safe in both
+cases — a torn ``accepted`` means the client never got an admission
+acknowledgment (it retries), a torn ``done`` merely re-signs one batch
+after restart.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import json
 import os
 
 from repro.core.blocks import Block
+from repro.obs.ledger import truncate_torn_tail
 from repro.service.api import ResponseStatus, SignRequest, SignResponse
 
 
@@ -134,6 +138,7 @@ class SigningJournal:
 
     # -- persistence ---------------------------------------------------------
     def _load(self) -> None:
+        self.torn_lines = int(truncate_torn_tail(self.path))
         with open(self.path, "r", encoding="utf-8") as stream:
             lines = stream.readlines()
         for lineno, line in enumerate(lines):
@@ -143,11 +148,6 @@ class SigningJournal:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    # Torn tail: the crash interrupted this append.  The
-                    # record never "happened" — see the module docstring.
-                    self.torn_lines += 1
-                    break
                 raise JournalError(f"corrupt journal record at line {lineno + 1}")
             self._apply(record)
 

@@ -95,6 +95,21 @@ class TestJournalUnit:
         assert reloaded.torn_lines == 1
         assert [r.request_id for r in reloaded.pending()] == [45]
 
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path, params_k4, group):
+        """Crash mid-append, restart, two admissions: the next reopen sees
+        three clean records, not the torn bytes glued to the first new one."""
+        path = tmp_path / "j"
+        SigningJournal(path, group=group).record_accepted(
+            make_blocks_request(params_k4, request_id=45))
+        with open(path, "a") as fh:
+            fh.write('{"rec": "done", "id": 45, "stat')  # crash mid-append
+        restarted = SigningJournal(path, group=group)
+        for request_id in (46, 47):
+            restarted.record_accepted(make_blocks_request(params_k4, request_id=request_id))
+        reloaded = SigningJournal(path, group=group)
+        assert reloaded.torn_lines == 0
+        assert [r.request_id for r in reloaded.pending()] == [45, 46, 47]
+
     def test_mid_file_corruption_raises(self, tmp_path, params_k4, group):
         path = tmp_path / "j"
         journal = SigningJournal(path, group=group)

@@ -1,9 +1,12 @@
 """Tests for the SemPdpSystem facade and dynamic group management."""
 
+import random
+
 import pytest
 
 from repro.core import SemPdpSystem
 from repro.core.sem import RevokedMemberError, UnknownMemberError
+from repro.pairing import toy_group
 
 
 @pytest.fixture()
@@ -87,6 +90,19 @@ class TestMultiSemFacade:
         system.cluster.crash(1)
         system.upload(alice, b"data", b"f")
         assert system.audit(b"f")
+
+    def test_quarantine_spans_uploads(self):
+        """One client signs every upload, so a byzantine SEM caught on the
+        first upload is not contacted (nor its shares checked) again."""
+        system = SemPdpSystem.create(toy_group(), k=4, threshold=2, rng=random.Random(3))
+        system.cluster.corrupt(0)
+        alice = system.enroll("alice")
+        contacted = []
+        for i in range(3):
+            system.upload(alice, b"shared data " * 16, b"f%d" % i)
+            contacted.append(len(system.cluster.sems[0].transcript))
+        assert contacted == [contacted[0]] * 3 and contacted[0] > 0
+        assert all(system.audit(b"f%d" % i) for i in range(3))
 
 
 class TestDynamicGroups:

@@ -160,6 +160,26 @@ class TestCrashSemantics:
         assert entries[-1]["kind"] == "round"
         assert verify_ledger(path).ok
 
+    def test_parsing_tail_without_newline_is_torn(self, tmp_path):
+        """A final line that parses but lacks its newline was never
+        written whole: reopen cuts it, so the next append starts its own
+        line and the reopen after that keeps every entry."""
+        path = tmp_path / "tail.jsonl"
+        ledger = Ledger(path)
+        ledger.ensure_genesis({"run": 1})
+        ledger.append("round", {"round": 0})
+        data = path.read_bytes()
+        path.write_bytes(data[:-1])  # the last entry's newline never landed
+        entries, torn = read_ledger(path)
+        assert torn and len(entries) == 1
+        reopened = Ledger(path)
+        assert reopened.torn_tail and reopened.head()["entries"] == 1
+        reopened.append("round", {"round": 0})
+        again = Ledger(path)
+        assert not again.torn_tail and again.head() == reopened.head()
+        assert again.head()["entries"] == 2
+        assert verify_ledger(path).ok
+
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         ledger = Ledger(path)
