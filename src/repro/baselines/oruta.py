@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.blocks import Block, aggregate_block, encode_data
-from repro.core.challenge import Challenge, ProofResponse
+from repro.core.challenge import Challenge
 from repro.core.params import SystemParams
 from repro.mathkit.ntheory import inverse_mod
 from repro.pairing.interface import GroupElement, PairingGroup
@@ -160,8 +160,3 @@ class OrutaVerifier:
         return group.pairing_check(
             [(acc.inverse(), group.g1()), *zip(response.phis, self.ring_pks)]
         )
-
-
-def oruta_to_pdp_response(response: OrutaResponse) -> ProofResponse:
-    """Adapter used by size-accounting benchmarks (σ slot gets φ_1)."""
-    return ProofResponse(sigma=response.phis[0], alphas=response.alphas)

@@ -143,9 +143,6 @@ class ResilientStore:
 
         return secrets.randbelow(self.params.order - 1) + 1
 
-    def _single_block_challenge(self, file_id: bytes, position: int) -> Challenge:
-        return self._range_challenge(file_id, position, position + 1)
-
     # -- repair -------------------------------------------------------------------------
     def repair(self, file_id: bytes) -> RepairReport:
         """Locate corrupt blocks, reconstruct them, re-sign, re-upload."""

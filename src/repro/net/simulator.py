@@ -147,6 +147,24 @@ class Simulator:
         )
         return timer_id
 
+    def every(self, interval_s: float, fn, until_s: float | None = None) -> None:
+        """Call ``fn(now)`` every ``interval_s`` virtual seconds.
+
+        The one periodic timer of the observers (the SLO sampler, the
+        metering epochs, the dashboard): a daemon timer that re-arms
+        while real work is pending and, given ``until_s``, while
+        ``now < until_s`` — so it never keeps a run alive on its own.
+        """
+        if interval_s <= 0:
+            raise ValueError("interval must be positive")
+
+        def fire():
+            fn(self.now)
+            if (until_s is None or self.now < until_s) and self.pending_events():
+                self.schedule(interval_s, fire, daemon=True)
+
+        self.schedule(interval_s, fire, daemon=True)
+
     def cancel_timer(self, timer_id: int) -> None:
         """Cancel a pending timer; a no-op for timers that already fired."""
         if timer_id in self._pending_timers:

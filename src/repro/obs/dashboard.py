@@ -54,7 +54,6 @@ class Dashboard:
         self.interval_s = interval_s
         self.latency_metric = latency_metric
         self.frames_rendered = 0
-        self._timer: int | None = None
         # Flight-recorder hook: a zero-argument callable returning the live
         # (latency_s, trace_id) pairs, so frames can surface the exemplar
         # trace id behind the slowest completion observed so far.
@@ -183,20 +182,9 @@ class Dashboard:
     def attach(self, sim, interval_s: float | None = None) -> None:
         """Render a frame every ``interval_s`` virtual seconds of ``sim``.
 
-        The timer re-arms only while the simulator has other pending
-        events; once the dashboard would be the sole event source it lets
-        the run drain instead of keeping it alive forever.
+        Runs on the simulator's daemon periodic timer: frames render
+        while the protocol has pending events, and watching never keeps
+        the run alive past its last real event.
         """
         interval = self.interval_s if interval_s is None else interval_s
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-
-        def fire():
-            self.tick()
-            if sim.pending_events():
-                self._timer = sim.schedule(interval, fire)
-            else:
-                self._timer = None
-            return None
-
-        self._timer = sim.schedule(interval, fire)
+        sim.every(interval, lambda _now: self.tick())

@@ -43,7 +43,8 @@ class Meter:
     the event loop calls :meth:`begin`/:meth:`commit` around every event.
     Usage sources (requests/signatures/bytes) are cumulative per-scope
     callables registered with :meth:`add_source`; epoch rolls difference
-    them.  :meth:`attach` arms the epoch timer on the simulator wheel.
+    them; the owner rolls epochs with :meth:`roll`, typically on the
+    simulator's periodic timer (:meth:`repro.net.simulator.Simulator.every`).
     """
 
     def __init__(self, counter, scope_of: dict[str, str], ledger=None):
@@ -95,18 +96,6 @@ class Meter:
     def install(self, sim) -> None:
         sim.meter = self
         self._epoch_start = sim.now
-
-    def attach(self, sim, epoch_s: float) -> None:
-        """Roll an epoch record every ``epoch_s`` of virtual time."""
-        if epoch_s <= 0:
-            raise ValueError("metering epoch must be positive")
-
-        def fire():
-            self.roll(sim.now)
-            if sim.pending_events():
-                sim.schedule(epoch_s, fire, daemon=True)
-
-        sim.schedule(epoch_s, fire, daemon=True)
 
     # -- epoch accounting ----------------------------------------------------
     def _current_totals(self) -> dict[str, dict[str, int]]:

@@ -46,6 +46,7 @@ __all__ = [
     "AlertEngine",
     "LatencyTap",
     "bind_sli_sources",
+    "check_expected",
     "check_slo_report",
     "default_windows",
     "error_budget_report",
@@ -395,14 +396,31 @@ def check_slo_report(slo: dict, tolerance: float = 1e-6) -> list[str]:
                 )
 
     # (4) expected-alerts exactness, both directions.
-    expected = set(slo.get("expected_alerts") or [])
-    for key in recorded:
-        if key not in expected and key.split(":")[0] not in expected:
-            problems.append(f"alert {key!r} fired but was not expected")
-    for want in sorted(expected):
-        if not any(k == want or k.split(":")[0] == want for k in recorded):
-            problems.append(f"expected alert {want!r} never fired")
+    unexpected, missing = check_expected(recorded,
+                                         slo.get("expected_alerts") or [])
+    problems.extend(f"alert {key!r} fired but was not expected"
+                    for key in unexpected)
+    problems.extend(f"expected alert {want!r} never fired" for want in missing)
     return problems
+
+
+def check_expected(fired, expected) -> tuple[list[str], list[str]]:
+    """(unexpected, missing) of the fired alert keys against expectations.
+
+    An expectation ``"obj"`` covers any severity of that objective;
+    ``"obj:severity"`` is exact.  Exactness cuts both ways: every fired
+    alert must be expected and every expectation must fire.
+    """
+    expected = set(expected)
+    unexpected = [
+        f for f in fired
+        if f not in expected and f.split(":")[0] not in expected
+    ]
+    missing = [
+        e for e in sorted(expected)
+        if not any(f == e or f.split(":")[0] == e for f in fired)
+    ]
+    return unexpected, missing
 
 
 class LatencyTap:
@@ -410,8 +428,8 @@ class LatencyTap:
 
     Cohort driver nodes append each completion's latency to a plain
     list; the tap tracks a consumed index per source and, on every
-    registry collect, observes only the new entries.  Absorption happens
-    at sampler ticks, which is deterministic under virtual time.
+    sampler tick and registry collect, observes only the new entries.
+    Sampler ticks run in virtual time, so absorption is deterministic.
     """
 
     def __init__(self, registry: MetricsRegistry,
@@ -422,25 +440,26 @@ class LatencyTap:
         )
         self._sources: list[list[float]] = []
         self._consumed: list[int] = []
-        registry.register_collector(self._absorb)
+        registry.register_collector(self.absorb)
 
     def add_source(self, latencies: list) -> None:
         self._sources.append(latencies)
         self._consumed.append(0)
 
-    def _absorb(self) -> None:
+    def absorb(self) -> None:
         for i, source in enumerate(self._sources):
             for value in source[self._consumed[i]:]:
                 self.histogram.observe(value)
             self._consumed[i] = len(source)
 
 
-def bind_sli_sources(registry: MetricsRegistry, sources: dict) -> None:
+def bind_sli_sources(registry: MetricsRegistry, sources: dict) -> dict:
     """Mirror SLI accumulators into registry counters via a collector.
 
     ``sources`` maps SLI metric names to zero-arg callables returning the
-    current cumulative value.  Registered only when SLOs are enabled so
-    plain runs keep their golden exposition byte-identical.
+    current cumulative value; it is returned for the time-series store,
+    which samples the sources directly.  Registered only when SLOs are
+    enabled so plain runs keep their golden exposition byte-identical.
     """
     counters = {
         name: registry.counter(name, f"SLO indicator ({name})")
@@ -452,3 +471,4 @@ def bind_sli_sources(registry: MetricsRegistry, sources: dict) -> None:
             counters[name].set(float(sources[name]()))
 
     registry.register_collector(collect)
+    return sources

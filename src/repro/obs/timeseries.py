@@ -1,123 +1,115 @@
-"""Ring-buffer time-series store sampled on the simulator timer wheel.
+"""Ring-buffer time-series store for the SLO engine's declared series.
 
-The metrics registry (:mod:`repro.obs.registry`) holds *current* values;
-SLO evaluation needs *windows* of them.  :class:`TimeSeriesStore` bridges
-the two: a sampler on the timer wheel snapshots every scalar sample (and
-every histogram's cumulative bucket vector) into bounded ring buffers,
-timestamped with **virtual time** — ``sim.now`` — so windowed math is
-clock-skew free and bit-reproducible across runs.  The deployment CLI
-can hand in a wall clock instead; the operators are agnostic.
+SLO evaluation needs *windows* of a few cumulative indicators.
+:class:`TimeSeriesStore` samples exactly those — the SLI counters, read
+straight from their sources, and the :class:`~repro.obs.slo.LatencyTap`
+histogram's cumulative bucket vector — into bounded ring buffers,
+timestamped with **virtual time** (``sim.now``), so windowed math is
+clock-skew free and bit-reproducible across runs.  Nothing else in the
+metrics registry is sampled.
 
 Windowed operators follow Prometheus semantics:
 
 * :meth:`TimeSeriesStore.increase` — growth of a counter over a trailing
   window, reset-aware (a decrease between adjacent points is a counter
   reset: the post-reset value is counted instead of a negative delta).
-* :meth:`TimeSeriesStore.rate` — increase divided by the *covered* span,
-  so partial windows at run start do not dilute the rate.
 * :meth:`TimeSeriesStore.window_quantile` /
   :meth:`TimeSeriesStore.window_fraction_over` — bucket-count deltas over
   the window fed through :func:`repro.obs.registry.bucket_quantile`, the
   same interpolation the live dashboard quantiles use.
 
 Everything here is pure bookkeeping: no group operations, no RNG, no
-wall-clock reads in the virtual-time path (the SLO bench gates this at
-exactly 0 ΔExp / 0 ΔPair).
+wall-clock reads (the SLO bench gates this at exactly 0 ΔExp / 0 ΔPair).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
-from .registry import Histogram, MetricsRegistry, bucket_quantile
+from .registry import bucket_quantile
 
 __all__ = ["SeriesRing", "TimeSeriesStore"]
 
 #: Default ring capacity per series.  At the default sampling cadence a
-#: run records well under this many points; the cap only matters for the
-#: long-lived wall-clock path.
+#: run records well under this many points.
 DEFAULT_CAPACITY = 1024
 
 
 class SeriesRing:
     """Bounded ring of ``(t, value)`` points, append-only, time-ordered."""
 
-    __slots__ = ("capacity", "_points")
+    __slots__ = ("capacity", "_times", "_values")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 2:
             raise ValueError("a series ring needs capacity >= 2")
         self.capacity = capacity
-        self._points: list[tuple[float, object]] = []
+        self._times: list[float] = []
+        self._values: list[object] = []
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._times)
 
     def append(self, t: float, value) -> None:
-        if self._points and t < self._points[-1][0]:
+        if self._times and t < self._times[-1]:
             raise ValueError(
-                f"samples must be time-ordered: {t} < {self._points[-1][0]}"
+                f"samples must be time-ordered: {t} < {self._times[-1]}"
             )
-        self._points.append((t, value))
-        if len(self._points) > self.capacity:
-            del self._points[0]
+        self._times.append(t)
+        self._values.append(value)
+        if len(self._times) > self.capacity:
+            del self._times[0]
+            del self._values[0]
 
-    def latest(self):
-        """The newest ``(t, value)`` point, or ``None`` while empty."""
-        return self._points[-1] if self._points else None
+    def window(self, start: float, end: float) -> list:
+        """Values of the points with ``start <= t <= end``, oldest first,
+        led by the baseline: the newest point at or before ``start``.
 
-    def window(self, start: float, end: float) -> list[tuple[float, object]]:
-        """Points with ``start <= t <= end``, oldest first."""
-        return [p for p in self._points if start <= p[0] <= end]
-
-    def at_or_before(self, t: float):
-        """The newest point with timestamp <= t, or ``None``."""
-        best = None
-        for point in self._points:
-            if point[0] <= t:
-                best = point
-            else:
-                break
-        return best
+        Without such a point (a partial window at run start) the first
+        in-window point is the baseline.  Empty when no point lies in
+        ``[start, end]``.
+        """
+        times = self._times
+        lo = bisect_left(times, start)
+        hi = bisect_right(times, end, lo)
+        if lo == hi:
+            return []
+        base = bisect_right(times, start, lo) - 1
+        if base < 0 or base == lo:
+            return self._values[lo:hi]
+        return [self._values[base]] + self._values[lo:hi]
 
 
 class TimeSeriesStore:
-    """Samples a :class:`MetricsRegistry` into per-series ring buffers.
+    """Samples the declared SLI sources and the latency tap into rings.
 
-    ``clock`` supplies timestamps when :meth:`sample` is called without
-    one — virtual time (``lambda: sim.now``) inside the simulator, wall
-    time for the deployment CLI.  Attach to a simulator timer wheel with
-    :meth:`attach`; the sampler re-arms only while protocol events are
-    still pending, so a run drains instead of ticking forever (the same
-    idiom the dashboard uses).
+    ``sources`` maps SLI names to zero-arg callables returning the
+    current cumulative value (what :func:`repro.obs.slo.bind_sli_sources`
+    returns); ``tap`` is the run's latency tap, absorbed before each
+    sample.  Arm :meth:`sample` on the simulator's periodic timer
+    (:meth:`repro.net.simulator.Simulator.every`).
     """
 
-    def __init__(self, registry: MetricsRegistry, clock=None,
+    def __init__(self, sources: dict, tap=None,
                  capacity: int = DEFAULT_CAPACITY):
-        self.registry = registry
-        self.clock = clock or (lambda: 0.0)
-        self.capacity = capacity
-        self.series: dict[str, SeriesRing] = {}
-        #: histogram family name -> ring of (t, (counts tuple, count, total))
+        self.sources = sources
+        self.tap = tap
+        self.series = {name: SeriesRing(capacity) for name in self.sources}
+        #: histogram name -> ring of (t, (counts tuple, count, total))
         self.histograms: dict[str, SeriesRing] = {}
+        if tap is not None:
+            self.histograms[tap.histogram.name] = SeriesRing(capacity)
         self.samples_taken = 0
         self.on_sample = None  # callback(now) after each sample (alerting)
 
-    # -- sampling ------------------------------------------------------------
-    def sample(self, now: float | None = None) -> float:
-        """Snapshot every registry sample at ``now`` (default: clock())."""
-        t = self.clock() if now is None else now
-        for s in self.registry.collect():
-            ring = self.series.get(s.key())
-            if ring is None:
-                ring = self.series[s.key()] = SeriesRing(self.capacity)
-            ring.append(t, s.value)
-        # Histograms additionally keep their cumulative bucket vectors so
-        # windowed quantiles can difference them.  collect() above already
-        # refreshed the pull-collectors, so the children are current.
-        for family in self.registry.families():
-            if not isinstance(family, Histogram):
-                continue
+    def sample(self, now: float) -> None:
+        """Snapshot every declared series at ``now``."""
+        for name, source in self.sources.items():
+            self.series[name].append(now, float(source()))
+        if self.tap is not None:
+            self.tap.absorb()
+            family = self.tap.histogram
             child = family._children.get(())
             if child is None:
                 # Children are created lazily on first observe(); record an
@@ -126,70 +118,26 @@ class TimeSeriesStore:
                 value = ((0,) * len(family.buckets), 0, 0.0)
             else:
                 value = (tuple(child.counts), child.count, child.total)
-            ring = self.histograms.get(family.name)
-            if ring is None:
-                ring = self.histograms[family.name] = SeriesRing(self.capacity)
-            ring.append(t, value)
+            self.histograms[family.name].append(now, value)
         self.samples_taken += 1
         if self.on_sample is not None:
-            self.on_sample(t)
-        return t
-
-    def attach(self, sim, interval_s: float) -> None:
-        """Arm periodic sampling on the simulator's timer wheel."""
-        if interval_s <= 0:
-            raise ValueError("sampling interval must be positive")
-        self.clock = lambda: sim.now
-
-        def fire():
-            self.sample(sim.now)
-            # Daemon timer: fires while the run has real work, never keeps
-            # the run alive on its own (or via other daemon observers).
-            if sim.pending_events():
-                sim.schedule(interval_s, fire, daemon=True)
-
-        self.sample(sim.now)  # t=0 baseline for partial-window math
-        sim.schedule(interval_s, fire, daemon=True)
-
-    # -- point access --------------------------------------------------------
-    def latest(self, key: str) -> float | None:
-        ring = self.series.get(key)
-        point = ring.latest() if ring else None
-        return None if point is None else point[1]
+            self.on_sample(now)
 
     # -- windowed operators --------------------------------------------------
-    def _window_points(self, ring: SeriesRing | None, window_s: float,
-                       now: float | None):
-        if now is None:
-            now = self.clock()
-        if ring is None or not len(ring):
-            return None, now
-        points = ring.window(now - window_s, now)
-        if not points:
-            return None, now
-        # Prefer the last point at or before the window start as the
-        # baseline; when none exists (partial window at run start) the
-        # first in-window point is the baseline and the covered span
-        # shrinks accordingly.
-        baseline = ring.at_or_before(now - window_s)
-        if baseline is not None and baseline is not points[0]:
-            points = [baseline] + points
-        return points, now
-
-    def increase(self, key: str, window_s: float,
-                 now: float | None = None) -> float:
+    def increase(self, key: str, window_s: float, now: float) -> float:
         """Counter growth over the trailing window (0.0 when empty).
 
         Reset-aware: a decrease between adjacent points marks a counter
-        reset (the ``resets`` discontinuity from the registry), and the
-        post-reset value is added instead of a negative delta.
+        reset, and the post-reset value is added instead of a negative
+        delta.
         """
-        points, _ = self._window_points(self.series.get(key), window_s, now)
-        if points is None or len(points) < 2:
+        ring = self.series.get(key)
+        values = ring.window(now - window_s, now) if ring else []
+        if len(values) < 2:
             return 0.0
         total = 0.0
-        prev = points[0][1]
-        for _, value in points[1:]:
+        prev = values[0]
+        for value in values[1:]:
             if value < prev:  # counter reset: growth restarts from zero
                 total += value
             else:
@@ -197,40 +145,20 @@ class TimeSeriesStore:
             prev = value
         return total
 
-    def covered(self, key: str, window_s: float,
-                now: float | None = None) -> float:
-        """The span of the window actually backed by samples."""
-        points, end = self._window_points(self.series.get(key), window_s, now)
-        if points is None or len(points) < 2:
-            return 0.0
-        return end - max(points[0][0], end - window_s)
-
-    def rate(self, key: str, window_s: float,
-             now: float | None = None) -> float:
-        """Per-second increase over the *covered* part of the window."""
-        span = self.covered(key, window_s, now)
-        if span <= 0:
-            return 0.0
-        return self.increase(key, window_s, now) / span
-
-    # -- windowed histogram operators ----------------------------------------
-    def _window_delta(self, name: str, window_s: float, now: float | None):
+    def _window_delta(self, name: str, window_s: float, now: float):
         """Bucket-count delta (counts, count) across the trailing window."""
-        family = self.registry._metrics.get(name)
-        buckets = family.buckets if isinstance(family, Histogram) else ()
-        points, _ = self._window_points(self.histograms.get(name), window_s, now)
-        if points is None or not buckets:
-            return buckets, None, 0
-        if len(points) < 2:
-            # Single point: everything it has ever seen predates the
+        ring = self.histograms.get(name)
+        values = ring.window(now - window_s, now) if ring else []
+        if len(values) < 2:
+            # A single point: everything it has ever seen predates the
             # window's start resolution — treat as empty window.
-            return buckets, None, 0
-        (c0, n0, _), (c1, n1, _) = points[0][1], points[-1][1]
+            return (), None, 0
+        (c0, n0, _), (c1, n1, _) = values[0], values[-1]
         counts = [b - a for a, b in zip(c0, c1)]
-        return buckets, counts, n1 - n0
+        return self.tap.histogram.buckets, counts, n1 - n0
 
     def window_quantile(self, name: str, q: float, window_s: float,
-                        now: float | None = None) -> float:
+                        now: float) -> float:
         """Quantile of observations recorded inside the trailing window.
 
         Shares :func:`bucket_quantile` with the dashboard's live
@@ -242,8 +170,7 @@ class TimeSeriesStore:
         return bucket_quantile(buckets, counts, count, q)
 
     def window_fraction_over(self, name: str, threshold: float,
-                             window_s: float,
-                             now: float | None = None) -> float:
+                             window_s: float, now: float) -> float:
         """Fraction of in-window observations above ``threshold``.
 
         Interpolates inside the covering bucket under the same

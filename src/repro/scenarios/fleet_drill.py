@@ -16,11 +16,12 @@ Envelope checks the drill feeds (see
 ``max_repair_duration_s`` (virtual seconds from the first server loss to
 the last completed repair — detection latency included).
 
-SLO objectives ride along through :class:`FleetSLO`, a storage-flavoured
-:class:`~repro.scenarios.slo_wiring.SLOHarness`: a "request" is one
-slice challenge, a "bad" outcome is an invalid proof or an unreachable
-server, and the ``quarantine`` signal burns on exactly those outcomes —
-so a ``parity + 1``-loss plan pages while a surviving plan stays quiet.
+SLO objectives ride along through the same
+:class:`~repro.scenarios.slo_wiring.SLOHarness` as a compiled run, fed
+storage SLIs: a "request" is one slice challenge, a "bad" outcome is an
+invalid proof or an unreachable server, and the ``quarantine`` signal
+burns on exactly those outcomes — so a ``parity + 1``-loss plan pages
+while a surviving plan stays quiet.
 """
 
 from __future__ import annotations
@@ -37,92 +38,11 @@ from repro.obs.slo import (
     SLI_MESSAGES,
     SLI_PAIR,
     SLI_REQUESTS,
-    AlertEngine,
-    LatencyTap,
-    bind_sli_sources,
-    compile_rules,
-    error_budget_report,
 )
-from repro.obs.timeseries import TimeSeriesStore
 from repro.scenarios.schema import Scenario
-from repro.scenarios.slo_wiring import SAMPLES_PER_RUN, objectives_from_spec
+from repro.scenarios.slo_wiring import SLOHarness
 
-__all__ = ["FleetDrill", "FleetSLO"]
-
-
-class FleetSLO:
-    """The SLO harness for a fleet drill: same engine, storage SLIs.
-
-    Mirrors :class:`~repro.scenarios.slo_wiring.SLOHarness` (virtual-time
-    sampler on the timer wheel, burn-rate alert engine, error-budget
-    report, expected-alerts exactness) with the drill's signal sources.
-    Per-group cost metering does not apply to a storage drill, so the
-    metering plane stays empty.
-    """
-
-    def __init__(self, scenario: Scenario, drill: "FleetDrill", registry,
-                 counter):
-        spec = scenario.slos
-        duration = scenario.settings.duration_s
-        self.spec = spec
-        self.objectives = objectives_from_spec(spec)
-        sim = drill.sim
-        bind_sli_sources(registry, {
-            SLI_REQUESTS: lambda: drill.checks_issued,
-            SLI_FINISHED: lambda: drill.checks_issued,
-            SLI_BAD: lambda: drill.invalid_proofs + drill.timeouts,
-            SLI_MESSAGES: lambda: drill.checks_issued,
-            SLI_DROPPED: lambda: drill.timeouts,
-            SLI_EXP: lambda: counter_model_exp(counter),
-            SLI_PAIR: lambda: counter.pairings if counter else 0,
-            SLI_INVALID: lambda: drill.invalid_proofs + drill.timeouts,
-        })
-        self.tap = LatencyTap(registry)
-        self.store = TimeSeriesStore(registry, clock=lambda: sim.now)
-        self.engine = AlertEngine(
-            compile_rules(self.objectives, duration), self.store
-        )
-        self.store.on_sample = self.engine.evaluate
-        interval = spec.sample_interval_s or duration / SAMPLES_PER_RUN
-        self._attach_sampler(sim, interval, duration)
-        self.duration = duration
-        self.budget_rows: list[dict] = []
-        self._finalized = False
-
-    def _attach_sampler(self, sim, interval_s: float, horizon_s: float) -> None:
-        store = self.store
-
-        def fire():
-            store.sample(sim.now)
-            if sim.now < horizon_s and sim.pending_events():
-                sim.schedule(interval_s, fire, daemon=True)
-
-        store.sample(sim.now)  # t=0 baseline for partial-window math
-        sim.schedule(interval_s, fire, daemon=True)
-
-    def finalize(self, virtual_end: float) -> None:
-        if self._finalized:
-            return
-        self._finalized = True
-        self.store.sample(virtual_end)
-        self.budget_rows = error_budget_report(
-            self.objectives, self.store, self.duration, virtual_end
-        )
-
-    def expected_alerts(self) -> tuple[str, ...]:
-        return self.spec.expected_alerts
-
-    def check_expected(self, fired: list[str]) -> tuple[list[str], list[str]]:
-        expected = set(self.spec.expected_alerts)
-        unexpected = [
-            f for f in fired
-            if f not in expected and f.split(":")[0] not in expected
-        ]
-        missing = [
-            e for e in sorted(expected)
-            if not any(f == e or f.split(":")[0] == e for f in fired)
-        ]
-        return unexpected, missing
+__all__ = ["FleetDrill"]
 
 
 class FleetDrill:
@@ -180,8 +100,25 @@ class FleetDrill:
         self.fault_counts: dict[str, int] = {}
         self._loss_at: float | None = None
         self._repaired_at: float | None = None
-        self.slo = (FleetSLO(scenario, self, self.obs.registry, self.counter)
+        self.slo = (SLOHarness(scenario, self.sim, self.obs.registry,
+                               self._sli_sources())
                     if scenario.slos is not None else None)
+
+    def _sli_sources(self) -> dict:
+        """Storage SLIs: a request is one slice challenge; an invalid proof
+        or an unreachable server is a bad outcome.  Metering and latency
+        do not apply to a storage drill."""
+        counter = self.counter
+        return {
+            SLI_REQUESTS: lambda: self.checks_issued,
+            SLI_FINISHED: lambda: self.checks_issued,
+            SLI_BAD: lambda: self.invalid_proofs + self.timeouts,
+            SLI_MESSAGES: lambda: self.checks_issued,
+            SLI_DROPPED: lambda: self.timeouts,
+            SLI_EXP: lambda: counter_model_exp(counter),
+            SLI_PAIR: lambda: counter.pairings,
+            SLI_INVALID: lambda: self.invalid_proofs + self.timeouts,
+        }
 
     # -- drive ---------------------------------------------------------------
     def run(self) -> float:

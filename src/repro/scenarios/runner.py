@@ -304,8 +304,9 @@ class ScenarioRunner:
         if self.compiled is None:
             if self.scenario.slos is not None and (
                     self.obs is None or not self.obs.enabled):
-                # The SLO engine samples the run's registry; a scenario
-                # that declares objectives implies observability.
+                # The SLO engine mirrors its SLIs into the run's registry
+                # (the engine itself samples only the declared series), so
+                # a scenario that declares objectives implies observability.
                 from repro.obs import Observability
 
                 self.obs = Observability.create()
@@ -314,10 +315,20 @@ class ScenarioRunner:
                                              journal=self.journal)
             self.replayed = self.compiled.replayed
             if self.scenario.slos is not None:
-                from repro.scenarios.slo_wiring import SLOHarness
+                from repro.scenarios.slo_wiring import (
+                    SLOHarness,
+                    compiled_meter,
+                    compiled_sli_sources,
+                )
 
-                self.slo = SLOHarness(self.scenario, self.compiled,
-                                      self.obs.registry, ledger=self.ledger)
+                compiled = self.compiled
+                self.slo = SLOHarness(
+                    self.scenario, compiled.sim, self.obs.registry,
+                    compiled_sli_sources(compiled),
+                    latency_sources=[c.latencies
+                                     for c in compiled.cohorts.values()],
+                    meter=compiled_meter(self.scenario, compiled, self.ledger),
+                )
         return self.compiled
 
     def run(self) -> ScenarioResult:
@@ -368,12 +379,7 @@ class ScenarioRunner:
                 "online": handle.online,
             }
         if self.slo is not None:
-            result.alerts = list(self.slo.engine.timeline)
-            result.fired_alerts = self.slo.engine.fired()
-            result.expected_alerts = list(self.slo.expected_alerts())
-            result.error_budgets = list(self.slo.budget_rows)
-            result.metering = []
-            result.metering_close = {}
+            self.slo.record(result)
         if self.ledger is not None:
             self._seal_ledger(result)
         result.wall_s = time.perf_counter() - started
@@ -412,7 +418,10 @@ class ScenarioRunner:
                                result: ScenarioResult) -> list[EnvelopeViolation]:
         """Expected-alerts-exactly: the declared set must equal the fired
         set — a silent alert is as much a failure as a spurious one."""
-        unexpected, missing = self.slo.check_expected(result.fired_alerts or [])
+        from repro.obs.slo import check_expected
+
+        unexpected, missing = check_expected(result.fired_alerts or [],
+                                             result.expected_alerts or [])
         violations = []
         if unexpected:
             violations.append(EnvelopeViolation(
@@ -498,12 +507,7 @@ class ScenarioRunner:
         if compiled.injector is not None:
             result.fault_counts = dict(compiled.injector.counts)
         if self.slo is not None:
-            result.alerts = list(self.slo.engine.timeline)
-            result.fired_alerts = self.slo.engine.fired()
-            result.expected_alerts = list(self.slo.expected_alerts())
-            result.error_budgets = list(self.slo.budget_rows)
-            result.metering = list(self.slo.meter.records)
-            result.metering_close = dict(self.slo.meter.close_record)
+            self.slo.record(result)
         self._attribute_latency(compiled, result)
         return result
 

@@ -729,6 +729,12 @@ class Scenario:
         self.settings.validate()
         if self.slos is not None:
             self.slos.validate()
+            if self.topology.fleet is not None:
+                for i, objective in enumerate(self.slos.objectives):
+                    _require(objective.signal != "latency",
+                             f"slos.objectives[{i}]",
+                             "a fleet drill records no request latencies, "
+                             "so a latency objective could never burn")
         group_names = {g.name for g in self.topology.sem_groups}
         cloud_names = {c.name for c in self.topology.clouds}
         if self.workload.dynamic is not None:

@@ -1,12 +1,14 @@
-"""Wire a scenario's ``slos:`` component onto a compiled simulation.
+"""Wire a scenario's ``slos:`` component onto a simulated run.
 
 The schema (:class:`repro.scenarios.schema.SLOSpec`) stays declarative;
-this module is the compile-time bridge to the obs machinery: it binds
-the SLI counters into the run's registry, arms the virtual-time sampler
-(:class:`repro.obs.timeseries.TimeSeriesStore`) and the alert engine
-(:class:`repro.obs.slo.AlertEngine`) on the simulator timer wheel, and
-installs the per-scope :class:`repro.obs.meter.Meter` with its node →
-billing-scope map and usage sources.
+:class:`SLOHarness` is the bridge to the obs machinery for every driver
+that runs SLOs — the compiled node graph and the fleet drill.  It
+mirrors the caller's SLI sources into the run's registry, arms the
+virtual-time sampler (:class:`repro.obs.timeseries.TimeSeriesStore`) and
+the alert engine (:class:`repro.obs.slo.AlertEngine`) on the simulator's
+periodic timer, and installs the caller's per-scope
+:class:`repro.obs.meter.Meter`, if any.  :func:`compiled_sli_sources`
+and :func:`compiled_meter` build those inputs for a compiled scenario.
 
 Everything is bound **only when the scenario declares SLOs**, so plain
 runs keep their golden metric expositions and digests byte-identical.
@@ -36,7 +38,13 @@ from repro.obs.slo import (
 from repro.obs.timeseries import TimeSeriesStore
 from repro.scenarios.schema import BurnWindowSpec, ObjectiveSpec, Scenario, SLOSpec
 
-__all__ = ["SLOHarness", "default_slo_spec", "objectives_from_spec"]
+__all__ = [
+    "SLOHarness",
+    "compiled_meter",
+    "compiled_sli_sources",
+    "default_slo_spec",
+    "objectives_from_spec",
+]
 
 #: Default sampler cadence: this many windows across the run duration.
 SAMPLES_PER_RUN = 50
@@ -91,157 +99,43 @@ def default_slo_spec() -> SLOSpec:
 class SLOHarness:
     """Everything SLO-shaped for one run, armed on the timer wheel.
 
-    Construction binds the SLI collectors, attaches the sampler + alert
-    engine, and installs the meter; :meth:`finalize` runs the last
-    evaluation at the end of virtual time, computes the error-budget
+    The caller hands in what the run measures: ``sli_sources`` (SLI name
+    → zero-arg cumulative reader), the completion-latency lists the
+    :class:`LatencyTap` absorbs, and an optional metering
+    :class:`~repro.obs.meter.Meter`.  Construction mirrors the SLIs into
+    the registry, arms the sampler + alert engine (and the meter's epoch
+    timer) on the simulator's periodic timer; :meth:`finalize` runs the
+    last evaluation at the end of virtual time, computes the error-budget
     rows, and closes the metering epoch (before the runner seals the
     ledger, so metering records precede the ``run_summary`` entry).
     """
 
-    def __init__(self, scenario: Scenario, compiled, registry, ledger=None):
+    def __init__(self, scenario: Scenario, sim, registry, sli_sources: dict,
+                 latency_sources=(), meter: Meter | None = None):
         spec = scenario.slos
         duration = scenario.settings.duration_s
         self.spec = spec
         self.objectives = objectives_from_spec(spec)
-        sim = compiled.sim
-        self._bind_slis(registry, compiled)
-        self.store = TimeSeriesStore(registry, clock=lambda: sim.now)
+        self.duration = duration
+        sources = bind_sli_sources(registry, sli_sources)
+        self.tap = LatencyTap(registry)
+        for latencies in latency_sources:
+            self.tap.add_source(latencies)
+        self.store = TimeSeriesStore(sources, self.tap)
         self.engine = AlertEngine(
             compile_rules(self.objectives, duration), self.store
         )
         self.store.on_sample = self.engine.evaluate
-        interval = spec.sample_interval_s or duration / SAMPLES_PER_RUN
-        self._attach_sampler(sim, interval, duration)
-        self.meter = Meter(compiled.counter, self._scope_map(scenario),
-                           ledger=ledger)
-        self._add_usage_sources(compiled)
-        self.meter.install(sim)
-        epoch_s = spec.epoch_s or duration / EPOCHS_PER_RUN
-        self._attach_meter(sim, epoch_s, duration)
-        self.duration = duration
+        self.store.sample(sim.now)  # t=0 baseline for partial-window math
+        sim.every(spec.sample_interval_s or duration / SAMPLES_PER_RUN,
+                  self.store.sample, until_s=duration)
+        self.meter = meter
+        if meter is not None:
+            meter.install(sim)
+            sim.every(spec.epoch_s or duration / EPOCHS_PER_RUN,
+                      meter.roll, until_s=duration)
         self.budget_rows: list[dict] = []
         self._finalized = False
-
-    # -- timer wiring --------------------------------------------------------
-    def _attach_sampler(self, sim, interval_s: float, horizon_s: float) -> None:
-        """Like :meth:`TimeSeriesStore.attach`, but daemon + horizon-bounded.
-
-        Daemon timers don't count as pending events, so the sampler, the
-        metering epoch timer, and the dashboard can all re-arm themselves
-        without keeping each other (and the run) alive forever; the
-        horizon bound additionally stops sampling past the scenario's
-        declared duration.
-        """
-        store = self.store
-
-        def fire():
-            store.sample(sim.now)
-            if sim.now < horizon_s and sim.pending_events():
-                sim.schedule(interval_s, fire, daemon=True)
-
-        store.clock = lambda: sim.now
-        store.sample(sim.now)  # t=0 baseline for partial-window math
-        sim.schedule(interval_s, fire, daemon=True)
-
-    def _attach_meter(self, sim, epoch_s: float, horizon_s: float) -> None:
-        meter = self.meter
-
-        def fire():
-            meter.roll(sim.now)
-            if sim.now < horizon_s and sim.pending_events():
-                sim.schedule(epoch_s, fire, daemon=True)
-
-        sim.schedule(epoch_s, fire, daemon=True)
-
-    # -- SLI binding ---------------------------------------------------------
-    def _bind_slis(self, registry, compiled) -> None:
-        sim = compiled.sim
-        counter = compiled.counter
-        services = list(compiled.services.values())
-        cohorts = list(compiled.cohorts.values())
-        issued = lambda: sum(c.issued for c in cohorts)
-        completed = lambda: sum(len(c.completed) for c in cohorts)
-        failed = lambda: sum(len(c.failed) for c in cohorts)
-        bind_sli_sources(registry, {
-            SLI_REQUESTS: issued,
-            SLI_FINISHED: lambda: completed() + failed(),
-            SLI_BAD: failed,
-            SLI_MESSAGES: lambda: sim.delivered + sim.dropped,
-            SLI_DROPPED: lambda: sim.dropped,
-            SLI_EXP: lambda: counter_model_exp(counter),
-            SLI_PAIR: lambda: counter.pairings,
-            SLI_INVALID: lambda: sum(
-                s.health.summary()["invalid_total"] for s in services
-            ),
-        })
-        self.tap = LatencyTap(registry)
-        for node in cohorts:
-            self.tap.add_source(node.latencies)
-
-    # -- metering scopes -----------------------------------------------------
-    def _scope_map(self, scenario: Scenario) -> dict[str, str]:
-        scope: dict[str, str] = {}
-        for spec in scenario.topology.sem_groups:
-            scope[f"svc-{spec.name}"] = f"group:{spec.name}"
-            for j in range(spec.w):
-                scope[f"sem-{spec.name}-{j}"] = f"group:{spec.name}"
-        for cohort in scenario.workload.cohorts:
-            scope[f"c-{cohort.name}"] = f"cohort:{cohort.name}"
-        for cloud in scenario.topology.clouds:
-            scope[cloud.name] = f"cloud:{cloud.name}"
-        for verifier in scenario.topology.verifiers:
-            scope[verifier.name] = f"verifier:{verifier.name}"
-        return scope
-
-    def _add_usage_sources(self, compiled) -> None:
-        sim = compiled.sim
-        scope_of = self.meter.scope_of
-
-        def bytes_sent_by(scope: str):
-            return sum(
-                ch.stats.bytes_total
-                for (src, _dst), ch in sim._channels.items()
-                if scope_of.get(src) == scope
-            )
-
-        def group_source(scope, service):
-            return lambda: {
-                "requests": service.metrics.submitted,
-                "signatures": service.metrics.signatures_produced,
-                "bytes": bytes_sent_by(scope),
-            }
-
-        def cohort_source(scope, issued, completed):
-            return lambda: {
-                "requests": issued(),
-                "signatures": completed(),
-                "bytes": bytes_sent_by(scope),
-            }
-
-        for gname, service in compiled.services.items():
-            scope = f"group:{gname}"
-            self.meter.add_source(scope, group_source(scope, service))
-        for cname, node in compiled.cohorts.items():
-            scope = f"cohort:{cname}"
-            self.meter.add_source(scope, cohort_source(
-                scope,
-                (lambda n: lambda: n.issued)(node),
-                (lambda n: lambda: len(n.completed))(node),
-            ))
-        for vname, node in compiled.verifiers.items():
-            scope = f"verifier:{vname}"
-            self.meter.add_source(scope, (lambda s, n: lambda: {
-                "requests": n.audits_passed + n.audits_failed,
-                "signatures": 0,
-                "bytes": bytes_sent_by(s),
-            })(scope, node))
-        for clname, node in compiled.clouds.items():
-            scope = f"cloud:{clname}"
-            self.meter.add_source(scope, (lambda s, n: lambda: {
-                "requests": n.server.stored_files,
-                "signatures": 0,
-                "bytes": bytes_sent_by(s),
-            })(scope, node))
 
     # -- end of run ----------------------------------------------------------
     def finalize(self, virtual_end: float) -> None:
@@ -252,26 +146,112 @@ class SLOHarness:
         self.budget_rows = error_budget_report(
             self.objectives, self.store, self.duration, virtual_end
         )
-        self.meter.close(virtual_end)
+        if self.meter is not None:
+            self.meter.close(virtual_end)
 
-    # -- expectations --------------------------------------------------------
-    def expected_alerts(self) -> tuple[str, ...]:
-        return self.spec.expected_alerts
+    def record(self, result) -> None:
+        """Copy the SLO plane onto a :class:`ScenarioResult`."""
+        result.alerts = list(self.engine.timeline)
+        result.fired_alerts = self.engine.fired()
+        result.expected_alerts = list(self.spec.expected_alerts)
+        result.error_budgets = list(self.budget_rows)
+        meter = self.meter
+        result.metering = list(meter.records) if meter else []
+        result.metering_close = dict(meter.close_record) if meter else {}
 
-    def check_expected(self, fired: list[str]) -> tuple[list[str], list[str]]:
-        """(unexpected, missing) against the declared expectations.
 
-        An expectation ``"obj"`` covers any severity of that objective;
-        ``"obj:severity"`` is exact.  Exactness cuts both ways: every
-        fired alert must be expected and every expectation must fire.
-        """
-        expected = set(self.spec.expected_alerts)
-        unexpected = [
-            f for f in fired
-            if f not in expected and f.split(":")[0] not in expected
-        ]
-        missing = [
-            e for e in sorted(expected)
-            if not any(f == e or f.split(":")[0] == e for f in fired)
-        ]
-        return unexpected, missing
+# -- the compiled-scenario sources ---------------------------------------------
+def compiled_sli_sources(compiled) -> dict:
+    """The SLI readers of a compiled node graph (cohorts, services, wire)."""
+    sim = compiled.sim
+    counter = compiled.counter
+    services = list(compiled.services.values())
+    cohorts = list(compiled.cohorts.values())
+    issued = lambda: sum(c.issued for c in cohorts)
+    completed = lambda: sum(len(c.completed) for c in cohorts)
+    failed = lambda: sum(len(c.failed) for c in cohorts)
+    return {
+        SLI_REQUESTS: issued,
+        SLI_FINISHED: lambda: completed() + failed(),
+        SLI_BAD: failed,
+        SLI_MESSAGES: lambda: sim.delivered + sim.dropped,
+        SLI_DROPPED: lambda: sim.dropped,
+        SLI_EXP: lambda: counter_model_exp(counter),
+        SLI_PAIR: lambda: counter.pairings,
+        SLI_INVALID: lambda: sum(
+            s.health.summary()["invalid_total"] for s in services
+        ),
+    }
+
+
+def compiled_meter(scenario: Scenario, compiled, ledger=None) -> Meter:
+    """The per-scope meter of a compiled node graph, sources attached."""
+    meter = Meter(compiled.counter, _scope_map(scenario), ledger=ledger)
+    _add_usage_sources(meter, compiled)
+    return meter
+
+
+def _scope_map(scenario: Scenario) -> dict[str, str]:
+    scope: dict[str, str] = {}
+    for spec in scenario.topology.sem_groups:
+        scope[f"svc-{spec.name}"] = f"group:{spec.name}"
+        for j in range(spec.w):
+            scope[f"sem-{spec.name}-{j}"] = f"group:{spec.name}"
+    for cohort in scenario.workload.cohorts:
+        scope[f"c-{cohort.name}"] = f"cohort:{cohort.name}"
+    for cloud in scenario.topology.clouds:
+        scope[cloud.name] = f"cloud:{cloud.name}"
+    for verifier in scenario.topology.verifiers:
+        scope[verifier.name] = f"verifier:{verifier.name}"
+    return scope
+
+
+def _add_usage_sources(meter: Meter, compiled) -> None:
+    sim = compiled.sim
+    scope_of = meter.scope_of
+
+    def bytes_sent_by(scope: str):
+        return sum(
+            ch.stats.bytes_total
+            for (src, _dst), ch in sim._channels.items()
+            if scope_of.get(src) == scope
+        )
+
+    def group_source(scope, service):
+        return lambda: {
+            "requests": service.metrics.submitted,
+            "signatures": service.metrics.signatures_produced,
+            "bytes": bytes_sent_by(scope),
+        }
+
+    def cohort_source(scope, issued, completed):
+        return lambda: {
+            "requests": issued(),
+            "signatures": completed(),
+            "bytes": bytes_sent_by(scope),
+        }
+
+    for gname, service in compiled.services.items():
+        scope = f"group:{gname}"
+        meter.add_source(scope, group_source(scope, service))
+    for cname, node in compiled.cohorts.items():
+        scope = f"cohort:{cname}"
+        meter.add_source(scope, cohort_source(
+            scope,
+            (lambda n: lambda: n.issued)(node),
+            (lambda n: lambda: len(n.completed))(node),
+        ))
+    for vname, node in compiled.verifiers.items():
+        scope = f"verifier:{vname}"
+        meter.add_source(scope, (lambda s, n: lambda: {
+            "requests": n.audits_passed + n.audits_failed,
+            "signatures": 0,
+            "bytes": bytes_sent_by(s),
+        })(scope, node))
+    for clname, node in compiled.clouds.items():
+        scope = f"cloud:{clname}"
+        meter.add_source(scope, (lambda s, n: lambda: {
+            "requests": n.server.stored_files,
+            "signatures": 0,
+            "bytes": bytes_sent_by(s),
+        })(scope, node))

@@ -38,7 +38,7 @@ class TestStoreAndAudit:
         ch = store.verifier.generate_challenge(b"f", stored.n_blocks)
         assert store.verifier.verify(ch, store.cloud.generate_proof(b"f", ch))
         for position in range(parity_start, stored.n_blocks):
-            ch = store._single_block_challenge(b"f", position)
+            ch = store._range_challenge(b"f", position, position + 1)
             assert store.verifier.verify(ch, store.cloud.generate_proof(b"f", ch))
 
     def test_retrieve_clean(self, store):

@@ -1,11 +1,13 @@
 """serve-sim dashboard: frame content, virtual-time scheduling, zero ops."""
 
 import io
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.net.simulator import Simulator
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Observability
 from repro.obs.adapters import (
     bind_operation_counter,
     bind_service_metrics,
@@ -13,6 +15,7 @@ from repro.obs.adapters import (
 )
 from repro.obs.dashboard import Dashboard
 from repro.pairing.interface import OperationCounter
+from repro.scenarios import ScenarioRunner, load_scenario
 from repro.service.metrics import ServiceMetrics
 
 
@@ -69,13 +72,32 @@ class TestVirtualTime:
             sim.schedule(0.05 * i, lambda: None)
         dashboard.attach(sim, interval_s=0.1)
         end = sim.run()
-        # Frames at 0.1..0.4 fire between events; 0.4 still sees the 0.45
-        # event pending so one last frame lands at 0.5, after which the
-        # timer stops re-arming instead of keeping the simulation alive.
-        assert dashboard.frames_rendered == 5
-        assert end == pytest.approx(0.5)
+        # Frames at 0.1..0.4 fire between events.  The 0.4 frame re-arms
+        # for 0.5 (the 0.45 event is still pending), but that frame is a
+        # daemon timer: the run drains at its last real event instead of
+        # lasting one more tick because it is watched.
+        assert dashboard.frames_rendered == 4
+        assert end == pytest.approx(0.45)
         assert sim.pending_events() == 0
         assert "t=0.100s" in out.getvalue()
+
+    def test_watched_scenario_reproduces_its_pinned_digest(self):
+        # Watching a run must not change it: with a dashboard attached,
+        # the crash-failover scenario still replays to its pinned digest.
+        root = Path(__file__).resolve().parents[2]
+        pinned = json.loads(
+            (root / "tests" / "scenarios" / "replay_digests.json").read_text())
+        obs = Observability.create()
+        runner = ScenarioRunner(
+            load_scenario(root / "scenarios" / "sem_crash_failover.yaml"),
+            obs=obs)
+        sim = runner.compile().sim
+        dashboard = Dashboard(obs.registry, clock=lambda: sim.now,
+                              out=io.StringIO())
+        dashboard.attach(sim)
+        result = runner.run()
+        assert dashboard.frames_rendered > 0
+        assert result.digest() == pinned["sem_crash_failover"]
 
     def test_rendering_performs_zero_group_operations(self):
         # The acceptance bar: watching a run must not change its cost —

@@ -1,9 +1,9 @@
 """Burn-rate SLO engine: rules, alert state machine, offline report check.
 
 The engine is driven end-to-end through a scripted SLI: a controllable
-bad/finished accumulator mirrored into the registry via the same
-``bind_sli_sources`` path production uses, sampled into the time-series
-store at fixed virtual ticks.  The alert timeline the engine produces is
+bad/finished accumulator bound via the same ``bind_sli_sources`` path
+production uses, sampled into the time-series store at fixed virtual
+ticks.  The alert timeline the engine produces is
 then fed to :func:`check_slo_report`, the offline verifier — the same
 honest-run/forged-run duality the ledger tests use.
 """
@@ -42,13 +42,12 @@ class _ScriptedRun:
 
     def __init__(self, objective=None, for_intervals=1):
         self.state = {"bad": 0.0, "finished": 0.0}
-        registry = MetricsRegistry()
-        bind_sli_sources(registry, {
+        sources = bind_sli_sources(MetricsRegistry(), {
             SLI_BAD: lambda: self.state["bad"],
             SLI_FINISHED: lambda: self.state["finished"],
         })
         self.objective = objective or _availability_objective()
-        self.store = TimeSeriesStore(registry)
+        self.store = TimeSeriesStore(sources)
         self.engine = AlertEngine(
             compile_rules([self.objective], 4.0), self.store,
             for_intervals=for_intervals,
@@ -82,13 +81,11 @@ class TestWindowsAndRules:
         assert keys == ["alpha:page", "alpha:ticket", "zeta:page", "zeta:ticket"]
 
     def test_op_budget_idle_window_burns_nothing(self):
-        registry = MetricsRegistry()
         spend = {"exp": 0.0, "requests": 0.0}
-        bind_sli_sources(registry, {
+        store = TimeSeriesStore(bind_sli_sources(MetricsRegistry(), {
             "sli_exp_total": lambda: spend["exp"],
             SLI_REQUESTS: lambda: spend["requests"],
-        })
-        store = TimeSeriesStore(registry)
+        }))
         objective = SLOObjective(name="cost", signal="op_budget", target=0.99,
                                  op="exp", budget_per_request=100.0)
         rule = BurnRateRule(objective, BurnRateWindow(1.0, 0.5, 4.0))

@@ -3,8 +3,9 @@
 The windowed operators are the foundation the burn-rate alerting stands
 on, so their edge cases get property treatment: empty windows, partial
 windows at run start (the baseline-point rule), counter resets
-mid-window, and histogram-delta quantiles against a brute-force oracle.
-Sampling runs on the simulator timer wheel, so there is no clock skew by
+mid-window, the bisect window lookup against a brute-force scan, and
+histogram-delta quantiles against a brute-force oracle.  Sampling runs
+on the simulator's periodic timer, so there is no clock skew by
 construction — the tests pin that each point's timestamp is exactly the
 virtual time of its sampler tick.
 """
@@ -16,6 +17,7 @@ import pytest
 
 from repro.net.simulator import Simulator
 from repro.obs.registry import MetricsRegistry, bucket_quantile
+from repro.obs.slo import SLI_LATENCY, LatencyTap
 from repro.obs.timeseries import (
     DEFAULT_CAPACITY,
     SeriesRing,
@@ -35,33 +37,91 @@ class TestSeriesRing:
         ring = SeriesRing(capacity=4)
         for i in range(10):
             ring.append(float(i), float(i * i))
-        assert ring.latest() == (9.0, 81.0)
-        assert ring.at_or_before(5.0) == (6.0, 36.0) or \
-            ring.at_or_before(6.0) == (6.0, 36.0)
-        # Everything older than the window of 4 is gone.
-        assert ring.at_or_before(4.9) is None
+        assert ring._times == [6.0, 7.0, 8.0, 9.0]
+        # Everything older than the window of 4 is gone: no point at or
+        # before 4.9 remains to serve as a baseline.
+        assert ring.window(4.9, 9.0) == [36.0, 49.0, 64.0, 81.0]
+        assert ring.window(0.0, 5.9) == []
 
-    def test_window_and_at_or_before(self):
+    def test_window_leads_with_the_baseline(self):
         ring = SeriesRing()
         for i in range(5):
             ring.append(float(i), 10.0 * i)
-        assert [t for t, _ in ring.window(1.0, 3.0)] == [1.0, 2.0, 3.0]
-        assert ring.at_or_before(2.5) == (2.0, 20.0)
-        assert ring.at_or_before(-1.0) is None
+        assert ring.window(1.0, 3.0) == [10.0, 20.0, 30.0]
+        assert ring.window(1.5, 3.0) == [10.0, 20.0, 30.0]
+        assert ring.window(-1.0, 0.5) == [0.0]
+        assert ring.window(4.5, 9.0) == []
+
+
+def _scan_window(points, start, end):
+    """The window rule as a brute-force scan: in-window points, led by
+    the newest point at or before ``start`` unless that point is already
+    the first in-window one."""
+    inside = [p for p in points if start <= p[0] <= end]
+    if not inside:
+        return []
+    baseline = None
+    for point in points:
+        if point[0] <= start:
+            baseline = point
+        else:
+            break
+    if baseline is not None and baseline is not inside[0]:
+        inside = [baseline] + inside
+    return [v for _, v in inside]
+
+
+class TestBisectWindowOracle:
+    @staticmethod
+    def _ring(points, capacity=DEFAULT_CAPACITY):
+        ring = SeriesRing(capacity)
+        for t, v in points:
+            ring.append(t, v)
+        return ring
+
+    def _check(self, points, start, end, capacity=DEFAULT_CAPACITY):
+        ring = self._ring(points, capacity)
+        kept = points[-capacity:]
+        assert ring.window(start, end) == _scan_window(kept, start, end)
+
+    def test_point_exactly_at_window_start(self):
+        points = [(i * 0.25, float(i)) for i in range(9)]
+        now, window_s = 2.0, 0.75
+        assert points[5][0] == now - window_s
+        self._check(points, now - window_s, now)
+        assert self._ring(points).window(now - window_s, now) == \
+            [5.0, 6.0, 7.0, 8.0]
+
+    def test_window_wider_than_the_ring(self):
+        points = [(i * 0.1, float(i)) for i in range(20)]
+        now = points[-1][0]
+        self._check(points, now - 100.0, now)
+        assert self._ring(points).window(now - 100.0, now) == \
+            [float(i) for i in range(20)]
+
+    def test_ring_trimmed_past_capacity(self):
+        points = [(i * 0.1, float(i * i)) for i in range(40)]
+        for start in (0.0, 2.5, 3.0, 3.05, 3.9):
+            self._check(points, start, 3.9, capacity=8)
+
+    def test_duplicate_timestamps_and_random_windows(self):
+        rng = random.Random(11)
+        points, t = [], 0.0
+        for i in range(120):
+            t += rng.choice((0.0, 0.05, 0.1, 0.3))
+            points.append((round(t, 2), float(i)))
+        times = sorted({p[0] for p in points})
+        for _ in range(300):
+            end = rng.choice(times + [t + 1.0])
+            start = end - rng.choice((0.0, 0.05, 0.1, 0.35, 1.0, 50.0))
+            for capacity in (4, 32, DEFAULT_CAPACITY):
+                self._check(points, start, end, capacity)
 
 
 def _store_with_counter(values):
     """A store fed by a controllable counter; returns (store, setter)."""
-    registry = MetricsRegistry()
-    counter = registry.counter("events_total", "test counter")
-    state = {"v": 0.0, "last": 0.0}
-
-    def collect():
-        counter.set(state["v"], reset=state["v"] < state["last"])
-        state["last"] = state["v"]
-
-    registry.register_collector(collect)
-    store = TimeSeriesStore(registry)
+    state = {"v": 0.0}
+    store = TimeSeriesStore({"events_total": lambda: state["v"]})
 
     def feed(t, v):
         state["v"] = float(v)
@@ -72,24 +132,26 @@ def _store_with_counter(values):
     return store, feed
 
 
+def _store_with_tap(buckets):
+    """A store over an SLO latency tap; returns (store, latencies, tap)."""
+    tap = LatencyTap(MetricsRegistry(), buckets=buckets)
+    latencies: list[float] = []
+    tap.add_source(latencies)
+    return TimeSeriesStore({}, tap), latencies, tap
+
+
 class TestWindowedOperators:
     def test_empty_window_is_zero_increase_and_nan_quantile(self):
-        registry = MetricsRegistry()
-        registry.counter("events_total", "c")
-        registry.histogram("lat_seconds", "h")
-        store = TimeSeriesStore(registry)
+        store, _, _ = _store_with_tap((0.1, 1.0))
         assert store.increase("events_total", 1.0, now=5.0) == 0.0
-        assert store.rate("events_total", 1.0, now=5.0) == 0.0
-        assert math.isnan(store.window_quantile("lat_seconds", 0.99, 1.0, 5.0))
+        assert math.isnan(store.window_quantile(SLI_LATENCY, 0.99, 1.0, 5.0))
 
     def test_partial_window_at_run_start_uses_baseline(self):
-        # Only 0.3s of data exist; a 1.0s window must not dilute the rate
-        # by dividing through the un-lived 0.7s.
+        # Only 0.3s of data exist; a 1.0s window sees all of it, with
+        # the first point as its baseline.
         store, _ = _store_with_counter([(0.0, 0.0), (0.1, 10.0),
                                         (0.2, 20.0), (0.3, 30.0)])
         assert store.increase("events_total", 1.0, now=0.3) == 30.0
-        assert store.rate("events_total", 1.0, now=0.3) == pytest.approx(100.0)
-
     def test_counter_reset_adds_post_reset_value(self):
         # 0 -> 40, reset, 0 -> 15: the true increase over the window is 55.
         store, _ = _store_with_counter([(0.0, 0.0), (1.0, 40.0),
@@ -115,35 +177,27 @@ class TestWindowedOperators:
 
 class TestHistogramWindows:
     def test_window_quantile_matches_bucket_oracle(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat_seconds", "h", buckets=(0.1, 0.2, 0.5, 1.0))
-        store = TimeSeriesStore(registry)
+        store, latencies, tap = _store_with_tap((0.1, 0.2, 0.5, 1.0))
         store.sample(0.0)
         rng = random.Random(3)
-        values = [rng.uniform(0.0, 1.0) for _ in range(200)]
-        for v in values:
-            hist.observe(v)
+        latencies.extend(rng.uniform(0.0, 1.0) for _ in range(200))
         store.sample(1.0)
         # The windowed quantile over the whole run equals the child's own
         # bucket interpolation (same shared bucket_quantile code path).
-        child = registry._metrics["lat_seconds"]._children[()]
+        child = tap.histogram._children[()]
         for q in (0.5, 0.9, 0.99):
-            assert store.window_quantile("lat_seconds", q, 10.0, 1.0) == \
+            assert store.window_quantile(SLI_LATENCY, q, 10.0, 1.0) == \
                 pytest.approx(child.quantile(q))
 
     def test_window_quantile_sees_only_the_window(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat_seconds", "h", buckets=(0.1, 0.5, 1.0))
-        store = TimeSeriesStore(registry)
+        store, latencies, _ = _store_with_tap((0.1, 0.5, 1.0))
         store.sample(0.0)
-        for _ in range(100):
-            hist.observe(0.05)   # early, fast
+        latencies.extend([0.05] * 100)   # early, fast
         store.sample(1.0)
-        for _ in range(100):
-            hist.observe(0.9)    # late, slow
+        latencies.extend([0.9] * 100)    # late, slow
         store.sample(2.0)
-        early = store.window_quantile("lat_seconds", 0.5, 0.5, 1.0)
-        late = store.window_quantile("lat_seconds", 0.5, 0.5, 2.0)
+        early = store.window_quantile(SLI_LATENCY, 0.5, 0.5, 1.0)
+        late = store.window_quantile(SLI_LATENCY, 0.5, 0.5, 2.0)
         assert early < 0.1 < late
 
     def test_fraction_over_interpolates(self):
@@ -171,16 +225,13 @@ class TestTimerWheelSampling:
         # No clock skew by construction: each sample's timestamp is the
         # virtual time of its sampler tick, bit-exact.
         sim = Simulator()
-        registry = MetricsRegistry()
-        counter = registry.counter("events_total", "c")
-        registry.register_collector(lambda: counter.set(sim.now * 100))
-        store = TimeSeriesStore(registry)
+        store = TimeSeriesStore({"events_total": lambda: sim.now * 100})
         for i in range(1, 11):
             sim.schedule(0.05 * i, lambda: None)
-        store.attach(sim, interval_s=0.1)
+        store.sample(sim.now)
+        sim.every(0.1, store.sample)
         sim.run()
-        ring = store.series["events_total"]
-        times = [t for t, _ in ring._points]
+        times = store.series["events_total"]._times
         assert times[0] == 0.0
         for t in times[1:]:
             assert t == pytest.approx(round(t / 0.1) * 0.1)
@@ -188,21 +239,21 @@ class TestTimerWheelSampling:
 
     def test_daemon_sampler_never_extends_the_run(self):
         sim = Simulator()
-        registry = MetricsRegistry()
-        registry.counter("events_total", "c")
-        store = TimeSeriesStore(registry)
+        store = TimeSeriesStore({"events_total": lambda: 0.0})
         sim.schedule(0.12, lambda: None)
-        store.attach(sim, interval_s=0.05)
+        store.sample(sim.now)
+        sim.every(0.05, store.sample)
         end = sim.run()
         # The run drains at the last real event, not at a sampler tick —
         # and two daemon observers must not sustain each other either.
         assert end == pytest.approx(0.12)
-        store2 = TimeSeriesStore(registry)
-        store2.attach(sim, interval_s=0.03)
+        store2 = TimeSeriesStore({"events_total": lambda: 0.0})
+        store2.sample(sim.now)
+        sim.every(0.03, store2.sample)
         assert sim.run() == pytest.approx(0.12)
 
     def test_capacity_default_bounds_memory(self):
         ring = SeriesRing()
         for i in range(3 * DEFAULT_CAPACITY):
             ring.append(float(i), 0.0)
-        assert len(ring._points) <= DEFAULT_CAPACITY
+        assert len(ring) <= DEFAULT_CAPACITY

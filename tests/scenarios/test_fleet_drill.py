@@ -151,3 +151,17 @@ class TestFleetSchema:
             {"kind": "crash", "node": "no-such-server", "at": 0.1}]
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
+
+    def test_latency_objective_is_rejected_at_its_path(self):
+        # A fleet drill records no request latencies: a latency objective
+        # would validate and then never burn, so it fails closed instead.
+        doc = copy.deepcopy(SURVIVABLE_DOC)
+        doc["slos"] = copy.deepcopy(QUARANTINE_SLO)
+        doc["slos"]["objectives"].append({
+            "name": "slow-checks", "signal": "latency", "target": 0.9,
+            "threshold_s": 0.5,
+        })
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.path == "slos.objectives[1]"
+        assert "latency" in str(err.value)

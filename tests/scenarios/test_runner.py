@@ -10,6 +10,17 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import Observability, prometheus_text
+from repro.obs.slo import (
+    SLI_BAD,
+    SLI_DROPPED,
+    SLI_EXP,
+    SLI_FINISHED,
+    SLI_INVALID,
+    SLI_LATENCY,
+    SLI_MESSAGES,
+    SLI_PAIR,
+    SLI_REQUESTS,
+)
 from repro.scenarios import (
     EnvelopeSpec,
     ScenarioError,
@@ -172,6 +183,33 @@ class TestObsBindings:
         assert "sim_channel_bytes" in text
         assert "service_signatures_produced" not in text
         assert "failover_health_" not in text
+
+    def test_slo_store_samples_only_the_declared_series(self, doc):
+        # The engine samples what its objectives read — the eight SLI
+        # counters and the latency histogram — not the whole registry,
+        # while the SLIs stay mirrored into the exposition.
+        doc["slos"] = {
+            "objectives": [
+                {"name": "availability", "signal": "availability",
+                 "target": 0.95},
+                {"name": "latency-p90", "signal": "latency", "target": 0.9,
+                 "threshold_s": 1.0},
+            ],
+            "expected_alerts": [],
+        }
+        obs = Observability.create()
+        runner = ScenarioRunner(scenario_from_dict(doc), obs=obs)
+        runner.run()
+        store = runner.slo.store
+        assert sorted(store.series) == sorted([
+            SLI_REQUESTS, SLI_FINISHED, SLI_BAD, SLI_MESSAGES, SLI_DROPPED,
+            SLI_EXP, SLI_PAIR, SLI_INVALID,
+        ])
+        assert list(store.histograms) == [SLI_LATENCY]
+        assert store.samples_taken > 2
+        text = prometheus_text(obs.registry)
+        for name in list(store.series) + [SLI_LATENCY]:
+            assert name in text
 
 
 class TestClosedLoop:
