@@ -94,7 +94,14 @@ def combine_shares(
         basis: optional precomputed Lagrange basis (Eq. 11) for exactly
             these abscissae in this order; computed on the fly otherwise.
 
-    Op-count cost: one Exp per coefficient other than 1 (none at t = 1).
+    Each L_j(0) is raised as its signed representative: λ − r when
+    λ > r/2, applied as (σ̃_j⁻¹)^{r−λ}.  At abscissae 1..t the coefficients
+    are small integers, (2, −1) at t = 2 and (3, −3, 1) at t = 3, so each
+    power is a few doublings rather than a 160-bit Exp.  On prime-order
+    shares the element is the one the reduced coefficients give.
+
+    Op-count cost: one Exp per coefficient other than 1 (none at t = 1),
+    as Table I counts them, however short the exponent.
     """
     if not signature_shares:
         raise ValueError("need at least one signature share")
@@ -103,9 +110,16 @@ def combine_shares(
         basis = lagrange_basis_at_zero(xs, group.order)
     if len(basis) != len(signature_shares):
         raise ValueError("basis length must match share count")
+    order = group.order
     acc = None
     for (_, sig), coeff in zip(signature_shares, basis):
-        term = sig if coeff == 1 else sig**coeff
+        coeff %= order
+        if coeff == 1:
+            term = sig
+        elif coeff > order // 2:
+            term = sig.inverse() ** (order - coeff)
+        else:
+            term = sig**coeff
         acc = term if acc is None else acc * term
     return acc
 

@@ -14,6 +14,7 @@ from repro.crypto.threshold import (
     verify_share,
 )
 from repro.mathkit.poly import lagrange_basis_at_zero
+from repro.pairing.interface import GroupElement, OperationCounter
 
 
 @pytest.fixture()
@@ -70,6 +71,31 @@ class TestSignCombine:
         master = blinded**sk
         two = [(keys.shares[j].x, sign_share(blinded, keys.shares[j])) for j in range(2)]
         assert combine_shares(group, two) != master
+
+    @pytest.mark.parametrize("xs", [
+        *(list(range(1, t + 1)) for t in range(1, 6)),  # abscissae 1..t
+        [1, 3], [2, 3], [1, 2, 4, 5],  # subsets left after failover
+    ], ids=str)
+    def test_signed_coefficients_match_reduced(self, group, rng, xs):
+        """Raising σ̃_j⁻¹ to r − λ for λ > r/2 gives the element the reduced
+        coefficients give, with one Exp per coefficient other than 1."""
+        basis = lagrange_basis_at_zero(xs, group.order)
+        shares = [(x, group.random_g1(rng)) for x in xs]
+        reduced = None
+        for (_, sig), coeff in zip(shares, basis):
+            term = GroupElement(group, group._scalar_mul(sig.point, coeff))
+            reduced = term if reduced is None else reduced * term
+        counter = OperationCounter()
+        group.attach_counter(counter)
+        try:
+            combined = combine_shares(group, shares)
+        finally:
+            group.detach_counter()
+        assert combined == reduced
+        assert counter.exp_g1 == sum(1 for coeff in basis if coeff != 1)
+        if xs == list(range(1, len(xs) + 1)):  # small signed integers
+            signed = [c - group.order if c > group.order // 2 else c for c in basis]
+            assert all(abs(c) <= 10 for c in signed)
 
     def test_combine_empty_raises(self, group):
         with pytest.raises(ValueError):
