@@ -50,17 +50,22 @@ class TestOperationCounts:
                 f" | Table I {formula.exp_g1:>4} Exp {formula.pair:>3} Pair"
             )
             # Measured counts equal the paper's closed forms, with no
-            # owner-side Eq. 7 after a multi-SEM round (the round's Eq. 14
-            # share checks are final), except in two cells:
+            # owner-side Eq. 7 after a multi-SEM round (the round's own
+            # check is final), except in two cells:
             # - multi basic pays n(k+2t+2) Exp, n more than n(k+2t+1):
             #   the owner both blinds (g^r) and unblinds (pk^-r) each
             #   block, which the single-SEM rows count as k+3 and the
             #   paper's multi-SEM basic row counts only once;
-            # - multi optimized pays 2 pairings per SEM, 2t, against t+1:
-            #   the round checks each SEM's batch on its own, and checking
-            #   the first t as one product is not implemented.
-            expected_exp = formula.exp_g1 + (n if t and not optimized else 0)
-            expected_pair = 2 * t if t and optimized else formula.pair
+            # - multi optimized pays n(k+2t+4) Exp and 2 Pair, below
+            #   Table I's n(k+4t+2) and t+1: a happy round combines the t
+            #   share batches first and checks the result once against
+            #   the round key (Eq. 7, 2n MSM terms and 2 pairings for any
+            #   t), where Eq. 14 checks all n*t shares (2nt and t+1).
+            if t and optimized:
+                expected_exp, expected_pair = formula.exp_g1 - 2 * n * (t - 1), 2
+            else:
+                expected_exp = formula.exp_g1 + (n if t else 0)
+                expected_pair = formula.pair
             assert (exp_g1, pairings) == (expected_exp, expected_pair)
 
         record_report(f"Table I: operation counts (n={n} blocks, k={k})", results)

@@ -132,8 +132,8 @@ class DataOwner:
     # -- the owner-side signing pass -------------------------------------------
     def trusts(self, signer) -> bool:
         """Whether ``signer``'s replies need no Eq. 7 (Eq. 4) here: a signer
-        driving signing rounds names as ``verified_pk`` the key its Eq. 14
-        share checks make its results final for.
+        driving signing rounds names as ``verified_pk`` the key its rounds
+        check their combined results against.
 
         Raises:
             BlindSignatureError: if the signer checks for a key other than

@@ -89,11 +89,12 @@ class OwnerNode(Node):
 
     ``endpoints`` name each SEM with its Shamir abscissa and share public
     key (:class:`~repro.service.failover.SEMEndpoint`).  Each upload runs
-    one :class:`~repro.service.failover.SigningRound`: share batches are
-    checked with Eq. 14 as they arrive and the first ``threshold`` valid
-    ones are interpolated (with one SEM, t = 1 and the basis is [1]).
-    The result is final (no Eq. 7); a round key other than ``org_pk``
-    raises :class:`~repro.crypto.blind_bls.BlindSignatureError` here.
+    one :class:`~repro.service.failover.SigningRound`: the first
+    ``threshold`` share batches are interpolated and the result is checked
+    once against ``verified_pk`` (with one SEM, t = 1 and the basis is
+    [1]).  The result is final (no second Eq. 7); a round key other than
+    ``org_pk`` raises :class:`~repro.crypto.blind_bls.BlindSignatureError`
+    here.
 
     With ``retry_timeout_s`` set, an unanswered SEM is re-asked every
     ``retry_timeout_s`` up to ``max_retries`` times, and an upload whose
@@ -147,7 +148,7 @@ class OwnerNode(Node):
         blocks = encode_data(data, self.params, file_id)
         states = self.owner.blind_all(blocks)
         round_ = SigningRound(self.group, self.endpoints, self.threshold,
-                              [s.blinded for s in states],
+                              [s.blinded for s in states], key=self.verified_pk,
                               config=self.failover_config, rng=self._rng)
         self._pending = _PendingUpload(file_id, blocks, states, round_)
         return self._perform(self._pending, round_.start())

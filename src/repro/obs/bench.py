@@ -342,9 +342,11 @@ def _suite_service(repeats: int, options: dict) -> tuple[list[dict], dict]:
 def _suite_chaos(repeats: int, options: dict) -> tuple[list[dict], dict]:
     """Failover round over a clean (w=3, t=2) cluster vs one byzantine SEM.
 
-    The byzantine phase pays the full detection-and-recovery path: the bad
-    mediator's share batch fails Eq. 14 verification, the scoreboard trips
-    its circuit breaker, and the round completes on the healthy majority.
+    The byzantine phase pays the full detection-and-recovery path: the
+    combination of the first t share batches fails its check against the
+    round key, each held batch then gets its own Eq. 14, the bad mediator's
+    fails, the scoreboard trips its circuit breaker, and the round
+    completes on the healthy majority.
     A fresh client per call keeps scoreboard state — and hence op counts —
     identical across repeats, so the clean/byzantine delta in the
     trajectory is exactly the failover overhead.

@@ -6,10 +6,13 @@ module holds the one owner-side share check and combine:
 
 * :class:`SigningRound` — a sans-I/O state machine for one batch signing
   round.  It consumes events (``on_response``, ``on_timeout``) and emits
-  :class:`SendRequest`/:class:`ArmTimer` actions, checks each SEM's share
-  batch (Eq. 14, or Eq. 10 per share), and completes with combined blind
-  signatures **as soon as t valid share batches arrive** (Eq. 11–12) — it
-  never waits for stragglers.  Being pure, the same machine drives the
+  :class:`SendRequest`/:class:`ArmTimer` actions, and completes with
+  combined blind signatures **as soon as t valid share batches arrive**
+  (Eq. 11–12) — it never waits for stragglers.  With ``batch_verify`` it
+  holds the first t batches, combines them, and checks the result once
+  against the round key (Eq. 7: 2 pairings for any t); only a rejected
+  result sends each batch to its own Eq. 14.  Without it, each share is
+  checked on arrival (Eq. 10).  Being pure, the same machine drives the
   synchronous client below, the service node in
   :mod:`repro.service.simnodes`, and the owner node in
   :mod:`repro.net.actors`.
@@ -18,21 +21,23 @@ module holds the one owner-side share check and combine:
   (:meth:`FailoverMultiSEMClient.from_cluster` builds it over a
   :class:`~repro.core.multi_sem.SEMCluster`).
 
-A round's result is final: every batch it combined passed Eq. 14 (or
-Eq. 10), so no driver runs Eq. 7 on it.  Each driver checks once, before
-signing, that :func:`round_key` is its owner's key.
+A round's result is final: it passed Eq. 7 against the round key, or
+every batch it combined passed Eq. 14 (or Eq. 10), so no driver runs
+Eq. 7 on it again.  Each driver checks once, before signing, that
+:func:`round_key` is its owner's key, and hands that key to the round.
 
 Endpoint lifecycle within a round::
 
-    IDLE ──send──▶ INFLIGHT ──valid shares──▶ VALID   (counts toward t)
-                    │    ▲                └─invalid──▶ INVALID (byzantine; no retry)
-              timeout    └──retry+backoff (attempts < max_attempts)
-                    │
+    IDLE ──send──▶ INFLIGHT ──shares──▶ HELD ──combined result passes──▶ VALID
+                    │    ▲         │          └─rejected: own Eq. 14─▶ VALID | INVALID
+              timeout    │         └─(after a reject, or Eq. 10) checked on arrival
+                    │    └──retry+backoff (attempts < max_attempts)
                     └──attempts exhausted──▶ EXHAUSTED
 
-The round fails only when every endpoint is VALID/INVALID/EXHAUSTED and
-fewer than t are VALID — i.e. exactly when more than t − 1 SEMs are
-unavailable, matching the paper's bound.
+A short batch is INVALID on arrival.  The round fails only when every
+endpoint is resolved and fewer than t are VALID — i.e. exactly when more
+than t − 1 SEMs are unavailable, matching the paper's bound — and it
+checks the batches it holds first, so each one still gets its verdict.
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ class ArmRoundDeadline:
 
 @dataclass
 class _EndpointState:
-    status: str = "idle"  # idle | inflight | valid | invalid | exhausted
+    status: str = "idle"  # idle | inflight | held | valid | invalid | exhausted
     attempts: int = 0
     shares: list | None = None
     backoff_s: float = 0.0  # last jittered backoff (decorrelated state)
@@ -257,7 +262,11 @@ class HealthScoreboard:
 
 
 class SigningRound:
-    """Sans-I/O failover state machine for one batch of blinded messages."""
+    """Sans-I/O failover state machine for one batch of blinded messages.
+
+    ``key`` is the key the round signs for (a driver's ``verified_pk``);
+    it defaults to :func:`round_key` over ``endpoints``.
+    """
 
     def __init__(
         self,
@@ -265,6 +274,7 @@ class SigningRound:
         endpoints: list[SEMEndpoint],
         t: int,
         blinded: list[GroupElement],
+        key: GroupElement | None = None,
         config: FailoverConfig | None = None,
         rng=None,
         batch_verify: bool = True,
@@ -285,6 +295,11 @@ class SigningRound:
             rng.getrandbits(64) if rng is not None else 0x6A177E12
         )
         self.batch_verify = batch_verify
+        self.key = key if key is not None else round_key(group, endpoints, t)
+        # Hold batches and check their combination once; cleared by a
+        # rejected combination (and never set for Eq. 10).
+        self._hold = batch_verify
+        self.checks = 0  # share-batch checks run (Eq. 7/14, or Eq. 10 per batch)
         self.obs = obs if obs is not None else NULL_OBS
         self.health = health
         self._states = [_EndpointState() for _ in endpoints]
@@ -303,7 +318,10 @@ class SigningRound:
 
     @property
     def valid_count(self) -> int:
-        return sum(1 for s in self._states if s.status == "valid")
+        return len(self._indices("valid"))
+
+    def _indices(self, status: str) -> list[int]:
+        return [i for i, s in enumerate(self._states) if s.status == status]
 
     @property
     def used_failover(self) -> bool:
@@ -343,25 +361,27 @@ class SigningRound:
     def on_response(self, endpoint_index: int, shares: list[GroupElement]) -> list:
         """A SEM answered with one signature share per blinded message."""
         state = self._states[endpoint_index]
-        if self.done or state.status in ("valid", "invalid", "exhausted"):
+        if self.done or state.status in ("held", "valid", "invalid", "exhausted"):
             return []  # duplicate or stale: idempotent
-        if len(shares) != len(self.blinded) or not self._shares_valid(
-            endpoint_index, shares
-        ):
-            state.status = "invalid"
-            self.invalid_endpoints += 1
-            if self.health is not None:
-                self.health.record_invalid(endpoint_index)
-            return self._activate_standby()
-        state.status = "valid"
         state.shares = list(shares)
-        if self.health is not None:
-            self.health.record_success(endpoint_index)
-        if self.valid_count >= self.t:
-            self._complete()
+        if len(shares) != len(self.blinded):
+            self._mark_invalid(endpoint_index)
+            return self._activate_standby()
+        if self._hold:
+            state.status = "held"
+            held = self._indices("held")
+            if len(held) >= self.t:
+                return self._combine_held(held)
+        elif self._shares_valid(endpoint_index, shares):
+            self._mark_valid(endpoint_index)
+            if self.valid_count >= self.t:
+                self._complete(self._indices("valid")[: self.t])
+                return []
         else:
-            # This may have been the last unresolved endpoint.
-            self._check_for_failure()
+            self._mark_invalid(endpoint_index)
+            return self._activate_standby()
+        # This may have been the last unresolved endpoint.
+        self._check_for_failure()
         return []
 
     def on_timeout(self, endpoint_index: int) -> list:
@@ -394,6 +414,7 @@ class SigningRound:
         if self.done:
             return []
         self.deadline_exceeded = True
+        self._check_held()
         self.failed_reason = (
             f"round deadline of {self.config.round_deadline_s}s exceeded with "
             f"{self.valid_count} of the required {self.t} valid share batches"
@@ -436,43 +457,93 @@ class SigningRound:
         return []
 
     def _check_for_failure(self) -> None:
-        if self.done:
+        if self.done or any(s.status in ("idle", "inflight") for s in self._states):
             return
-        resolved = sum(
-            1 for s in self._states if s.status in ("valid", "invalid", "exhausted")
-        )
-        if resolved == len(self._states) and self.valid_count < self.t:
+        self._check_held()  # the round ends short of t: give each its verdict
+        if self.valid_count < self.t:
             self.failed_reason = (
                 f"only {self.valid_count} of the required {self.t} SEMs "
                 f"returned valid share batches"
             )
 
+    def _mark_valid(self, index: int) -> None:
+        self._states[index].status = "valid"
+        if self.health is not None:
+            self.health.record_success(index)
+
+    def _mark_invalid(self, index: int) -> None:
+        self._states[index].status = "invalid"
+        self._states[index].shares = None
+        self.invalid_endpoints += 1
+        if self.health is not None:
+            self.health.record_invalid(index)
+
+    def _check_held(self) -> int:
+        """Check each held batch on its own; returns how many failed."""
+        rejected = 0
+        for index in self._indices("held"):
+            if self._shares_valid(index, self._states[index].shares):
+                self._mark_valid(index)
+            else:
+                self._mark_invalid(index)
+                rejected += 1
+        return rejected
+
     def _shares_valid(self, endpoint_index: int, shares: list[GroupElement]) -> bool:
+        """Eq. 14 with one SEM (or Eq. 10 per share) against pk_j."""
         pk = self.endpoints[endpoint_index].share_pk
         if self.batch_verify:
-            return batch_verify_shares(
-                self.group,
-                self.blinded,
-                {endpoint_index: shares},
-                {endpoint_index: pk},
-                rng=self._rng,
-            )
+            return self._batch_check(shares, pk)
+        self.checks += 1
         return all(
             verify_share(self.group, m, s, pk) for m, s in zip(self.blinded, shares)
         )
 
-    def _complete(self) -> None:
-        chosen = [i for i, s in enumerate(self._states) if s.status == "valid"][: self.t]
+    def _batch_check(self, signatures: list[GroupElement], pk: GroupElement) -> bool:
+        """One-signer randomized check (Eq. 7/14): n weights, 2n MSM terms, 2 Pair."""
+        self.checks += 1
+        return batch_verify_shares(
+            self.group, self.blinded, {0: signatures}, {0: pk}, rng=self._rng
+        )
+
+    def _combine_held(self, held: list[int]) -> list:
+        """Combine the t held batches and check the result once (Eq. 7).
+
+        On a pass every held batch is valid and the result is final.  On a
+        reject each held batch gets its own Eq. 14, the bad ones activate
+        standbys, and later batches are checked on arrival; the first t
+        valid ones are then combined with no second check.  (At t ≤ 3
+        bisecting would first repeat the check already known to fail.)
+        """
+        if self._complete(held, check=True):
+            for index in held:
+                self._mark_valid(index)
+            return []
+        self._hold = False
+        actions: list = []
+        for _ in range(self._check_held()):
+            actions.extend(self._activate_standby())
+        if not self.done and self.valid_count >= self.t:
+            self._complete(self._indices("valid")[: self.t])
+        return actions
+
+    def _complete(self, chosen: list[int], check: bool = False) -> bool:
+        """Eq. 11–12 over the chosen batches; with ``check``, keep the
+        result only if it passes Eq. 7 against the round key."""
         xs = [self.endpoints[i].x for i in chosen]
         with self.obs.tracer.span(
             "lagrange.combine", items=len(self.blinded), t=self.t
-        ):
+        ) as span:
             basis = lagrange_basis_at_zero(xs, self.group.order)  # Eq. 11, once
             combined = []
             for item in range(len(self.blinded)):
                 pairs = [(xs[pos], self._states[i].shares[item]) for pos, i in enumerate(chosen)]
                 combined.append(combine_shares(self.group, pairs, basis=basis))  # Eq. 12
-        self.result = combined
+            passed = not check or self._batch_check(combined, self.key)
+            span.set(checks=self.checks)
+        if passed:
+            self.result = combined
+        return passed
 
 
 @dataclass
@@ -560,6 +631,7 @@ class FailoverMultiSEMClient:
             self.endpoints,
             self.t,
             blinded_messages,
+            key=self.verified_pk,
             config=self.config,
             rng=self._rng,
             batch_verify=self.batch_verify,

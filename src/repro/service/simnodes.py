@@ -100,8 +100,8 @@ class SEMServiceNode(Node):
             self.health.on_invalid.append(self._ledger_invalid)
             self.health.on_trip.append(self._ledger_quarantine)
         # The pipeline's signer is this node: its message fan-out rounds
-        # are final for verified_pk (no Eq. 7; another key than org_pk
-        # raises here).  The pipeline aggregates, blinds and unblinds.
+        # check their results against verified_pk, so they are final (no
+        # second Eq. 7; another key than org_pk raises here).  The pipeline aggregates, blinds and unblinds.
         self.verified_pk = round_key(self.group, endpoints, t)
         self._pipeline = SigningPipeline(params, sem=self, org_pk=org_pk, rng=rng, obs=obs)
         self.obs = self._pipeline.obs
@@ -176,6 +176,7 @@ class SEMServiceNode(Node):
             self.endpoints,
             self.t,
             prepared.blinded,
+            key=self.verified_pk,
             config=self.failover_config,
             rng=self._rng,
             obs=self.obs,

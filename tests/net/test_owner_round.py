@@ -28,8 +28,9 @@ class TestOwnerRound:
         with CostTracker(group) as tracker:
             _upload(sim, owner)
         assert owner.completed_uploads == [b"f"]
-        # t = 2 share batches by Eq. 14 (2 pairings each); no Eq. 7.
-        assert tracker.pairings == 4
+        # t = 2 share batches combined, then one check against the round
+        # key (2 pairings); no owner-side Eq. 7 after it.
+        assert tracker.pairings == 2
 
     def test_one_byzantine_sem_is_outvoted(self, params_k4, rng, group):
         sim, owner, verifier = build_protocol_network(params_k4, threshold=2, rng=rng)

@@ -127,9 +127,9 @@ class TestParity:
     @pytest.mark.parametrize("flags, counts, exp, pairs, hashes, faults, trips", [
         (dict(threshold=2, clients=2, requests=2, round_deadline=3.0,
               chaos=str(PLANS / "byzantine_quarantine.json")),
-         (4, 4, 0), (66, 64, 72, 8), 6, 12, {"byzantine": 1}, (1, 1)),
+         (4, 4, 0), (90, 64, 96, 8), 8, 12, {"byzantine": 1}, (1, 1)),
         (dict(threshold=2, crash=1, clients=2, requests=1, seed=5),
-         (2, 2, 0), (30, 32, 24, 4), 4, 6, {}, (0, 0)),
+         (2, 2, 0), (30, 32, 12, 4), 2, 6, {}, (0, 0)),
         (dict(clients=2, requests=1),
          (2, 2, 0), (7, 32, 12, 4), 2, 6, {}, (0, 0)),
     ], ids=["ci-chaos", "threshold-crash", "single-sem"])

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.accounting import CostTracker
 from repro.core.blocks import aggregate_block
 from repro.core.multi_sem import SEMCluster
 from repro.crypto.blind_bls import blind
+from repro.mathkit.ntheory import inverse_mod
+from repro.mathkit.poly import lagrange_basis_at_zero
 from repro.service.failover import (
     ArmTimer,
     FailoverConfig,
@@ -85,14 +88,22 @@ class TestSigningRound:
         shares = shares_from(cluster, 0, blinded)
         round_.on_response(0, shares)
         assert round_.on_response(0, shares) == []
-        assert round_.valid_count == 1
+        # Held, not yet checked: nothing is valid before t batches combine.
+        assert round_.valid_count == 0
+        for j in (1, 2):
+            round_.on_response(j, shares_from(cluster, j, blinded))
+        assert round_.valid_count == cluster.t and round_.checks == 1
 
     def test_invalid_shares_mark_endpoint_and_activate_standby(self, cluster, blinded, rng):
         round_ = make_round(cluster, blinded, rng, fanout=3)
         round_.start()
         wrong = shares_from(cluster, 1, blinded)  # wrong key share for SEM 0
-        actions = round_.on_response(0, wrong)
-        assert round_.invalid_endpoints == 1
+        assert round_.on_response(0, wrong) == []  # held until t batches arrive
+        assert round_.invalid_endpoints == 0
+        round_.on_response(1, shares_from(cluster, 1, blinded))
+        actions = round_.on_response(2, shares_from(cluster, 2, blinded))
+        # The combination failed, so each batch got its own Eq. 14.
+        assert round_.invalid_endpoints == 1 and round_.checks == 1 + cluster.t
         assert [a.endpoint_index for a in actions if isinstance(a, SendRequest)] == [3]
 
     def test_short_share_batch_is_invalid(self, cluster, blinded, rng):
@@ -180,6 +191,107 @@ class TestSigningRound:
     def test_threshold_bounds(self, cluster, blinded, rng):
         with pytest.raises(ValueError):
             SigningRound(cluster.group, cluster.endpoints(), 6, blinded)
+
+
+class TestCombinedCheck:
+    """A happy round checks its combination once; a rejected one names the
+    bad batch by per-SEM Eq. 14.  Each test pins the pairings on its path."""
+
+    def _round(self, cluster, blinded, rng, **config):
+        from repro.service.failover import HealthScoreboard
+
+        return SigningRound(
+            cluster.group, cluster.endpoints(), cluster.t, blinded,
+            key=cluster.master_pk, config=FailoverConfig(**config), rng=rng,
+            health=HealthScoreboard(len(cluster.sems)),
+        )
+
+    @staticmethod
+    def _assert_signs_under(cluster, blinded, result):
+        group = cluster.group
+        for m, sig in zip(blinded, result):
+            assert group.pair(sig, group.g1()) == group.pair(m, cluster.master_pk)
+
+    def test_happy_round_pays_one_check(self, cluster, blinded, rng):
+        round_ = self._round(cluster, blinded, rng)
+        round_.start()
+        with CostTracker(cluster.group) as tracker:
+            for j in range(cluster.t):
+                round_.on_response(j, shares_from(cluster, j, blinded))
+        assert tracker.pairings == 2 and round_.checks == 1
+        assert [r.successes for r in round_.health.records] == [1, 1, 1, 0, 0]
+        self._assert_signs_under(cluster, blinded, round_.result)
+
+    def test_byzantine_among_first_t_is_named_and_replaced(self, cluster, blinded, rng):
+        cluster.corrupt(1)
+        round_ = self._round(cluster, blinded, rng, fanout=3)
+        round_.start()
+        with CostTracker(cluster.group) as tracker:
+            round_.on_response(0, shares_from(cluster, 0, blinded))
+            round_.on_response(1, shares_from(cluster, 1, blinded))
+            actions = round_.on_response(2, shares_from(cluster, 2, blinded))
+            # One rejected combination (2), then Eq. 14 per held batch (3 × 2).
+            assert tracker.pairings == 2 + 2 * cluster.t
+            assert [a.endpoint_index for a in actions if isinstance(a, SendRequest)] == [3]
+            round_.on_response(3, shares_from(cluster, 3, blinded))
+        # The standby's batch is checked on arrival (2); no second combined check.
+        assert tracker.pairings == 4 + 2 * cluster.t
+        assert round_.checks == 2 + cluster.t
+        assert round_.invalid_endpoints == 1
+        records = round_.health.records
+        assert [r.invalid_total for r in records] == [0, 1, 0, 0, 0]
+        assert [r.successes for r in records] == [1, 0, 1, 1, 0]
+        self._assert_signs_under(cluster, blinded, round_.result)
+
+    def test_lagrange_weighted_collusion_passes_and_names_nobody(self, cluster, blinded, rng):
+        """SEMs 0 and 1 offset their shares so that, after Lagrange
+        weighting, the offsets are Δ and Δ⁻¹.  The combination is the true
+        signature, so the round completes and marks nobody invalid: the
+        check is against the owner's key, not against each pk_j."""
+        group = cluster.group
+        endpoints = cluster.endpoints()
+        basis = lagrange_basis_at_zero([e.x for e in endpoints[: cluster.t]], group.order)
+        delta = group.hash_to_g1(b"collusion offset")
+        offsets = {0: delta ** inverse_mod(basis[0], group.order),
+                   1: delta.inverse() ** inverse_mod(basis[1], group.order)}
+        round_ = self._round(cluster, blinded, rng)
+        round_.start()
+        with CostTracker(group) as tracker:
+            for j in range(cluster.t):
+                shares = shares_from(cluster, j, blinded)
+                if j in offsets:
+                    shares = [s * offsets[j] for s in shares]
+                round_.on_response(j, shares)
+        assert tracker.pairings == 2 and round_.checks == 1
+        assert round_.invalid_endpoints == 0
+        assert [r.invalid_total for r in round_.health.records] == [0] * 5
+        self._assert_signs_under(cluster, blinded, round_.result)
+
+    @pytest.mark.parametrize("ending", ["timeouts", "deadline"])
+    def test_round_short_of_t_still_gives_each_batch_its_verdict(
+        self, cluster, blinded, rng, ending
+    ):
+        """Two batches held (one byzantine), three SEMs silent: before the
+        round fails, each held batch gets the verdict an on-arrival check
+        would have given it."""
+        cluster.corrupt(0)
+        round_ = self._round(cluster, blinded, rng, max_attempts=1)
+        round_.start()
+        with CostTracker(cluster.group) as tracker:
+            round_.on_response(0, shares_from(cluster, 0, blinded))
+            round_.on_response(1, shares_from(cluster, 1, blinded))
+            if ending == "timeouts":
+                for j in (2, 3, 4):
+                    round_.on_timeout(j)
+            else:
+                round_.on_deadline()
+        assert tracker.pairings == 4  # one Eq. 14 per held batch
+        assert round_.failed_reason is not None and round_.result is None
+        assert "1 of the required 3" in round_.failed_reason
+        records = round_.health.records
+        assert [r.invalid_total for r in records] == [1, 0, 0, 0, 0]
+        assert [r.successes for r in records] == [0, 1, 0, 0, 0]
+        assert round_.health.trips == 1
 
 
 class TestHealthScoreboard:

@@ -1,8 +1,8 @@
 """A signing round's result is final: no driver checks it a second time.
 
-Each SEM's share batch passes Eq. 14 against its pk_j before a
-:class:`~repro.service.failover.SigningRound` combines it (Eq. 11–12), so
-the three drivers of the round — :class:`FailoverMultiSEMClient`,
+A :class:`~repro.service.failover.SigningRound` combines its first t share
+batches (Eq. 11–12) and checks the result once against the round key
+(Eq. 7: 2 pairings for any t), so the three drivers of the round — :class:`FailoverMultiSEMClient`,
 :class:`SEMServiceNode` and :class:`OwnerNode` — unblind the combined
 result with no owner-side Eq. 7, and fail closed, before anything is
 signed, when the round signs for a key other than the owner's.  A plain
@@ -77,7 +77,7 @@ class TestClaimedPathCounts:
         blocks = _blocks(params_k4)
         with CostTracker(group) as tracker:
             signatures = owner.sign_blocks(client, blocks, rng=random.Random(4))
-        assert tracker.pairings == 4  # t = 2 SEMs, one 2-pairing Eq. 14 each
+        assert tracker.pairings == 2  # t = 2 SEMs, one check of their combination
         assert owner_checks == {"eq7": 0, "eq4": 0}
         _assert_signed(params_k4, cluster.master_pk, blocks, signatures)
 
@@ -91,11 +91,11 @@ class TestClaimedPathCounts:
         with CostTracker(group) as tracker:
             (result,) = pipeline.sign_batch([request])
         assert result.ok
-        assert tracker.pairings == 4
+        assert tracker.pairings == 2
         assert owner_checks == {"eq7": 0, "eq4": 0}
         _assert_signed(params_k4, cluster.master_pk, blocks, result.signatures)
 
-    @pytest.mark.parametrize("threshold, pairings", [(None, 2), (2, 4)])
+    @pytest.mark.parametrize("threshold, pairings", [(None, 2), (2, 2)])
     def test_service_node_flush(self, params_k4, group, owner_checks, threshold, pairings):
         sim, service, (client,) = build_service_network(
             params_k4, threshold=threshold, n_clients=1, rng=random.Random(5),
@@ -109,7 +109,7 @@ class TestClaimedPathCounts:
         _assert_signed(params_k4, service._pipeline.org_pk, encode_data(DATA, params_k4, b"f"),
                        client.responses[request_id].signatures)
 
-    @pytest.mark.parametrize("threshold, pairings", [(None, 2), (2, 4)])
+    @pytest.mark.parametrize("threshold, pairings", [(None, 2), (2, 2)])
     def test_owner_node_upload(self, params_k4, group, owner_checks, threshold, pairings):
         sim, owner, verifier = build_protocol_network(params_k4, threshold=threshold,
                                                       rng=random.Random(6))
