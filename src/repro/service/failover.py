@@ -264,8 +264,8 @@ class HealthScoreboard:
 class SigningRound:
     """Sans-I/O failover state machine for one batch of blinded messages.
 
-    ``key`` is the key the round signs for (a driver's ``verified_pk``);
-    it defaults to :func:`round_key` over ``endpoints``.
+    ``key`` is the key the round signs for, :func:`round_key` over
+    ``endpoints`` (each driver passes its ``verified_pk``).
     """
 
     def __init__(
@@ -274,7 +274,7 @@ class SigningRound:
         endpoints: list[SEMEndpoint],
         t: int,
         blinded: list[GroupElement],
-        key: GroupElement | None = None,
+        key: GroupElement,
         config: FailoverConfig | None = None,
         rng=None,
         batch_verify: bool = True,
@@ -295,7 +295,7 @@ class SigningRound:
             rng.getrandbits(64) if rng is not None else 0x6A177E12
         )
         self.batch_verify = batch_verify
-        self.key = key if key is not None else round_key(group, endpoints, t)
+        self.key = key
         # Hold batches and check their combination once; cleared by a
         # rejected combination (and never set for Eq. 10).
         self._hold = batch_verify

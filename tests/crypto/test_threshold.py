@@ -218,7 +218,7 @@ class TestShareVerification:
 
     def test_eq14_single_sem_draws_only_message_weights(self, group, keys):
         """With one SEM, δ = 1: the check draws n weights and costs 2n Exp
-        (two n-term MSMs), as the per-SEM calls of SigningRound always have."""
+        (two n-term MSMs), as each check a SigningRound runs does."""
         from repro.pairing.interface import OperationCounter
 
         rng = random.Random(4)

@@ -39,6 +39,7 @@ def make_round(cluster, blinded, rng, **config):
         cluster.endpoints(),
         cluster.t,
         blinded,
+        cluster.master_pk,
         config=FailoverConfig(**config),
         rng=rng,
     )
@@ -190,7 +191,7 @@ class TestSigningRound:
 
     def test_threshold_bounds(self, cluster, blinded, rng):
         with pytest.raises(ValueError):
-            SigningRound(cluster.group, cluster.endpoints(), 6, blinded)
+            SigningRound(cluster.group, cluster.endpoints(), 6, blinded, cluster.master_pk)
 
 
 class TestCombinedCheck:
