@@ -13,6 +13,7 @@ from repro.service.failover import (
     FailoverConfig,
     FailoverError,
     FailoverMultiSEMClient,
+    HealthScoreboard,
     SendRequest,
     SigningRound,
 )
@@ -33,7 +34,7 @@ def blinded(group, params_k4, make_request, rng):
     ]
 
 
-def make_round(cluster, blinded, rng, **config):
+def make_round(cluster, blinded, rng, health=None, **config):
     return SigningRound(
         cluster.group,
         cluster.endpoints(),
@@ -42,6 +43,7 @@ def make_round(cluster, blinded, rng, **config):
         cluster.master_pk,
         config=FailoverConfig(**config),
         rng=rng,
+        health=health,
     )
 
 
@@ -198,14 +200,10 @@ class TestCombinedCheck:
     """A happy round checks its combination once; a rejected one names the
     bad batch by per-SEM Eq. 14.  Each test pins the pairings on its path."""
 
-    def _round(self, cluster, blinded, rng, **config):
-        from repro.service.failover import HealthScoreboard
-
-        return SigningRound(
-            cluster.group, cluster.endpoints(), cluster.t, blinded,
-            key=cluster.master_pk, config=FailoverConfig(**config), rng=rng,
-            health=HealthScoreboard(len(cluster.sems)),
-        )
+    @staticmethod
+    def _round(cluster, blinded, rng, **config):
+        return make_round(cluster, blinded, rng,
+                          health=HealthScoreboard(len(cluster.sems)), **config)
 
     @staticmethod
     def _assert_signs_under(cluster, blinded, result):
