@@ -101,7 +101,8 @@ class SEMServiceNode(Node):
             self.health.on_trip.append(self._ledger_quarantine)
         # The pipeline's signer is this node: its message fan-out rounds
         # check their results against verified_pk, so they are final (no
-        # second Eq. 7; another key than org_pk raises here).  The pipeline aggregates, blinds and unblinds.
+        # second Eq. 7; another key than org_pk raises here).  The
+        # pipeline aggregates, blinds and unblinds.
         self.verified_pk = round_key(self.group, endpoints, t)
         self._pipeline = SigningPipeline(params, sem=self, org_pk=org_pk, rng=rng, obs=obs)
         self.obs = self._pipeline.obs
